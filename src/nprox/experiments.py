@@ -26,19 +26,21 @@ class ExperimentConfig:
 
     Fields: name, projector spec (possibly a newton_product composition),
     function tree, compact model, strictly increasing degree list, per-axis
-    grid resolution (at least 64), seed, optional quadrature exactness and
+    grid resolution (at least 64), optional quadrature exactness and
     expected rate parameter.
     """
 
+    FIELDS = ("name", "projector", "function", "compact", "degrees",
+              "grid", "exactness", "expected_rho")
+
     def __init__(self, name, projector, function, compact, degrees,
-                 grid=128, seed=0, exactness=None, expected_rho=None):
+                 grid=128, exactness=None, expected_rho=None):
         self.name = str(name)
         self.projector = projector
         self.function = function
         self.compact = compact
         self.degrees = [int(d) for d in degrees]
         self.grid = int(grid)
-        self.seed = int(seed)
         self.exactness = None if exactness is None else int(exactness)
         self.expected_rho = None if expected_rho is None else float(expected_rho)
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
@@ -48,11 +50,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        known = {k: obj[k] for k in (
-            "name", "projector", "function", "compact", "degrees",
-            "grid", "seed", "exactness", "expected_rho") if k in obj}
-        known.setdefault("name", "experiment")
-        return cls(**known)
+        unknown = sorted(set(obj) - set(cls.FIELDS))
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
+        return cls(**{"name": "experiment", **obj})
 
     def to_json(self) -> dict:
         out = {
@@ -62,7 +63,6 @@ class ExperimentConfig:
             "compact": self.compact,
             "degrees": self.degrees,
             "grid": self.grid,
-            "seed": self.seed,
         }
         if self.exactness is not None:
             out["exactness"] = self.exactness
@@ -139,7 +139,6 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
         "wall_time_s": time.perf_counter() - t0,
         "fit_stderr": stderr,
         "grid": config.grid,
-        "seed": config.seed,
     }
     if config.expected_rho is not None:
         metadata["expected_rate"] = 1.0 / config.expected_rho
@@ -321,7 +320,7 @@ def _fmt(x) -> str:
 
 
 def report_write(report: ExperimentReport, out_dir, timings: bool = False):
-    """CSV plus JSON; CSV bytes depend only on config and seed.
+    """CSV plus JSON; CSV bytes depend only on the config.
 
     The seconds column is zeroed unless timings are requested, because wall
     clock readings would break byte-for-byte reproducibility; real timings

@@ -211,19 +211,14 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256,
     )
     pts = model.sample_points(grid)
     target = f.values(pts)
-    from .indexing import exponents, monomial_count
+    from .indexing import monomial_count, monomial_vandermonde
 
-    E = exponents(model.nvars, dmax)
-    sample_vals = np.ones((E.shape[0], pts.shape[0]), dtype=np.complex128)
-    maxdeg = int(E.max(initial=0))
-    for v in range(model.nvars):
-        powers = pts[:, v][None, :] ** np.arange(maxdeg + 1)[:, None]
-        sample_vals *= powers[E[:, v], :]
+    sample_vals = monomial_vandermonde(pts, dmax).T
 
     # partial sums accumulate in coefficient space; evaluation happens once
     # per degree on the combined vector, not per basis element
     errors = []
-    partial = np.zeros(E.shape[0], dtype=np.complex128)
+    partial = np.zeros(sample_vals.shape[0], dtype=np.complex128)
     degrees = list(range(dmax + 1))
     for d in degrees:
         lo, hi = monomial_count(model.nvars, d - 1), monomial_count(model.nvars, d)

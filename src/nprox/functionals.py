@@ -5,23 +5,24 @@ mean-value conditions on derivative data (the Kergin conditions), weighted
 inner products against a basis polynomial, and tensor pairs acting on a
 joined variable block.
 
-Every functional evaluates *exactly* on polynomials: ``apply_to_polynomial``
-reduces to a dot product against the functional's values on the graded-lex
-monomial basis, and those values come from closed forms (point powers,
-falling factorials, simplex moments) rather than quadrature.  Applied to a
-test function, a functional first discretizes itself into weighted point
-derivatives -- the simplex conditions through Grundmann-Moller cubature of a
-requested exactness -- and then drives the function's exact derivative
-evaluator.
+Every functional discretizes itself into weighted point derivatives -- the
+simplex conditions through Grundmann-Moller cubature of a requested
+exactness.  Applied to a test function, it drives the function's exact
+derivative evaluator at those points.  Its values on the graded-lex monomial
+basis come from the same discretization at exactness ``degree``, paired with
+the derivative Vandermonde of the monomials; the cubature integrates
+polynomials of that degree exactly, so ``apply_to_polynomial`` is exact up to
+rounding.  Inner products and tensor pairs reuse shared tables instead
+(the measure's cached Vandermonde, the factor-rank split).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .indexing import exponents, factor_ranks, monomial_count
+from .indexing import factor_ranks, monomial_count, monomial_vandermonde
 from .measures import QuadratureMeasure, parse_measure
-from .polynomials import Polynomial, multiply
-from .simplex import grundmann_moller_rule, rule_order_for_exactness, simplex_moment_vector
+from .polynomials import Polynomial
+from .simplex import grundmann_moller_rule, rule_order_for_exactness
 from .testfunctions import TestFunction
 
 # Covers smooth desk-scale integrands; the projector engine passes
@@ -42,7 +43,7 @@ def _point_from_json(obj):
 
 
 class Functional:
-    """Base class; concrete kinds implement ``_monomial_values`` and friends."""
+    """Base class; concrete kinds implement ``discretize`` and friends."""
 
     nvars: int
 
@@ -59,7 +60,10 @@ class Functional:
         return self._mono_cache[1][: monomial_count(self.nvars, degree)]
 
     def _monomial_values(self, degree: int) -> np.ndarray:
-        raise NotImplementedError
+        return sum(
+            weights @ monomial_vandermonde(pts, degree, alpha)
+            for weights, pts, alpha in self.discretize(degree)
+        )
 
     def apply_to_polynomial(self, poly: Polynomial) -> complex:
         if poly.nvars != self.nvars:
@@ -99,13 +103,6 @@ class PointEval(Functional):
         self.point = _point_array(point)
         self.nvars = self.point.shape[0]
 
-    def _monomial_values(self, degree):
-        E = exponents(self.nvars, degree)
-        vals = np.ones(E.shape[0], dtype=np.complex128)
-        for v in range(self.nvars):
-            vals *= self.point[v] ** E[:, v]
-        return vals
-
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], (0,) * self.nvars)]
 
@@ -116,15 +113,6 @@ class PointEval(Functional):
         return f"PointEval({self.point})"
 
 
-def _falling_factors(E_minus_alpha, alpha):
-    """prod_v gamma_v! / (gamma_v - alpha_v)! for rows gamma - alpha."""
-    out = np.ones(E_minus_alpha.shape[0], dtype=np.float64)
-    for v, a in enumerate(alpha):
-        for t in range(1, a + 1):
-            out *= E_minus_alpha[:, v] + t
-    return out
-
-
 class DerivativeEval(Functional):
     def __init__(self, alpha, point):
         super().__init__()
@@ -133,17 +121,6 @@ class DerivativeEval(Functional):
         self.alpha = tuple(int(a) for a in alpha)
         if len(self.alpha) != self.nvars or any(a < 0 for a in self.alpha):
             raise ValueError(f"bad derivative order {alpha}")
-
-    def _monomial_values(self, degree):
-        E = exponents(self.nvars, degree)
-        alpha = np.asarray(self.alpha, dtype=np.int64)
-        mask = np.all(E >= alpha, axis=1)
-        F = np.maximum(E - alpha, 0)
-        vals = _falling_factors(F, self.alpha).astype(np.complex128)
-        for v in range(self.nvars):
-            vals *= self.point[v] ** F[:, v]
-        vals[~mask] = 0.0
-        return vals
 
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
@@ -189,41 +166,6 @@ class KerginCondition(Functional):
     @property
     def order(self) -> int:
         return sum(self.alpha)
-
-    def _monomial_values(self, degree):
-        j = self.order
-        if j == 0:
-            return PointEval(self.nodes[0])._monomial_values(degree)
-        E = exponents(self.nvars, degree)
-        alpha = np.asarray(self.alpha, dtype=np.int64)
-        mask = np.all(E >= alpha, axis=1)
-        F = np.maximum(E - alpha, 0)
-        fall = _falling_factors(F, self.alpha)
-        moments = simplex_moment_vector(j, max(degree - j, 0))
-        # affine substitution t -> z0 + sum t_i (z_i - z0), one form per
-        # ambient variable, expanded exactly as degree-1 polynomials in t
-        z0 = self.nodes[0]
-        span = self.nodes[1:] - z0            # (j, m)
-        affines = []
-        for v in range(self.nvars):
-            coeffs = np.concatenate([[z0[v]], span[:, v]])
-            affines.append(Polynomial(j, 1, coeffs))
-        max_pow = F.max(axis=0)
-        pows = []
-        for v in range(self.nvars):
-            col = [Polynomial.constant(j, 1.0)]
-            for _ in range(int(max_pow[v])):
-                col.append(multiply(col[-1], affines[v]))
-            pows.append(col)
-        vals = np.zeros(E.shape[0], dtype=np.complex128)
-        for idx in np.flatnonzero(mask):
-            comp = pows[0][int(F[idx, 0])]
-            for v in range(1, self.nvars):
-                expo = int(F[idx, v])
-                if expo:
-                    comp = multiply(comp, pows[v][expo])
-            vals[idx] = fall[idx] * np.dot(comp.coeffs, moments[: comp.coeffs.shape[0]])
-        return vals
 
     def discretize(self, exactness):
         j = self.order

@@ -76,6 +76,28 @@ def degree_starts(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(monomial_count(nvars, j - 1) for j in range(degree + 2))
 
 
+def monomial_vandermonde(points, degree: int, alpha=None) -> np.ndarray:
+    """``D^alpha`` of every graded-lex monomial of degree <= ``degree`` at ``points``.
+
+    ``points`` has shape ``(m, nvars)``; the result has shape
+    ``(m, monomial_count(nvars, degree))``.  Per variable the table entry for
+    exponent ``e`` is ``e (e-1) ... (e-a+1) z^(e-a)``, which vanishes for
+    ``e < a``, so derivative orders need no separate mask.
+    """
+    pts = np.asarray(points, dtype=np.complex128)
+    nvars = pts.shape[1]
+    E = exponents(nvars, degree)
+    e = np.arange(degree + 1)
+    out = np.ones((pts.shape[0], E.shape[0]), dtype=np.complex128)
+    for v in range(nvars):
+        a = 0 if alpha is None else int(alpha[v])
+        table = pts[:, v, None] ** np.maximum(e - a, 0)[None, :]
+        if a:
+            table *= np.prod(e[:, None] - np.arange(a)[None, :], axis=1)
+        out *= table[:, E[:, v]]
+    return out
+
+
 def rank_of(alpha) -> int:
     """Graded-lex rank of a multi-index, zero based."""
     alpha = tuple(int(a) for a in alpha)

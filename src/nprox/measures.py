@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indexing import degree_starts, exponents, monomial_count
+from .indexing import degree_starts, monomial_count, monomial_vandermonde
 from .points import chebyshev_nodes, equiangular_nodes
 from .polynomials import Polynomial
 
@@ -58,14 +58,8 @@ class QuadratureMeasure:
         """Values of every graded-lex monomial at the nodes, shape (N, M)."""
         have = self._cache.get("deg", -1)
         if degree > have:
-            E = exponents(self.nvars, degree)
-            vals = np.ones((E.shape[0], self.nodes.shape[0]), dtype=np.complex128)
-            maxdeg = int(E.max(initial=0))
-            for v in range(self.nvars):
-                powers = self.nodes[:, v][None, :] ** np.arange(maxdeg + 1)[:, None]
-                vals *= powers[E[:, v], :]
             self._cache["deg"] = degree
-            self._cache["vals"] = vals
+            self._cache["vals"] = monomial_vandermonde(self.nodes, degree).T
         count = monomial_count(self.nvars, degree)
         return self._cache["vals"][:count]
 

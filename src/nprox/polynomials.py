@@ -11,8 +11,10 @@ import numpy as np
 
 from .indexing import (
     degree_starts,
+    degrees_of,
     exponents,
     monomial_count,
+    monomial_vandermonde,
     rank_of,
     ranks_of_rows,
     split_ranks,
@@ -149,17 +151,12 @@ class Polynomial:
         out = np.zeros(pts.shape[0], dtype=np.complex128)
         if nz.size == 0:
             return out
-        E = exponents(self.nvars, self.degree)[nz]
-        c = self.coeffs[nz]
-        maxdeg = int(E.max(initial=0))
+        # trailing zero blocks of the storage bound need no powers
+        degree = int(degrees_of(self.nvars, self.degree)[nz[-1]])
+        c = self.coeffs[: monomial_count(self.nvars, degree)]
         for lo in range(0, pts.shape[0], _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, pts.shape[0])
-            chunk = pts[lo:hi]
-            vals = np.ones((hi - lo, nz.size), dtype=np.complex128)
-            for v in range(self.nvars):
-                powers = chunk[:, v, None] ** np.arange(maxdeg + 1)[None, :]
-                vals *= powers[:, E[:, v]]
-            out[lo:hi] = vals @ c
+            out[lo:hi] = monomial_vandermonde(pts[lo:hi], degree) @ c
         return out
 
     # -- calculus ----------------------------------------------------------

@@ -239,8 +239,12 @@ class NewtonProduct(NewtonStructuredProjector):
 
         Equals apply() on the product function: the product projector's value
         on f1 (x) f2 is the sum over i1 + i2 <= degree of the tensor products
-        of the factors' Newton summands.
+        of the factors' Newton summands.  Both factors integrate at the
+        product's default exactness, the one apply() uses, so the two paths
+        share their quadrature.
         """
+        if exactness is None:
+            exactness = 2 * self.degree + 5
         s1 = self.left.newton_summands(f1, exactness=exactness)
         s2 = self.right.newton_summands(f2, exactness=exactness)
         total = Polynomial.zero(self.nvars, self.degree)

@@ -63,6 +63,13 @@ def test_config_json_round_trip():
     assert again.expected_rho == 2.5
 
 
+def test_config_rejects_unknown_keys():
+    cfg = small_config().to_json()
+    cfg["expected_rh0"] = 2.5
+    with pytest.raises(ValueError, match="expected_rh0"):
+        ExperimentConfig.from_json(cfg)
+
+
 def test_convergence_entire_function_decreases_fast():
     report = convergence_run(small_config(degrees=[2, 4, 6, 8]))
     sups = [r["sup_error"] for r in report.rows]
@@ -160,6 +167,18 @@ def test_cylinder_run_small_degrees():
     assert report.metadata["node_count"] == 15
     assert report.metadata["node_residual"] < 1e-8
     assert len(report.extras["nodes"]) == 15
+
+
+def test_cylinder_run_at_the_degree_cap():
+    cfg = ExperimentConfig(
+        name="cyl12", projector=None, compact=None,
+        function=["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+        degrees=[12], grid=64,
+    )
+    report = cylinder_run(cfg)
+    assert report.metadata["node_residual"] < 1e-8
+    # below the degree-10 sup error of the same sweep (5.14e-6)
+    assert report.rows[0]["sup_error"] < 5.2e-6
 
 
 def test_cylinder_degree_cap():

@@ -2,6 +2,7 @@
 
 Oracles:
   * nested 1-D Gauss-Legendre quadrature for simplex integrals,
+  * the exact moment expansion of Kergin conditions on monomials,
   * central finite differences for expression-tree derivatives,
   * direct closed forms for tiny cases worked by hand.
 """
@@ -20,7 +21,8 @@ from nprox.functionals import (
 )
 from nprox.indexing import exponents
 from nprox.measures import chebyshev_measure, circle_measure, product_measure
-from nprox.polynomials import Polynomial
+from nprox.points import leja_disk, real_leja
+from nprox.polynomials import Polynomial, multiply
 from nprox.simplex import (
     grundmann_moller_rule,
     simplex_moment_vector,
@@ -38,6 +40,7 @@ from nprox.testfunctions import (
     coordinate,
     parse_function,
 )
+from nprox.zoo import kergin_projector
 
 
 # -- oracles -----------------------------------------------------------------
@@ -86,6 +89,45 @@ def fd_derivative(f, alpha, point, h=None):
         for _ in range(a):
             g = diff(g, v)
     return g(point)
+
+
+def kergin_moment_values(mu, degree):
+    """Exact values of a Kergin condition on the monomials of degree <= degree.
+
+    ``D^alpha z^gamma`` is a falling-factorial multiple of ``z^(gamma-alpha)``;
+    the affine simplex map t -> z0 + sum t_i (z_i - z0) turns that power into
+    a polynomial in t, expanded with exact polynomial products and integrated
+    term by term with the closed-form simplex moments.
+    """
+    j = mu.order
+    E = exponents(mu.nvars, degree)
+    alpha = np.asarray(mu.alpha)
+    mask = np.all(E >= alpha, axis=1)
+    F = np.maximum(E - alpha, 0)
+    fall = np.ones(E.shape[0])
+    for v, a in enumerate(mu.alpha):
+        for t in range(1, a + 1):
+            fall *= F[:, v] + t
+    if j == 0:
+        return np.prod(mu.nodes[0] ** F, axis=1)
+    moments = simplex_moment_vector(j, max(degree - j, 0))
+    z0 = mu.nodes[0]
+    span = mu.nodes[1:] - z0
+    pows = []
+    for v in range(mu.nvars):
+        affine = Polynomial(j, 1, np.concatenate([[z0[v]], span[:, v]]))
+        col = [Polynomial.constant(j, 1.0)]
+        for _ in range(int(F[:, v].max())):
+            col.append(multiply(col[-1], affine))
+        pows.append(col)
+    vals = np.zeros(E.shape[0], dtype=np.complex128)
+    for idx in np.flatnonzero(mask):
+        comp = pows[0][F[idx, 0]]
+        for v in range(1, mu.nvars):
+            if F[idx, v]:
+                comp = multiply(comp, pows[v][F[idx, v]])
+        vals[idx] = fall[idx] * np.dot(comp.coeffs, moments[: comp.coeffs.shape[0]])
+    return vals
 
 
 # -- simplex moments and cubature ---------------------------------------------
@@ -266,9 +308,28 @@ def test_kergin_function_path_agrees_with_polynomial_path():
     nodes = rng.uniform(-1, 1, size=(4, 2))
     mu = KerginCondition((2, 1), nodes)
     p = Polynomial(2, 5, rng.standard_normal(21) + 1j * rng.standard_normal(21))
-    exact = mu.apply_to_polynomial(p)
+    exact = np.dot(p.coeffs, kergin_moment_values(mu, 5))
     viaquad = mu.apply_to_function(PolynomialFunction(p), exactness=11)
     assert viaquad == pytest.approx(exact, rel=1e-10)
+    assert mu.apply_to_polynomial(p) == pytest.approx(exact, rel=1e-10)
+
+
+def _kergin_node_sets():
+    for d in range(1, 7):
+        disk = leja_disk(8)[: d + 1]  # Leja sequences nest by prefix
+        yield np.stack([disk.real, disk.imag], axis=1)
+    yield real_leja(leja_disk(64))[:9].reshape(-1, 1)
+    yield np.random.default_rng(17).uniform(-1, 1, size=(5, 3))
+
+
+@pytest.mark.parametrize("nodes", list(_kergin_node_sets()),
+                         ids=lambda nodes: f"n{nodes.shape[1]}d{nodes.shape[0] - 1}")
+def test_kergin_monomial_values_match_moment_oracle(nodes):
+    proj = kergin_projector(nodes, cond_threshold=None)
+    for mu in proj.conditions:
+        want = kergin_moment_values(mu, proj.degree)
+        got = mu.on_monomials(proj.degree)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_inner_product_circle_orthonormality():

@@ -2,9 +2,12 @@
 
 Oracles used here:
   * naive monomial-sum evaluation (explicit loop over exponent rows),
+  * term-by-term falling factorials for derivative Vandermonde tables,
   * central finite differences for derivatives,
   * exhaustive rank/enumerate round trips.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from nprox.indexing import (
     degrees_of,
     exponents,
     monomial_count,
+    monomial_vandermonde,
     rank_of,
     split_ranks,
 )
@@ -81,6 +85,19 @@ def test_eval_matches_naive_sum():
         got = p.eval_many(pts)
         want = np.array([naive_eval(p, pt) for pt in pts])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_monomial_vandermonde_matches_termwise_derivatives():
+    rng = np.random.default_rng(11)
+    for nvars, degree, alpha in [(1, 7, (3,)), (2, 5, (0, 0)), (2, 5, (2, 1)),
+                                 (3, 4, (1, 0, 2))]:
+        pts = rng.standard_normal((4, nvars)) + 1j * rng.standard_normal((4, nvars))
+        want = np.ones((4, monomial_count(nvars, degree)), dtype=complex)
+        for i, row in enumerate(exponents(nvars, degree)):
+            for v, (e, a) in enumerate(zip(row.tolist(), alpha)):
+                want[:, i] *= math.perm(e, a) * pts[:, v] ** max(e - a, 0)
+        got = monomial_vandermonde(pts, degree, alpha)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_eval_accepts_real_points_and_single_point():

@@ -217,6 +217,15 @@ def test_product_formula_equals_direct_application():
     formula = prod.apply_product_formula(f1, f2)
     assert coeff_distance(direct, formula) < 1e-10
 
+    # a factor of higher degree than the product: both paths integrate its
+    # Kergin simplex means with the product's rule
+    disk = leja_disk(8)[:5]
+    kergin = kergin_projector(np.stack([disk.real, disk.imag], axis=1))
+    prod = kergin.newton_product(taylor_projector(1, 2, center=[0.2]))
+    direct = prod.apply(Exp(Affine([-0.916, 0.046, -0.407])))
+    formula = prod.apply_product_formula(Exp(Affine([-0.916, 0.046])), Exp(Affine([-0.407])))
+    assert coeff_distance(direct, formula) < 1e-12 * np.max(np.abs(direct.coeffs))
+
 
 def test_residual_expansion_is_exact():
     rng = np.random.default_rng(29)
