@@ -93,7 +93,9 @@ def monomial_vandermonde(points, degree: int, alpha=None) -> np.ndarray:
         a = 0 if alpha is None else int(alpha[v])
         table = pts[:, v, None] ** np.maximum(e - a, 0)[None, :]
         if a:
-            table *= np.prod(e[:, None] - np.arange(a)[None, :], axis=1)
+            # float64: the falling factorial overflows int64 from 21! on
+            table *= np.prod(e[:, None] - np.arange(a)[None, :], axis=1,
+                             dtype=np.float64)
         out *= table[:, E[:, v]]
     return out
 

@@ -315,8 +315,9 @@ def test_kergin_function_path_agrees_with_polynomial_path():
 
 
 def _kergin_node_sets():
-    for d in range(1, 7):
-        disk = leja_disk(8)[: d + 1]  # Leja sequences nest by prefix
+    # up to degree 10; at 12 the oracle's expansion passes DESK_LIMIT
+    for d in range(1, 11):
+        disk = leja_disk(16)[: d + 1]  # Leja sequences nest by prefix
         yield np.stack([disk.real, disk.imag], axis=1)
     yield real_leja(leja_disk(64))[:9].reshape(-1, 1)
     yield np.random.default_rng(17).uniform(-1, 1, size=(5, 3))

@@ -89,8 +89,9 @@ def test_eval_matches_naive_sum():
 
 def test_monomial_vandermonde_matches_termwise_derivatives():
     rng = np.random.default_rng(11)
+    # (1, 28, (21,)) and (2, 25, (21, 0)) reach falling factorials beyond int64
     for nvars, degree, alpha in [(1, 7, (3,)), (2, 5, (0, 0)), (2, 5, (2, 1)),
-                                 (3, 4, (1, 0, 2))]:
+                                 (3, 4, (1, 0, 2)), (1, 28, (21,)), (2, 25, (21, 0))]:
         pts = rng.standard_normal((4, nvars)) + 1j * rng.standard_normal((4, nvars))
         want = np.ones((4, monomial_count(nvars, degree)), dtype=complex)
         for i, row in enumerate(exponents(nvars, degree)):

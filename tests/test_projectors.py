@@ -135,6 +135,14 @@ def test_summands_of_polynomial_input_are_its_newton_pieces():
     assert coeff_distance(total, p) < 1e-12
 
 
+def test_high_degree_taylor_reproduces_exp_coefficients():
+    # rows of degree >= 21 carry falling factorials beyond the int64 range
+    P = taylor_projector(1, 25)
+    got = P.apply(Exp(Affine([1.0], 0.0))).coeffs
+    want = np.array([1 / math.factorial(k) for k in range(26)])
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
 def test_kergin_at_coincident_nodes_is_taylor():
     c = 0.3
     K = kergin_projector(np.full(5, c))
