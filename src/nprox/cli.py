@@ -1,190 +1,165 @@
 """Command line front end.
 
-Each subcommand reads a JSON config, writes a CSV table plus a JSON
-metadata file into the output directory, and exits 0.  With --check the
-run also verifies the documented invariant for that subcommand and exits
-2 if it fails.  Any other failure (bad config, degenerate input) exits 1.
+Each subcommand in ``COMMANDS`` reads a JSON config, checks its keys against
+the ones the entry declares, and writes CSV tables plus a JSON file into the
+output directory through ``experiments.report_write``.  With --check it also
+verifies the subcommand's invariant and exits 2 if it fails.  Any other
+failure (unknown or missing config key, degenerate input) exits 1.
+--timings fills the converge and cylinder seconds columns with wall times.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .experiments import (ExperimentConfig, build_projector, convergence_run,
+from .experiments import (RATE_HEADER, ExperimentConfig, TableReport,
+                          build_projector, check_config_keys, convergence_run,
                           cylinder_run, polya_bisect, polya_run, report_write)
 from .extremal import parse_compact, rho_estimate
 from .growth import gelfond_constant, omega_density, parse_norm
 from .measures import gram_schmidt_basis, parse_measure
 from .points import leja_greedy_gap
 from .testfunctions import parse_function
-from .zoo import nodes_by_name, projector_from_spec
+from .zoo import nodes_by_name
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_csv(path, header, rows):
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _out_paths(out_dir, name):
-    os.makedirs(out_dir, exist_ok=True)
-    return (os.path.join(out_dir, name + ".csv"),
-            os.path.join(out_dir, name + ".json"))
-
-
-def cmd_points(cfg, out_dir, check):
-    family = cfg.get("family", cfg.get("kind", "leja_disk"))
+def run_points(cfg):
+    family = cfg.get("family", "leja_disk")
     count = int(cfg.get("count", 16))
+    if count < 1:
+        raise ValueError(f"points count must be at least 1, got {count}")
     pts = np.asarray(nodes_by_name(family, count - 1), dtype=np.complex128)[:count]
-    name = cfg.get("name", f"points_{family}")
-    csv_path, json_path = _out_paths(out_dir, name)
-    _write_csv(csv_path, "index,re,im",
-               [(k, float(z.real), float(z.imag)) for k, z in enumerate(pts)])
-    _write_json(json_path, {
-        "family": family,
-        "count": count,
-        "points": [[float(z.real), float(z.imag)] for z in pts],
-    })
-    if check and family == "leja_disk":
+    report = TableReport(
+        cfg.get("name", f"points_{family}"),
+        [("", "index,re,im",
+          [(k, float(z.real), float(z.imag)) for k, z in enumerate(pts)])],
+        {"family": family, "count": count,
+         "points": [[float(z.real), float(z.imag)] for z in pts]},
+    )
+    return report, (family, pts)
+
+
+def check_points(facts):
+    family, pts = facts
+    if family == "leja_disk":
         gap = leja_greedy_gap(pts)
         if gap > 1e-6:
-            print(f"check failed: greedy optimality gap {gap:.3e}", file=sys.stderr)
-            return 2
-    return 0
+            return f"greedy optimality gap {gap:.3e}"
+    return None
 
 
-def cmd_ortho(cfg, out_dir, check):
+def run_ortho(cfg):
     measure = parse_measure(cfg["measure"])
     degree = int(cfg["degree"])
     basis = gram_schmidt_basis(measure, degree)
-    name = cfg.get("name", "ortho")
-    csv_path, json_path = _out_paths(out_dir, name)
     rows = []
     C = basis.coeff_matrix
     for i in range(C.shape[0]):
         for j in range(C.shape[1]):
             if C[i, j] != 0:
                 rows.append((i, j, float(C[i, j].real), float(C[i, j].imag)))
-    _write_csv(csv_path, "i,j,re,im", rows)
     resid = basis.gram_residual()
-    _write_json(json_path, {
+    report = TableReport(cfg.get("name", "ortho"), [("", "i,j,re,im", rows)], {
         "degree": degree,
         "measure": measure.to_json(),
         "gram_residual": resid,
         "basis_size": len(basis),
     })
-    if check and resid > 1e-10:
-        print(f"check failed: Gram residual {resid:.3e}", file=sys.stderr)
-        return 2
-    return 0
+    return report, resid
 
 
-def cmd_project(cfg, out_dir, check):
-    degree = cfg.get("degree")
-    proj = build_projector(cfg["projector"], degree)
+def check_ortho(resid):
+    if resid > 1e-10:
+        return f"Gram residual {resid:.3e}"
+    return None
+
+
+def run_project(cfg):
+    proj = build_projector(cfg["projector"], cfg.get("degree"))
     f = parse_function(cfg["function"], proj.nvars)
     result = proj.apply(f, exactness=cfg.get("exactness"))
-    name = cfg.get("name", "project")
-    csv_path, json_path = _out_paths(out_dir, name)
-    _write_csv(csv_path, "rank,re,im",
-               [(k, float(c.real), float(c.imag))
-                for k, c in enumerate(result.coeffs)])
-    _write_json(json_path, {
-        "degree": proj.degree,
-        "nvars": proj.nvars,
-        "coeff_count": int(result.coeffs.size),
-        "level_conds": [float(c) for c in proj.level_conds],
+    report = TableReport(
+        cfg.get("name", "project"),
+        [("", "rank,re,im",
+          [(k, float(c.real), float(c.imag)) for k, c in enumerate(result.coeffs)])],
+        {"degree": proj.degree,
+         "nvars": proj.nvars,
+         "coeff_count": int(result.coeffs.size),
+         "level_conds": [float(c) for c in proj.level_conds]},
+    )
+    return report, (proj, result)
+
+
+def check_project(facts):
+    proj, result = facts
+    again = proj.apply(result)
+    gap = float(np.max(np.abs(again.coeffs - result.coeffs)))
+    scale = max(1.0, float(np.max(np.abs(result.coeffs))))
+    if gap > 1e-8 * scale:
+        return f"projection not idempotent, gap {gap:.3e}"
+    return None
+
+
+def run_converge(cfg):
+    report = convergence_run(ExperimentConfig.from_json(cfg))
+    return report, report
+
+
+def check_converge(report):
+    expected_rho = report.config.get("expected_rho")
+    if expected_rho is not None:
+        want = 1.0 / expected_rho
+        if report.rate <= 0 or abs(report.rate - want) > 0.10 * want:
+            return f"rate {report.rate:.4f}, expected {want:.4f}"
+    elif not (0.0 <= report.rate < 1.0):
+        return f"no geometric decay, rate {report.rate:.4f}"
+    return None
+
+
+def run_cylinder(cfg):
+    # cylinder_run fixes the projector and compact; null keeps the config layout
+    config = ExperimentConfig.from_json({
+        "name": "cylinder",
+        "projector": None,
+        "compact": None,
+        "degrees": list(range(2, 11)),
+        "grid": 64,
+        "function": ["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+        **cfg,
     })
-    if check:
-        again = proj.apply(result)
-        gap = float(np.max(np.abs(again.coeffs - result.coeffs)))
-        scale = max(1.0, float(np.max(np.abs(result.coeffs))))
-        if gap > 1e-8 * scale:
-            print(f"check failed: projection not idempotent, gap {gap:.3e}",
-                  file=sys.stderr)
-            return 2
-    return 0
-
-
-def cmd_converge(cfg, out_dir, check, timings=False):
-    config = ExperimentConfig.from_json(cfg)
-    report = convergence_run(config)
-    report_write(report, out_dir, timings=timings)
-    if check:
-        if config.expected_rho is not None:
-            want = 1.0 / config.expected_rho
-            if report.rate <= 0 or abs(report.rate - want) > 0.10 * want:
-                print(f"check failed: rate {report.rate:.4f}, expected {want:.4f}",
-                      file=sys.stderr)
-                return 2
-        elif not (0.0 <= report.rate < 1.0):
-            print(f"check failed: no geometric decay, rate {report.rate:.4f}",
-                  file=sys.stderr)
-            return 2
-    return 0
-
-
-def cmd_cylinder(cfg, out_dir, check, timings=False):
-    cfg = dict(cfg)
-    cfg.setdefault("name", "cylinder")
-    cfg.setdefault("projector", None)
-    cfg.setdefault("compact", None)
-    cfg.setdefault("degrees", list(range(2, 11)))
-    cfg.setdefault("grid", 64)
-    cfg.setdefault("function", ["exp", ["affine", [1.0, 1.0, 1.0], 0.0]])
-    config = ExperimentConfig.from_json(cfg)
     report = cylinder_run(config)
-    report_write(report, out_dir, timings=timings)
-    if check:
-        sups = [r["sup_error"] for r in report.rows]
-        if any(b >= a for a, b in zip(sups, sups[1:])):
-            print("check failed: sup errors not strictly decreasing", file=sys.stderr)
-            return 2
-        resid = report.metadata.get("node_residual")
-        if resid is None or resid > 1e-8:
-            print(f"check failed: node residual {resid}", file=sys.stderr)
-            return 2
-        if max(config.degrees) >= 10 and sups[-1] >= 1e-3:
-            print(f"check failed: final error {sups[-1]:.3e}", file=sys.stderr)
-            return 2
-    return 0
+    return report, report
 
 
-def cmd_polya(cfg, out_dir, check):
+def check_cylinder(report):
+    sups = [r["sup_error"] for r in report.rows]
+    if any(b >= a for a, b in zip(sups, sups[1:])):
+        return "sup errors not strictly decreasing"
+    resid = report.metadata.get("node_residual")
+    if resid is None or resid > 1e-8:
+        return f"node residual {resid}"
+    if max(report.config["degrees"]) >= 10 and sups[-1] >= 1e-3:
+        return f"final error {sups[-1]:.3e}"
+    return None
+
+
+def run_polya(cfg):
     lams = cfg.get("lambdas")
     if lams is None:
         lams = [cfg.get("lambda", 0.5)]
     dmax = int(cfg.get("dmax", 40))
-    name = cfg.get("name", "polya")
-    results = []
-    for idx, lam in enumerate(lams):
-        out = polya_run(float(lam), dmax)
-        results.append(out)
-        suffix = "" if len(lams) == 1 else f"_{idx}"
-        csv_path = os.path.join(out_dir, f"{name}{suffix}.csv")
-        os.makedirs(out_dir, exist_ok=True)
+    results = [polya_run(float(lam), dmax) for lam in lams]
+    tables = []
+    for idx, out in enumerate(results):
         rows = []
         for k, tl in enumerate(out["term_logs"]):
             norm = math.exp(tl)
             rows.append((k, norm, math.exp(tl / k) if k else norm, 0.0))
-        _write_csv(csv_path, "d,sup_error,root_error,seconds", rows)
+        tables.append(("" if len(lams) == 1 else f"_{idx}", RATE_HEADER, rows))
     payload = {
         "dmax": dmax,
         "runs": [
@@ -194,85 +169,76 @@ def cmd_polya(cfg, out_dir, check):
     }
     if cfg.get("bisect"):
         payload["bisect"] = polya_bisect(dmax)
-    _write_json(os.path.join(out_dir, f"{name}.json"), payload)
-    if check:
-        for r in results:
-            drift = abs(r["ratio"] - r["driving_ratio"]) / r["driving_ratio"]
-            if drift > 0.02:
-                print(f"check failed: ratio drift {drift:.3%} at lambda {r['lambda']}",
-                      file=sys.stderr)
-                return 2
-            expected = "converge" if r["lambda"] < math.log(2.0) else "diverge"
-            if r["verdict"] != expected:
-                print(f"check failed: verdict {r['verdict']} at lambda {r['lambda']}",
-                      file=sys.stderr)
-                return 2
-        if "bisect" in payload:
-            b = payload["bisect"]
-            if not (b["low"] - 0.05 <= math.log(2.0) <= b["high"] + 0.05):
-                print("check failed: bisection bracket misses the threshold",
-                      file=sys.stderr)
-                return 2
-    return 0
+    return TableReport(cfg.get("name", "polya"), tables, payload), payload
 
 
-def cmd_gelfond(cfg, out_dir, check):
+def check_polya(payload):
+    for r in payload["runs"]:
+        drift = abs(r["ratio"] - r["driving_ratio"]) / r["driving_ratio"]
+        if drift > 0.02:
+            return f"ratio drift {drift:.3%} at lambda {r['lambda']}"
+        expected = "converge" if r["lambda"] < math.log(2.0) else "diverge"
+        if r["verdict"] != expected:
+            return f"verdict {r['verdict']} at lambda {r['lambda']}"
+    if "bisect" in payload:
+        b = payload["bisect"]
+        if not (b["low"] - 0.05 <= math.log(2.0) <= b["high"] + 0.05):
+            return "bisection bracket misses the threshold"
+    return None
+
+
+def run_gelfond(cfg):
     omegas = cfg.get("omegas")
     if omegas is None:
         omegas = [cfg.get("omega", 1.0)]
     omegas = [float(w) for w in omegas]
-    name = cfg.get("name", "gelfond")
     values = [gelfond_constant(w) for w in omegas]
-    csv_path, json_path = _out_paths(out_dir, name)
-    _write_csv(csv_path, "omega,value", list(zip(omegas, values)))
-    _write_json(json_path, {"omegas": omegas, "values": values})
-    if check:
-        for w, v in zip(omegas, values):
-            if w == 1.0 and abs(v - math.log(2.0)) > 1e-8:
-                print(f"check failed: value at 1 is {v!r}", file=sys.stderr)
-                return 2
-        pairs = sorted(zip(omegas, values))
-        if any(v2 >= v1 for (_, v1), (_, v2) in zip(pairs, pairs[1:])):
-            print("check failed: values not decreasing in the exponent",
-                  file=sys.stderr)
-            return 2
-    return 0
+    report = TableReport(cfg.get("name", "gelfond"),
+                         [("", "omega,value", list(zip(omegas, values)))],
+                         {"omegas": omegas, "values": values})
+    return report, list(zip(omegas, values))
 
 
-def cmd_rho(cfg, out_dir, check):
+def check_gelfond(pairs):
+    for w, v in pairs:
+        if w == 1.0 and abs(v - math.log(2.0)) > 1e-8:
+            return f"value at 1 is {v!r}"
+    pairs = sorted(pairs)
+    if any(v2 >= v1 for (_, v1), (_, v2) in zip(pairs, pairs[1:])):
+        return "values not decreasing in the exponent"
+    return None
+
+
+def run_rho(cfg):
     model = parse_compact(cfg["compact"])
     f = parse_function(cfg["function"], model.nvars)
     measure = parse_measure(cfg["measure"])
     dmax = int(cfg.get("dmax", 24))
     est = rho_estimate(f, model, dmax, measure, grid=int(cfg.get("grid", 256)))
-    name = cfg.get("name", "rho")
-    csv_path, json_path = _out_paths(out_dir, name)
     rows = []
     for d, e in zip(est.degrees, est.errors):
         root = e ** (1.0 / max(d, 1)) if e > 0 else 0.0
         rows.append((d, float(e), float(root), 0.0))
-    _write_csv(csv_path, "d,sup_error,root_error,seconds", rows)
-    payload = {
+    report = TableReport(cfg.get("name", "rho"), [("", RATE_HEADER, rows)], {
         "rho": None if math.isinf(est.rho) else est.rho,
         "slope_stderr": est.slope_stderr,
         "floor_hit": est.floor_hit,
         "dmax": dmax,
-    }
-    _write_json(json_path, payload)
-    if check:
-        expected = cfg.get("expected_rho")
-        if expected is not None:
-            if math.isinf(est.rho) or abs(est.rho - expected) > 0.10 * expected:
-                print(f"check failed: rho {est.rho}, expected {expected}",
-                      file=sys.stderr)
-                return 2
-        elif not (math.isinf(est.rho) or est.rho > 1.0):
-            print(f"check failed: rho {est.rho} not above 1", file=sys.stderr)
-            return 2
-    return 0
+    })
+    return report, (est.rho, cfg.get("expected_rho"))
 
 
-def cmd_density(cfg, out_dir, check):
+def check_rho(facts):
+    rho, expected = facts
+    if expected is not None:
+        if math.isinf(rho) or abs(rho - expected) > 0.10 * expected:
+            return f"rho {rho}, expected {expected}"
+    elif not (math.isinf(rho) or rho > 1.0):
+        return f"rho {rho} not above 1"
+    return None
+
+
+def run_density(cfg):
     seq = cfg["sequence"]
     if isinstance(seq, dict):
         count = int(seq.get("count", 256))
@@ -286,18 +252,39 @@ def cmd_density(cfg, out_dir, check):
     omega = float(cfg.get("omega", 1.0))
     rmax = float(cfg.get("rmax", np.max(np.abs(pts))))
     dens = omega_density(pts, norm, omega, rmax)
-    name = cfg.get("name", "density")
-    csv_path, json_path = _out_paths(out_dir, name)
-    _write_csv(csv_path, "omega,rmax,density", [(omega, rmax, dens)])
-    _write_json(json_path, {"omega": omega, "rmax": rmax, "density": dens,
-                            "count": int(pts.shape[0])})
-    if check:
-        expected = cfg.get("expected")
-        if expected is not None and abs(dens - expected) > 0.05 * max(1.0, expected):
-            print(f"check failed: density {dens}, expected {expected}",
-                  file=sys.stderr)
-            return 2
-    return 0
+    report = TableReport(cfg.get("name", "density"),
+                         [("", "omega,rmax,density", [(omega, rmax, dens)])],
+                         {"omega": omega, "rmax": rmax, "density": dens,
+                          "count": int(pts.shape[0])})
+    return report, (dens, cfg.get("expected"))
+
+
+def check_density(facts):
+    dens, expected = facts
+    if expected is not None and abs(dens - expected) > 0.05 * max(1.0, expected):
+        return f"density {dens}, expected {expected}"
+    return None
+
+
+# name -> (run, check, required keys, optional keys); run(cfg) returns the
+# report and the facts that check(facts) reads to return a failure or None
+COMMANDS = {
+    "points": (run_points, check_points, (), ("family", "count", "name")),
+    "ortho": (run_ortho, check_ortho, ("measure", "degree"), ("name",)),
+    "project": (run_project, check_project, ("projector", "function"),
+                ("degree", "exactness", "name")),
+    "converge": (run_converge, check_converge,
+                 ExperimentConfig.REQUIRED, ExperimentConfig.FIELDS),
+    "cylinder": (run_cylinder, check_cylinder, (),
+                 ("name", "degrees", "grid", "function", "exactness")),
+    "polya": (run_polya, check_polya, (),
+              ("lambdas", "lambda", "dmax", "bisect", "name")),
+    "gelfond": (run_gelfond, check_gelfond, (), ("omegas", "omega", "name")),
+    "rho": (run_rho, check_rho, ("compact", "function", "measure"),
+            ("dmax", "grid", "expected_rho", "name")),
+    "density": (run_density, check_density, ("sequence",),
+                ("norm", "omega", "rmax", "expected", "name")),
+}
 
 
 def main(argv=None) -> int:
@@ -306,9 +293,8 @@ def main(argv=None) -> int:
         description="Newton-structured projector experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in ("points", "ortho", "project", "converge", "cylinder",
-                "polya", "gelfond", "rho", "density"):
-        p = sub.add_parser(cmd)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--check", action="store_true",
@@ -316,33 +302,23 @@ def main(argv=None) -> int:
         p.add_argument("--timings", action="store_true",
                        help="write real wall times into the CSV seconds column")
     args = parser.parse_args(argv)
+    run, check, required, optional = COMMANDS[args.command]
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        if args.command == "points":
-            return cmd_points(cfg, args.out, args.check)
-        if args.command == "ortho":
-            return cmd_ortho(cfg, args.out, args.check)
-        if args.command == "project":
-            return cmd_project(cfg, args.out, args.check)
-        if args.command == "converge":
-            return cmd_converge(cfg, args.out, args.check, args.timings)
-        if args.command == "cylinder":
-            return cmd_cylinder(cfg, args.out, args.check, args.timings)
-        if args.command == "polya":
-            return cmd_polya(cfg, args.out, args.check)
-        if args.command == "gelfond":
-            return cmd_gelfond(cfg, args.out, args.check)
-        if args.command == "rho":
-            return cmd_rho(cfg, args.out, args.check)
-        if args.command == "density":
-            return cmd_density(cfg, args.out, args.check)
-        raise ValueError(f"unknown command {args.command!r}")
+        check_config_keys(cfg, required, optional)
+        report, facts = run(cfg)
+        report_write(report, args.out, timings=args.timings)
+        failure = check(facts) if args.check else None
     except BrokenPipeError:
         return 1
     except Exception as exc:  # config errors, degenerate inputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failure is not None:
+        print(f"check failed: {failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +21,21 @@ from .extremal import fit_decay_rate, parse_compact
 from .points import leja_disk, real_leja
 from .testfunctions import parse_function
 from .zoo import projector_from_spec
+
+
+RATE_HEADER = "d,sup_error,root_error,seconds"
+
+
+def check_config_keys(obj, required, optional):
+    """Raise ValueError naming unknown keys or the first missing required key."""
+    if not isinstance(obj, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing config key {key!r}")
 
 
 class ExperimentConfig:
@@ -32,6 +49,7 @@ class ExperimentConfig:
 
     FIELDS = ("name", "projector", "function", "compact", "degrees",
               "grid", "exactness", "expected_rho")
+    REQUIRED = ("projector", "function", "compact", "degrees")
 
     def __init__(self, name, projector, function, compact, degrees,
                  grid=128, exactness=None, expected_rho=None):
@@ -50,9 +68,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        unknown = sorted(set(obj) - set(cls.FIELDS))
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
+        check_config_keys(obj, cls.REQUIRED, cls.FIELDS)
         return cls(**{"name": "experiment", **obj})
 
     def to_json(self) -> dict:
@@ -313,44 +329,50 @@ def polya_bisect(dmax: int = 40, lo: float = 0.3, hi: float = 1.0,
 # -- report files ---------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+class TableReport(NamedTuple):
+    """What report_write writes under one name.
+
+    Each ``(suffix, header, rows)`` in ``tables`` becomes
+    ``<name><suffix>.csv``, floats written with ``repr`` and everything else
+    with ``str``; ``payload`` becomes ``<name>.json``.
+    """
+
+    name: str
+    tables: list
+    payload: dict
 
 
-def report_write(report: ExperimentReport, out_dir, timings: bool = False):
-    """CSV plus JSON; CSV bytes depend only on the config.
+def report_write(report, out_dir, timings: bool = False):
+    """Write a report's CSV tables and JSON payload; return the paths written.
 
-    The seconds column is zeroed unless timings are requested, because wall
+    ``report`` is a TableReport or an ExperimentReport.  For the latter the
+    seconds column is zeroed unless timings are requested, because wall
     clock readings would break byte-for-byte reproducibility; real timings
     always live in the JSON metadata and per-row records.
     """
-    import os
-
+    if isinstance(report, ExperimentReport):
+        tables = [("", RATE_HEADER, [
+            (r["d"], r["sup_error"], r["root_error"],
+             float(r["seconds"]) if timings else 0.0) for r in report.rows])]
+        nodes = report.extras.get("nodes")
+        if nodes:
+            tables.append(("_nodes", "ax,ay,b",
+                           [tuple(float(v) for v in node) for node in nodes]))
+        report = TableReport(report.config.get("name", "report"), tables,
+                             report.to_json())
     os.makedirs(out_dir, exist_ok=True)
-    name = report.config.get("name", "report")
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    json_path = os.path.join(out_dir, f"{name}.json")
-    lines = ["d,sup_error,root_error,seconds"]
-    for r in report.rows:
-        secs = r["seconds"] if timings else 0.0
-        lines.append(
-            f"{r['d']},{_fmt(r['sup_error'])},{_fmt(r['root_error'])},{_fmt(float(secs))}"
-        )
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(json_path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written = [csv_path, json_path]
-    nodes = report.extras.get("nodes")
-    if nodes:
-        nodes_path = os.path.join(out_dir, f"{name}_nodes.csv")
-        rows = ["ax,ay,b"] + [
-            f"{_fmt(float(a))},{_fmt(float(b))},{_fmt(float(c))}" for a, b, c in nodes
+    written = []
+    for suffix, header, rows in report.tables:
+        path = os.path.join(out_dir, f"{report.name}{suffix}.csv")
+        lines = [header] + [
+            ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+            for row in rows
         ]
-        with open(nodes_path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-        written.append(nodes_path)
-    return written
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        written.append(path)
+    path = os.path.join(out_dir, f"{report.name}.json")
+    with open(path, "w") as fh:
+        json.dump(report.payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return written + [path]

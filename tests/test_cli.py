@@ -17,6 +17,90 @@ def run(tmp_path, command, cfg, *flags):
                  *flags])
 
 
+RATES = "d,sup_error,root_error,seconds"
+EXPERIMENT_KEYS = {"config", "extras", "metadata", "rate", "rows"}
+
+# command, config, exit code, {file name: CSV header line or JSON top-level keys}
+SUBCOMMAND_CASES = [
+    ("points", {"family": "leja_disk", "count": 8}, 0,
+     {"points_leja_disk.csv": "index,re,im",
+      "points_leja_disk.json": {"count", "family", "points"}}),
+    ("ortho", {"measure": {"kind": "chebyshev", "mnodes": 32}, "degree": 4}, 0,
+     {"ortho.csv": "i,j,re,im",
+      "ortho.json": {"basis_size", "degree", "gram_residual", "measure"}}),
+    ("project", {"projector": {"kind": "lagrange", "nodes": "real_leja"},
+                 "degree": 4, "function": ["exp", ["affine", [1.0], 0.0]]}, 0,
+     {"project.csv": "rank,re,im",
+      "project.json": {"coeff_count", "degree", "level_conds", "nvars"}}),
+    ("converge", {"name": "conv",
+                  "projector": {"kind": "lagrange", "nodes": "real_leja"},
+                  "function": ["exp", ["affine", [1.0], 0.0]],
+                  "compact": "interval", "degrees": [2, 4, 6], "grid": 64}, 0,
+     {"conv.csv": RATES, "conv.json": EXPERIMENT_KEYS}),
+    ("cylinder", {"name": "cyl", "degrees": [2, 3], "grid": 64}, 0,
+     {"cyl.csv": RATES, "cyl_nodes.csv": "ax,ay,b", "cyl.json": EXPERIMENT_KEYS}),
+    ("polya", {"lambdas": [0.3, 0.8], "dmax": 30}, 0,
+     {"polya_0.csv": RATES, "polya_1.csv": RATES, "polya.json": {"dmax", "runs"}}),
+    ("polya", {"lambda": 0.4, "dmax": 30, "bisect": True}, 0,
+     {"polya.csv": RATES, "polya.json": {"bisect", "dmax", "runs"}}),
+    ("gelfond", {"omegas": [0.5, 1.0, 2.0]}, 0,
+     {"gelfond.csv": "omega,value", "gelfond.json": {"omegas", "values"}}),
+    ("rho", {"function": ["recip", ["affine", [1.0], -2.0]],
+             "compact": "interval",
+             "measure": {"kind": "chebyshev", "mnodes": 64},
+             "dmax": 16, "expected_rho": 2.0 + math.sqrt(3.0)}, 0,
+     {"rho.csv": RATES,
+      "rho.json": {"dmax", "floor_hit", "rho", "slope_stderr"}}),
+    ("density", {"sequence": {"kind": "integers", "count": 512},
+                 "omega": 1.0, "rmax": 256, "expected": 1.0}, 0,
+     {"density.csv": "omega,rmax,density",
+      "density.json": {"count", "density", "omega", "rmax"}}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,cfg,code,files", SUBCOMMAND_CASES,
+    ids=[f"{c[0]}-{i}" for i, c in enumerate(SUBCOMMAND_CASES)])
+def test_subcommand_reports(tmp_path, command, cfg, code, files):
+    assert run(tmp_path, command, cfg, "--check") == code
+    out = tmp_path / "out"
+    assert {p.name for p in out.iterdir()} == set(files)
+    for name, expected in files.items():
+        text = (out / name).read_text()
+        assert text.endswith("\n")
+        if name.endswith(".csv"):
+            assert text.splitlines()[0] == expected
+        else:
+            assert set(json.loads(text)) == expected
+
+
+RHO_CFG = {"function": ["recip", ["affine", [1.0], -2.0]], "compact": "interval",
+           "measure": {"kind": "chebyshev", "mnodes": 64}, "dmax": 16}
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("rho", {**RHO_CFG, "expected_rh0": 50.0}, "unknown config key 'expected_rh0'"),
+    ("density", {"sequence": {"kind": "integers", "count": 512}, "rmax": 256,
+                 "expectd": 7.0}, "unknown config key 'expectd'"),
+    ("polya", {"lambdas": [0.3, 0.8], "dmax": 30, "bisekt": True},
+     "unknown config key 'bisekt'"),
+    ("ortho", {"measure": {"kind": "chebyshev", "mnodes": 32}},
+     "missing config key 'degree'"),
+], ids=["rho-expected_rh0", "density-expectd", "polya-bisekt", "ortho-no-degree"])
+def test_bad_config_keys_exit_one(tmp_path, capsys, command, cfg, message):
+    # a misspelled key must not quietly drop part of --check
+    assert run(tmp_path, command, cfg, "--check") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_points_count_below_one_exits_one(tmp_path, capsys, count):
+    assert run(tmp_path, "points", {"count": count}, "--check") == 1
+    assert "count must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gelfond_values_and_check(tmp_path):
     code = run(tmp_path, "gelfond", {"omegas": [0.5, 1.0, 2.0]}, "--check")
     assert code == 0
