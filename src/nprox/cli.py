@@ -16,9 +16,10 @@ import sys
 
 import numpy as np
 
+from .config import check_config_keys
 from .experiments import (RATE_HEADER, ExperimentConfig, TableReport,
-                          build_projector, check_config_keys, convergence_run,
-                          cylinder_run, polya_bisect, polya_run, report_write)
+                          build_projector, convergence_run, cylinder_run,
+                          polya_bisect, polya_run, report_write)
 from .extremal import parse_compact, rho_estimate
 from .growth import gelfond_constant, omega_density, parse_norm
 from .measures import gram_schmidt_basis, parse_measure
@@ -241,6 +242,9 @@ def check_rho(facts):
 def run_density(cfg):
     seq = cfg["sequence"]
     if isinstance(seq, dict):
+        check_config_keys(seq, (), ("kind", "count", "step"))
+        if seq.get("kind", "integers") != "integers":
+            raise ValueError(f"unknown sequence kind {seq['kind']!r}")
         count = int(seq.get("count", 256))
         step = float(seq.get("step", 1.0))
         pts = np.arange(1, count + 1, dtype=float).reshape(-1, 1) * step

@@ -17,25 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_config_keys
 from .extremal import fit_decay_rate, parse_compact
 from .points import leja_disk, real_leja
 from .testfunctions import parse_function
-from .zoo import projector_from_spec
+from .zoo import kergin_projector, lagrange_projector, projector_from_spec
 
 
 RATE_HEADER = "d,sup_error,root_error,seconds"
-
-
-def check_config_keys(obj, required, optional):
-    """Raise ValueError naming unknown keys or the first missing required key."""
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"missing config key {key!r}")
 
 
 class ExperimentConfig:
@@ -119,6 +108,7 @@ class ExperimentReport:
 def build_projector(spec: dict, degree: int):
     """Zoo spec or a newton_product composition of two zoo specs."""
     if spec.get("kind") == "newton_product":
+        check_config_keys(spec, ("kind", "factors"), ("cond_threshold",))
         f1, f2 = spec["factors"]
         left = projector_from_spec(f1, degree)
         right = projector_from_spec(f2, degree)
@@ -215,15 +205,8 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     for d in config.degrees:
         tick = time.perf_counter()
         planar, line = cylinder_nodes(d)
-        kergin = projector_from_spec({"kind": "kergin", "nodes": planar.tolist()})
-        lagrange = projector_from_spec(
-            {"kind": "lagrange", "nodes": [[float(x)] for x in line]}
-        )
-        prod = kergin.newton_product(lagrange)
-        exactness = config.exactness
-        if exactness is None:
-            exactness = min(2 * d + 5, 21)  # past ~21 the simplex rule noise grows
-        approx = prod.apply(f, exactness=exactness)
+        prod = kergin_projector(planar).newton_product(lagrange_projector(line))
+        approx = prod.apply(f, exactness=config.exactness)
         sup = float(np.max(np.abs(target - approx.eval_many(samples))))
         rows.append(_row(d, sup, time.perf_counter() - tick))
         if d == max(config.degrees):

@@ -27,8 +27,8 @@ from .polynomials import Polynomial
 from .simplex import grundmann_moller_rule, rule_order_for_exactness
 from .testfunctions import TestFunction
 
-# Covers smooth desk-scale integrands; the projector engine passes
-# 2 * degree + 5 explicitly instead of relying on this.
+# Covers smooth desk-scale integrands; the projector engine passes its own
+# min(2 * degree + 5, 21) explicitly instead of relying on this.
 DEFAULT_EXACTNESS = 25
 
 

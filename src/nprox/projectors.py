@@ -19,8 +19,10 @@ expansion of the approximation residual for polynomial inputs.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .functionals import Functional, Tensor, parse_functional
 from .indexing import monomial_count
@@ -123,41 +125,44 @@ class NewtonStructuredProjector:
 
     # -- linear algebra ------------------------------------------------------
 
-    def _factorization(self, k: int):
-        cached = self._factors.get(k)
-        if cached is None:
+    def _solve(self, k: int, rhs: np.ndarray) -> Polynomial:
+        """Degree-k solve by LU of the row-equilibrated leading block, cached per k."""
+        factors = self._factors.get(k)
+        if factors is None:
             m = monomial_count(self.nvars, k)
             block = self.matrix[:m, :m]
             scale = np.max(np.abs(block), axis=1)
-            Q, R, piv = qr(block / scale[:, None], pivoting=True)
-            cached = self._factors[k] = (Q, R, piv, scale)
-        return cached
-
-    def _solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
-        Q, R, piv, scale = self._factorization(k)
-        y = Q.conj().T @ (rhs / scale)
-        z = solve_triangular(R, y)
-        out = np.empty_like(z)
-        out[piv] = z
-        return out
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)  # raised below
+                lu, piv = lu_factor(block / scale[:, None])
+            if not np.all(np.diagonal(lu)):
+                raise np.linalg.LinAlgError(f"level {k}: leading block is singular")
+            factors = self._factors[k] = (lu, piv, scale)
+        lu, piv, scale = factors
+        return Polynomial(self.nvars, k, lu_solve((lu, piv), rhs / scale))
 
     # -- projector actions ----------------------------------------------------
 
-    def _rhs(self, f, exactness: int | None) -> np.ndarray:
+    def _exactness(self, exactness: int | None) -> int:
+        # only Kergin conditions integrate; past 21 their Grundmann-Moller
+        # rules outgrow the desk scale and the alternating weights add noise
+        return min(2 * self.degree + 5, 21) if exactness is None else exactness
+
+    def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
+        """Values of f under the conditions of levels 0..k (default: all)."""
+        conditions = self.conditions
+        if k is not None:
+            conditions = conditions[:monomial_count(self.nvars, k)]
         if isinstance(f, Polynomial):
-            return np.array([mu.apply_to_polynomial(f) for mu in self.conditions])
+            return np.array([mu.apply_to_polynomial(f) for mu in conditions])
         if isinstance(f, TestFunction):
-            if exactness is None:
-                exactness = 2 * self.degree + 5
-            return np.array(
-                [mu.apply_to_function(f, exactness=exactness) for mu in self.conditions]
-            )
+            exactness = self._exactness(exactness)
+            return np.array([mu.apply_to_function(f, exactness=exactness) for mu in conditions])
         raise TypeError(f"cannot project a {type(f).__name__}")
 
     def apply(self, f, exactness: int | None = None) -> Polynomial:
         """Project f onto polynomials of the full degree."""
-        rhs = self._rhs(f, exactness)
-        return Polynomial(self.nvars, self.degree, self._solve(self.degree, rhs))
+        return self._solve(self.degree, self._rhs(f, exactness))
 
     __call__ = apply
 
@@ -165,22 +170,15 @@ class NewtonStructuredProjector:
         """The degree-k projector sharing this one's first levels."""
         if not 0 <= k <= self.degree:
             raise ValueError("truncation degree out of range")
-        rhs = self._rhs(f, exactness)
-        m = monomial_count(self.nvars, k)
-        return Polynomial(self.nvars, k, self._solve(k, rhs[:m]))
+        return self._solve(k, self._rhs(f, exactness, k))
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
         rhs = self._rhs(f, exactness)
-        previous = None
-        out = []
+        out, previous = [], None
         for k in range(self.degree + 1):
-            m = monomial_count(self.nvars, k)
-            current = Polynomial(self.nvars, k, self._solve(k, rhs[:m]))
-            if previous is None:
-                out.append(current)
-            else:
-                out.append(current - previous.embedded(k))
+            current = self._solve(k, rhs[:monomial_count(self.nvars, k)])
+            out.append(current if previous is None else current - previous.embedded(k))
             previous = current
         return out
 
@@ -243,8 +241,7 @@ class NewtonProduct(NewtonStructuredProjector):
         product's default exactness, the one apply() uses, so the two paths
         share their quadrature.
         """
-        if exactness is None:
-            exactness = 2 * self.degree + 5
+        exactness = self._exactness(exactness)
         s1 = self.left.newton_summands(f1, exactness=exactness)
         s2 = self.right.newton_summands(f2, exactness=exactness)
         total = Polynomial.zero(self.nvars, self.degree)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import check_config_keys
 from .functionals import DerivativeEval, InnerProduct, KerginCondition, PointEval
 from .indexing import exponents, monomial_count
 from .measures import gram_schmidt_basis, parse_measure
@@ -147,36 +148,33 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
     A 1-D menu name with "planar": true lifts the points to rows (re, im),
     which is how a disk node set feeds a two-variable Kergin build.  Explicit
     node lists fix their own degree.  An optional "cond_threshold" (null to
-    disable) is passed to the engine.
+    disable) is passed to the engine.  Any other key is refused.
     """
-    spec = dict(spec)
-    kind = spec.get("kind", spec.get("family"))
+    kind = spec.get("kind")
+    common = ("kind", "degree", "cond_threshold")
     if degree is None:
         degree = spec.get("degree")
     threshold = spec.get("cond_threshold", 1e12)
 
-    def _points(rows):
-        return np.array([[complex(*c) if isinstance(c, (list, tuple)) else complex(c)
-                          for c in row] for row in rows])
-
-    def _node_arg(key="nodes"):
-        picked = spec.get(key, spec.get("points"))
-        if isinstance(picked, str):
-            pts = nodes_by_name(picked, int(degree))
-            if spec.get("planar"):
-                pts = np.stack([pts.real, pts.imag], axis=1)
-            return pts
-        return _points(picked)
-
     if kind == "taylor":
+        check_config_keys(spec, (), common + ("nvars", "center"))
         nvars = int(spec.get("nvars", 1))
         center = np.asarray(spec.get("center", np.zeros(nvars)), dtype=np.complex128)
         return taylor_projector(nvars, int(degree), center, cond_threshold=threshold)
-    if kind == "lagrange":
-        return lagrange_projector(_node_arg(), cond_threshold=threshold)
-    if kind == "kergin":
-        return kergin_projector(_node_arg(), cond_threshold=threshold)
+    if kind in ("lagrange", "kergin"):
+        check_config_keys(spec, ("nodes",), common + ("planar",))
+        pts = spec["nodes"]
+        if isinstance(pts, str):
+            pts = nodes_by_name(pts, int(degree))
+            if spec.get("planar"):
+                pts = np.stack([pts.real, pts.imag], axis=1)
+        else:
+            pts = np.array([[complex(*c) if isinstance(c, (list, tuple)) else complex(c)
+                             for c in row] for row in pts])
+        build = lagrange_projector if kind == "lagrange" else kergin_projector
+        return build(pts, cond_threshold=threshold)
     if kind == "orthogonal":
+        check_config_keys(spec, ("measure",), common)
         measure = parse_measure(spec["measure"])
         return orthogonal_projector(measure, int(degree), cond_threshold=threshold)
     raise ValueError(f"unknown projector kind {kind!r}")

@@ -86,7 +86,27 @@ RHO_CFG = {"function": ["recip", ["affine", [1.0], -2.0]], "compact": "interval"
      "unknown config key 'bisekt'"),
     ("ortho", {"measure": {"kind": "chebyshev", "mnodes": 32}},
      "missing config key 'degree'"),
-], ids=["rho-expected_rh0", "density-expectd", "polya-bisekt", "ortho-no-degree"])
+    # nested objects: zoo and product specs, measures, the density sequence
+    ("project", {"projector": {"kind": "lagrange", "nodes": "real_leja",
+                               "cond_treshold": 1.5},
+                 "degree": 4, "function": ["exp", ["affine", [1.0], 0.0]]},
+     "unknown config key 'cond_treshold'"),
+    ("project", {"projector": {"kind": "newton_product", "degree": 2,
+                               "factors": [{"kind": "taylor"}, {"kind": "taylor"}]},
+                 "degree": 2, "function": ["exp", ["affine", [1.0, 1.0], 0.0]]},
+     "unknown config key 'degree'"),
+    ("ortho", {"measure": {"kind": "chebyshev"}, "degree": 4},
+     "missing config key 'mnodes'"),
+    ("rho", {**RHO_CFG, "measure": {"kind": "product", "factors": [
+        {"kind": "chebyshev", "mnodes": 64}, {"kind": "circle", "nodes": 8}]}},
+     "unknown config key 'nodes'"),
+    ("density", {"sequence": {"kind": "integers", "cuont": 4096}, "rmax": 2048,
+                 "expected": 1.0}, "unknown config key 'cuont'"),
+    ("density", {"sequence": {"kind": "primes", "count": 4096}, "rmax": 2048,
+                 "expected": 1.0}, "unknown sequence kind 'primes'"),
+], ids=["rho-expected_rh0", "density-expectd", "polya-bisekt", "ortho-no-degree",
+        "project-cond_treshold", "product-degree", "ortho-no-mnodes",
+        "rho-factor-nodes", "density-cuont", "density-primes"])
 def test_bad_config_keys_exit_one(tmp_path, capsys, command, cfg, message):
     # a misspelled key must not quietly drop part of --check
     assert run(tmp_path, command, cfg, "--check") == 1

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from nprox.experiments import cylinder_nodes
 from nprox.functionals import PointEval
 from nprox.indexing import exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
@@ -69,6 +71,10 @@ def test_lagrange_needs_graded_count():
 def test_duplicate_point_fails_nesting():
     with pytest.raises(NestedUnisolvenceFailure, match="level 1"):
         lagrange_projector([0.0, 0.0])
+    # with the gate off the build succeeds, but the singular block cannot solve
+    P = lagrange_projector([0.0, 0.5, 0.0], cond_threshold=None)
+    with pytest.raises(np.linalg.LinAlgError, match="level 2"):
+        P.apply(Exp(Affine([1.0], 0.0)))
 
 
 def test_threshold_is_adjustable():
@@ -77,6 +83,11 @@ def test_threshold_is_adjustable():
         lagrange_projector(pts, cond_threshold=1.5)
     P = lagrange_projector(pts, cond_threshold=None)  # disabled
     assert len(P.level_conds) == 6
+    # past the gate, sorted Chebyshev nodes still solve to rounding at d=40
+    P = lagrange_projector(chebyshev_nodes(40), cond_threshold=None)
+    f = Recip(Affine([1.0], -2.0))
+    grid = np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
+    assert np.max(np.abs(P.apply(f).eval_many(grid) - f.values(grid))) < 1e-13
 
 
 # -- projector identities ----------------------------------------------------------
@@ -105,6 +116,12 @@ def test_truncation_matches_smaller_family():
     for k in (0, 2, 5):
         small = lagrange_projector(pts[: k + 1])
         assert coeff_distance(big.truncate(k, f), small.apply(f)) < 1e-12
+    # a truncation reads only its own conditions: a pole at the last node is
+    # outside every lower truncation's support
+    g = Recip(Affine([1.0], -pts[-1].real))
+    for k in (0, 2, 5):
+        small = lagrange_projector(pts[: k + 1])
+        assert coeff_distance(big.truncate(k, g), small.apply(g)) < 1e-12
 
     O = orthogonal_projector(chebyshev_measure(17), 7)
     Ok = orthogonal_projector(chebyshev_measure(17), 4)
@@ -143,6 +160,23 @@ def test_high_degree_taylor_reproduces_exp_coefficients():
     assert np.max(np.abs(got - want) / want) < 1e-12
 
 
+@pytest.mark.parametrize("d", [8, 11, 12])
+def test_kergin_default_exactness_matches_hermite_genocchi_oracle(d):
+    # By Hermite-Genocchi a Kergin condition of order j on exp(c.z) is
+    # c^alpha times the divided difference of exp at u = nodes @ c, which is
+    # entry (0, j) of expm(diag(u) + superdiagonal ones).  At d = 11 and 12
+    # an uncapped 2d + 5 rule passes DESK_LIMIT.
+    c = np.array([1.0, 1.0])
+    P = kergin_projector(cylinder_nodes(d)[0])
+    p = P.apply(Exp(Affine(c, 0.0)))
+    want = np.array([
+        np.prod(c ** np.array(mu.alpha))
+        * expm(np.diag(mu.nodes @ c) + np.diag(np.ones(mu.order), 1))[0, mu.order]
+        for mu in P.conditions
+    ])
+    assert np.max(np.abs(P.matrix @ p.coeffs - want) / np.abs(want)) < 1e-9
+
+
 def test_kergin_at_coincident_nodes_is_taylor():
     c = 0.3
     K = kergin_projector(np.full(5, c))
@@ -175,6 +209,14 @@ def test_orthogonal_action_matches_direct_expansion():
         c = m.integrate_values(fvals, basis.node_values[i])
         want = want + c * q
     assert coeff_distance(got, want) < 1e-12
+
+
+def test_spec_keys_are_checked():
+    assert projector_from_spec({"kind": "lagrange", "nodes": "real_leja"}, 4).degree == 4
+    with pytest.raises(ValueError, match="unknown projector kind"):
+        projector_from_spec({"family": "lagrange", "nodes": "real_leja"}, 4)
+    with pytest.raises(ValueError, match="unknown config key 'points'"):
+        projector_from_spec({"kind": "lagrange", "points": "real_leja"}, 4)
 
 
 def test_projector_json_round_trip():
