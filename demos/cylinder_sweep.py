@@ -28,9 +28,9 @@ def main():
     degrees = list(range(2, args.dmax + 1, 2))
     config = ExperimentConfig(
         name="cylinder_sweep",
-        projector={"kind": "cylinder"},
+        projector=None,
         function=["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
-        compact={"kind": "product", "factors": ["disk", "interval"]},
+        compact=None,
         degrees=degrees,
         grid=args.grid,
     )

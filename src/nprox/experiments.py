@@ -19,9 +19,9 @@ import numpy as np
 
 from .config import check_config_keys
 from .extremal import fit_decay_rate, parse_compact
-from .points import leja_disk, real_leja
+from .points import cartesian
 from .testfunctions import parse_function
-from .zoo import kergin_projector, lagrange_projector, projector_from_spec
+from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_from_spec
 
 
 RATE_HEADER = "d,sup_error,root_error,seconds"
@@ -156,13 +156,8 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
 
 def cylinder_nodes(degree: int):
     """Planar disk Leja nodes and real Leja interval nodes, degree+1 each."""
-    block = 2
-    while block < degree + 1:
-        block *= 2
-    disk = leja_disk(block)[: degree + 1]
-    planar = np.stack([disk.real, disk.imag], axis=1)
-    line = real_leja(leja_disk(max(2 * block, 64)))[: degree + 1]
-    return planar, line
+    disk = nodes_by_name("leja_disk", degree)
+    return np.stack([disk.real, disk.imag], axis=1), nodes_by_name("real_leja", degree)
 
 
 def cylinder_grid(resolution: int):
@@ -179,56 +174,55 @@ def cylinder_grid(resolution: int):
          np.outer(radii, np.sin(angles)).ravel()], axis=1
     )
     seg = np.cos(np.linspace(0.0, np.pi, resolution))
-    pts = np.hstack(
-        [np.repeat(disk, seg.size, axis=0),
-         np.tile(seg.reshape(-1, 1), (disk.shape[0], 1))]
-    )
-    return pts.astype(np.complex128)
+    return cartesian(disk, seg.reshape(-1, 1)).astype(np.complex128)
 
 
 def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     """Kergin on the disk crossed with Lagrange on the segment.
 
-    Per degree: build both factors at planar disk-Leja and real-Leja nodes,
-    take the Newton product, apply it to the configured function on the
-    cylinder grid.  The extras carry the product node set (a_i, b_j) with
-    i + j <= d for the largest degree and the interpolation residuals there.
+    One Newton product at planar disk-Leja and real-Leja nodes of the largest
+    degree.  Both node families nest by prefix, so its degree-d truncation is
+    the degree-d product: every row is read off one right-hand side (at the
+    top degree's exactness) and measured on the cylinder grid, and the first
+    row's seconds include the build.  The extras carry the product node set
+    (a_i, b_j) with i + j <= d for the largest degree and the residual there.
     """
-    if max(config.degrees) > 12:
+    if config.projector is not None or config.compact is not None:
+        raise ValueError("cylinder_run fixes its projector and compact; pass None")
+    dmax = max(config.degrees)
+    if dmax > 12:
         raise ValueError("cylinder degrees are capped at 12")
     t0 = time.perf_counter()
     f = parse_function(config.function, 3)
     samples = cylinder_grid(config.grid)
     target = f.values(samples)
+    tick = time.perf_counter()
+    planar, line = cylinder_nodes(dmax)
+    prod = kergin_projector(planar).newton_product(lagrange_projector(line))
+    parts = prod.truncations(f, exactness=config.exactness)
     rows = []
-    final = {}
     for d in config.degrees:
-        tick = time.perf_counter()
-        planar, line = cylinder_nodes(d)
-        prod = kergin_projector(planar).newton_product(lagrange_projector(line))
-        approx = prod.apply(f, exactness=config.exactness)
-        sup = float(np.max(np.abs(target - approx.eval_many(samples))))
+        sup = float(np.max(np.abs(target - parts[d].eval_many(samples))))
         rows.append(_row(d, sup, time.perf_counter() - tick))
-        if d == max(config.degrees):
-            nodes = [
-                (planar[i, 0].real, planar[i, 1].real, line[j].real)
-                for i in range(d + 1)
-                for j in range(d + 1 - i)
-            ]
-            node_pts = np.array(nodes, dtype=np.complex128)
-            resid = float(np.max(np.abs(f.values(node_pts) - approx.eval_many(node_pts))))
-            final = {"nodes": nodes, "node_residual": resid, "node_count": len(nodes)}
+        tick = time.perf_counter()
+    nodes = [
+        (planar[i, 0].real, planar[i, 1].real, line[j].real)
+        for i in range(dmax + 1)
+        for j in range(dmax + 1 - i)
+    ]
+    node_pts = np.array(nodes, dtype=np.complex128)
+    resid = float(np.max(np.abs(f.values(node_pts) - parts[dmax].eval_many(node_pts))))
     rate, stderr, _ = fit_decay_rate([r["d"] for r in rows],
                                      [r["sup_error"] for r in rows])
     metadata = {
         "config_hash": config.config_hash(),
         "wall_time_s": time.perf_counter() - t0,
         "fit_stderr": stderr,
-        "node_residual": final.get("node_residual"),
-        "node_count": final.get("node_count"),
+        "node_residual": resid,
+        "node_count": len(nodes),
     }
     return ExperimentReport(config.to_json(), rows, rate, metadata,
-                            extras={"nodes": final.get("nodes", [])})
+                            extras={"nodes": nodes})
 
 
 # -- integer-node threshold experiment ---------------------------------------------

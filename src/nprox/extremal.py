@@ -13,7 +13,10 @@ import math
 
 import numpy as np
 
+from .config import check_config_keys
+from .points import cartesian
 from .polynomials import Polynomial
+from .zoo import orthogonal_projector
 
 
 class CompactModel:
@@ -105,9 +108,7 @@ class CompactModel:
         blocks = [s(per) for s in samplers]
         out = blocks[0]
         for b in blocks[1:]:
-            out = np.hstack(
-                [np.repeat(out, b.shape[0], axis=0), np.tile(b, (out.shape[0], 1))]
-            )
+            out = cartesian(out, b)
         return out[:count] if out.shape[0] > count else out
 
     # -- serialization ----------------------------------------------------------
@@ -128,7 +129,9 @@ def parse_compact(obj) -> CompactModel:
         return CompactModel(obj)
     kind = obj.get("kind")
     if kind == "product":
+        check_config_keys(obj, ("kind", "factors"), ())
         return CompactModel("product", [parse_compact(f) for f in obj["factors"]])
+    check_config_keys(obj, ("kind",), ())
     return CompactModel(kind)
 
 
@@ -194,38 +197,18 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256,
                  floor: float = 1e-13) -> RhoEstimate:
     """Convergence radius parameter from orthogonal-projection errors.
 
-    Projects f onto each degree using the measure's orthonormal basis (the
-    partial sums of one expansion, so the whole degree sweep costs one
-    Gram-Schmidt pass), measures sup errors on the sampled compact, and fits
-    log error against degree over the tail half.  Errors below the roundoff
-    floor are excluded; if everything is floored (f is a polynomial, say)
-    the estimate is infinity.
+    The degree-d orthogonal projections of f are the truncations of one
+    degree-dmax orthogonal projector (one Gram-Schmidt pass, one right-hand
+    side).  Their sup errors on the sampled compact are fit as log error
+    against degree over the tail half.  Errors below the roundoff floor are
+    excluded; if everything is floored (f is a polynomial, say) the estimate
+    is infinity.
     """
-    from .measures import gram_schmidt_basis
-
-    basis = gram_schmidt_basis(measure, dmax)
-    fvals = f.values(measure.nodes)
-    w = measure.weights
-    coeffs = np.array(
-        [np.sum(w * fvals * np.conj(basis.node_values[i])) for i in range(len(basis))]
-    )
     pts = model.sample_points(grid)
     target = f.values(pts)
-    from .indexing import monomial_count, monomial_vandermonde
-
-    sample_vals = monomial_vandermonde(pts, dmax).T
-
-    # partial sums accumulate in coefficient space; evaluation happens once
-    # per degree on the combined vector, not per basis element
-    errors = []
-    partial = np.zeros(sample_vals.shape[0], dtype=np.complex128)
+    parts = orthogonal_projector(measure, dmax).truncations(f)
+    errors = [float(np.max(np.abs(target - p.eval_many(pts)))) for p in parts]
     degrees = list(range(dmax + 1))
-    for d in degrees:
-        lo, hi = monomial_count(model.nvars, d - 1), monomial_count(model.nvars, d)
-        for i in range(lo, hi):
-            partial += coeffs[i] * basis.coeff_matrix[i]
-        approx = partial @ sample_vals
-        errors.append(float(np.max(np.abs(target - approx))))
 
     cut = floor * max(1.0, float(np.max(errors)))
     clean = sum(1 for e in errors if e > cut)

@@ -23,13 +23,15 @@ import numpy as np
 
 from .indexing import factor_ranks, monomial_count, monomial_vandermonde
 from .measures import QuadratureMeasure, parse_measure
+from .points import cartesian
 from .polynomials import Polynomial
 from .simplex import grundmann_moller_rule, rule_order_for_exactness
 from .testfunctions import TestFunction
 
-# Covers smooth desk-scale integrands; the projector engine passes its own
-# min(2 * degree + 5, 21) explicitly instead of relying on this.
-DEFAULT_EXACTNESS = 25
+# Past 21 the Grundmann-Moller rules of order-11 and order-12 conditions
+# outgrow the desk scale and the alternating weights add noise; projectors
+# cap their own min(2 * degree + 5, ...) default here too.
+DEFAULT_EXACTNESS = 21
 
 
 def _point_array(point):
@@ -250,10 +252,7 @@ class Tensor(Functional):
         for w1, p1, a1 in self.left.discretize(exactness):
             for w2, p2, a2 in self.right.discretize(exactness):
                 weights = (w1[:, None] * w2[None, :]).reshape(-1)
-                pts = np.hstack(
-                    [np.repeat(p1, p2.shape[0], axis=0), np.tile(p2, (p1.shape[0], 1))]
-                )
-                batches.append((weights, pts, tuple(a1) + tuple(a2)))
+                batches.append((weights, cartesian(p1, p2), tuple(a1) + tuple(a2)))
         return batches
 
     def to_json(self):

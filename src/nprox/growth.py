@@ -18,6 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from .config import check_config_keys
 from .polynomials import Polynomial
 
 
@@ -166,9 +167,11 @@ class CombinedNorm(Norm):
 def parse_norm(obj: dict) -> Norm:
     kind = obj.get("kind")
     if kind in ("l1", "l2", "linf"):
+        check_config_keys(obj, ("kind",), ("nvars",))
         p = {"l1": 1, "l2": 2, "linf": math.inf}[kind]
         return LpNorm(p, int(obj.get("nvars", 1)))
     if kind == "combined":
+        check_config_keys(obj, ("kind", "factors"), ("weights", "omega"))
         left, right = (parse_norm(f) for f in obj["factors"])
         return CombinedNorm(left, right, obj.get("weights", (1.0, 1.0)),
                             omega=obj.get("omega"))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import check_config_keys
 from .indexing import degree_starts, monomial_count, monomial_vandermonde
-from .points import chebyshev_nodes, equiangular_nodes
+from .points import cartesian, chebyshev_nodes, equiangular_nodes
 from .polynomials import Polynomial
 
 
@@ -112,10 +112,7 @@ def chebyshev_measure(mnodes: int) -> QuadratureMeasure:
 
 def product_measure(m1: QuadratureMeasure, m2: QuadratureMeasure) -> QuadratureMeasure:
     """Tensor product measure; exactness is the minimum of the factors'."""
-    n1, n2 = m1.nodes.shape[0], m2.nodes.shape[0]
-    left = np.repeat(m1.nodes, n2, axis=0)
-    right = np.tile(m2.nodes, (n1, 1))
-    nodes = np.hstack([left, right])
+    nodes = cartesian(m1.nodes, m2.nodes)
     weights = (m1.weights[:, None] * m2.weights[None, :]).reshape(-1)
     spec = {"kind": "product", "factors": [m1.to_json(), m2.to_json()]}
     return QuadratureMeasure(

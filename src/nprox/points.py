@@ -1,5 +1,8 @@
 """Interpolation node families: Leja sequences and classical 1-D grids.
 
+``cartesian`` pairs the rows of two point sets, which is how product
+measures, tensor conditions and product compacts build their points.
+
 Point sequences are plain 1-D numpy arrays (complex for the disk, real-valued
 complex for intervals); prefixes are slices.  The Leja sequence on the unit
 circle starts at ``(1, -1)`` and doubles: a block of length ``L = 2^m``
@@ -78,6 +81,12 @@ def real_leja(points, tol: float = 1e-12) -> np.ndarray:
         if all(abs(value - seen) > tol for seen in out):
             out.append(float(value))
     return np.array(out)
+
+
+def cartesian(left, right) -> np.ndarray:
+    """Rows (a, b) for every row a of ``left`` and b of ``right``, left-major."""
+    return np.hstack([np.repeat(left, right.shape[0], axis=0),
+                      np.tile(right, (left.shape[0], 1))])
 
 
 def chebyshev_nodes(degree: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .functionals import Functional, Tensor, parse_functional
+from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, parse_functional
 from .indexing import monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import TestFunction
@@ -144,9 +144,9 @@ class NewtonStructuredProjector:
     # -- projector actions ----------------------------------------------------
 
     def _exactness(self, exactness: int | None) -> int:
-        # only Kergin conditions integrate; past 21 their Grundmann-Moller
-        # rules outgrow the desk scale and the alternating weights add noise
-        return min(2 * self.degree + 5, 21) if exactness is None else exactness
+        # only Kergin conditions integrate; 2d + 5 resolves smooth integrands
+        # of a degree-d projector, and DEFAULT_EXACTNESS caps the rule size
+        return min(2 * self.degree + 5, DEFAULT_EXACTNESS) if exactness is None else exactness
 
     def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
         """Values of f under the conditions of levels 0..k (default: all)."""
@@ -172,15 +172,16 @@ class NewtonStructuredProjector:
             raise ValueError("truncation degree out of range")
         return self._solve(k, self._rhs(f, exactness, k))
 
+    def truncations(self, f, exactness: int | None = None) -> list[Polynomial]:
+        """truncate(k, f) for k = 0..degree, from one evaluation of f."""
+        rhs = self._rhs(f, exactness)
+        return [self._solve(k, rhs[:monomial_count(self.nvars, k)])
+                for k in range(self.degree + 1)]
+
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
-        rhs = self._rhs(f, exactness)
-        out, previous = [], None
-        for k in range(self.degree + 1):
-            current = self._solve(k, rhs[:monomial_count(self.nvars, k)])
-            out.append(current if previous is None else current - previous.embedded(k))
-            previous = current
-        return out
+        parts = self.truncations(f, exactness)
+        return parts[:1] + [b - a.embedded(b.degree) for a, b in zip(parts, parts[1:])]
 
     # -- products ---------------------------------------------------------------
 

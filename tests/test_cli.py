@@ -104,9 +104,15 @@ RHO_CFG = {"function": ["recip", ["affine", [1.0], -2.0]], "compact": "interval"
                  "expected": 1.0}, "unknown config key 'cuont'"),
     ("density", {"sequence": {"kind": "primes", "count": 4096}, "rmax": 2048,
                  "expected": 1.0}, "unknown sequence kind 'primes'"),
+    # norm and compact specs
+    ("density", {"sequence": {"kind": "integers", "count": 199}, "rmax": 50,
+                 "norm": {"kind": "l2", "nvar": 2}}, "unknown config key 'nvar'"),
+    ("rho", {**RHO_CFG, "compact": {"kind": "interval", "radius": 3}},
+     "unknown config key 'radius'"),
 ], ids=["rho-expected_rh0", "density-expectd", "polya-bisekt", "ortho-no-degree",
         "project-cond_treshold", "product-degree", "ortho-no-mnodes",
-        "rho-factor-nodes", "density-cuont", "density-primes"])
+        "rho-factor-nodes", "density-cuont", "density-primes", "density-norm-nvar",
+        "rho-compact-radius"])
 def test_bad_config_keys_exit_one(tmp_path, capsys, command, cfg, message):
     # a misspelled key must not quietly drop part of --check
     assert run(tmp_path, command, cfg, "--check") == 1

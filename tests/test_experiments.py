@@ -189,6 +189,16 @@ def test_cylinder_degree_cap():
     )
     with pytest.raises(ValueError, match="capped"):
         cylinder_run(cfg)
+    # the run fixes its own projector and compact; it must not ignore others
+    for fixed in ({"projector": {"kind": "cylinder"}, "compact": None},
+                  {"projector": None,
+                   "compact": {"kind": "product", "factors": ["disk", "interval"]}}):
+        cfg = ExperimentConfig(
+            name="cyl", function=["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+            degrees=[2, 3], grid=64, **fixed,
+        )
+        with pytest.raises(ValueError, match="fixes its projector and compact"):
+            cylinder_run(cfg)
 
 
 # -- integer nodes ---------------------------------------------------------------

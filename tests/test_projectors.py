@@ -127,6 +127,17 @@ def test_truncation_matches_smaller_family():
     Ok = orthogonal_projector(chebyshev_measure(17), 4)
     assert coeff_distance(O.truncate(4, f), Ok.apply(f)) < 1e-12
 
+    # the cylinder sweep reads its lower degrees off the top product: disk
+    # and real Leja nodes nest by prefix, so the products nest too
+    h = Exp(Affine([1.0, 1.0, 1.0], 0.0))
+    planar, line = cylinder_nodes(8)
+    top = kergin_projector(planar).newton_product(lagrange_projector(line))
+    for k in (2, 5):
+        planar_k, line_k = cylinder_nodes(k)
+        assert np.array_equal(planar_k, planar[: k + 1])
+        small = kergin_projector(planar_k).newton_product(lagrange_projector(line_k))
+        assert coeff_distance(top.truncate(k, h, 21), small.apply(h, 21)) < 1e-10
+
 
 def test_newton_summands_telescope_and_grade():
     rng = np.random.default_rng(3)
@@ -134,6 +145,12 @@ def test_newton_summands_telescope_and_grade():
         f = Exp(Affine(0.5 * rng.standard_normal(P.nvars), 0.0))
         summands = P.newton_summands(f)
         assert [s.degree for s in summands] == list(range(P.degree + 1))
+        # one right-hand side for every truncation, bit for bit
+        parts = P.truncations(f)
+        for k, part in enumerate(parts):
+            assert np.array_equal(part.coeffs, P.truncate(k, f).coeffs)
+            step = part - parts[k - 1].embedded(k) if k else part
+            assert np.array_equal(summands[k].coeffs, step.coeffs)
         total = Polynomial.zero(P.nvars, P.degree)
         for s in summands:
             total = total + s.embedded(P.degree)
@@ -175,6 +192,10 @@ def test_kergin_default_exactness_matches_hermite_genocchi_oracle(d):
         for mu in P.conditions
     ])
     assert np.max(np.abs(P.matrix @ p.coeffs - want) / np.abs(want)) < 1e-9
+    # a bare top-level condition integrates at the same capped default
+    top = want[monomial_count(2, d - 1):]
+    bare = np.array([mu.apply_to_function(Exp(Affine(c, 0.0))) for mu in P.levels[-1]])
+    assert np.max(np.abs(bare - top) / np.abs(top)) < 1e-9
 
 
 def test_kergin_at_coincident_nodes_is_taylor():
