@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import check_config_keys
 from .points import cartesian
-from .polynomials import Polynomial
+from .polynomials import Polynomial, evaluate
 from .zoo import orthogonal_projector
 
 
@@ -206,8 +206,8 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256,
     """
     pts = model.sample_points(grid)
     target = f.values(pts)
-    parts = orthogonal_projector(measure, dmax).truncations(f)
-    errors = [float(np.max(np.abs(target - p.eval_many(pts)))) for p in parts]
+    values = evaluate(orthogonal_projector(measure, dmax).truncations(f), pts)
+    errors = [float(np.max(np.abs(target - col))) for col in values.T]
     degrees = list(range(dmax + 1))
 
     cut = floor * max(1.0, float(np.max(errors)))

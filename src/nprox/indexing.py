@@ -16,6 +16,10 @@ import numpy as np
 # stops being a desk-scale object and we fail loudly instead of thrashing.
 DESK_LIMIT = 2_500_000
 
+# monomial_vandermonde gathers this many bytes of table rows at a time: the
+# block is its only temporary and stays in cache while it multiplies in.
+_GATHER_BYTES = 1 << 19
+
 
 def monomial_count(nvars: int, degree: int) -> int:
     """Number of monomials in ``nvars`` variables of total degree <= ``degree``."""
@@ -83,21 +87,26 @@ def monomial_vandermonde(points, degree: int, alpha=None) -> np.ndarray:
     ``(m, monomial_count(nvars, degree))``.  Per variable the table entry for
     exponent ``e`` is ``e (e-1) ... (e-a+1) z^(e-a)``, which vanishes for
     ``e < a``, so derivative orders need no separate mask.
+
+    The table is built monomial-major, so every gather copies whole rows, and
+    returned as a transposed view of that ``(M, m)`` array.
     """
     pts = np.asarray(points, dtype=np.complex128)
     nvars = pts.shape[1]
     E = exponents(nvars, degree)
     e = np.arange(degree + 1)
-    out = np.ones((pts.shape[0], E.shape[0]), dtype=np.complex128)
+    out = np.ones((E.shape[0], pts.shape[0]), dtype=np.complex128)
+    step = max(1, _GATHER_BYTES // (out.itemsize * max(1, pts.shape[0])))
     for v in range(nvars):
         a = 0 if alpha is None else int(alpha[v])
-        table = pts[:, v, None] ** np.maximum(e - a, 0)[None, :]
+        table = pts[None, :, v] ** np.maximum(e - a, 0)[:, None]
         if a:
             # float64: the falling factorial overflows int64 from 21! on
             table *= np.prod(e[:, None] - np.arange(a)[None, :], axis=1,
-                             dtype=np.float64)
-        out *= table[:, E[:, v]]
-    return out
+                             dtype=np.float64)[:, None]
+        for r in range(0, E.shape[0], step):
+            out[r:r + step] *= table[E[r:r + step, v]]
+    return out.T
 
 
 def rank_of(alpha) -> int:
@@ -118,19 +127,37 @@ def rank_of(alpha) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rank_table(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
-    rows = exponents(nvars, degree)
-    return {tuple(int(x) for x in row): i for i, row in enumerate(rows)}
+def _binomials(top: int, width: int) -> np.ndarray:
+    """``C(a, b)`` for ``a <= top`` and ``b <= width`` as a read-only int64 table."""
+    table = np.zeros((top + 1, width + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for b in range(1, width + 1):
+        # hockey stick: C(a, b) is the sum of C(t, b - 1) over t < a
+        table[1:, b] = np.cumsum(table[:-1, b - 1])
+    table.setflags(write=False)
+    return table
 
 
-def ranks_of_rows(nvars: int, degree: int, rows: np.ndarray) -> np.ndarray:
-    """Vector of graded-lex ranks for an array of exponent rows."""
-    table = _rank_table(nvars, degree)
-    return np.fromiter(
-        (table[tuple(int(x) for x in row)] for row in rows),
-        dtype=np.int64,
-        count=len(rows),
-    )
+def ranks_of_rows(nvars: int, degree: int, rows) -> np.ndarray:
+    """Vector of graded-lex ranks for an array of exponent rows.
+
+    The closed form of :func:`rank_of`, vectorized: its inner loop over
+    leading exponents is a hockey-stick sum, one binomial per variable.  A
+    row of total degree above ``degree`` or with a negative entry raises
+    ``ValueError``.
+    """
+    monomial_count(nvars, degree)  # desk-scale guard
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), nvars)
+    # tail[:, v] is the degree left for variables v, v+1, ...
+    tail = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    if np.any(rows < 0) or np.any(tail[:, 0] > degree):
+        raise ValueError(f"exponent rows outside the degree-{degree} basis")
+    binom = _binomials(nvars + degree, nvars)
+    # monomials of lower total degree, then those ahead within the degree
+    ranks = binom[nvars - 1 + tail[:, 0], nvars]
+    for v in range(nvars - 1):
+        ranks += binom[tail[:, v + 1] + nvars - 2 - v, nvars - 1 - v]
+    return ranks
 
 
 @lru_cache(maxsize=None)

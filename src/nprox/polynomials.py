@@ -11,7 +11,6 @@ import numpy as np
 
 from .indexing import (
     degree_starts,
-    degrees_of,
     exponents,
     monomial_count,
     monomial_vandermonde,
@@ -142,22 +141,7 @@ class Polynomial:
 
     def eval_many(self, points) -> np.ndarray:
         """Evaluate at ``points`` of shape ``(m, nvars)``; returns ``(m,)``."""
-        pts = np.asarray(points, dtype=np.complex128)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.nvars) if self.nvars > 1 else pts.reshape(-1, 1)
-        if pts.shape[1] != self.nvars:
-            raise ValueError("points have the wrong number of coordinates")
-        nz = np.flatnonzero(self.coeffs)
-        out = np.zeros(pts.shape[0], dtype=np.complex128)
-        if nz.size == 0:
-            return out
-        # trailing zero blocks of the storage bound need no powers
-        degree = int(degrees_of(self.nvars, self.degree)[nz[-1]])
-        c = self.coeffs[: monomial_count(self.nvars, degree)]
-        for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, pts.shape[0])
-            out[lo:hi] = monomial_vandermonde(pts[lo:hi], degree) @ c
-        return out
+        return evaluate([self], points)[:, 0]
 
     # -- calculus ----------------------------------------------------------
 
@@ -209,15 +193,16 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
     dout = p.degree + q.degree
     if n == 1:
         return Polynomial(1, dout, np.convolve(p.coeffs, q.coeffs))
-    out = np.zeros(monomial_count(n, dout), dtype=np.complex128)
+    nzp = np.flatnonzero(p.coeffs)
     nzq = np.flatnonzero(q.coeffs)
-    if nzq.size and np.any(p.coeffs != 0):
-        Eq = exponents(n, q.degree)[nzq]
-        qc = q.coeffs[nzq]
-        Ep = exponents(n, p.degree)
-        for i in np.flatnonzero(p.coeffs):
-            ranks = ranks_of_rows(n, dout, Ep[i] + Eq)
-            out[ranks] += p.coeffs[i] * qc
+    # every term pair at once; bincount adds the pairs that share a rank
+    pairs = exponents(n, p.degree)[nzp, None, :] + exponents(n, q.degree)[None, nzq, :]
+    ranks = ranks_of_rows(n, dout, pairs.reshape(-1, n))
+    terms = np.multiply.outer(p.coeffs[nzp], q.coeffs[nzq]).ravel()
+    size = monomial_count(n, dout)
+    out = np.zeros(size, dtype=np.complex128)
+    out.real = np.bincount(ranks, terms.real, size)
+    out.imag = np.bincount(ranks, terms.imag, size)
     return Polynomial(n, dout, out)
 
 
@@ -235,3 +220,36 @@ def coeff_distance(p: Polynomial, q: Polynomial) -> float:
         raise ValueError("mixed variable counts")
     d = max(p.degree, q.degree)
     return float(np.max(np.abs(p.embedded(d).coeffs - q.embedded(d).coeffs)))
+
+
+def evaluate(polys, points) -> np.ndarray:
+    """Values of every polynomial in ``polys`` at ``points``, shape ``(m, len(polys))``.
+
+    One monomial table per chunk of ``_EVAL_CHUNK`` points serves them all:
+    it stops at the largest degree with a nonzero coefficient, and by the
+    graded-lex prefix property a lower degree's coefficients are the leading
+    entries of a zero-padded column of one ``(M, len(polys))`` matrix.
+    """
+    polys = list(polys)
+    nvars = polys[0].nvars
+    if any(p.nvars != nvars for p in polys):
+        raise ValueError("mixed variable counts")
+    pts = np.asarray(points, dtype=np.complex128)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, nvars)
+    if pts.shape[1] != nvars:
+        raise ValueError("points have the wrong number of coordinates")
+    out = np.zeros((pts.shape[0], len(polys)), dtype=np.complex128)
+    # trailing zero blocks of a storage bound need no powers
+    degree = max(p.effective_degree() for p in polys)
+    if degree < 0:
+        return out
+    size = monomial_count(nvars, degree)
+    coeffs = np.zeros((size, len(polys)), dtype=np.complex128)
+    for j, p in enumerate(polys):
+        c = p.coeffs[:size]
+        coeffs[: c.shape[0], j] = c
+    for lo in range(0, pts.shape[0], _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, pts.shape[0])
+        out[lo:hi] = monomial_vandermonde(pts[lo:hi], degree) @ coeffs
+    return out

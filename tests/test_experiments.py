@@ -72,6 +72,7 @@ def test_config_rejects_unknown_keys():
 
 def test_convergence_entire_function_decreases_fast():
     report = convergence_run(small_config(degrees=[2, 4, 6, 8]))
+    assert report.metadata["eval_s"] > 0
     sups = [r["sup_error"] for r in report.rows]
     assert all(b < a for a, b in zip(sups, sups[1:]))
     assert sups[-1] < 1e-6
@@ -167,6 +168,9 @@ def test_cylinder_run_small_degrees():
     assert report.metadata["node_count"] == 15
     assert report.metadata["node_residual"] < 1e-8
     assert len(report.extras["nodes"]) == 15
+    # the one build is on the first row; evaluation is timed apart
+    assert [r["seconds"] > 0 for r in report.rows] == [True, False, False]
+    assert report.metadata["eval_s"] > 0
 
 
 def test_cylinder_run_at_the_degree_cap():

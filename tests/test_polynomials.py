@@ -3,6 +3,8 @@
 Oracles used here:
   * naive monomial-sum evaluation (explicit loop over exponent rows),
   * term-by-term falling factorials for derivative Vandermonde tables,
+  * the row-major Vandermonde construction, for bit-identical tables,
+  * a double loop over term pairs for products,
   * central finite differences for derivatives,
   * exhaustive rank/enumerate round trips.
 """
@@ -18,9 +20,16 @@ from nprox.indexing import (
     monomial_count,
     monomial_vandermonde,
     rank_of,
+    ranks_of_rows,
     split_ranks,
 )
-from nprox.polynomials import Polynomial, coeff_distance, multiply, tensor_product
+from nprox.polynomials import (
+    Polynomial,
+    coeff_distance,
+    evaluate,
+    multiply,
+    tensor_product,
+)
 
 
 def naive_eval(poly, point):
@@ -32,6 +41,34 @@ def naive_eval(poly, point):
             term *= point[v] ** int(row[v])
         total += term
     return total
+
+
+def termwise_values(poly, pts):
+    """Oracle: the naive monomial sum, vectorized over points only."""
+    total = np.zeros(pts.shape[0], dtype=complex)
+    for c, row in zip(poly.coeffs, exponents(poly.nvars, poly.degree)):
+        term = np.full(pts.shape[0], c)
+        for v, e in enumerate(row.tolist()):
+            term *= pts[:, v] ** e
+        total += term
+    return total
+
+
+def row_major_vandermonde(points, degree, alpha=None):
+    """Oracle: the point-major construction of monomial_vandermonde."""
+    pts = np.asarray(points, dtype=np.complex128)
+    nvars = pts.shape[1]
+    E = exponents(nvars, degree)
+    e = np.arange(degree + 1)
+    out = np.ones((pts.shape[0], E.shape[0]), dtype=np.complex128)
+    for v in range(nvars):
+        a = 0 if alpha is None else int(alpha[v])
+        table = pts[:, v, None] ** np.maximum(e - a, 0)[None, :]
+        if a:
+            table *= np.prod(e[:, None] - np.arange(a)[None, :], axis=1,
+                             dtype=np.float64)
+        out *= table[:, E[:, v]]
+    return out
 
 
 def random_poly(rng, nvars, degree):
@@ -72,6 +109,23 @@ def test_rank_enumerate_round_trip_exhaustive():
                 assert np.all(block == j)
 
 
+def test_ranks_of_rows_follow_exponent_order():
+    for nvars in range(1, 5):
+        for degree in range(0, 11):
+            rows = exponents(nvars, degree)
+            want = np.arange(rows.shape[0])
+            assert np.array_equal(ranks_of_rows(nvars, degree, rows), want)
+            # a larger bound keeps every rank: the graded-lex prefix property
+            assert np.array_equal(ranks_of_rows(nvars, degree + 2, rows), want)
+
+
+def test_ranks_of_rows_rejects_rows_outside_the_basis():
+    assert ranks_of_rows(2, 3, np.zeros((0, 2), dtype=int)).shape == (0,)
+    for rows in ([[2, 2]], [[-1, 2]], [[0, 0], [4, 0]], [[0, 0, 1]]):
+        with pytest.raises(ValueError):
+            ranks_of_rows(2, 3, np.array(rows))
+
+
 def test_desk_scale_guard():
     with pytest.raises(ValueError):
         monomial_count(8, 40)
@@ -101,6 +155,49 @@ def test_monomial_vandermonde_matches_termwise_derivatives():
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
+def test_monomial_vandermonde_matches_row_major_construction():
+    rng = np.random.default_rng(23)
+    for nvars, degree, alphas in [
+        (3, 12, [None, (2, 1, 3), (12, 0, 0), (0, 5, 7)]),
+        (2, 28, [None, (21, 0), (0, 21), (5, 16), (1, 1)]),
+    ]:
+        pts = rng.standard_normal((300, nvars)) + 1j * rng.standard_normal((300, nvars))
+        for alpha in alphas:
+            got = monomial_vandermonde(pts, degree, alpha)
+            assert got.shape == (300, monomial_count(nvars, degree))
+            assert np.array_equal(got, row_major_vandermonde(pts, degree, alpha))
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097])
+def test_evaluate_matches_termwise_oracle(count):
+    rng = np.random.default_rng(count)
+    for nvars in (1, 2, 3):
+        polys = [
+            random_poly(rng, nvars, 2),
+            random_poly(rng, nvars, 5),
+            Polynomial.zero(nvars, 3),
+            random_poly(rng, nvars, 3).embedded(7),  # bound above the degree
+        ]
+        radius = rng.uniform(0.0, 1.0, (count, nvars))
+        pts = radius * np.exp(2j * np.pi * rng.uniform(size=(count, nvars)))
+        got = evaluate(polys, pts)
+        assert got.shape == (count, len(polys))
+        for j, p in enumerate(polys):
+            want = termwise_values(p, pts)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(got[:, 2])
+
+
+def test_evaluate_rejects_bad_shapes():
+    p = Polynomial.monomial(2, (1, 1))
+    with pytest.raises(ValueError):
+        evaluate([p], np.zeros((5, 3)))
+    with pytest.raises(ValueError):
+        p.eval_many(np.zeros((5, 1)))
+    with pytest.raises(ValueError):
+        evaluate([p, Polynomial.monomial(3, (1, 0, 0))], np.zeros((5, 2)))
+
+
 def test_eval_accepts_real_points_and_single_point():
     p = Polynomial.monomial(2, (1, 1))
     assert p.eval([2.0, 3.0]) == pytest.approx(6.0)
@@ -119,6 +216,22 @@ def test_multiply_is_pointwise_product():
         assert np.allclose(
             pq.eval_many(pts), p.eval_many(pts) * q.eval_many(pts), rtol=1e-12, atol=1e-11
         )
+
+
+def test_multiply_matches_double_loop_over_terms():
+    rng = np.random.default_rng(17)
+    for nvars, d1, d2 in [(1, 5, 3), (2, 4, 6), (3, 3, 2), (3, 0, 4)]:
+        p = random_poly(rng, nvars, d1)
+        q = random_poly(rng, nvars, d2)
+        # zero some terms so the products skip them
+        p = Polynomial(nvars, d1, np.where(rng.uniform(size=p.coeffs.shape) < 0.3, 0, p.coeffs))
+        want = np.zeros(monomial_count(nvars, d1 + d2), dtype=complex)
+        for a, cp in zip(exponents(nvars, d1), p.coeffs):
+            for b, cq in zip(exponents(nvars, d2), q.coeffs):
+                want[rank_of(a + b)] += cp * cq
+        got = multiply(p, q).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(multiply(Polynomial.zero(nvars, d1), q).coeffs)
 
 
 def test_multiply_monomials_adds_exponents():
