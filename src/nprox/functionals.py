@@ -7,15 +7,25 @@ joined variable block.
 
 Every functional discretizes itself into weighted point derivatives -- the
 simplex conditions through Grundmann-Moller cubature of a requested
-exactness.  Applied to a test function, it drives the function's exact
-derivative evaluator at those points.  Its values on the graded-lex monomial
-basis come from the same discretization at exactness ``degree``, paired with
-the derivative Vandermonde of the monomials; the cubature integrates
-polynomials of that degree exactly, so ``apply_to_polynomial`` is exact up to
-rounding.  The Grundmann-Moller weights alternate in sign, so that rounding
-grows with the degree: against the exact moment expansion the Kergin values
-agree to 1e-11 (row-relative) through degree 10.  Inner products and tensor pairs reuse shared tables instead
-(the measure's cached Vandermonde, the factor-rank split).
+exactness.  Its values on the graded-lex monomial basis come from the same
+discretization at exactness ``degree``, paired with the derivative
+Vandermonde of the monomials; the cubature integrates polynomials of that
+degree exactly, so ``apply_to_polynomial`` is exact up to rounding.  The
+Grundmann-Moller weights alternate in sign, so that rounding grows with the
+degree: against the exact moment expansion the Kergin values agree to 1e-11
+(row-relative) through degree 10.  Inner products and tensor pairs reuse
+shared tables instead (the measure's cached Vandermonde, the factor-rank
+split).
+
+On a test function, ``rhs`` applies a whole list of functionals at once and
+``apply_to_function`` is its one-functional case.  It discretizes each
+factor of a tensor pair once, and Kergin conditions on the same nodes share
+one mapped rule, dropped once the conditions that use it are done and its
+last pending piece is evaluated.  A tensor batch is cut into row pieces of
+about ``_RHS_CHUNK`` points instead of being built whole; pieces of one
+derivative order are merged into one ``deriv_values`` call up to that many
+distinct points, and a piece that several conditions share is evaluated
+once for each derivative order they ask of it.
 """
 from __future__ import annotations
 
@@ -32,6 +42,13 @@ from .testfunctions import TestFunction
 # outgrow the desk scale and the alternating weights add noise; projectors
 # cap their own min(2 * degree + 5, ...) default here too.
 DEFAULT_EXACTNESS = 21
+
+# Distinct points per deriv_values call of ``rhs``: small batches merge up to
+# it and larger tensor batches are cut into row pieces of about this size.
+# A pending piece counts as at least _PIECE_POINTS points, about what its
+# Python objects weigh, so one-point pieces do not pile up by the thousand.
+_RHS_CHUNK = 4096
+_PIECE_POINTS = 64
 
 
 def _point_array(point):
@@ -80,15 +97,19 @@ class Functional:
         """Weighted point-derivative batches ``(weights, points, alpha)``."""
         raise NotImplementedError
 
+    def _rule_key(self):
+        """Functionals with equal keys discretize alike up to ``alpha``."""
+        return id(self)
+
+    def _batches(self, exactness: int, memo: dict):
+        """``discretize(exactness)``, computed once per key of ``memo``."""
+        key = self._rule_key()
+        if key not in memo:
+            memo[key] = self.discretize(exactness)
+        return memo[key]
+
     def apply_to_function(self, f: TestFunction, exactness: int | None = None) -> complex:
-        if f.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        if exactness is None:
-            exactness = DEFAULT_EXACTNESS
-        total = 0j
-        for weights, pts, alpha in self.discretize(exactness):
-            total += np.dot(weights, f.deriv_values(alpha, pts))
-        return complex(total)
+        return complex(rhs([self], f, exactness)[0])
 
     def __call__(self, obj, exactness: int | None = None) -> complex:
         if isinstance(obj, Polynomial):
@@ -176,8 +197,19 @@ class KerginCondition(Functional):
         if j == 0:
             return [(np.array([1.0 + 0j]), self.nodes[:1], self.alpha)]
         tnodes, weights = grundmann_moller_rule(j, rule_order_for_exactness(exactness))
-        mapped = self.nodes[0][None, :] + tnodes @ (self.nodes[1:] - self.nodes[0])
+        # a real product on the (re, im) pairs: no complex copy of the rule
+        edges = np.ascontiguousarray(self.nodes[1:] - self.nodes[0])
+        mapped = (tnodes @ edges.view(np.float64)).view(np.complex128)
+        mapped += self.nodes[0]
         return [(weights.astype(np.complex128), mapped, self.alpha)]
+
+    def _rule_key(self):
+        # the mapped rule depends on the nodes alone
+        return ("kergin", self.nodes.shape, self.nodes.tobytes())
+
+    def _batches(self, exactness, memo):
+        (weights, mapped, _), = super()._batches(exactness, memo)
+        return [(weights, mapped, self.alpha)]
 
     def to_json(self):
         return {
@@ -248,18 +280,117 @@ class Tensor(Functional):
         return self.left.on_monomials(degree)[r1] * self.right.on_monomials(degree)[r2]
 
     def discretize(self, exactness):
-        batches = []
-        for w1, p1, a1 in self.left.discretize(exactness):
-            for w2, p2, a2 in self.right.discretize(exactness):
-                weights = (w1[:, None] * w2[None, :]).reshape(-1)
-                batches.append((weights, cartesian(p1, p2), tuple(a1) + tuple(a2)))
-        return batches
+        return self._batches(exactness, {})
+
+    def _batches(self, exactness, memo):
+        key = self._rule_key()
+        if key not in memo:
+            memo[key] = [
+                ((w1[:, None] * w2[None, :]).reshape(-1), cartesian(p1, p2),
+                 tuple(a1) + tuple(a2))
+                for w1, p1, a1 in self.left._batches(exactness, memo)
+                for w2, p2, a2 in self.right._batches(exactness, memo)
+            ]
+        return memo[key]
 
     def to_json(self):
         return {"type": "tensor", "left": self.left.to_json(), "right": self.right.to_json()}
 
     def __repr__(self):
         return f"Tensor({self.left!r}, {self.right!r})"
+
+
+# the right factor of a condition that is not a tensor pair
+_UNIT = [(np.ones(1, dtype=np.complex128), np.zeros((1, 0), dtype=np.complex128), ())]
+
+
+def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray:
+    """Values of every functional in ``conditions`` on the test function f.
+
+    Conditions are grouped by the rule of their left factor (a condition
+    that is not a tensor pair is its own left factor).  A group
+    discretizes its left factors once and drops them when it is done; right
+    factors are discretized once per call.  Each pair of factor batches is
+    handed on whole, with the conditions that use it, so its row pieces are
+    built once for all of them.  ``exactness`` defaults to
+    ``DEFAULT_EXACTNESS``.
+    """
+    conditions = list(conditions)
+    if any(mu.nvars != f.nvars for mu in conditions):
+        raise ValueError("variable count mismatch")
+    if exactness is None:
+        exactness = DEFAULT_EXACTNESS
+    groups: dict = {}
+    for i, mu in enumerate(conditions):
+        left, right = (mu.left, mu.right) if isinstance(mu, Tensor) else (mu, None)
+        groups.setdefault(left._rule_key(), []).append((i, left, right))
+    out = np.zeros(len(conditions), dtype=np.complex128)
+    pending = _PendingPieces(f, out)
+    right_memo: dict = {}
+    for group in groups.values():
+        left_memo: dict = {}
+        pairs: dict = {}  # (id(p1), id(p2)) -> (p1, p2, users)
+        for i, left, right in group:
+            rights = _UNIT if right is None else right._batches(exactness, right_memo)
+            for w1, p1, a1 in left._batches(exactness, left_memo):
+                for w2, p2, a2 in rights:
+                    users = pairs.setdefault((id(p1), id(p2)), (p1, p2, []))[2]
+                    users.append((i, w1, w2, tuple(a1) + tuple(a2)))
+        for p1, p2, users in pairs.values():
+            pending.add(p1, p2, users)
+    pending.flush()
+    return out
+
+
+class _PendingPieces:
+    """Row pieces of tensor batches waiting for their ``deriv_values`` calls.
+
+    A batch ``(w1, p1) x (w2, p2)`` is cut into pieces of whole left rows,
+    each ``cartesian(p1[lo:hi], p2)``.  A piece is keyed by its factor arrays
+    and first row, so every condition and derivative order that meets it
+    again uses the same points.  Once the distinct points (each piece
+    counting at least ``_PIECE_POINTS``) would pass ``_RHS_CHUNK``, every
+    order's pieces go to one ``deriv_values`` call and each condition adds
+    ``w1 @ values @ w2`` over its pieces.
+    """
+
+    def __init__(self, f: TestFunction, out: np.ndarray):
+        self.f = f
+        self.out = out
+        self.pieces: dict = {}  # key -> (p1, p2, points); p1, p2 keep the ids unique
+        self.orders: dict = {}  # alpha -> key -> [(index, w1, w2)]
+        self.size = 0
+
+    def add(self, p1, p2, users):
+        step = max(1, _RHS_CHUNK // p2.shape[0])
+        for lo in range(0, p1.shape[0], step):
+            key = (id(p1), id(p2), lo)
+            if key not in self.pieces:
+                points = cartesian(p1[lo:lo + step], p2)
+                cost = max(points.shape[0], _PIECE_POINTS)
+                if self.size + cost > _RHS_CHUNK:
+                    self.flush()
+                self.pieces[key] = (p1, p2, points)
+                self.size += cost
+            for index, w1, w2, alpha in users:
+                self.orders.setdefault(alpha, {}).setdefault(key, []).append((index, w1, w2))
+
+    def flush(self):
+        for alpha, by_piece in self.orders.items():
+            points = [self.pieces[key][2] for key in by_piece]
+            values = self.f.deriv_values(
+                alpha, points[0] if len(points) == 1 else np.concatenate(points))
+            row = 0
+            for key, users in by_piece.items():
+                _, p2, pts = self.pieces[key]
+                block = values[row:row + pts.shape[0]].reshape(-1, p2.shape[0])
+                row += pts.shape[0]
+                rows = slice(key[2], key[2] + block.shape[0])
+                for index, w1, w2 in users:
+                    self.out[index] += w1[rows] @ block @ w2
+        self.pieces.clear()
+        self.orders.clear()
+        self.size = 0
 
 
 def parse_functional(obj: dict) -> Functional:

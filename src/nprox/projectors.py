@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, parse_functional
+from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, parse_functional, rhs
 from .indexing import monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import TestFunction
@@ -112,20 +112,24 @@ class NewtonStructuredProjector:
             scale = np.max(np.abs(block), axis=1)
             if np.any(scale == 0):
                 raise NestedUnisolvenceFailure(
-                    f"level {j}: a condition vanishes on all monomials"
+                    f"{self._level_name(j)}: a condition vanishes on all monomials"
                 )
             estimate = float(np.linalg.cond(block / scale[:, None]))
             conds.append(estimate)
             if self.cond_threshold is not None and not estimate < self.cond_threshold:
                 raise NestedUnisolvenceFailure(
-                    f"level {j}: leading block condition estimate {estimate:.3e} "
+                    f"{self._level_name(j)}: leading block condition estimate {estimate:.3e} "
                     f"exceeds threshold {self.cond_threshold:.3e}"
                 )
         return conds
 
+    def _level_name(self, j: int) -> str:
+        """How errors name level j."""
+        return f"level {j}"
+
     # -- linear algebra ------------------------------------------------------
 
-    def _solve(self, k: int, rhs: np.ndarray) -> Polynomial:
+    def _solve(self, k: int, values: np.ndarray) -> Polynomial:
         """Degree-k solve by LU of the row-equilibrated leading block, cached per k."""
         factors = self._factors.get(k)
         if factors is None:
@@ -136,10 +140,10 @@ class NewtonStructuredProjector:
                 warnings.simplefilter("ignore", LinAlgWarning)  # raised below
                 lu, piv = lu_factor(block / scale[:, None])
             if not np.all(np.diagonal(lu)):
-                raise np.linalg.LinAlgError(f"level {k}: leading block is singular")
+                raise np.linalg.LinAlgError(f"{self._level_name(k)}: leading block is singular")
             factors = self._factors[k] = (lu, piv, scale)
         lu, piv, scale = factors
-        return Polynomial(self.nvars, k, lu_solve((lu, piv), rhs / scale))
+        return Polynomial(self.nvars, k, lu_solve((lu, piv), values / scale))
 
     # -- projector actions ----------------------------------------------------
 
@@ -154,10 +158,14 @@ class NewtonStructuredProjector:
         if k is not None:
             conditions = conditions[:monomial_count(self.nvars, k)]
         if isinstance(f, Polynomial):
-            return np.array([mu.apply_to_polynomial(f) for mu in conditions])
+            if f.nvars != self.nvars:
+                raise ValueError("variable count mismatch")
+            if f.degree > self.degree:
+                return np.array([mu.apply_to_polynomial(f) for mu in conditions])
+            # the collocation rows already hold every condition's monomial values
+            return self.matrix[:len(conditions), :f.coeffs.shape[0]] @ f.coeffs
         if isinstance(f, TestFunction):
-            exactness = self._exactness(exactness)
-            return np.array([mu.apply_to_function(f, exactness=exactness) for mu in conditions])
+            return rhs(conditions, f, self._exactness(exactness))
         raise TypeError(f"cannot project a {type(f).__name__}")
 
     def apply(self, f, exactness: int | None = None) -> Polynomial:
@@ -174,8 +182,8 @@ class NewtonStructuredProjector:
 
     def truncations(self, f, exactness: int | None = None) -> list[Polynomial]:
         """truncate(k, f) for k = 0..degree, from one evaluation of f."""
-        rhs = self._rhs(f, exactness)
-        return [self._solve(k, rhs[:monomial_count(self.nvars, k)])
+        values = self._rhs(f, exactness)
+        return [self._solve(k, values[:monomial_count(self.nvars, k)])
                 for k in range(self.degree + 1)]
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
@@ -220,18 +228,19 @@ class NewtonProduct(NewtonStructuredProjector):
         self.left = left
         self.right = right
         degree = min(left.degree, right.degree)
-        levels = []
-        for i in range(degree + 1):
-            level = []
-            for i1 in range(i + 1):
-                i2 = i - i1
-                if i1 > left.degree or i2 > right.degree:
-                    continue
-                for mu1 in left.levels[i1]:
-                    for mu2 in right.levels[i2]:
-                        level.append(Tensor(mu1, mu2))
-            levels.append(level)
+        levels = [[Tensor(mu1, mu2) for i1, i2 in self._level_pairs(i)
+                   for mu1 in left.levels[i1] for mu2 in right.levels[i2]]
+                  for i in range(degree + 1)]
         super().__init__(levels, cond_threshold=cond_threshold)
+
+    @staticmethod
+    def _level_pairs(i: int) -> list[tuple[int, int]]:
+        """Factor level pairs (i1, i2) whose tensor conditions make up level i."""
+        return [(i1, i - i1) for i1 in range(i + 1)]
+
+    def _level_name(self, j: int) -> str:
+        pairs = ", ".join(f"({i1}, {i2})" for i1, i2 in self._level_pairs(j))
+        return f"level {j} (factor level pairs {pairs})"
 
     def apply_product_formula(self, f1, f2, exactness: int | None = None) -> Polynomial:
         """Project the separable function f1 (x) f2 through factor summands.

@@ -18,6 +18,7 @@ from nprox.functionals import (
     PointEval,
     Tensor,
     parse_functional,
+    rhs,
 )
 from nprox.indexing import exponents
 from nprox.measures import chebyshev_measure, circle_measure, product_measure
@@ -37,10 +38,17 @@ from nprox.testfunctions import (
     Product,
     Recip,
     Sum,
+    TestFunction,
     coordinate,
     parse_function,
 )
-from nprox.zoo import kergin_projector
+from nprox.zoo import (
+    kergin_projector,
+    lagrange_projector,
+    nodes_by_name,
+    orthogonal_projector,
+    taylor_projector,
+)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -438,3 +446,149 @@ def test_apply_dispatch():
     assert mu(PolynomialFunction(p)) == pytest.approx(0.0625)
     with pytest.raises(TypeError):
         mu(lambda x: x)
+
+
+# -- the batched right-hand side ---------------------------------------------------
+
+
+def per_condition_rhs(conditions, f, exactness):
+    """One condition at a time: the sum of ``w . D^alpha f(p)`` over its batches.
+
+    Also returns each condition's absolute sum ``sum |w D^alpha f(p)|``, the
+    scale of its rounding: the Grundmann-Moller weights alternate in sign, so
+    a value can be far smaller than the terms that cancel into it.
+    """
+    values, scales = [], []
+    for mu in conditions:
+        total, scale = 0j, 0.0
+        for w, p, a in mu.discretize(exactness):
+            v = f.deriv_values(a, p)
+            total += np.dot(w, v)
+            scale += float(np.sum(np.abs(w * v)))
+        values.append(total)
+        scales.append(scale)
+    return np.array(values), np.array(scales)
+
+
+def assert_matches_oracle(conditions, f, exactness):
+    want, scale = per_condition_rhs(conditions, f, exactness)
+    got = rhs(conditions, f, exactness)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def _cheb_leja(d):
+    return lagrange_projector(nodes_by_name("chebyshev_leja", d))
+
+
+def _rhs_cases():
+    disk = nodes_by_name("leja_disk", 6)
+    planar = np.stack([disk.real, disk.imag], axis=1)
+    cyl = kergin_projector(planar).newton_product(lagrange_projector(nodes_by_name("real_leja", 6)))
+    yield "kergin_x_lagrange", cyl, Exp(Affine([1.0, 1.0, 1.0]))
+    # Product and Recip differentiate through the Leibniz rule
+    yield "kergin_x_lagrange_leibniz", cyl, Product(
+        [Recip(Affine([0.5, 0.0, 0.25], -2.0)), Exp(Affine([0.3, -0.2, 0.7]))])
+    yield "chebyshev_leja_squared", _cheb_leja(12).newton_product(_cheb_leja(12)), Product(
+        [Recip(Affine([1.0, 0.0], -2.0)), Recip(Affine([0.0, 1.0], -5.0))])
+    yield "taylor_x_orthogonal", taylor_projector(1, 6, center=[0.2]).newton_product(
+        orthogonal_projector(chebyshev_measure(13), 6)), Exp(Affine([0.7, -1.1], 0.2))
+    # nested products on either side; Taylor and Kergin ask derivatives of the right factor
+    inner = kergin_projector(nodes_by_name("real_leja", 4)).newton_product(_cheb_leja(4))
+    yield "product_of_a_product", inner.newton_product(
+        taylor_projector(1, 4, center=[0.1])), Exp(Affine([0.4, 0.3, -0.6]))
+    yield "product_with_a_product", orthogonal_projector(circle_measure(9), 4).newton_product(
+        inner), Exp(Affine([0.4, 0.3, -0.6]))
+
+
+@pytest.mark.parametrize("case", list(_rhs_cases()), ids=lambda case: case[0])
+def test_rhs_matches_per_condition_oracle(case):
+    _, proj, f = case
+    assert_matches_oracle(proj.conditions, f, proj._exactness(None))
+    # the projector's own right-hand side is the batched one
+    assert np.array_equal(proj._rhs(f, None), rhs(proj.conditions, f, proj._exactness(None)))
+
+
+class CountingFunction(TestFunction):
+    """Wraps a test function and records the point count of each derivative call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.nvars = inner.nvars
+        self.sizes = []
+
+    @property
+    def calls(self):
+        return len(self.sizes)
+
+    def deriv_values(self, alpha, pts):
+        self.sizes.append(len(pts))
+        return self.inner.deriv_values(alpha, pts)
+
+
+@pytest.mark.parametrize("npoints", [4095, 4096, 4097])
+def test_rhs_matches_oracle_around_the_point_budget(npoints):
+    f = Exp(Affine([0.9, -0.4], 0.1))
+
+    def evaluated_sizes(conditions, f):
+        counting = CountingFunction(f)
+        rhs(conditions, counting, 7)
+        assert max(counting.sizes) <= 4096
+        return counting.sizes
+
+    # one leaf batch of npoints rows, cut past the budget
+    flat = chebyshev_measure(npoints)
+    leaf = InnerProduct(Polynomial.monomial(1, (3,)), flat)
+    assert_matches_oracle([leaf], Exp(Affine([0.9])), 7)
+    assert len(evaluated_sizes([leaf], Exp(Affine([0.9])))) == (1 if npoints <= 4096 else 2)
+    # one tensor batch of n1 x n2 = npoints rows, cut into whole left rows
+    n1, n2 = {4095: (63, 65), 4096: (64, 64), 4097: (17, 241)}[npoints]
+    m1, m2 = circle_measure(n1), chebyshev_measure(n2)
+    lefts = [InnerProduct(Polynomial.monomial(1, (k,)), m1) for k in range(3)]
+    rights = [InnerProduct(Polynomial.monomial(1, (k,)), m2) for k in range(3)]
+    tensors = [Tensor(mu, nu) for mu in lefts for nu in rights]
+    assert_matches_oracle(tensors, f, 7)
+    # the nine conditions share their pieces while the pieces fit the budget
+    # together; past it each left factor's three conditions share them
+    assert sum(evaluated_sizes(tensors, f)) == (npoints if npoints <= 4096 else 3 * npoints)
+    # n1 distinct pieces of n2 points each, merged into one call up to the budget
+    rng = np.random.default_rng(npoints)
+    n1, n2 = {4095: (63, 65), 4096: (64, 64), 4097: (17, 241)}[npoints]
+    m2 = circle_measure(n2)
+    merged = [Tensor(PointEval([x]), InnerProduct(Polynomial.monomial(1, (1,)), m2))
+              for x in rng.uniform(-1, 1, n1)]
+    assert_matches_oracle(merged, f, 7)
+    assert len(evaluated_sizes(merged, f)) == (1 if npoints <= 4096 else 2)
+    # npoints one-point conditions of two orders
+    pts = rng.uniform(-1, 1, (npoints, 2))
+    single = [PointEval(p) if i % 3 else DerivativeEval((1, 0), p) for i, p in enumerate(pts)]
+    assert_matches_oracle(single, f, 7)
+
+
+def test_rhs_of_one_condition_is_apply_to_function():
+    mu = KerginCondition((1, 1), [[0.0, 0.0], [0.5, 0.2], [0.1, 0.9]])
+    f = Exp(Affine([1.0, -0.5]))
+    assert mu.apply_to_function(f, exactness=9) == rhs([mu], f, 9)[0]
+    assert rhs([], f).shape == (0,)
+
+
+def test_rhs_rejects_a_wrong_variable_count_before_evaluating():
+    f = CountingFunction(Exp(Affine([1.0, 1.0])))
+    conditions = [PointEval([0.1, 0.2]), Tensor(PointEval([0.3]), PointEval([0.4])),
+                  PointEval([0.5, 0.6, 0.7])]
+    with pytest.raises(ValueError, match="variable count"):
+        rhs(conditions, f)
+    assert f.calls == 0
+    with pytest.raises(ValueError, match="variable count"):
+        _cheb_leja(3).apply(f)
+    assert f.calls == 0
+
+
+def test_rhs_pole_on_a_node_names_a_point_on_the_locus():
+    proj = _cheb_leja(8).newton_product(_cheb_leja(8))
+    node = nodes_by_name("chebyshev_leja", 8)[3]
+    pole = Affine([0.0, 1.0], -node)
+    f = Product([Exp(Affine([1.0, 0.5])), Recip(pole)])
+    with pytest.raises(PoleOnSupportError) as info:
+        proj.apply(f)
+    assert abs(pole.eval(info.value.point)) < 1e-12

@@ -90,6 +90,36 @@ def test_threshold_is_adjustable():
     assert np.max(np.abs(P.apply(f).eval_many(grid) - f.values(grid))) < 1e-13
 
 
+def test_product_nesting_failure_names_the_factor_level_pairs():
+    # the bivariate Chebyshev-Leja product stays under 1e12 through level 29
+    cheb = [lagrange_projector(nodes_by_name("chebyshev_leja", d)) for d in (29, 30)]
+    assert max(cheb[0].newton_product(cheb[0]).level_conds) < 1e12
+    pairs = ", ".join(f"({i1}, {30 - i1})" for i1 in range(31))
+    with pytest.raises(NestedUnisolvenceFailure) as info:
+        cheb[1].newton_product(cheb[1])
+    assert str(info.value).startswith(f"level 30 (factor level pairs {pairs}): ")
+    assert "exceeds threshold" in str(info.value)
+
+
+def test_polynomial_rhs_reads_the_collocation_rows():
+    rng = np.random.default_rng(41)
+    left, _ = make_pair(4, 4)
+    prod = left.newton_product(taylor_projector(1, 5, center=[0.1]))
+    for degree in (0, 2, 4):  # within the projector degree: rows of the matrix
+        p = random_poly(rng, 2, degree, cplx=True)
+        for k in (None, 1, 4):
+            conditions = prod.conditions[:None if k is None else monomial_count(2, k)]
+            want = np.array([mu.apply_to_polynomial(p) for mu in conditions])
+            got = prod._rhs(p, None, k)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # above it the conditions are applied one at a time, at the polynomial's degree
+    p = random_poly(rng, 2, 6, cplx=True)
+    want = np.array([mu.apply_to_polynomial(p) for mu in prod.conditions])
+    assert np.array_equal(prod._rhs(p, None), want)
+    with pytest.raises(ValueError, match="variable count"):
+        prod.apply(random_poly(rng, 3, 2))
+
+
 # -- projector identities ----------------------------------------------------------
 
 
