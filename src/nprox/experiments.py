@@ -130,19 +130,21 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
 
     A row's seconds cover that degree's build, right-hand side and solve.
     All degrees are then evaluated on the samples in one batch, whose time
-    is the metadata's ``eval_s``.
+    is the metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the
+    largest leading-block condition estimate of the projectors applied.
     """
     t0 = time.perf_counter()
     model = parse_compact(config.compact)
     f = parse_function(config.function, model.nvars)
     samples = model.sample_points(config.grid ** model.nvars)
     target = f.values(samples)  # raises if a pole sits on the compact
-    approxs, seconds = [], []
+    approxs, seconds, cond_max = [], [], 0.0
     for d in config.degrees:
         tick = time.perf_counter()
         proj = build_projector(config.projector, d)
         approxs.append(proj.apply(f, exactness=config.exactness))
         seconds.append(time.perf_counter() - tick)
+        cond_max = max(cond_max, *proj.level_conds)
     tick = time.perf_counter()
     values = evaluate(approxs, samples)
     eval_s = time.perf_counter() - tick
@@ -156,6 +158,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
         "eval_s": eval_s,
         "fit_stderr": stderr,
         "grid": config.grid,
+        "level_cond_max": cond_max,
     }
     if config.expected_rho is not None:
         metadata["expected_rate"] = 1.0 / config.expected_rho

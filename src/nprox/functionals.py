@@ -29,10 +29,12 @@ once for each derivative order they ask of it.
 """
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
-from .indexing import factor_ranks, monomial_count, monomial_vandermonde
-from .measures import QuadratureMeasure, parse_measure
+from .indexing import DESK_LIMIT, factor_ranks, monomial_count, monomial_vandermonde
+from .measures import QuadratureMeasure
 from .points import cartesian
 from .polynomials import Polynomial
 from .simplex import grundmann_moller_rule, rule_order_for_exactness
@@ -53,14 +55,6 @@ _PIECE_POINTS = 64
 
 def _point_array(point):
     return np.asarray(point, dtype=np.complex128).reshape(-1)
-
-
-def _point_json(point):
-    return [[float(z.real), float(z.imag)] for z in _point_array(point)]
-
-
-def _point_from_json(obj):
-    return np.array([complex(re, im) for re, im in obj], dtype=np.complex128)
 
 
 class Functional:
@@ -118,9 +112,6 @@ class Functional:
             return self.apply_to_function(obj, exactness)
         raise TypeError(f"cannot apply a functional to {type(obj).__name__}")
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class PointEval(Functional):
     def __init__(self, point):
@@ -130,9 +121,6 @@ class PointEval(Functional):
 
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], (0,) * self.nvars)]
-
-    def to_json(self):
-        return {"type": "point_eval", "point": _point_json(self.point)}
 
     def __repr__(self):
         return f"PointEval({self.point})"
@@ -149,13 +137,6 @@ class DerivativeEval(Functional):
 
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
-
-    def to_json(self):
-        return {
-            "type": "derivative_eval",
-            "alpha": list(self.alpha),
-            "point": _point_json(self.point),
-        }
 
     def __repr__(self):
         return f"DerivativeEval(alpha={self.alpha}, point={self.point})"
@@ -211,13 +192,6 @@ class KerginCondition(Functional):
         (weights, mapped, _), = super()._batches(exactness, memo)
         return [(weights, mapped, self.alpha)]
 
-    def to_json(self):
-        return {
-            "type": "kergin",
-            "alpha": list(self.alpha),
-            "nodes": [_point_json(row) for row in self.nodes],
-        }
-
     def __repr__(self):
         return f"KerginCondition(alpha={self.alpha}, nodes={len(self.nodes)})"
 
@@ -249,13 +223,6 @@ class InnerProduct(Functional):
 
     def discretize(self, exactness):
         return [(self._weighted_conj(), self.measure.nodes, (0,) * self.nvars)]
-
-    def to_json(self):
-        return {
-            "type": "inner_product",
-            "basis": self.basis.to_json(),
-            "measure": self.measure.to_json(),
-        }
 
     def __repr__(self):
         return f"InnerProduct(basis_degree={self.basis.degree}, domain={self.measure.domain})"
@@ -293,9 +260,6 @@ class Tensor(Functional):
             ]
         return memo[key]
 
-    def to_json(self):
-        return {"type": "tensor", "left": self.left.to_json(), "right": self.right.to_json()}
-
     def __repr__(self):
         return f"Tensor({self.left!r}, {self.right!r})"
 
@@ -313,7 +277,8 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     factors are discretized once per call.  Each pair of factor batches is
     handed on whole, with the conditions that use it, so its row pieces are
     built once for all of them.  ``exactness`` defaults to
-    ``DEFAULT_EXACTNESS``.
+    ``DEFAULT_EXACTNESS``; a Kergin condition whose rule at that exactness
+    would pass the desk scale raises ``ValueError`` before any rule is built.
     """
     conditions = list(conditions)
     if any(mu.nvars != f.nvars for mu in conditions):
@@ -321,9 +286,12 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     if exactness is None:
         exactness = DEFAULT_EXACTNESS
     groups: dict = {}
+    top_order = 0
     for i, mu in enumerate(conditions):
         left, right = (mu.left, mu.right) if isinstance(mu, Tensor) else (mu, None)
         groups.setdefault(left._rule_key(), []).append((i, left, right))
+        top_order = max(top_order, _kergin_order(mu))
+    _check_rule_size(top_order, exactness)
     out = np.zeros(len(conditions), dtype=np.complex128)
     pending = _PendingPieces(f, out)
     right_memo: dict = {}
@@ -340,6 +308,35 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
             pending.add(p1, p2, users)
     pending.flush()
     return out
+
+
+def _kergin_order(mu: Functional) -> int:
+    """Largest order of a Kergin factor of mu, 0 if it has none."""
+    if isinstance(mu, Tensor):
+        return max(_kergin_order(mu.left), _kergin_order(mu.right))
+    return mu.order if isinstance(mu, KerginCondition) else 0
+
+
+def _check_rule_size(order: int, exactness: int):
+    """Refuse an order-``order`` rule past the desk scale, naming a way out.
+
+    The Grundmann-Moller rule of an order-j condition has
+    ``monomial_count(j + 1, s)`` points; its size grows with the order, so
+    checking the largest order checks them all.
+    """
+    if order == 0:
+        return  # an order-0 condition is a point value, no rule
+    s = rule_order_for_exactness(exactness)
+    size = comb(order + 1 + s, order + 1)
+    if size <= DESK_LIMIT:
+        return
+    while comb(order + 1 + s, order + 1) > DESK_LIMIT:
+        s -= 1
+    raise ValueError(
+        f"the order-{order} Kergin condition at exactness {exactness} needs a "
+        f"Grundmann-Moller rule of {size} points, past the desk scale of "
+        f"{DESK_LIMIT}; pass a lower exactness (at most {2 * s + 1})"
+    )
 
 
 class _PendingPieces:
@@ -392,18 +389,3 @@ class _PendingPieces:
         self.orders.clear()
         self.size = 0
 
-
-def parse_functional(obj: dict) -> Functional:
-    kind = obj.get("type")
-    if kind == "point_eval":
-        return PointEval(_point_from_json(obj["point"]))
-    if kind == "derivative_eval":
-        return DerivativeEval(obj["alpha"], _point_from_json(obj["point"]))
-    if kind == "kergin":
-        nodes = np.array([_point_from_json(row) for row in obj["nodes"]])
-        return KerginCondition(obj["alpha"], nodes)
-    if kind == "inner_product":
-        return InnerProduct(Polynomial.from_json(obj["basis"]), parse_measure(obj["measure"]))
-    if kind == "tensor":
-        return Tensor(parse_functional(obj["left"]), parse_functional(obj["right"]))
-    raise ValueError(f"unknown functional type {kind!r}")

@@ -20,6 +20,7 @@ from nprox.experiments import (
 )
 from nprox.functionals import KerginCondition
 from nprox.testfunctions import Affine, Exp
+from nprox.zoo import projector_from_spec
 
 
 def small_config(**overrides):
@@ -71,8 +72,11 @@ def test_config_rejects_unknown_keys():
 
 
 def test_convergence_entire_function_decreases_fast():
-    report = convergence_run(small_config(degrees=[2, 4, 6, 8]))
+    cfg = small_config(degrees=[2, 4, 6, 8])
+    report = convergence_run(cfg)
     assert report.metadata["eval_s"] > 0
+    assert report.metadata["level_cond_max"] == max(
+        max(projector_from_spec(cfg.projector, d).level_conds) for d in cfg.degrees)
     sups = [r["sup_error"] for r in report.rows]
     assert all(b < a for a, b in zip(sups, sups[1:]))
     assert sups[-1] < 1e-6

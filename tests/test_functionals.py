@@ -17,11 +17,10 @@ from nprox.functionals import (
     KerginCondition,
     PointEval,
     Tensor,
-    parse_functional,
     rhs,
 )
 from nprox.indexing import exponents
-from nprox.measures import chebyshev_measure, circle_measure, product_measure
+from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import leja_disk, real_leja
 from nprox.polynomials import Polynomial, multiply
 from nprox.simplex import (
@@ -421,24 +420,6 @@ def test_functional_linearity_sweep():
             assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
 
 
-def test_functional_json_round_trip():
-    m = product_measure(circle_measure(6), chebyshev_measure(5))
-    cases = [
-        PointEval([0.5, 1.0 + 2.0j]),
-        DerivativeEval((1, 2), [0.0, 0.3]),
-        KerginCondition((1, 1), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        InnerProduct(Polynomial.monomial(2, (1, 1)), m),
-        Tensor(PointEval([1.0]), DerivativeEval((2,), [0.5])),
-    ]
-    rng = np.random.default_rng(8)
-    for mu in cases:
-        nu = parse_functional(mu.to_json())
-        p = Polynomial(mu.nvars, 3, rng.standard_normal(len(exponents(mu.nvars, 3))))
-        assert nu.apply_to_polynomial(p) == pytest.approx(
-            mu.apply_to_polynomial(p), rel=1e-12, abs=1e-12
-        )
-
-
 def test_apply_dispatch():
     mu = PointEval([0.25])
     p = Polynomial.monomial(1, (2,))
@@ -582,6 +563,26 @@ def test_rhs_rejects_a_wrong_variable_count_before_evaluating():
     with pytest.raises(ValueError, match="variable count"):
         _cheb_leja(3).apply(f)
     assert f.calls == 0
+
+
+RULE_TOO_LARGE = (r"order-14 Kergin condition at exactness 21 needs a Grundmann-Moller "
+                  r"rule of 3268760 points.*lower exactness \(at most 19\)")
+
+
+def test_rhs_refuses_a_kergin_rule_past_the_desk_scale():
+    mu = KerginCondition((14,), np.linspace(-1.0, 1.0, 15))
+    with pytest.raises(ValueError, match=RULE_TOO_LARGE):
+        mu.apply_to_function(Exp(Affine([1.0])))
+
+
+def test_kergin_projector_checks_its_rule_sizes_before_building_any():
+    # the default exactness of a degree-14 projector is 21; its order-13 rule
+    # alone would take seconds and about a gigabyte before order 14 failed
+    proj = kergin_projector(nodes_by_name("real_leja", 14))
+    misses = grundmann_moller_rule.cache_info().misses
+    with pytest.raises(ValueError, match=RULE_TOO_LARGE):
+        proj.apply(Exp(Affine([1.0])))
+    assert grundmann_moller_rule.cache_info().misses == misses
 
 
 def test_rhs_pole_on_a_node_names_a_point_on_the_locus():

@@ -15,7 +15,6 @@ from nprox.projectors import (
     BSet,
     NestedUnisolvenceFailure,
     NewtonStructuredProjector,
-    parse_projector,
 )
 from nprox.testfunctions import Affine, Exp, PolynomialFunction, Recip
 from nprox.zoo import (
@@ -99,6 +98,82 @@ def test_product_nesting_failure_names_the_factor_level_pairs():
         cheb[1].newton_product(cheb[1])
     assert str(info.value).startswith(f"level 30 (factor level pairs {pairs}): ")
     assert "exceeds threshold" in str(info.value)
+    # its level-30 block (about 1.2838e12) is read by a real SVD: the two
+    # estimates differ by about cond x 1e-17, far from the threshold
+    prod = cheb[1].newton_product(cheb[1], cond_threshold=None)
+    want = complex_svd_conds(prod)[30]
+    assert want > 1e12
+    assert abs(prod.level_conds[30] - want) < 1e-5 * want
+
+
+# -- the nesting gate against a complex SVD ----------------------------------------
+
+
+def complex_svd_conds(P):
+    """Oracle: np.linalg.cond of each complex row-equilibrated leading block."""
+    conds = []
+    for j in range(P.degree + 1):
+        m = monomial_count(P.nvars, j)
+        block = P.matrix[:m, :m].astype(np.complex128)
+        conds.append(float(np.linalg.cond(block / np.max(np.abs(block), axis=1)[:, None])))
+    return np.array(conds)
+
+
+NODE_FAMILIES = ("chebyshev", "chebyshev_leja", "real_leja", "leja_disk", "equiangular",
+                 "integer")
+
+
+def gate_zoo(d):
+    """Every stock family at degree d with the gate off, then their products."""
+    circle = orthogonal_projector(circle_measure(2 * d + 1), d, cond_threshold=None)
+    singles = [taylor_projector(1, d, center=[0.3], cond_threshold=None),
+               orthogonal_projector(chebyshev_measure(2 * d + 1), d, cond_threshold=None),
+               circle]
+    for name in NODE_FAMILIES:
+        nodes = nodes_by_name(name, d)
+        singles.append(lagrange_projector(nodes, cond_threshold=None))
+        singles.append(kergin_projector(nodes, cond_threshold=None))
+    yield from singles
+    yield taylor_projector(2, d, center=[0.3, -0.2], cond_threshold=None)
+    for P in singles:
+        yield P.newton_product(P, cond_threshold=None)
+    if d <= 8:  # planar Kergin rules and 4-variable products grow fast past this
+        planar = kergin_projector(cylinder_nodes(d)[0], cond_threshold=None)
+        yield planar
+        cheb_leja = lagrange_projector(nodes_by_name("chebyshev_leja", d), cond_threshold=None)
+        kergin_x_lagrange = planar.newton_product(cheb_leja, cond_threshold=None)
+        yield kergin_x_lagrange
+        yield kergin_x_lagrange.newton_product(circle, cond_threshold=None)
+
+
+@pytest.mark.parametrize("d", [3, 8, 14])
+def test_gate_matches_the_complex_svd_oracle(d):
+    crossed = 0
+    for P in gate_zoo(d):
+        want = complex_svd_conds(P)
+        got = np.array(P.level_conds)
+        assert np.all(np.abs(got - want) <= np.maximum(1e-13, want * 1e-15) * want)
+        assert np.array_equal(got < 1e12, want < 1e12)
+        crossed += not np.all(want < 1e12)
+    # at d=14 sorted Chebyshev and integer nodes cross the default threshold
+    assert crossed == (0 if d < 14 else 5)
+
+
+def test_gate_takes_real_svds_of_a_real_matrix(monkeypatch):
+    handed = []
+    cond = np.linalg.cond
+
+    def recording(x, *args, **kwargs):
+        handed.append(x.dtype)
+        return cond(x, *args, **kwargs)
+
+    cheb = lagrange_projector(nodes_by_name("chebyshev_leja", 6))
+    monkeypatch.setattr(np.linalg, "cond", recording)
+    cheb.newton_product(cheb)
+    assert handed == [np.dtype(np.float64)] * 7
+    handed.clear()
+    lagrange_projector(nodes_by_name("leja_disk", 6))
+    assert handed == [np.dtype(np.complex128)] * 7
 
 
 def test_polynomial_rhs_reads_the_collocation_rows():
@@ -268,18 +343,6 @@ def test_spec_keys_are_checked():
         projector_from_spec({"family": "lagrange", "nodes": "real_leja"}, 4)
     with pytest.raises(ValueError, match="unknown config key 'points'"):
         projector_from_spec({"kind": "lagrange", "points": "real_leja"}, 4)
-
-
-def test_projector_json_round_trip():
-    for P in (
-        lagrange_projector(nodes_by_name("leja_disk", 3)),
-        taylor_projector(2, 2),
-        kergin_projector(nodes_by_name("real_leja", 3)),
-    ):
-        Q = parse_projector(P.to_json())
-        rng = np.random.default_rng(1)
-        p = random_poly(rng, P.nvars, P.degree)
-        assert coeff_distance(P.apply(p), Q.apply(p)) < 1e-13
 
 
 # -- product structure ---------------------------------------------------------------
