@@ -13,9 +13,11 @@ Vandermonde of the monomials; the cubature integrates polynomials of that
 degree exactly, so ``apply_to_polynomial`` is exact up to rounding.  The
 Grundmann-Moller weights alternate in sign, so that rounding grows with the
 degree: against the exact moment expansion the Kergin values agree to 1e-11
-(row-relative) through degree 10.  Inner products and tensor pairs reuse
-shared tables instead (the measure's cached Vandermonde, the factor-rank
-split).
+(row-relative) through degree 10.  Nothing is cached per functional, so
+the values do not depend on what was asked before.  Inner products read the
+measure's Vandermonde, shared by the whole basis.  A tensor pair's values
+come from its discretization like any other; a product projector gathers
+its rows from its factors' rows instead (``NewtonProduct``).
 
 On a test function, ``rhs`` applies a whole list of functionals at once and
 ``apply_to_function`` is its one-functional case.  It discretizes each
@@ -33,9 +35,9 @@ from math import comb
 
 import numpy as np
 
-from .indexing import DESK_LIMIT, factor_ranks, monomial_count, monomial_vandermonde
+from .indexing import DESK_LIMIT, monomial_vandermonde
 from .measures import QuadratureMeasure
-from .points import cartesian
+from .points import as_rows, cartesian
 from .polynomials import Polynomial
 from .simplex import grundmann_moller_rule, rule_order_for_exactness
 from .testfunctions import TestFunction
@@ -62,19 +64,10 @@ class Functional:
 
     nvars: int
 
-    def __init__(self):
-        self._mono_cache: tuple[int, np.ndarray] | None = None
-
     # -- exact action on polynomials ------------------------------------
 
     def on_monomials(self, degree: int) -> np.ndarray:
         """Values on every graded-lex monomial of degree <= ``degree``."""
-        cached = self._mono_cache
-        if cached is None or cached[0] < degree:
-            self._mono_cache = (degree, self._monomial_values(degree))
-        return self._mono_cache[1][: monomial_count(self.nvars, degree)]
-
-    def _monomial_values(self, degree: int) -> np.ndarray:
         return sum(
             weights @ monomial_vandermonde(pts, degree, alpha)
             for weights, pts, alpha in self.discretize(degree)
@@ -115,7 +108,6 @@ class Functional:
 
 class PointEval(Functional):
     def __init__(self, point):
-        super().__init__()
         self.point = _point_array(point)
         self.nvars = self.point.shape[0]
 
@@ -128,7 +120,6 @@ class PointEval(Functional):
 
 class DerivativeEval(Functional):
     def __init__(self, alpha, point):
-        super().__init__()
         self.point = _point_array(point)
         self.nvars = self.point.shape[0]
         self.alpha = tuple(int(a) for a in alpha)
@@ -154,12 +145,8 @@ class KerginCondition(Functional):
     """
 
     def __init__(self, alpha, nodes):
-        super().__init__()
         self.alpha = tuple(int(a) for a in alpha)
-        nodes = np.asarray(nodes, dtype=np.complex128)
-        if nodes.ndim == 1:
-            nodes = nodes.reshape(-1, 1)
-        self.nodes = nodes
+        self.nodes = nodes = as_rows(nodes)
         self.nvars = nodes.shape[1]
         if len(self.alpha) != self.nvars or any(a < 0 for a in self.alpha):
             raise ValueError(f"bad derivative order {alpha}")
@@ -204,7 +191,6 @@ class InnerProduct(Functional):
     """
 
     def __init__(self, basis: Polynomial, measure: QuadratureMeasure, basis_values=None):
-        super().__init__()
         if basis.nvars != measure.nvars:
             raise ValueError("basis and measure variable counts disagree")
         self.basis = basis
@@ -217,9 +203,9 @@ class InnerProduct(Functional):
     def _weighted_conj(self):
         return self.measure.weights * np.conj(self._bvals)
 
-    def _monomial_values(self, degree):
-        V = self.measure.monomial_values(degree)
-        return V @ self._weighted_conj()
+    def on_monomials(self, degree):
+        # the measure's cached Vandermonde, shared by the whole basis
+        return self.measure.monomial_values(degree) @ self._weighted_conj()
 
     def discretize(self, exactness):
         return [(self._weighted_conj(), self.measure.nodes, (0,) * self.nvars)]
@@ -231,20 +217,16 @@ class InnerProduct(Functional):
 class Tensor(Functional):
     """``(mu (x) nu)(f)``: mu in the left variable block, nu in the right.
 
-    On polynomials the action splits exactly along the graded-lex coefficient
-    decomposition; on test functions it multiplies out the factor
-    discretizations (iterated quadrature/evaluation).
+    Both on polynomials and on test functions it multiplies out the factor
+    discretizations (iterated quadrature/evaluation).  A product projector
+    does not ask its tensor conditions for their rows: it gathers them from
+    its factors' collocation rows.
     """
 
     def __init__(self, left: Functional, right: Functional):
-        super().__init__()
         self.left = left
         self.right = right
         self.nvars = left.nvars + right.nvars
-
-    def _monomial_values(self, degree):
-        r1, r2 = factor_ranks(self.left.nvars, self.right.nvars, degree)
-        return self.left.on_monomials(degree)[r1] * self.right.on_monomials(degree)[r2]
 
     def discretize(self, exactness):
         return self._batches(exactness, {})

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .config import check_config_keys
+from .points import as_rows
 from .polynomials import Polynomial
 
 
@@ -267,9 +268,7 @@ def omega_density(points, norm: Norm, omega: float, rmax: float,
     to radius rmax or beyond; the count saturates otherwise and the estimate
     is an overcount of nothing, i.e. too small.
     """
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = as_rows(points)
     norms = np.sort(norm.value(pts))
     if norms.size and norms[-1] < rmax:
         raise ValueError("point sequence too short for rmax: counting saturates")

@@ -60,7 +60,9 @@ def exponents(nvars: int, degree: int) -> np.ndarray:
     Returns a read-only int32 array of shape ``(monomial_count, nvars)``.
     """
     monomial_count(nvars, degree)  # desk-scale guard
-    blocks = [_degree_block(nvars, j) for j in range(degree + 1)]
+    # below degree 0 there are no rows, as monomial_count says
+    blocks = [np.empty((0, nvars), dtype=np.int32)]
+    blocks += [_degree_block(nvars, j) for j in range(degree + 1)]
     out = np.vstack(blocks)
     out.setflags(write=False)
     return out

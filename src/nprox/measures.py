@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import check_config_keys
 from .indexing import degree_starts, monomial_count, monomial_vandermonde
-from .points import cartesian, chebyshev_nodes, equiangular_nodes
+from .points import as_rows, cartesian, chebyshev_nodes, equiangular_nodes
 from .polynomials import Polynomial
 
 
@@ -32,9 +32,7 @@ class QuadratureMeasure:
     __slots__ = ("nodes", "weights", "exactness", "domain", "_spec", "_cache")
 
     def __init__(self, nodes, weights, exactness: int, domain: str = "custom", spec=None):
-        nodes = np.asarray(nodes, dtype=np.complex128)
-        if nodes.ndim == 1:
-            nodes = nodes.reshape(-1, 1)
+        nodes = as_rows(nodes)
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError("node and weight counts disagree")
@@ -219,9 +217,7 @@ def bm_diagnostic(basis: OrthonormalBasis, sample_points) -> BMDiagnostic:
     A growth rate near 1 is the Bernstein-Markov signature; rates clearly
     above 1 mean the measure is too thin for the sampled compact.
     """
-    pts = np.asarray(sample_points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = as_rows(sample_points)
     starts = degree_starts(basis.measure.nvars, basis.degree)
     degrees = list(range(basis.degree + 1))
     max_norms = []

@@ -1,7 +1,8 @@
 """Interpolation node families: Leja sequences and classical 1-D grids.
 
-``cartesian`` pairs the rows of two point sets, which is how product
-measures, tensor conditions and product compacts build their points.
+``as_rows`` reads a point set as rows of coordinates, a 1-D sequence as
+one variable.  ``cartesian`` pairs the rows of two point sets, which is how
+product measures, tensor conditions and product compacts build their points.
 
 Point sequences are plain 1-D numpy arrays (complex for the disk, real-valued
 complex for intervals); prefixes are slices.  The Leja sequence on the unit
@@ -81,6 +82,12 @@ def real_leja(points, tol: float = 1e-12) -> np.ndarray:
         if all(abs(value - seen) > tol for seen in out):
             out.append(float(value))
     return np.array(out)
+
+
+def as_rows(points) -> np.ndarray:
+    """``points`` as complex128 rows; a 1-D sequence becomes one column."""
+    pts = np.asarray(points, dtype=np.complex128)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 def cartesian(left, right) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Newton-structured polynomial projectors and their products.
 
-A projector of degree d in n variables is specified by conditions (linear
-functionals) arranged in levels 0..d, where level j contributes exactly
-dim P_j - dim P_{j-1} conditions.  The collocation matrix on the graded-lex
-monomial basis is assembled exactly from each functional's monomial values.
+A projector of degree d in n variables is specified by dim P_d conditions
+(linear functionals) in graded-lex level order: level j is the next
+dim P_j - dim P_{j-1} of them, so the count fixes the degree.  The
+collocation matrix on the graded-lex monomial basis is assembled exactly
+from each functional's monomial values.
 Nested unisolvence means every leading block (conditions up to level j
 against monomials up to degree j) is invertible; it is checked at build time
 through condition-number estimates, and it is what makes degree truncation
@@ -13,9 +14,12 @@ truncations.
 
 Products: given projectors on n1 and n2 variables, the product projector on
 n1 + n2 variables has levels J_i = union over i1 + i2 = i of tensor pairs
-J1_{i1} x J2_{i2}.  Its Newton summands factor through the factors' summands,
-which yields both an evaluation formula for separable functions and a finite
-expansion of the approximation residual for polynomial inputs.
+J1_{i1} x J2_{i2}.  Every row of its collocation matrix is therefore a
+left-factor row times a right-factor row, split along the factor ranks, and
+is gathered from the factors' rows.  Its Newton summands factor through the
+factors' summands, which yields both an evaluation formula for separable
+functions and a finite expansion of the approximation residual for
+polynomial inputs.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
-from .indexing import monomial_count
+from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import TestFunction
 
@@ -64,12 +68,13 @@ class BSet:
 
 
 class NewtonStructuredProjector:
-    """Polynomial projector built from leveled interpolation conditions.
+    """Polynomial projector built from graded interpolation conditions.
 
     Parameters
     ----------
-    levels : list of lists of functionals; level j must hold exactly
-        dim P_j - dim P_{j-1} conditions in the common variable count.
+    conditions : functionals in one variable count, in graded-lex level
+        order; their number must be dim P_d for some d, which is the degree.
+        ``levels[j]`` is the slice of level j.
     cond_threshold : reject the construction if any leading block of the
         (row-equilibrated) collocation matrix has a condition estimate above
         this; None disables the check.  The default suits node families with
@@ -77,30 +82,40 @@ class NewtonStructuredProjector:
         legitimate past it, in which case callers relax it explicitly.
     """
 
-    def __init__(self, levels, cond_threshold: float | None = 1e12):
-        if not levels or not levels[0]:
+    def __init__(self, conditions, cond_threshold: float | None = 1e12):
+        self.conditions: list[Functional] = list(conditions)
+        if not self.conditions:
             raise ValueError("need at least the level-0 condition")
-        self.levels = [list(level) for level in levels]
-        self.conditions: list[Functional] = [mu for level in self.levels for mu in level]
         self.nvars = self.conditions[0].nvars
-        self.degree = len(self.levels) - 1
-        for mu in self.conditions:
-            if mu.nvars != self.nvars:
-                raise ValueError("conditions mix variable counts")
-        for j, level in enumerate(self.levels):
-            need = monomial_count(self.nvars, j) - monomial_count(self.nvars, j - 1)
-            if len(level) != need:
-                raise ValueError(
-                    f"level {j} has {len(level)} conditions, needs {need}"
-                )
+        if any(mu.nvars != self.nvars for mu in self.conditions):
+            raise ValueError("conditions mix variable counts")
+        count = len(self.conditions)
+        self.degree = 0
+        while monomial_count(self.nvars, self.degree) < count:
+            self.degree += 1
+        if monomial_count(self.nvars, self.degree) != count:
+            raise ValueError(
+                f"{count} conditions do not fill a graded space in {self.nvars} variables"
+            )
+        starts = degree_starts(self.nvars, self.degree)
+        self.levels = [self.conditions[lo:hi] for lo, hi in zip(starts, starts[1:])]
         self.cond_threshold = cond_threshold
-        size = monomial_count(self.nvars, self.degree)
-        matrix = np.empty((size, size), dtype=np.complex128)
-        for i, mu in enumerate(self.conditions):
-            matrix[i] = mu.on_monomials(self.degree)
-        self.matrix = matrix
+        self.matrix = self._assemble(self.degree)
         self.level_conds = self._check_nesting()
         self._factors: dict[int, tuple] = {}
+
+    # -- collocation rows ----------------------------------------------------
+
+    def _assemble(self, degree: int) -> np.ndarray:
+        """Every condition's values on the monomials of degree <= ``degree``."""
+        return np.array([mu.on_monomials(degree) for mu in self.conditions],
+                        dtype=np.complex128)
+
+    def _rows(self, degree: int) -> np.ndarray:
+        """``_assemble(degree)``, sliced from the matrix up to the projector degree."""
+        if degree <= self.degree:
+            return self.matrix[:, :monomial_count(self.nvars, degree)]
+        return self._assemble(degree)
 
     # -- construction-time checks ------------------------------------------
 
@@ -161,18 +176,13 @@ class NewtonStructuredProjector:
 
     def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
         """Values of f under the conditions of levels 0..k (default: all)."""
-        conditions = self.conditions
-        if k is not None:
-            conditions = conditions[:monomial_count(self.nvars, k)]
+        n = len(self.conditions) if k is None else monomial_count(self.nvars, k)
         if isinstance(f, Polynomial):
             if f.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
-            if f.degree > self.degree:
-                return np.array([mu.apply_to_polynomial(f) for mu in conditions])
-            # the collocation rows already hold every condition's monomial values
-            return self.matrix[:len(conditions), :f.coeffs.shape[0]] @ f.coeffs
+            return self._rows(f.degree)[:n] @ f.coeffs
         if isinstance(f, TestFunction):
-            return rhs(conditions, f, self._exactness(exactness))
+            return rhs(self.conditions[:n], f, self._exactness(exactness))
         raise TypeError(f"cannot project a {type(f).__name__}")
 
     def apply(self, f, exactness: int | None = None) -> Polynomial:
@@ -210,7 +220,9 @@ class NewtonProduct(NewtonStructuredProjector):
 
     Level i collects the tensor conditions mu1 (x) mu2 with mu1 from the left
     factor's level i1 and mu2 from the right factor's level i - i1, for
-    i1 = 0..i.  The product degree is the smaller factor degree.
+    i1 = 0..i.  The product degree is the smaller factor degree.  The factor
+    condition indices of each tensor condition are kept, and its collocation
+    row is gathered from the two factor rows.
     """
 
     def __init__(self, left: NewtonStructuredProjector,
@@ -219,10 +231,19 @@ class NewtonProduct(NewtonStructuredProjector):
         self.left = left
         self.right = right
         degree = min(left.degree, right.degree)
-        levels = [[Tensor(mu1, mu2) for i1, i2 in self._level_pairs(i)
-                   for mu1 in left.levels[i1] for mu2 in right.levels[i2]]
-                  for i in range(degree + 1)]
-        super().__init__(levels, cond_threshold=cond_threshold)
+        s1 = degree_starts(left.nvars, degree)
+        s2 = degree_starts(right.nvars, degree)
+        pairs = [(a, b) for i in range(degree + 1) for i1, i2 in self._level_pairs(i)
+                 for a in range(s1[i1], s1[i1 + 1]) for b in range(s2[i2], s2[i2 + 1])]
+        self._pairs = np.array(pairs, dtype=np.intp).T
+        super().__init__([Tensor(left.conditions[a], right.conditions[b]) for a, b in pairs],
+                         cond_threshold=cond_threshold)
+
+    def _assemble(self, degree: int) -> np.ndarray:
+        r1, r2 = factor_ranks(self.left.nvars, self.right.nvars, degree)
+        a, b = self._pairs
+        return (self.left._rows(degree)[np.ix_(a, r1)]
+                * self.right._rows(degree)[np.ix_(b, r2)])
 
     @staticmethod
     def _level_pairs(i: int) -> list[tuple[int, int]]:

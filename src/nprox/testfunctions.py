@@ -5,7 +5,7 @@ exponentials and reciprocals of affine forms, sums and products, plus
 polynomial leaves.  Every node can evaluate ``D^alpha f`` exactly at a batch
 of complex points, which is what the functional layer consumes.
 
-Trees serialize to a JSON prefix grammar, e.g.::
+Trees are read from a JSON prefix grammar (``parse_function``), e.g.::
 
     ["exp", ["affine", [0.5], 0.0]]          # exp(z/2)
     ["product", ["coord", 0], ["recip", ["affine", [1.0], -2.0]]]
@@ -73,9 +73,6 @@ class TestFunction:
         """Affine forms ``(coeffs, const)`` whose zero sets are poles of self."""
         return []
 
-    def to_tree(self):
-        raise NotImplementedError
-
     def __add__(self, other):
         return Sum([self, _coerce(other, self.nvars)])
 
@@ -111,9 +108,6 @@ class Const(TestFunction):
         fill = self.value if sum(alpha) == 0 else 0.0
         return np.full(pts.shape[0], fill, dtype=np.complex128)
 
-    def to_tree(self):
-        return ["const", _scalar_tree(self.value)]
-
 
 class Affine(TestFunction):
     """The affine form ``coeffs . z + const``."""
@@ -136,9 +130,6 @@ class Affine(TestFunction):
             return np.full(pts.shape[0], self.coeffs[v], dtype=np.complex128)
         return np.zeros(pts.shape[0], dtype=np.complex128)
 
-    def to_tree(self):
-        return ["affine", [_scalar_tree(c) for c in self.coeffs], _scalar_tree(self.const)]
-
 
 def coordinate(nvars, index):
     coeffs = np.zeros(nvars)
@@ -160,9 +151,6 @@ class Exp(TestFunction):
         pts = _as_points(pts, self.nvars)
         scale = np.prod([self.arg.coeffs[v] ** a for v, a in enumerate(alpha)])
         return scale * np.exp(pts @ self.arg.coeffs + self.arg.const)
-
-    def to_tree(self):
-        return ["exp", self.arg.to_tree()]
 
 
 class Recip(TestFunction):
@@ -191,9 +179,6 @@ class Recip(TestFunction):
     def poles(self):
         return [(self.arg.coeffs.copy(), self.arg.const)]
 
-    def to_tree(self):
-        return ["recip", self.arg.to_tree()]
-
 
 class Sum(TestFunction):
     def __init__(self, terms):
@@ -214,9 +199,6 @@ class Sum(TestFunction):
 
     def poles(self):
         return [p for t in self.terms for p in t.poles()]
-
-    def to_tree(self):
-        return ["sum"] + [t.to_tree() for t in self.terms]
 
 
 class Product(TestFunction):
@@ -252,9 +234,6 @@ class Product(TestFunction):
     def poles(self):
         return [p for f in self.factors for p in f.poles()]
 
-    def to_tree(self):
-        return ["product"] + [f.to_tree() for f in self.factors]
-
 
 class PolynomialFunction(TestFunction):
     """A polynomial wrapped as a test function (derivatives are exact)."""
@@ -267,18 +246,8 @@ class PolynomialFunction(TestFunction):
         alpha = _check_alpha(alpha, self.nvars)
         return self.poly.derivative(alpha).eval_many(_as_points(pts, self.nvars))
 
-    def to_tree(self):
-        return ["poly", self.poly.to_json()]
-
 
 # -- prefix grammar ----------------------------------------------------------
-
-
-def _scalar_tree(value):
-    value = complex(value)
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
 
 
 def _parse_scalar(obj):

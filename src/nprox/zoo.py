@@ -1,9 +1,11 @@
 """Stock projector families: Taylor, Lagrange, Kergin, orthogonal.
 
-Each builder arranges its conditions into the graded level structure the
-engine expects.  Families are also constructible from a JSON-friendly spec
-(``projector_from_spec``), with the degree kept as a free parameter so
-convergence sweeps can rebuild one family across degrees.
+Each builder lists its conditions in the graded-lex order the engine
+expects, one per exponent row of ``exponents(nvars, degree)``, point or
+basis element; the engine cuts that list into levels.  Families are also
+constructible from a JSON-friendly spec (``projector_from_spec``), with the
+degree kept as a free parameter so convergence sweeps can rebuild one family
+across degrees.
 """
 from __future__ import annotations
 
@@ -11,16 +13,11 @@ import numpy as np
 
 from .config import check_config_keys
 from .functionals import DerivativeEval, InnerProduct, KerginCondition, PointEval
-from .indexing import exponents, monomial_count
+from .indexing import exponents
 from .measures import gram_schmidt_basis, parse_measure
-from .points import (chebyshev_nodes, equiangular_nodes, integer_nodes,
+from .points import (as_rows, chebyshev_nodes, equiangular_nodes, integer_nodes,
                      leja_disk, leja_greedy, real_leja)
 from .projectors import NewtonStructuredProjector
-
-
-def _level_exponents(nvars: int, j: int) -> np.ndarray:
-    E = exponents(nvars, j)
-    return E[monomial_count(nvars, j - 1):]
 
 
 def taylor_projector(nvars: int, degree: int, center=None,
@@ -28,11 +25,8 @@ def taylor_projector(nvars: int, degree: int, center=None,
     """Degree truncation of the Taylor expansion around the center."""
     if center is None:
         center = np.zeros(nvars)
-    levels = [
-        [DerivativeEval(tuple(alpha), center) for alpha in _level_exponents(nvars, j)]
-        for j in range(degree + 1)
-    ]
-    return NewtonStructuredProjector(levels, cond_threshold=cond_threshold)
+    conditions = [DerivativeEval(alpha, center) for alpha in exponents(nvars, degree)]
+    return NewtonStructuredProjector(conditions, cond_threshold=cond_threshold)
 
 
 def lagrange_projector(points, cond_threshold: float | None = 1e12) -> NewtonStructuredProjector:
@@ -43,22 +37,8 @@ def lagrange_projector(points, cond_threshold: float | None = 1e12) -> NewtonStr
     check sees every prefix, and Leja-style orderings keep those blocks
     well conditioned.
     """
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    nvars = pts.shape[1]
-    degree = 0
-    while monomial_count(nvars, degree) < pts.shape[0]:
-        degree += 1
-    if monomial_count(nvars, degree) != pts.shape[0]:
-        raise ValueError(
-            f"{pts.shape[0]} points do not fill a graded space in {nvars} variables"
-        )
-    levels = []
-    for j in range(degree + 1):
-        lo, hi = monomial_count(nvars, j - 1), monomial_count(nvars, j)
-        levels.append([PointEval(p) for p in pts[lo:hi]])
-    return NewtonStructuredProjector(levels, cond_threshold=cond_threshold)
+    conditions = [PointEval(p) for p in as_rows(points)]
+    return NewtonStructuredProjector(conditions, cond_threshold=cond_threshold)
 
 
 def kergin_projector(nodes, cond_threshold: float | None = 1e12) -> NewtonStructuredProjector:
@@ -69,16 +49,10 @@ def kergin_projector(nodes, cond_threshold: float | None = 1e12) -> NewtonStruct
     nodes.  In one variable this reduces to divided-difference (Newton)
     interpolation at the same nodes.
     """
-    nds = np.asarray(nodes, dtype=np.complex128)
-    if nds.ndim == 1:
-        nds = nds.reshape(-1, 1)
-    degree = nds.shape[0] - 1
-    nvars = nds.shape[1]
-    levels = [
-        [KerginCondition(tuple(alpha), nds[: j + 1]) for alpha in _level_exponents(nvars, j)]
-        for j in range(degree + 1)
-    ]
-    return NewtonStructuredProjector(levels, cond_threshold=cond_threshold)
+    nds = as_rows(nodes)
+    conditions = [KerginCondition(alpha, nds[:alpha.sum() + 1])
+                  for alpha in exponents(nds.shape[1], nds.shape[0] - 1)]
+    return NewtonStructuredProjector(conditions, cond_threshold=cond_threshold)
 
 
 def orthogonal_projector(measure, degree: int,
@@ -90,16 +64,9 @@ def orthogonal_projector(measure, degree: int,
     projections, so Newton summands are the per-degree partial sums.
     """
     basis = gram_schmidt_basis(measure, degree)
-    levels = []
-    for j in range(degree + 1):
-        lo, hi = monomial_count(measure.nvars, j - 1), monomial_count(measure.nvars, j)
-        levels.append(
-            [
-                InnerProduct(basis.polys[i], measure, basis_values=basis.node_values[i])
-                for i in range(lo, hi)
-            ]
-        )
-    return NewtonStructuredProjector(levels, cond_threshold=cond_threshold)
+    conditions = [InnerProduct(b, measure, basis_values=v)
+                  for b, v in zip(basis.polys, basis.node_values)]
+    return NewtonStructuredProjector(conditions, cond_threshold=cond_threshold)
 
 
 # -- 1-D node menus and parametric specs ----------------------------------------

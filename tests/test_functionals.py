@@ -238,16 +238,18 @@ def test_pole_detection_reports_locus():
 
 
 def test_prefix_grammar_round_trip():
-    trees = [
-        ["exp", ["affine", [0.5], 0.0]],
-        ["product", ["coord", 0], ["recip", ["affine", [1.0, 0.0], -2.0]]],
-        ["sum", ["const", 1.5], ["affine", [[0.0, 1.0], 2.0], 0.25]],
+    cases = [
+        (["exp", ["affine", [0.5], 0.0]], Exp(Affine([0.5], 0.0))),
+        (["product", ["coord", 0], ["recip", ["affine", [1.0, 0.0], -2.0]]],
+         Product([coordinate(2, 0), Recip(Affine([1.0, 0.0], -2.0))])),
+        (["sum", ["const", 1.5], ["affine", [[0.0, 1.0], 2.0], 0.25]],
+         Sum([Const(2, 1.5), Affine([1j, 2.0], 0.25)])),
     ]
-    for tree, nvars in zip(trees, (1, 2, 2)):
-        f = parse_function(tree, nvars)
-        g = parse_function(f.to_tree(), nvars)
-        pts = np.full((3, nvars), 0.3) + 0.1j
-        assert np.allclose(f.values(pts), g.values(pts))
+    for tree, want in cases:
+        got = parse_function(tree, want.nvars)
+        assert type(got) is type(want)
+        pts = np.full((3, want.nvars), 0.3) + 0.1j
+        assert np.array_equal(got.values(pts), want.values(pts))
 
 
 def test_prefix_grammar_rejects_garbage():

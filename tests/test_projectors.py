@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from nprox.experiments import cylinder_nodes
-from nprox.functionals import PointEval
+from nprox.functionals import KerginCondition, PointEval
 from nprox.indexing import exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import chebyshev_nodes, leja_disk, real_leja
@@ -51,15 +51,25 @@ def all_families(degree):
 
 
 def test_level_cardinality_enforced():
-    with pytest.raises(ValueError, match="level 2"):
-        NewtonStructuredProjector([[PointEval([0.0])], [PointEval([1.0])], []])
+    # in two variables dim P_0, P_1, P_2 = 1, 3, 6: 2 and 4 conditions fill none
+    points = [PointEval([0.1 * i, 0.3 * i * i]) for i in range(4)]
+    for count in (2, 4):
+        with pytest.raises(ValueError, match="graded"):
+            NewtonStructuredProjector(points[:count])
+    P = NewtonStructuredProjector(points[:3])
+    assert P.degree == 1
+    assert [len(level) for level in P.levels] == [1, 2]
     with pytest.raises(ValueError):
         NewtonStructuredProjector([])
+    # builders that list one condition per exponent row have none to list
+    for build in (lambda: kergin_projector([]), lambda: taylor_projector(1, -1)):
+        with pytest.raises(ValueError, match="level-0 condition"):
+            build()
 
 
 def test_mixed_variable_counts_rejected():
     with pytest.raises(ValueError, match="variable counts"):
-        NewtonStructuredProjector([[PointEval([0.0])], [PointEval([1.0, 2.0])]])
+        NewtonStructuredProjector([PointEval([0.0]), PointEval([1.0, 2.0])])
 
 
 def test_lagrange_needs_graded_count():
@@ -187,12 +197,71 @@ def test_polynomial_rhs_reads_the_collocation_rows():
             want = np.array([mu.apply_to_polynomial(p) for mu in conditions])
             got = prod._rhs(p, None, k)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # above it the conditions are applied one at a time, at the polynomial's degree
+    # above it the rows are gathered afresh at the polynomial's degree
     p = random_poly(rng, 2, 6, cplx=True)
     want = np.array([mu.apply_to_polynomial(p) for mu in prod.conditions])
-    assert np.array_equal(prod._rhs(p, None), want)
+    got = prod._rhs(p, None)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="variable count"):
         prod.apply(random_poly(rng, 3, 2))
+
+
+# -- product rows gathered from the factors' rows ----------------------------------
+
+
+def tensor_rows_oracle(P, degree):
+    """Each condition's own values on the monomials, one condition at a time.
+
+    A product's conditions are tensor pairs, which reach this through their
+    discretization: the factor rules multiplied out over Cartesian points.
+    """
+    return np.array([mu.on_monomials(degree) for mu in P.conditions])
+
+
+def gather_zoo(d):
+    """Ordered products of the stock families at degree d, and a product of a product."""
+    singles = [taylor_projector(1, d, center=[0.3], cond_threshold=None),
+               orthogonal_projector(chebyshev_measure(2 * d + 1), d, cond_threshold=None),
+               orthogonal_projector(circle_measure(2 * d + 1), d, cond_threshold=None)]
+    for name in ("chebyshev_leja", "real_leja", "leja_disk"):
+        nodes = nodes_by_name(name, d)
+        singles.append(lagrange_projector(nodes, cond_threshold=None))
+        singles.append(kergin_projector(nodes, cond_threshold=None))
+    for left in singles:
+        for right in singles:
+            yield left.newton_product(right, cond_threshold=None)
+    planar = kergin_projector(cylinder_nodes(d)[0], cond_threshold=None)
+    inner = planar.newton_product(singles[3], cond_threshold=None)
+    yield inner.newton_product(singles[2], cond_threshold=None)
+
+
+def assert_rows_close(got, want):
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+# The gather and the oracle round the Kergin rules' alternating weights
+# differently; that gap grows with the degree (worst 2.0e-14 at d=4, 3.6e-12
+# for the degree-10 rows at d=7), so the row-relative 1e-13 holds through d=4.
+@pytest.mark.parametrize("d", [2, 4])
+def test_product_rows_match_the_per_condition_oracle(d):
+    for prod in gather_zoo(d):
+        assert_rows_close(prod.matrix, tensor_rows_oracle(prod, d))
+        # above the projector degree the rows are gathered afresh
+        assert_rows_close(prod._rows(d + 3), tensor_rows_oracle(prod, d + 3))
+
+
+def test_collocation_rows_do_not_depend_on_history():
+    K = kergin_projector(nodes_by_name("leja_disk", 6))
+    L = lagrange_projector(nodes_by_name("real_leja", 6))
+    first = K.newton_product(L).matrix
+    # a polynomial above the product degree asks the factors for degree-12 rows
+    K.newton_product(L).apply(random_poly(np.random.default_rng(5), 2, 12))
+    assert np.array_equal(K.newton_product(L).matrix, first)
+    mu = KerginCondition((6,), nodes_by_name("leja_disk", 6))
+    before = mu.on_monomials(6)
+    mu.on_monomials(15)
+    assert np.array_equal(mu.on_monomials(6), before)
 
 
 # -- projector identities ----------------------------------------------------------
