@@ -20,7 +20,11 @@ come from its discretization like any other; a product projector gathers
 its rows from its factors' rows instead (``NewtonProduct``).
 
 On a test function, ``rhs`` applies a whole list of functionals at once and
-``apply_to_function`` is its one-functional case.  It discretizes each
+``apply_to_function`` is its one-functional case.  A product projector
+hands it tensor pairs only for a test function that does not separate
+(``TestFunction.split``): on f = f1 (x) f2 a pair's value is mu(f1) * nu(f2),
+so the product applies each factor's conditions to its part and gathers
+the products of the values (``NewtonProduct``).  ``rhs`` discretizes each
 factor of a tensor pair once, and Kergin conditions on the same nodes share
 one mapped rule, dropped once the conditions that use it are done and its
 last pending piece is evaluated.  A tensor batch is cut into row pieces of

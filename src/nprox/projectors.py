@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
 from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
-from .testfunctions import TestFunction
+from .testfunctions import PoleOnSupportError, TestFunction
 
 
 class NestedUnisolvenceFailure(ValueError):
@@ -176,14 +176,18 @@ class NewtonStructuredProjector:
 
     def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
         """Values of f under the conditions of levels 0..k (default: all)."""
-        n = len(self.conditions) if k is None else monomial_count(self.nvars, k)
+        if not isinstance(f, (Polynomial, TestFunction)):
+            raise TypeError(f"cannot project a {type(f).__name__}")
+        if f.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        k = self.degree if k is None else k
         if isinstance(f, Polynomial):
-            if f.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return self._rows(f.degree)[:n] @ f.coeffs
-        if isinstance(f, TestFunction):
-            return rhs(self.conditions[:n], f, self._exactness(exactness))
-        raise TypeError(f"cannot project a {type(f).__name__}")
+            return self._rows(f.degree)[:monomial_count(self.nvars, k)] @ f.coeffs
+        return self._function_rhs(f, self._exactness(exactness), k)
+
+    def _function_rhs(self, f: TestFunction, exactness: int, k: int) -> np.ndarray:
+        """Values of the test function f under the conditions of levels 0..k."""
+        return rhs(self.conditions[:monomial_count(self.nvars, k)], f, exactness)
 
     def apply(self, f, exactness: int | None = None) -> Polynomial:
         """Project f onto polynomials of the full degree."""
@@ -222,7 +226,12 @@ class NewtonProduct(NewtonStructuredProjector):
     factor's level i1 and mu2 from the right factor's level i - i1, for
     i1 = 0..i.  The product degree is the smaller factor degree.  The factor
     condition indices of each tensor condition are kept, and its collocation
-    row is gathered from the two factor rows.
+    row is gathered from the two factor rows.  So is its value on a test
+    function that splits into f1 (x) f2 along the factor variables: the
+    factors apply their conditions of the levels asked for to f1 and f2, at
+    the product's exactness, and each tensor condition takes the product of
+    its two factor values.  A test function that does not split goes through
+    ``functionals.rhs`` as a list of tensor conditions.
     """
 
     def __init__(self, left: NewtonStructuredProjector,
@@ -244,6 +253,24 @@ class NewtonProduct(NewtonStructuredProjector):
         a, b = self._pairs
         return (self.left._rows(degree)[np.ix_(a, r1)]
                 * self.right._rows(degree)[np.ix_(b, r2)])
+
+    def _function_rhs(self, f, exactness, k):
+        parts = f.split(self.left.nvars)
+        if parts is None:
+            return super()._function_rhs(f, exactness, k)
+        values = []
+        for factor, g, before, after in ((self.left, parts[0], 0, self.right.nvars),
+                                         (self.right, parts[1], self.left.nvars, 0)):
+            try:
+                values.append(factor._function_rhs(g, exactness, k))
+            except PoleOnSupportError as err:
+                # name the pole in the product's variables: the other block's
+                # coefficients are 0, so any coordinates there stay on the locus
+                pad = (before, after)
+                raise PoleOnSupportError(np.pad(err.coeffs, pad), err.const,
+                                         np.pad(err.point, pad)) from err
+        a, b = self._pairs[:, :monomial_count(self.nvars, k)]
+        return values[0][a] * values[1][b]
 
     @staticmethod
     def _level_pairs(i: int) -> list[tuple[int, int]]:

@@ -3,7 +3,11 @@
 Functions are small expression trees over constants, affine forms,
 exponentials and reciprocals of affine forms, sums and products, plus
 polynomial leaves.  Every node can evaluate ``D^alpha f`` exactly at a batch
-of complex points, which is what the functional layer consumes.
+of complex points, which is what the functional layer consumes.  Constants,
+exponentials, and affine forms and their reciprocals that involve one
+variable block, and products of these, ``split`` into a tensor product of
+two functions on the leading and trailing variables; a product projector
+uses that to apply its factors' conditions to the parts.
 
 Trees are read from a JSON prefix grammar (``parse_function``), e.g.::
 
@@ -73,6 +77,15 @@ class TestFunction:
         """Affine forms ``(coeffs, const)`` whose zero sets are poles of self."""
         return []
 
+    def split(self, k: int):
+        """``(f_left, f_right)`` with f = f_left (x) f_right, or None.
+
+        f_left acts on the first k variables and f_right on the rest, so a
+        tensor functional mu (x) nu takes the value mu(f_left) * nu(f_right).
+        None means f does not separate there, or the node cannot tell.
+        """
+        return None
+
     def __add__(self, other):
         return Sum([self, _coerce(other, self.nvars)])
 
@@ -108,6 +121,9 @@ class Const(TestFunction):
         fill = self.value if sum(alpha) == 0 else 0.0
         return np.full(pts.shape[0], fill, dtype=np.complex128)
 
+    def split(self, k):
+        return Const(k, self.value), Const(self.nvars - k, 1.0)
+
 
 class Affine(TestFunction):
     """The affine form ``coeffs . z + const``."""
@@ -130,6 +146,14 @@ class Affine(TestFunction):
             return np.full(pts.shape[0], self.coeffs[v], dtype=np.complex128)
         return np.zeros(pts.shape[0], dtype=np.complex128)
 
+    def split(self, k):
+        lo, hi = self.coeffs[:k], self.coeffs[k:]
+        if not np.any(hi):
+            return Affine(lo, self.const), Const(self.nvars - k, 1.0)
+        if not np.any(lo):
+            return Const(k, 1.0), Affine(hi, self.const)
+        return None
+
 
 def coordinate(nvars, index):
     coeffs = np.zeros(nvars)
@@ -151,6 +175,10 @@ class Exp(TestFunction):
         pts = _as_points(pts, self.nvars)
         scale = np.prod([self.arg.coeffs[v] ** a for v, a in enumerate(alpha)])
         return scale * np.exp(pts @ self.arg.coeffs + self.arg.const)
+
+    def split(self, k):
+        coeffs = self.arg.coeffs
+        return Exp(Affine(coeffs[:k], self.arg.const)), Exp(Affine(coeffs[k:], 0.0))
 
 
 class Recip(TestFunction):
@@ -178,6 +206,14 @@ class Recip(TestFunction):
 
     def poles(self):
         return [(self.arg.coeffs.copy(), self.arg.const)]
+
+    def split(self, k):
+        parts = self.arg.split(k)
+        if parts is None:
+            return None
+        # the affine part of the split keeps the constant, and its reciprocal
+        # keeps the pole test's scale
+        return tuple(Recip(p) if isinstance(p, Affine) else p for p in parts)
 
 
 class Sum(TestFunction):
@@ -233,6 +269,20 @@ class Product(TestFunction):
 
     def poles(self):
         return [p for f in self.factors for p in f.poles()]
+
+    def split(self, k):
+        parts = [f.split(k) for f in self.factors]
+        if any(p is None for p in parts):
+            return None
+        return _product(k, [p[0] for p in parts]), _product(self.nvars - k, [p[1] for p in parts])
+
+
+def _product(nvars, factors):
+    """The product of ``factors`` without unit constants; a lone factor is bare."""
+    factors = [f for f in factors if not (isinstance(f, Const) and f.value == 1)]
+    if not factors:
+        return Const(nvars, 1.0)
+    return factors[0] if len(factors) == 1 else Product(factors)
 
 
 class PolynomialFunction(TestFunction):

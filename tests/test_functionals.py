@@ -19,7 +19,7 @@ from nprox.functionals import (
     Tensor,
     rhs,
 )
-from nprox.indexing import exponents
+from nprox.indexing import exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import leja_disk, real_leja
 from nprox.polynomials import Polynomial, multiply
@@ -235,6 +235,44 @@ def test_pole_detection_reports_locus():
         f.eval([0.5])
     assert "pole locus" in str(err.value)
     assert f.poles()[0][1] == pytest.approx(-0.5)
+
+
+def _split_cases():
+    yield "const", Const(3, 2.5 - 1j), 1
+    yield "affine_left", Affine([0.5, -1.2j, 0.0, 0.0], 0.3), 2
+    yield "affine_right", Affine([0.0, 0.0, 1.5, 0.2], -0.4), 2
+    yield "exp", Exp(Affine([0.7, -0.4, 0.3j], 0.2)), 1
+    yield "recip_left", Recip(Affine([1.0, 0.5, 0.0], 4.0)), 2
+    yield "recip_right", Recip(Affine([0.0, 0.8, -0.5], -3.0)), 1
+    yield "product", Product([
+        Product([Exp(Affine([0.3, 0.2, -0.5, 0.1])), Const(4, 1.0)]),
+        Recip(Affine([0.5, -0.25, 0.0, 0.0], 3.0)), coordinate(4, 3), Const(4, 2.0)]), 2
+
+
+@pytest.mark.parametrize("case", list(_split_cases()), ids=lambda case: case[0])
+def test_split_factors_every_derivative(case):
+    _, f, k = case
+    left, right = f.split(k)
+    assert (left.nvars, right.nvars) == (k, f.nvars - k)
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-0.4, 0.4, (20, f.nvars)) + 1j * rng.uniform(-0.4, 0.4, (20, f.nvars))
+    for alpha in exponents(f.nvars, 3):
+        want = f.deriv_values(alpha, pts)
+        got = left.deriv_values(alpha[:k], pts[:, :k]) * right.deriv_values(alpha[k:], pts[:, k:])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_split_drops_unit_constants_and_refuses_mixed_blocks():
+    left, right = Product([Exp(Affine([1.0, 0.5])), Recip(Affine([0.0, 1.0], -3.0))]).split(1)
+    assert type(left) is Exp and type(right) is Product
+    mixed = [
+        Recip(Affine([1.0, 1.0], -3.0)),
+        Sum([coordinate(2, 0), coordinate(2, 1)]),
+        PolynomialFunction(Polynomial.monomial(2, (1, 0))),
+        Product([Exp(Affine([1.0, 1.0])), Recip(Affine([1.0, 1.0], -3.0))]),
+    ]
+    for f in mixed:
+        assert f.split(1) is None
 
 
 def test_prefix_grammar_round_trip():
@@ -482,23 +520,46 @@ def _rhs_cases():
         taylor_projector(1, 4, center=[0.1])), Exp(Affine([0.4, 0.3, -0.6]))
     yield "product_with_a_product", orthogonal_projector(circle_measure(9), 4).newton_product(
         inner), Exp(Affine([0.4, 0.3, -0.6]))
+    # the factors are asked for the product's levels only, below their own degrees
+    yield "unequal_degrees", _cheb_leja(9).newton_product(
+        kergin_projector(nodes_by_name("real_leja", 5))), Exp(Affine([0.6, -0.8], 0.1))
 
 
 @pytest.mark.parametrize("case", list(_rhs_cases()), ids=lambda case: case[0])
 def test_rhs_matches_per_condition_oracle(case):
     _, proj, f = case
-    assert_matches_oracle(proj.conditions, f, proj._exactness(None))
-    # the projector's own right-hand side is the batched one
-    assert np.array_equal(proj._rhs(f, None), rhs(proj.conditions, f, proj._exactness(None)))
+    exactness = proj._exactness(None)
+    assert_matches_oracle(proj.conditions, f, exactness)
+    # the projector's own right-hand side at every truncation degree; on a
+    # separable f it is gathered from the factors' values, which round apart
+    # from the batched tensor sums
+    want, scale = per_condition_rhs(proj.conditions, f, exactness)
+    for k in range(proj.degree + 1):
+        n = monomial_count(proj.nvars, k)
+        got = proj._rhs(f, None, k)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want[:n]) <= 1e-13 * scale[:n])
+    if f.split(proj.left.nvars) is None:
+        # any other f takes the batched path
+        assert np.array_equal(proj._rhs(f, None), rhs(proj.conditions, f, exactness))
 
 
 class CountingFunction(TestFunction):
-    """Wraps a test function and records the point count of each derivative call."""
+    """Wraps a test function and records the point count of each derivative call.
 
-    def __init__(self, inner):
+    The two parts of a split count into the same list as the whole.
+    """
+
+    def __init__(self, inner, sizes=None):
         self.inner = inner
         self.nvars = inner.nvars
-        self.sizes = []
+        self.sizes = [] if sizes is None else sizes
+
+    def split(self, k):
+        parts = self.inner.split(k)
+        if parts is None:
+            return None
+        return tuple(CountingFunction(p, self.sizes) for p in parts)
 
     @property
     def calls(self):
@@ -548,6 +609,27 @@ def test_rhs_matches_oracle_around_the_point_budget(npoints):
     assert_matches_oracle(single, f, 7)
 
 
+def test_a_truncation_evaluates_its_own_factor_levels_only():
+    # the Lagrange factor has degree 8, the product 5: evaluating a factor
+    # past the levels asked for would add points
+    prod = kergin_projector(nodes_by_name("real_leja", 5)).newton_product(_cheb_leja(8))
+    f = Exp(Affine([0.8, -0.6], 0.1))
+    f1, f2 = f.split(1)
+    exactness = prod._exactness(None)
+    for k in range(prod.degree + 1):
+        want = 0
+        for factor, g in ((prod.left, f1), (prod.right, f2)):
+            own = CountingFunction(g)
+            rhs(factor.conditions[:monomial_count(1, k)], own, exactness)
+            want += sum(own.sizes)
+        counting = CountingFunction(f)
+        prod.truncate(k, counting)
+        assert sum(counting.sizes) == want
+    counting = CountingFunction(f)
+    prod.apply(counting)
+    assert sum(counting.sizes) == want
+
+
 def test_rhs_of_one_condition_is_apply_to_function():
     mu = KerginCondition((1, 1), [[0.0, 0.0], [0.5, 0.2], [0.1, 0.9]])
     f = Exp(Affine([1.0, -0.5]))
@@ -594,4 +676,17 @@ def test_rhs_pole_on_a_node_names_a_point_on_the_locus():
     f = Product([Exp(Affine([1.0, 0.5])), Recip(pole)])
     with pytest.raises(PoleOnSupportError) as info:
         proj.apply(f)
+    assert abs(pole.eval(info.value.point)) < 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], ids=["left", "nested_right"])
+def test_rhs_pole_in_a_factor_block_is_named_in_the_product_variables(coeffs):
+    proj = _cheb_leja(6).newton_product(_cheb_leja(6).newton_product(_cheb_leja(6)))
+    node = nodes_by_name("chebyshev_leja", 6)[2]
+    pole = Affine(coeffs, -node)
+    f = Product([Exp(Affine([1.0, 0.5, -0.3])), Recip(pole)])
+    with pytest.raises(PoleOnSupportError) as info:
+        proj.apply(f)
+    assert np.array_equal(info.value.coeffs, pole.coeffs)
+    assert info.value.const == pole.const
     assert abs(pole.eval(info.value.point)) < 1e-12
