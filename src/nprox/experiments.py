@@ -20,7 +20,7 @@ import numpy as np
 from .config import check_config_keys
 from .extremal import fit_decay_rate, parse_compact
 from .points import cartesian
-from .polynomials import evaluate
+from .polynomials import evaluate_grid
 from .testfunctions import parse_function
 from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_from_spec
 
@@ -129,15 +129,16 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     """Build the projector family across degrees and track sup errors.
 
     A row's seconds cover that degree's build, right-hand side and solve.
-    All degrees are then evaluated on the samples in one batch, whose time
+    All degrees are then evaluated on the samples in one batch, from one
+    monomial table per leaf of the compact (``evaluate_grid``), whose time
     is the metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the
     largest leading-block condition estimate of the projectors applied.
     """
     t0 = time.perf_counter()
     model = parse_compact(config.compact)
     f = parse_function(config.function, model.nvars)
-    samples = model.sample_points(config.grid ** model.nvars)
-    target = f.values(samples)  # raises if a pole sits on the compact
+    blocks = model.sample_blocks(config.grid ** model.nvars)
+    target = f.values(cartesian(*blocks))  # raises if a pole sits on the compact
     approxs, seconds, cond_max = [], [], 0.0
     for d in config.degrees:
         tick = time.perf_counter()
@@ -146,7 +147,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
         seconds.append(time.perf_counter() - tick)
         cond_max = max(cond_max, *proj.level_conds)
     tick = time.perf_counter()
-    values = evaluate(approxs, samples)
+    values = evaluate_grid(approxs, blocks)
     eval_s = time.perf_counter() - tick
     rows = [_row(d, float(np.max(np.abs(target - col))), s)
             for d, col, s in zip(config.degrees, values.T, seconds)]
@@ -174,8 +175,8 @@ def cylinder_nodes(degree: int):
     return np.stack([disk.real, disk.imag], axis=1), nodes_by_name("real_leja", degree)
 
 
-def cylinder_grid(resolution: int):
-    """Deterministic samples of the solid unit disk times [-1, 1].
+def cylinder_blocks(resolution: int):
+    """The two factors of the cylinder grid: disk points and segment points.
 
     The disk is scanned on equiangular by radial rings (including the rim),
     the segment on Chebyshev-distributed abscissas.
@@ -188,7 +189,12 @@ def cylinder_grid(resolution: int):
          np.outer(radii, np.sin(angles)).ravel()], axis=1
     )
     seg = np.cos(np.linspace(0.0, np.pi, resolution))
-    return cartesian(disk, seg.reshape(-1, 1)).astype(np.complex128)
+    return disk.astype(np.complex128), seg.reshape(-1, 1).astype(np.complex128)
+
+
+def cylinder_grid(resolution: int):
+    """Deterministic samples of the solid unit disk times [-1, 1]."""
+    return cartesian(*cylinder_blocks(resolution))
 
 
 def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
@@ -198,10 +204,12 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     degree.  Both node families nest by prefix, so its degree-d truncation is
     the degree-d product: every row is read off one right-hand side (at the
     top degree's exactness) and all rows are evaluated on the cylinder grid
-    in one batch.  The first row's seconds cover the one build, right-hand
-    side and solve, the other rows' read 0, and the batch's time is the
-    metadata's ``eval_s``.  The extras carry the product node set (a_i, b_j)
-    with i + j <= d for the largest degree and the residual there.
+    in one batch, from one monomial table for the disk factor and one for
+    the segment (``evaluate_grid``).  The first row's seconds cover the one
+    build, right-hand side and solve, the other rows' read 0, and the
+    batch's time is the metadata's ``eval_s``.  The extras carry the
+    product node set (a_i, b_j) with i + j <= d for the largest degree and
+    the residual there.
     """
     if config.projector is not None or config.compact is not None:
         raise ValueError("cylinder_run fixes its projector and compact; pass None")
@@ -210,15 +218,15 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("cylinder degrees are capped at 12")
     t0 = time.perf_counter()
     f = parse_function(config.function, 3)
-    samples = cylinder_grid(config.grid)
-    target = f.values(samples)
+    blocks = cylinder_blocks(config.grid)
+    target = f.values(cartesian(*blocks))
     tick = time.perf_counter()
     planar, line = cylinder_nodes(dmax)
     prod = kergin_projector(planar).newton_product(lagrange_projector(line))
     parts = prod.truncations(f, exactness=config.exactness)
     seconds = time.perf_counter() - tick
     tick = time.perf_counter()
-    values = evaluate([parts[d] for d in config.degrees], samples)
+    values = evaluate_grid([parts[d] for d in config.degrees], blocks)
     eval_s = time.perf_counter() - tick
     rows = [_row(d, float(np.max(np.abs(target - col))), seconds if i == 0 else 0.0)
             for i, (d, col) in enumerate(zip(config.degrees, values.T))]

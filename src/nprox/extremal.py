@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import check_config_keys
 from .points import cartesian
-from .polynomials import Polynomial, evaluate
+from .polynomials import Polynomial, evaluate_grid
 from .zoo import orthogonal_projector
 
 
@@ -68,48 +68,60 @@ class CompactModel:
 
     # -- sampling -------------------------------------------------------------
 
+    def sample_blocks(self, count: int) -> list:
+        """Deterministic points of K as one block per leaf, in variable order.
+
+        A leaf model is one block of ``count`` points.  In a product (nested
+        products included) every leaf takes the same number r, the least
+        with ``r ** nvars >= count`` (at least 2), so the Cartesian product
+        of the blocks is never cut and every leaf's samples keep their
+        endpoints.
+        """
+        if self.kind != "product":
+            return [self._leaf_samples(count)]
+        r = _resolution(count, self.nvars)
+        return [leaf._leaf_samples(r) for leaf in self._leaves()]
+
     def sample_points(self, count: int) -> np.ndarray:
         """Deterministic points of K dense enough for polynomial sup norms.
 
         Interval: Chebyshev-distributed abscissas (endpoints included).
         Disk: the boundary circle, where the maximum principle puts the sup.
-        Products: cartesian products of factor samples.
+        Products: the Cartesian product of ``sample_blocks``.
         """
+        return cartesian(*self.sample_blocks(count))
+
+    def _leaf_samples(self, count: int) -> np.ndarray:
         if self.kind == "interval":
             theta = np.linspace(0.0, np.pi, count)
             return np.cos(theta).astype(np.complex128).reshape(-1, 1)
-        if self.kind == "disk":
-            theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-            return np.exp(1j * theta).reshape(-1, 1)
-        return self._combine([f.sample_points for f in self.factors], count)
+        theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+        return np.exp(1j * theta).reshape(-1, 1)
+
+    def _leaves(self) -> list:
+        if self.kind != "product":
+            return [self]
+        return [leaf for f in self.factors for leaf in f._leaves()]
 
     def level_set_boundary(self, R: float, count: int) -> np.ndarray:
         """Points with V_K = ln R exactly (up to roundoff); requires R > 1.
 
         Interval: the Joukowski image (w + 1/w)/2 of the circle |w| = R, an
         ellipse with semi-axes (R + 1/R)/2 and (R - 1/R)/2.  Disk: the circle
-        of radius R.  Products: combinations of factor level points, whose
-        maximum is ln R by construction.
+        of radius R.  Products: the Cartesian product of every leaf's level
+        points, r per leaf as in ``sample_blocks``, whose maximum is ln R by
+        construction.
         """
         if R <= 1:
             raise ValueError("level sets are defined for R > 1")
+        if self.kind == "product":
+            r = _resolution(count, self.nvars)
+            return cartesian(*(leaf.level_set_boundary(R, r) for leaf in self._leaves()))
         if self.kind == "interval":
             w = R * np.exp(1j * np.linspace(0.0, 2 * np.pi, count, endpoint=False))
             return (0.5 * (w + 1.0 / w)).reshape(-1, 1)
-        if self.kind == "disk":
-            theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-            return (R * np.exp(1j * theta)).reshape(-1, 1)
-        return self._combine(
-            [lambda m, f=f: f.level_set_boundary(R, m) for f in self.factors], count
-        )
-
-    def _combine(self, samplers, count: int) -> np.ndarray:
-        per = max(2, math.ceil(count ** (1.0 / len(samplers))))
-        blocks = [s(per) for s in samplers]
-        out = blocks[0]
-        for b in blocks[1:]:
-            out = cartesian(out, b)
-        return out[:count] if out.shape[0] > count else out
+        theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+        return (R * np.exp(1j * theta)).reshape(-1, 1)
 
     # -- serialization ----------------------------------------------------------
 
@@ -122,6 +134,16 @@ class CompactModel:
         if self.kind == "product":
             return "CompactModel(product: " + ", ".join(f.kind for f in self.factors) + ")"
         return f"CompactModel({self.kind})"
+
+
+def _resolution(count: int, nvars: int) -> int:
+    """The least r >= 2 with ``r ** nvars >= count``, in integers."""
+    r = max(2, round(count ** (1.0 / nvars)))
+    while r > 2 and (r - 1) ** nvars >= count:
+        r -= 1
+    while r ** nvars < count:
+        r += 1
+    return r
 
 
 def parse_compact(obj) -> CompactModel:
@@ -204,9 +226,9 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256,
     excluded; if everything is floored (f is a polynomial, say) the estimate
     is infinity.
     """
-    pts = model.sample_points(grid)
-    target = f.values(pts)
-    values = evaluate(orthogonal_projector(measure, dmax).truncations(f), pts)
+    blocks = model.sample_blocks(grid)
+    target = f.values(cartesian(*blocks))
+    values = evaluate_grid(orthogonal_projector(measure, dmax).truncations(f), blocks)
     errors = [float(np.max(np.abs(target - col))) for col in values.T]
     degrees = list(range(dmax + 1))
 

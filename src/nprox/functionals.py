@@ -25,13 +25,14 @@ hands it tensor pairs only for a test function that does not separate
 (``TestFunction.split``): on f = f1 (x) f2 a pair's value is mu(f1) * nu(f2),
 so the product applies each factor's conditions to its part and gathers
 the products of the values (``NewtonProduct``).  ``rhs`` discretizes each
-factor of a tensor pair once, and Kergin conditions on the same nodes share
-one mapped rule, dropped once the conditions that use it are done and its
-last pending piece is evaluated.  A tensor batch is cut into row pieces of
-about ``_RHS_CHUNK`` points instead of being built whole; pieces of one
-derivative order are merged into one ``deriv_values`` call up to that many
-distinct points, and a piece that several conditions share is evaluated
-once for each derivative order they ask of it.
+factor of a tensor pair once, derivative conditions at the same point share
+it, and Kergin conditions on the same nodes share one mapped rule, dropped
+once the conditions that use it are done and its last pending piece is
+evaluated.  A tensor batch is cut into row pieces of about ``_RHS_CHUNK``
+points instead of being built whole; pieces are merged up to that many
+distinct points, and the derivative orders that meet the same pieces share
+one ``deriv_table`` call, so a piece that several conditions share is
+passed to the test function once for all the orders they ask of it.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from .testfunctions import TestFunction
 # cap their own min(2 * degree + 5, ...) default here too.
 DEFAULT_EXACTNESS = 21
 
-# Distinct points per deriv_values call of ``rhs``: small batches merge up to
+# Distinct points per deriv_table call of ``rhs``: small batches merge up to
 # it and larger tensor batches are cut into row pieces of about this size.
 # A pending piece counts as at least _PIECE_POINTS points, about what its
 # Python objects weigh, so one-point pieces do not pile up by the thousand.
@@ -132,6 +133,14 @@ class DerivativeEval(Functional):
 
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
+
+    def _rule_key(self):
+        # every order at one point (a Taylor level) shares that point
+        return ("point", self.point.tobytes())
+
+    def _batches(self, exactness, memo):
+        (weights, point, _), = super()._batches(exactness, memo)
+        return [(weights, point, self.alpha)]
 
     def __repr__(self):
         return f"DerivativeEval(alpha={self.alpha}, point={self.point})"
@@ -326,14 +335,16 @@ def _check_rule_size(order: int, exactness: int):
 
 
 class _PendingPieces:
-    """Row pieces of tensor batches waiting for their ``deriv_values`` calls.
+    """Row pieces of tensor batches waiting for their ``deriv_table`` calls.
 
     A batch ``(w1, p1) x (w2, p2)`` is cut into pieces of whole left rows,
     each ``cartesian(p1[lo:hi], p2)``.  A piece is keyed by its factor arrays
     and first row, so every condition and derivative order that meets it
     again uses the same points.  Once the distinct points (each piece
-    counting at least ``_PIECE_POINTS``) would pass ``_RHS_CHUNK``, every
-    order's pieces go to one ``deriv_values`` call and each condition adds
+    counting at least ``_PIECE_POINTS``) would pass ``_RHS_CHUNK``, the
+    pending orders are grouped by the set of pieces they meet (the orders
+    of one Kergin level meet the same mapped rule), each group's pieces go
+    to one ``deriv_table`` call, and each condition adds
     ``w1 @ values @ w2`` over its pieces.
     """
 
@@ -359,18 +370,24 @@ class _PendingPieces:
                 self.orders.setdefault(alpha, {}).setdefault(key, []).append((index, w1, w2))
 
     def flush(self):
+        # orders that meet the same pieces share one deriv_table call; add()
+        # files each order's pieces in the same order, so keys compare whole
+        groups: dict = {}  # piece keys -> alphas
         for alpha, by_piece in self.orders.items():
-            points = [self.pieces[key][2] for key in by_piece]
-            values = self.f.deriv_values(
-                alpha, points[0] if len(points) == 1 else np.concatenate(points))
-            row = 0
-            for key, users in by_piece.items():
-                _, p2, pts = self.pieces[key]
-                block = values[row:row + pts.shape[0]].reshape(-1, p2.shape[0])
-                row += pts.shape[0]
-                rows = slice(key[2], key[2] + block.shape[0])
-                for index, w1, w2 in users:
-                    self.out[index] += w1[rows] @ block @ w2
+            groups.setdefault(tuple(by_piece), []).append(alpha)
+        for keys, alphas in groups.items():
+            points = [self.pieces[key][2] for key in keys]
+            table = self.f.deriv_table(
+                alphas, points[0] if len(points) == 1 else np.concatenate(points))
+            for alpha, values in zip(alphas, table):
+                row = 0
+                for key, users in self.orders[alpha].items():
+                    _, p2, pts = self.pieces[key]
+                    block = values[row:row + pts.shape[0]].reshape(-1, p2.shape[0])
+                    row += pts.shape[0]
+                    rows = slice(key[2], key[2] + block.shape[0])
+                    for index, w1, w2 in users:
+                        self.out[index] += w1[rows] @ block @ w2
         self.pieces.clear()
         self.orders.clear()
         self.size = 0

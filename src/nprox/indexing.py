@@ -163,20 +163,20 @@ def ranks_of_rows(nvars: int, degree: int, rows) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def factor_ranks(n1: int, n2: int, degree: int):
-    """Factor-space ranks of every product-space rank of degree <= ``degree``.
+def factor_ranks(sizes: tuple[int, ...], degree: int):
+    """Block ranks of every product-space rank of degree <= ``degree``.
 
-    Row ``i`` of ``exponents(n1 + n2, degree)`` splits into a left block of
-    ``n1`` variables and a right block of ``n2``; the return value is the pair
-    of rank vectors of those blocks in their own graded-lex bases (both taken
-    with degree bound ``degree``).
+    Row ``i`` of ``exponents(sum(sizes), degree)`` splits into consecutive
+    blocks of ``sizes[0], sizes[1], ...`` variables; the return value is the
+    tuple of rank vectors of those blocks in their own graded-lex bases (each
+    taken with degree bound ``degree``).
     """
-    E = exponents(n1 + n2, degree)
-    r1 = ranks_of_rows(n1, degree, E[:, :n1])
-    r2 = ranks_of_rows(n2, degree, E[:, n1:])
-    r1.setflags(write=False)
-    r2.setflags(write=False)
-    return r1, r2
+    E = exponents(sum(sizes), degree)
+    cuts = np.cumsum((0,) + tuple(sizes))
+    out = tuple(ranks_of_rows(n, degree, E[:, lo:lo + n]) for n, lo in zip(sizes, cuts))
+    for r in out:
+        r.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)

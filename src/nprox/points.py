@@ -1,8 +1,9 @@
 """Interpolation node families: Leja sequences and classical 1-D grids.
 
 ``as_rows`` reads a point set as rows of coordinates, a 1-D sequence as
-one variable.  ``cartesian`` pairs the rows of two point sets, which is how
-product measures, tensor conditions and product compacts build their points.
+one variable.  ``cartesian`` joins the rows of point sets, which is how
+product measures, tensor conditions, product compacts and the cylinder
+build their points.
 
 Point sequences are plain 1-D numpy arrays (complex for the disk, real-valued
 complex for intervals); prefixes are slices.  The Leja sequence on the unit
@@ -90,10 +91,16 @@ def as_rows(points) -> np.ndarray:
     return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
-def cartesian(left, right) -> np.ndarray:
-    """Rows (a, b) for every row a of ``left`` and b of ``right``, left-major."""
-    return np.hstack([np.repeat(left, right.shape[0], axis=0),
-                      np.tile(right, (left.shape[0], 1))])
+def cartesian(*blocks) -> np.ndarray:
+    """Rows (a, b, ...) for every row a of the first block, b of the next, ...
+
+    Left-major: the first block varies slowest.
+    """
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = np.hstack([np.repeat(out, block.shape[0], axis=0),
+                         np.tile(block, (out.shape[0], 1))])
+    return out
 
 
 def chebyshev_nodes(degree: int) -> np.ndarray:

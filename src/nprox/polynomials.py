@@ -12,12 +12,14 @@ import numpy as np
 from .indexing import (
     degree_starts,
     exponents,
+    factor_ranks,
     monomial_count,
     monomial_vandermonde,
     rank_of,
     ranks_of_rows,
     split_ranks,
 )
+from .points import as_rows
 
 _EVAL_CHUNK = 4096
 
@@ -222,34 +224,80 @@ def coeff_distance(p: Polynomial, q: Polynomial) -> float:
     return float(np.max(np.abs(p.embedded(d).coeffs - q.embedded(d).coeffs)))
 
 
-def evaluate(polys, points) -> np.ndarray:
-    """Values of every polynomial in ``polys`` at ``points``, shape ``(m, len(polys))``.
+def _coefficient_matrix(polys):
+    """``(nvars, degree, coeffs)``: every polynomial as a column of ``coeffs``.
 
-    One monomial table per chunk of ``_EVAL_CHUNK`` points serves them all:
-    it stops at the largest degree with a nonzero coefficient, and by the
-    graded-lex prefix property a lower degree's coefficients are the leading
-    entries of a zero-padded column of one ``(M, len(polys))`` matrix.
+    ``degree`` is the largest degree with a nonzero coefficient (-1 when all
+    are zero), and ``coeffs`` has ``monomial_count(nvars, degree)`` rows; by
+    the graded-lex prefix property a lower degree's coefficients are the
+    leading entries of its zero-padded column.
     """
     polys = list(polys)
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise ValueError("mixed variable counts")
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, nvars)
-    if pts.shape[1] != nvars:
-        raise ValueError("points have the wrong number of coordinates")
-    out = np.zeros((pts.shape[0], len(polys)), dtype=np.complex128)
     # trailing zero blocks of a storage bound need no powers
     degree = max(p.effective_degree() for p in polys)
-    if degree < 0:
-        return out
     size = monomial_count(nvars, degree)
     coeffs = np.zeros((size, len(polys)), dtype=np.complex128)
     for j, p in enumerate(polys):
         c = p.coeffs[:size]
         coeffs[: c.shape[0], j] = c
+    return nvars, degree, coeffs
+
+
+def evaluate(polys, points) -> np.ndarray:
+    """Values of every polynomial in ``polys`` at ``points``, shape ``(m, len(polys))``.
+
+    One monomial table per chunk of ``_EVAL_CHUNK`` points serves them all,
+    cut at the largest degree with a nonzero coefficient.  This is the path
+    for point sets without product structure; ``evaluate_grid`` takes the
+    Cartesian ones.
+    """
+    nvars, degree, coeffs = _coefficient_matrix(polys)
+    pts = np.asarray(points, dtype=np.complex128)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, nvars)
+    if pts.shape[1] != nvars:
+        raise ValueError("points have the wrong number of coordinates")
+    out = np.zeros((pts.shape[0], coeffs.shape[1]), dtype=np.complex128)
+    if degree < 0:
+        return out
     for lo in range(0, pts.shape[0], _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, pts.shape[0])
         out[lo:hi] = monomial_vandermonde(pts[lo:hi], degree) @ coeffs
     return out
+
+
+def evaluate_grid(polys, blocks) -> np.ndarray:
+    """``evaluate(polys, cartesian(*blocks))`` from one table per block.
+
+    Each block is a point set on consecutive variables (a 1-D sequence is
+    one variable).  A monomial z^E of the joined variables is the product of
+    its blocks' monomials, so every polynomial's coefficients scatter into
+    an array ``C[r1, r2, ...]`` indexed by the block ranks
+    (``indexing.factor_ranks``), and its values on the grid are that array
+    contracted with each block's monomial table, ``V1 @ C @ V2.T`` for two
+    blocks.  Rows come in ``cartesian``'s left-major order; the result has
+    shape ``(m, len(polys))``.
+    """
+    nvars, degree, coeffs = _coefficient_matrix(polys)
+    blocks = [as_rows(b) for b in blocks]
+    sizes = tuple(b.shape[1] for b in blocks)
+    if sum(sizes) != nvars:
+        raise ValueError("blocks have the wrong number of coordinates")
+    count = coeffs.shape[1]
+    m = int(np.prod([b.shape[0] for b in blocks]))
+    if degree < 0:
+        return np.zeros((m, count), dtype=np.complex128)
+    tables = [monomial_vandermonde(b, degree) for b in blocks]
+    grid = np.zeros((count,) + tuple(t.shape[1] for t in tables), dtype=np.complex128)
+    grid[(slice(None),) + factor_ranks(sizes, degree)] = coeffs.T
+    # contract the last block first: the axes still in monomials lead and
+    # the ones already in points trail, so each step is a matrix product
+    grid = grid.reshape(-1, tables[-1].shape[1]) @ tables[-1].T
+    done = tables[-1].shape[0]
+    for table in reversed(tables[:-1]):
+        grid = table @ grid.reshape(-1, table.shape[1], done)
+        done *= table.shape[0]
+    return grid.reshape(count, m).T

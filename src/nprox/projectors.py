@@ -249,7 +249,7 @@ class NewtonProduct(NewtonStructuredProjector):
                          cond_threshold=cond_threshold)
 
     def _assemble(self, degree: int) -> np.ndarray:
-        r1, r2 = factor_ranks(self.left.nvars, self.right.nvars, degree)
+        r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), degree)
         a, b = self._pairs
         return (self.left._rows(degree)[np.ix_(a, r1)]
                 * self.right._rows(degree)[np.ix_(b, r2)])

@@ -3,11 +3,15 @@
 Functions are small expression trees over constants, affine forms,
 exponentials and reciprocals of affine forms, sums and products, plus
 polynomial leaves.  Every node can evaluate ``D^alpha f`` exactly at a batch
-of complex points, which is what the functional layer consumes.  Constants,
-exponentials, and affine forms and their reciprocals that involve one
-variable block, and products of these, ``split`` into a tensor product of
-two functions on the leading and trailing variables; a product projector
-uses that to apply its factors' conditions to the parts.
+of complex points, and ``deriv_table`` evaluates several orders at once,
+which is what the functional layer consumes: an exponential takes one
+``exp`` per point for all of them, a reciprocal one base and one power per
+order, and a product asks each factor once for every order its Leibniz
+sums need.  Constants, exponentials, and affine forms and their
+reciprocals that involve one variable block, and products of these,
+``split`` into a tensor product of two functions on the leading and
+trailing variables; a product projector uses that to apply its factors'
+conditions to the parts.
 
 Trees are read from a JSON prefix grammar (``parse_function``), e.g.::
 
@@ -57,12 +61,26 @@ def _zero_alpha(nvars):
 
 
 class TestFunction:
-    """Base class; concrete nodes implement :meth:`deriv_values`."""
+    """Base class; concrete nodes implement ``deriv_values`` or ``deriv_table``."""
 
     nvars: int
 
     def deriv_values(self, alpha, pts) -> np.ndarray:
         raise NotImplementedError
+
+    def deriv_table(self, alphas, pts) -> np.ndarray:
+        """``D^alpha`` at ``pts`` for every alpha in ``alphas``, one row each.
+
+        Returns shape ``(len(alphas), m)``.  Nodes whose derivatives share
+        work across orders (exponentials, reciprocals, sums and products)
+        override this to do that work once, and their ``deriv_values`` is
+        its one-order case.
+        """
+        pts = _as_points(pts, self.nvars)
+        out = np.empty((len(alphas), pts.shape[0]), dtype=np.complex128)
+        for row, alpha in zip(out, alphas):
+            row[:] = self.deriv_values(alpha, pts)
+        return out
 
     def values(self, pts) -> np.ndarray:
         return self.deriv_values(_zero_alpha(self.nvars), pts)
@@ -108,6 +126,12 @@ def _check_alpha(alpha, nvars):
     if len(alpha) != nvars or any(a < 0 for a in alpha):
         raise ValueError(f"bad derivative order {alpha} for {nvars} variables")
     return alpha
+
+
+def _alpha_rows(alphas, nvars):
+    """Checked derivative orders as an int array of shape ``(len(alphas), nvars)``."""
+    rows = [_check_alpha(a, nvars) for a in alphas]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
 
 
 class Const(TestFunction):
@@ -171,10 +195,14 @@ class Exp(TestFunction):
         self.nvars = affine.nvars
 
     def deriv_values(self, alpha, pts):
-        alpha = _check_alpha(alpha, self.nvars)
+        return self.deriv_table([alpha], pts)[0]
+
+    def deriv_table(self, alphas, pts):
+        # every order is a scale prod(coeffs ** alpha) times one exponential
+        alphas = _alpha_rows(alphas, self.nvars)
         pts = _as_points(pts, self.nvars)
-        scale = np.prod([self.arg.coeffs[v] ** a for v, a in enumerate(alpha)])
-        return scale * np.exp(pts @ self.arg.coeffs + self.arg.const)
+        scales = np.prod(self.arg.coeffs ** alphas, axis=1)
+        return scales[:, None] * np.exp(pts @ self.arg.coeffs + self.arg.const)
 
     def split(self, k):
         coeffs = self.arg.coeffs
@@ -192,17 +220,26 @@ class Recip(TestFunction):
         self._scale = 1.0 + float(np.sum(np.abs(affine.coeffs)) + abs(affine.const))
 
     def deriv_values(self, alpha, pts):
-        alpha = _check_alpha(alpha, self.nvars)
+        return self.deriv_table([alpha], pts)[0]
+
+    def deriv_table(self, alphas, pts):
+        # one base u and one pole test for all orders, one power per order
+        alphas = _alpha_rows(alphas, self.nvars)
         pts = _as_points(pts, self.nvars)
         u = pts @ self.arg.coeffs + self.arg.const
         bad = np.abs(u) < 1e-12 * self._scale
         if np.any(bad):
             idx = int(np.argmax(bad))
             raise PoleOnSupportError(self.arg.coeffs, self.arg.const, pts[idx])
-        order = sum(alpha)
-        coef = np.prod([self.arg.coeffs[v] ** a for v, a in enumerate(alpha)])
-        sign = (-1.0) ** order
-        return sign * float(factorial(order)) * coef * u ** (-(order + 1))
+        coefs = np.prod(self.arg.coeffs ** alphas, axis=1)
+        powers = {}
+        out = np.empty((len(alphas), pts.shape[0]), dtype=np.complex128)
+        for row, coef, order in zip(out, coefs, alphas.sum(axis=1).tolist()):
+            if order not in powers:
+                powers[order] = u ** (-(order + 1))
+            sign = (-1.0) ** order
+            row[:] = sign * float(factorial(order)) * coef * powers[order]
+        return out
 
     def poles(self):
         return [(self.arg.coeffs.copy(), self.arg.const)]
@@ -227,10 +264,13 @@ class Sum(TestFunction):
             raise ValueError("mixed variable counts in sum")
 
     def deriv_values(self, alpha, pts):
+        return self.deriv_table([alpha], pts)[0]
+
+    def deriv_table(self, alphas, pts):
         pts = _as_points(pts, self.nvars)
-        out = np.zeros(pts.shape[0], dtype=np.complex128)
+        out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
         for t in self.terms:
-            out += t.deriv_values(alpha, pts)
+            out += t.deriv_table(alphas, pts)
         return out
 
     def poles(self):
@@ -250,21 +290,32 @@ class Product(TestFunction):
             raise ValueError("mixed variable counts in product")
 
     def deriv_values(self, alpha, pts):
-        alpha = _check_alpha(alpha, self.nvars)
-        pts = _as_points(pts, self.nvars)
-        return self._leibniz(self.factors, alpha, pts)
+        return self.deriv_table([alpha], pts)[0]
 
-    def _leibniz(self, factors, alpha, pts):
+    def deriv_table(self, alphas, pts):
+        alphas = [_check_alpha(a, self.nvars) for a in alphas]
+        pts = _as_points(pts, self.nvars)
+        return self._leibniz(self.factors, alphas, pts)
+
+    def _leibniz(self, factors, alphas, pts):
         if len(factors) == 1:
-            return factors[0].deriv_values(alpha, pts)
+            return factors[0].deriv_table(alphas, pts)
         head, rest = factors[0], factors[1:]
-        out = np.zeros(pts.shape[0], dtype=np.complex128)
-        for beta in iter_product(*(range(a + 1) for a in alpha)):
-            coef = 1
-            for a, b in zip(alpha, beta):
-                coef *= comb(a, b)
-            remainder = tuple(a - b for a, b in zip(alpha, beta))
-            out += coef * head.deriv_values(beta, pts) * self._leibniz(rest, remainder, pts)
+        # each order the sums need is asked of a factor once, for all alphas
+        heads, rests, terms = {}, {}, []
+        for i, alpha in enumerate(alphas):
+            for beta in iter_product(*(range(a + 1) for a in alpha)):
+                coef = 1
+                for a, b in zip(alpha, beta):
+                    coef *= comb(a, b)
+                remainder = tuple(a - b for a, b in zip(alpha, beta))
+                terms.append((i, coef, heads.setdefault(beta, len(heads)),
+                              rests.setdefault(remainder, len(rests))))
+        head_table = head.deriv_table(list(heads), pts)
+        rest_table = self._leibniz(rest, list(rests), pts)
+        out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
+        for i, coef, h, r in terms:
+            out[i] += coef * head_table[h] * rest_table[r]
         return out
 
     def poles(self):

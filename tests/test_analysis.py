@@ -100,6 +100,29 @@ def test_product_level_set_boundary():
     assert np.max(vals) > math.log(2.0) - 1e-10
 
 
+@pytest.mark.parametrize("count", [200, 64 ** 3])
+def test_product_samples_keep_both_interval_endpoints(count):
+    flat = CompactModel("product", ["interval", "interval"])
+    nested = CompactModel("product", ["interval", CompactModel("product", ["interval", "interval"])])
+    for model in (flat, nested):
+        pts = model.sample_points(count)
+        # one resolution r for every leaf, r ** nvars >= count, never cut
+        r = min(len(b) for b in model.sample_blocks(count))
+        assert all(len(b) == r for b in model.sample_blocks(count))
+        assert r ** model.nvars >= count > (r - 1) ** model.nvars
+        assert pts.shape == (r ** model.nvars, model.nvars)
+        for v in range(model.nvars):
+            assert np.unique(pts[:, v]).size == r
+            assert pts[:, v].real.min() == -1.0 and pts[:, v].real.max() == 1.0
+
+
+def test_product_level_set_takes_the_sample_resolution():
+    model = CompactModel("product", ["interval", CompactModel("product", ["disk", "interval"])])
+    pts = model.level_set_boundary(1.5, 1000)
+    assert pts.shape == (1000, 3)
+    assert np.max(np.abs(model.extremal_value(pts) - math.log(1.5))) < 1e-10
+
+
 def test_parse_compact_round_trip():
     for model in (CompactModel("interval"),
                   CompactModel("product", ["disk", "interval"])):

@@ -4,9 +4,12 @@ Oracles:
   * nested 1-D Gauss-Legendre quadrature for simplex integrals,
   * the exact moment expansion of Kergin conditions on monomials,
   * central finite differences for expression-tree derivatives,
+  * the per-order closed forms, one derivative order at a time, for
+    derivative tables,
   * direct closed forms for tiny cases worked by hand.
 """
 import math
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -70,6 +73,40 @@ def nested_simplex_quad(f, ndim, npts=24):
         return total
 
     return recurse([], 1.0)
+
+
+def per_order_values(f, alpha, pts):
+    """Oracle: ``D^alpha f`` by each node's closed form, one order per call.
+
+    Exponentials, reciprocals, sums and products are written out here (the
+    Leibniz rule by recursion over the factors); the other nodes evaluate
+    one order at a time already.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if isinstance(f, (Exp, Recip)):
+        coef = np.prod([f.arg.coeffs[v] ** a for v, a in enumerate(alpha)])
+        u = pts @ f.arg.coeffs + f.arg.const
+        if isinstance(f, Exp):
+            return coef * np.exp(u)
+        order = sum(alpha)
+        return (-1.0) ** order * float(math.factorial(order)) * coef * u ** (-(order + 1))
+    if isinstance(f, Sum):
+        out = np.zeros(len(pts), dtype=complex)
+        for t in f.terms:
+            out += per_order_values(t, alpha, pts)
+        return out
+    if isinstance(f, Product):
+        head, rest = f.factors[0], f.factors[1:]
+        if not rest:
+            return per_order_values(head, alpha, pts)
+        out = np.zeros(len(pts), dtype=complex)
+        for beta in iter_product(*(range(a + 1) for a in alpha)):
+            coef = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            remainder = tuple(a - b for a, b in zip(alpha, beta))
+            out += (coef * per_order_values(head, beta, pts)
+                    * per_order_values(Product(rest), remainder, pts))
+        return out
+    return f.deriv_values(alpha, pts)
 
 
 def fd_derivative(f, alpha, point, h=None):
@@ -235,6 +272,53 @@ def test_pole_detection_reports_locus():
         f.eval([0.5])
     assert "pole locus" in str(err.value)
     assert f.poles()[0][1] == pytest.approx(-0.5)
+
+
+def _table_cases():
+    yield "const", Const(2, 2.5 - 1j)
+    yield "affine", Affine([0.5, -1.2j], 0.3)
+    yield "exp", Exp(Affine([0.7, -0.4j], 0.2))
+    yield "recip", Recip(Affine([1.0, 0.5], 4.0))
+    yield "sum", Sum([Exp(Affine([1.0, 0.5])), Recip(Affine([0.2, -0.3], 2.0)), coordinate(2, 1)])
+    yield "product", Product([Exp(Affine([0.3, 0.2])), Recip(Affine([0.5, -0.25], 3.0)),
+                              coordinate(2, 0)])
+    yield "polynomial", PolynomialFunction(Polynomial(2, 4, np.arange(15) * (1 - 0.5j)))
+
+
+@pytest.mark.parametrize("case", list(_table_cases()), ids=lambda case: case[0])
+def test_deriv_table_matches_per_order_values(case):
+    _, f = case
+    rng = np.random.default_rng(43)
+    pts = rng.uniform(-0.4, 0.4, (30, 2)) + 1j * rng.uniform(-0.4, 0.4, (30, 2))
+    alphas = [tuple(a) for a in exponents(2, 3)][::-1]  # any order, repeats allowed
+    alphas.append(alphas[0])
+    table = f.deriv_table(alphas, pts)
+    assert table.shape == (len(alphas), len(pts))
+    for row, alpha in zip(table, alphas):
+        # the same arithmetic per entry, so the same bits
+        want = per_order_values(f, alpha, pts)
+        assert np.array_equal(row, want)
+        assert np.array_equal(f.deriv_values(alpha, pts), want)
+    assert f.deriv_table([], pts).shape == (0, len(pts))
+    with pytest.raises(ValueError, match="derivative order"):
+        f.deriv_table([(0, 0), (1,)], pts)
+
+
+def test_product_deriv_table_asks_each_factor_once():
+    inner = CountingFunction(Exp(Affine([0.3, 0.2])))
+    f = Product([inner, Recip(Affine([0.5, -0.25], 3.0)), coordinate(2, 0)])
+    pts = np.linspace(-0.5, 0.5, 14).reshape(7, 2)
+    alphas = [tuple(a) for a in exponents(2, 3)]
+    f.deriv_table(alphas, pts)
+    assert inner.sizes == [7]
+
+
+def test_deriv_table_names_a_pole_for_every_order():
+    f = Recip(Affine([1.0, -1.0], 0.5))
+    pts = np.array([[0.1, 0.2], [0.25, 0.75], [0.0, 0.3]])
+    with pytest.raises(PoleOnSupportError) as err:
+        f.deriv_table([(0, 0), (2, 1)], pts)
+    assert np.array_equal(err.value.point, pts[1])
 
 
 def _split_cases():
@@ -569,6 +653,10 @@ class CountingFunction(TestFunction):
         self.sizes.append(len(pts))
         return self.inner.deriv_values(alpha, pts)
 
+    def deriv_table(self, alphas, pts):
+        self.sizes.append(len(pts))
+        return self.inner.deriv_table(alphas, pts)
+
 
 @pytest.mark.parametrize("npoints", [4095, 4096, 4097])
 def test_rhs_matches_oracle_around_the_point_budget(npoints):
@@ -628,6 +716,29 @@ def test_a_truncation_evaluates_its_own_factor_levels_only():
     counting = CountingFunction(f)
     prod.apply(counting)
     assert sum(counting.sizes) == want
+
+
+def test_cylinder_right_hand_side_evaluates_each_point_once():
+    # every derivative order of a Kergin level shares one deriv_table call,
+    # so the d=8 product passes the test function its distinct quadrature
+    # points and nodes once each (one call per order passed 1,385,669)
+    disk = nodes_by_name("leja_disk", 8)
+    planar = kergin_projector(np.stack([disk.real, disk.imag], axis=1))
+    prod = planar.newton_product(lagrange_projector(nodes_by_name("real_leja", 8)))
+    counting = CountingFunction(Exp(Affine([1.0, 1.0, 1.0])))
+    prod.truncations(counting)
+    assert sum(counting.sizes) == 167_958
+
+
+def test_derivative_conditions_at_one_point_share_one_call():
+    # a Taylor projector's conditions all sit at its center
+    proj = taylor_projector(2, 6, center=[0.1, -0.2])
+    f = Exp(Affine([0.9, -0.4], 0.1))
+    counting = CountingFunction(f)
+    got = rhs(proj.conditions, counting)
+    assert counting.sizes == [1]
+    want = [f.deriv_eval(mu.alpha, mu.point) for mu in proj.conditions]
+    assert np.array_equal(got, want)
 
 
 def test_rhs_of_one_condition_is_apply_to_function():

@@ -4,6 +4,7 @@ Oracles used here:
   * naive monomial-sum evaluation (explicit loop over exponent rows),
   * term-by-term falling factorials for derivative Vandermonde tables,
   * the row-major Vandermonde construction, for bit-identical tables,
+  * flat evaluation on the joined points, for factor-wise grid evaluation,
   * a double loop over term pairs for products,
   * central finite differences for derivatives,
   * exhaustive rank/enumerate round trips.
@@ -23,10 +24,14 @@ from nprox.indexing import (
     ranks_of_rows,
     split_ranks,
 )
+from nprox.experiments import cylinder_blocks
+from nprox.extremal import CompactModel
+from nprox.points import cartesian
 from nprox.polynomials import (
     Polynomial,
     coeff_distance,
     evaluate,
+    evaluate_grid,
     multiply,
     tensor_product,
 )
@@ -186,6 +191,46 @@ def test_evaluate_matches_termwise_oracle(count):
             want = termwise_values(p, pts)
             assert np.max(np.abs(got[:, j] - want)) <= 1e-13 * np.max(np.abs(want))
         assert not np.any(got[:, 2])
+
+
+def _grid_cases():
+    rng = np.random.default_rng(5)
+
+    def disk(count, nvars):
+        return rng.uniform(0.0, 1.0, (count, nvars)) * np.exp(
+            2j * np.pi * rng.uniform(size=(count, nvars)))
+
+    nested = CompactModel("product", ["interval", CompactModel("product", ["interval", "disk"])])
+    yield "two_blocks", [disk(17, 1), disk(13, 1)], 9
+    yield "three_blocks", [disk(6, 1), disk(5, 2), rng.uniform(-1, 1, 7)], 7
+    yield "nested_compact", nested.sample_blocks(12 ** 3), 8
+    yield "cylinder", list(cylinder_blocks(64)), 12
+
+
+@pytest.mark.parametrize("case", list(_grid_cases()), ids=lambda case: case[0])
+def test_evaluate_grid_matches_flat_evaluate(case):
+    _, blocks, top = case
+    nvars = sum(np.asarray(b).reshape(len(b), -1).shape[1] for b in blocks)
+    rng = np.random.default_rng(top)
+    # mixed degrees, storage bounds above the degree, and the zero polynomial
+    polys = [random_poly(rng, nvars, d) for d in (0, top // 2, top)]
+    polys += [random_poly(rng, nvars, 3).embedded(top + 2), Polynomial.zero(nvars, 4)]
+    joined = cartesian(*(np.asarray(b, dtype=complex).reshape(len(b), -1) for b in blocks))
+    want = evaluate(polys, joined)
+    got = evaluate_grid(polys, blocks)
+    assert got.shape == want.shape == (joined.shape[0], len(polys))
+    for j in range(len(polys) - 1):
+        assert np.max(np.abs(got[:, j] - want[:, j])) <= 1e-14 * np.max(np.abs(want[:, j]))
+    assert not np.any(got[:, -1])
+    # a list of zero polynomials needs no table at all
+    zeros = evaluate_grid([Polynomial.zero(nvars, 2)], blocks)
+    assert zeros.shape == (joined.shape[0], 1) and not np.any(zeros)
+
+
+def test_evaluate_grid_rejects_blocks_of_the_wrong_width():
+    p = Polynomial.monomial(3, (1, 1, 1))
+    with pytest.raises(ValueError, match="coordinates"):
+        evaluate_grid([p], [np.zeros(4), np.zeros(5)])
 
 
 def test_evaluate_rejects_bad_shapes():
