@@ -260,7 +260,8 @@ class Tensor(Functional):
 
 
 # the right factor of a condition that is not a tensor pair
-_UNIT = [(np.ones(1, dtype=np.complex128), np.zeros((1, 0), dtype=np.complex128), ())]
+_UNIT_POINTS = np.zeros((1, 0), dtype=np.complex128)
+_UNIT = [(np.ones(1, dtype=np.complex128), _UNIT_POINTS, ())]
 
 
 def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray:
@@ -360,7 +361,9 @@ class _PendingPieces:
         for lo in range(0, p1.shape[0], step):
             key = (id(p1), id(p2), lo)
             if key not in self.pieces:
-                points = cartesian(p1[lo:lo + step], p2)
+                # with no right factor the left rows are the points
+                points = (p1[lo:lo + step] if p2 is _UNIT_POINTS
+                          else cartesian(p1[lo:lo + step], p2))
                 cost = max(points.shape[0], _PIECE_POINTS)
                 if self.size + cost > _RHS_CHUNK:
                     self.flush()

@@ -19,19 +19,29 @@ left-factor row times a right-factor row, split along the factor ranks, and
 is gathered from the factors' rows.  Its Newton summands factor through the
 factors' summands, which yields both an evaluation formula for separable
 functions and a finite expansion of the approximation residual for
-polynomial inputs.
+polynomial inputs.  In the evaluation formula the right summands telescope
+into truncations: sum over i1 + i2 <= d of Delta1_i1 (x) Delta2_i2 equals
+sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, d + 1 tensor products.
+
+Leading blocks are factored and solved by LAPACK's zgetrf/zgetrs, called
+directly: the projectors are small and many, and on a 15 x 15 block scipy's
+LU solve wrapper takes about 11 us where the zgetrs it wraps takes 1.2 us
+(Intel Xeon, scipy 1.17).
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
 from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import PoleOnSupportError, TestFunction
+
+
+def _differences(parts: list[Polynomial]) -> list[Polynomial]:
+    """Newton summands from truncations: the first, then consecutive differences."""
+    return parts[:1] + [b - a.embedded(b.degree) for a, b in zip(parts, parts[1:])]
 
 
 class NestedUnisolvenceFailure(ValueError):
@@ -136,7 +146,9 @@ class NewtonStructuredProjector:
                 raise NestedUnisolvenceFailure(
                     f"{self._level_name(j)}: a condition vanishes on all monomials"
                 )
-            estimate = float(np.linalg.cond(block / scale[:, None]))
+            # numpy's 2-norm condition number, without its division warning
+            s = np.linalg.svd(block / scale[:, None], compute_uv=False)
+            estimate = float(s[0] / s[-1]) if s[-1] else np.inf
             conds.append(estimate)
             if self.cond_threshold is not None and not estimate < self.cond_threshold:
                 raise NestedUnisolvenceFailure(
@@ -152,20 +164,27 @@ class NewtonStructuredProjector:
     # -- linear algebra ------------------------------------------------------
 
     def _solve(self, k: int, values: np.ndarray) -> Polynomial:
-        """Degree-k solve by LU of the row-equilibrated leading block, cached per k."""
+        """Degree-k solve by LU of the row-equilibrated leading block, cached per k.
+
+        Calls LAPACK's zgetrf/zgetrs directly, the routines behind scipy's LU
+        factor and solve wrappers, so a small block pays for its
+        factorization and solve only.  Of the wrappers' finiteness checks, the
+        one on the right-hand side is kept here; a non-finite block never
+        gets this far, since the nesting gate's SVD of it fails.
+        """
         factors = self._factors.get(k)
         if factors is None:
             m = monomial_count(self.nvars, k)
             block = self.matrix[:m, :m]
             scale = np.max(np.abs(block), axis=1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)  # raised below
-                lu, piv = lu_factor(block / scale[:, None])
-            if not np.all(np.diagonal(lu)):
+            lu, piv, info = zgetrf(block / scale[:, None])
+            if info > 0:  # an exactly zero pivot
                 raise np.linalg.LinAlgError(f"{self._level_name(k)}: leading block is singular")
             factors = self._factors[k] = (lu, piv, scale)
         lu, piv, scale = factors
-        return Polynomial(self.nvars, k, lu_solve((lu, piv), values / scale))
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"degree-{k} right-hand side is not finite")
+        return Polynomial(self.nvars, k, zgetrs(lu, piv, values / scale)[0])
 
     # -- projector actions ----------------------------------------------------
 
@@ -203,14 +222,17 @@ class NewtonStructuredProjector:
 
     def truncations(self, f, exactness: int | None = None) -> list[Polynomial]:
         """truncate(k, f) for k = 0..degree, from one evaluation of f."""
-        values = self._rhs(f, exactness)
+        return self._truncations(f, exactness, self.degree)
+
+    def _truncations(self, f, exactness: int | None, top: int) -> list[Polynomial]:
+        """truncate(k, f) for k = 0..top, from the conditions of levels 0..top."""
+        values = self._rhs(f, exactness, top)
         return [self._solve(k, values[:monomial_count(self.nvars, k)])
-                for k in range(self.degree + 1)]
+                for k in range(top + 1)]
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
-        parts = self.truncations(f, exactness)
-        return parts[:1] + [b - a.embedded(b.degree) for a, b in zip(parts, parts[1:])]
+        return _differences(self.truncations(f, exactness))
 
     # -- products ---------------------------------------------------------------
 
@@ -285,18 +307,26 @@ class NewtonProduct(NewtonStructuredProjector):
         """Project the separable function f1 (x) f2 through factor summands.
 
         Equals apply() on the product function: the product projector's value
-        on f1 (x) f2 is the sum over i1 + i2 <= degree of the tensor products
-        of the factors' Newton summands.  Both factors integrate at the
-        product's default exactness, the one apply() uses, so the two paths
-        share their quadrature.
+        on f1 (x) f2 is the sum over i1 + i2 <= d of the tensor products
+        Delta1_i1(f1) (x) Delta2_i2(f2) of the factors' Newton summands.  The
+        right summands of one i1 telescope, Delta2_0 + ... + Delta2_{d-i1} =
+        P2_{d-i1}, the right factor's degree-(d - i1) truncation, so by
+        bilinearity the sum is
+
+            sum over i1 = 0..d of Delta1_i1(f1) (x) P2_{d-i1}(f2),
+
+        d + 1 tensor products instead of (d + 1)(d + 2) / 2.  It uses the
+        factors' solves only, not the product's.  Both factors integrate at
+        the product's default exactness, the one apply() uses, so the two
+        paths share their quadrature.
         """
         exactness = self._exactness(exactness)
-        s1 = self.left.newton_summands(f1, exactness=exactness)
-        s2 = self.right.newton_summands(f2, exactness=exactness)
-        total = Polynomial.zero(self.nvars, self.degree)
-        for i1 in range(min(self.degree, self.left.degree) + 1):
-            for i2 in range(min(self.degree - i1, self.right.degree) + 1):
-                total = total + tensor_product(s1[i1], s2[i2]).embedded(self.degree)
+        d = self.degree
+        s1 = _differences(self.left._truncations(f1, exactness, d))
+        p2 = self.right._truncations(f2, exactness, d)
+        total = Polynomial.zero(self.nvars, d)
+        for i1 in range(d + 1):
+            total = total + tensor_product(s1[i1], p2[d - i1])
         return total
 
     def residual_expansion(self, f1: Polynomial, f2: Polynomial):

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from nprox.cli import main
+from nprox import cli
+from nprox.cli import build_projector, main
 
 
 def run(tmp_path, command, cfg, *flags):
@@ -167,6 +168,35 @@ def test_project_writes_coefficients(tmp_path):
     assert code == 0
     rows = (tmp_path / "out" / "project.csv").read_text().splitlines()
     assert len(rows) == 8  # header + 7 coefficients
+
+
+CHEB_LEJA_24 = {
+    "projector": {"kind": "newton_product", "factors": [
+        {"kind": "lagrange", "nodes": "chebyshev_leja"},
+        {"kind": "lagrange", "nodes": "chebyshev_leja"}]},
+    "degree": 24,
+    "function": ["exp", ["affine", [1.0, 0.5], 0.0]],
+}
+
+
+def test_project_check_passes_an_ill_conditioned_projector(tmp_path):
+    # leading blocks up to cond 4.8e9: re-solving moves the monomial
+    # coefficients by 3.6e-8, the condition values by 4.5e-15 of 4.47
+    assert run(tmp_path, "project", CHEB_LEJA_24, "--check") == 0
+
+
+def test_project_check_fails_an_operator_that_is_not_a_projector(
+        tmp_path, monkeypatch, capsys):
+    def scaled(spec, degree):
+        # (1 + 1e-6) P maps its own result to (1 + 1e-6)^2 P f
+        proj = build_projector(spec, degree)
+        apply = proj.apply
+        proj.apply = lambda f, exactness=None: (1 + 1e-6) * apply(f, exactness)
+        return proj
+
+    monkeypatch.setattr(cli, "build_projector", scaled)
+    assert run(tmp_path, "project", CHEB_LEJA_24, "--check") == 2
+    assert "projection not idempotent" in capsys.readouterr().err
 
 
 def test_rho_check_against_expected(tmp_path):

@@ -1,5 +1,6 @@
 """Projector engine: nesting checks, truncation, summands, products."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,31 @@ def test_duplicate_point_fails_nesting():
     P = lagrange_projector([0.0, 0.5, 0.0], cond_threshold=None)
     with pytest.raises(np.linalg.LinAlgError, match="level 2"):
         P.apply(Exp(Affine([1.0], 0.0)))
+
+
+def test_singular_gate_reads_np_linalg_cond_without_warning():
+    # the repeated node makes the level-2 block singular; the gate's s[0] / s[-1]
+    # must read what np.linalg.cond reads (inf or a huge finite value) silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = lagrange_projector([0.0, 0.5, 0.0], cond_threshold=None)
+    want = []
+    for j in range(P.degree + 1):
+        block = P.matrix[:j + 1, :j + 1].real
+        want.append(float(np.linalg.cond(block / np.max(np.abs(block), axis=1)[:, None])))
+    assert np.array_equal(P.level_conds, want)
+    assert P.level_conds[2] > 1e15
+
+
+def test_overflowing_function_raises_from_the_solve():
+    P = lagrange_projector(nodes_by_name("real_leja", 4))
+    f = Exp(Affine([800.0]))
+    # exp(800) overflows to inf, and inf * 0 in its complex product is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            P.apply(f)
+        with pytest.raises(ValueError, match="not finite"):
+            P.truncate(2, f)
 
 
 def test_threshold_is_adjustable():
@@ -171,14 +197,14 @@ def test_gate_matches_the_complex_svd_oracle(d):
 
 def test_gate_takes_real_svds_of_a_real_matrix(monkeypatch):
     handed = []
-    cond = np.linalg.cond
+    svd = np.linalg.svd
 
     def recording(x, *args, **kwargs):
         handed.append(x.dtype)
-        return cond(x, *args, **kwargs)
+        return svd(x, *args, **kwargs)
 
     cheb = lagrange_projector(nodes_by_name("chebyshev_leja", 6))
-    monkeypatch.setattr(np.linalg, "cond", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording)
     cheb.newton_product(cheb)
     assert handed == [np.dtype(np.float64)] * 7
     handed.clear()
@@ -458,6 +484,42 @@ def test_product_formula_equals_direct_application():
     direct = prod.apply(Exp(Affine([-0.916, 0.046, -0.407])))
     formula = prod.apply_product_formula(Exp(Affine([-0.916, 0.046])), Exp(Affine([-0.407])))
     assert coeff_distance(direct, formula) < 1e-12 * np.max(np.abs(direct.coeffs))
+
+
+def summand_double_sum(prod, f1, f2, exactness=None):
+    """Oracle: sum over i1 + i2 <= d of the factor summands' tensor products."""
+    exactness = prod._exactness(exactness)
+    s1 = prod.left.newton_summands(f1, exactness=exactness)
+    s2 = prod.right.newton_summands(f2, exactness=exactness)
+    d = prod.degree
+    total = Polynomial.zero(prod.nvars, d)
+    for i1 in range(d + 1):
+        for i2 in range(d - i1 + 1):
+            total = total + tensor_product(s1[i1], s2[i2]).embedded(d)
+    return total
+
+
+def test_product_formula_matches_the_summand_double_sum():
+    # Kergin x Taylor on exp at an explicit exactness; the Kergin factor's
+    # degree passes the product's
+    disk = leja_disk(8)[:5]
+    kergin = kergin_projector(np.stack([disk.real, disk.imag], axis=1))
+    prod = kergin.newton_product(taylor_projector(1, 3, center=[0.2]))
+    assert (kergin.degree, prod.degree) == (4, 3)
+    f1, f2 = Exp(Affine([-0.916, 0.046])), Exp(Affine([-0.407], 0.1))
+    want = summand_double_sum(prod, f1, f2, exactness=13)
+    got = prod.apply_product_formula(f1, f2, exactness=13)
+    assert coeff_distance(got, want) <= 1e-12 * np.max(np.abs(want.coeffs))
+    # Lagrange x orthogonal on random complex polynomials, above and below
+    # the factor degrees
+    rng = np.random.default_rng(53)
+    for d1, d2, deg in ((6, 4, 2), (6, 4, 7), (3, 8, 5)):
+        prod = lagrange_projector(nodes_by_name("leja_disk", d1)).newton_product(
+            orthogonal_projector(chebyshev_measure(2 * d2 + 1), d2))
+        p1, p2 = random_poly(rng, 1, deg, cplx=True), random_poly(rng, 1, deg, cplx=True)
+        want = summand_double_sum(prod, p1, p2)
+        got = prod.apply_product_formula(p1, p2)
+        assert coeff_distance(got, want) <= 1e-12 * np.max(np.abs(want.coeffs))
 
 
 def test_residual_expansion_is_exact():
