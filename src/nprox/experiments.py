@@ -27,14 +27,17 @@ from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_
 
 RATE_HEADER = "d,sup_error,root_error,seconds"
 
+# samples of [0, 1] on which polya_run takes the node products' maxima
+_OMEGA_GRID = 4097
+
 
 class ExperimentConfig:
     """Validated bundle of everything a sweep needs.
 
     Fields: name, projector spec (possibly a newton_product composition),
-    function tree, compact model, strictly increasing degree list, per-axis
-    grid resolution (at least 64), optional quadrature exactness and
-    expected rate parameter.
+    function tree, compact model, non-empty strictly increasing list of
+    nonnegative degrees, per-axis grid resolution (at least 64), optional
+    quadrature exactness and expected rate parameter.
     """
 
     FIELDS = ("name", "projector", "function", "compact", "degrees",
@@ -51,6 +54,9 @@ class ExperimentConfig:
         self.grid = int(grid)
         self.exactness = None if exactness is None else int(exactness)
         self.expected_rho = None if expected_rho is None else float(expected_rho)
+        if not self.degrees or min(self.degrees) < 0:
+            raise ValueError(f"degrees must be a non-empty list of nonnegative "
+                             f"degrees, got {self.degrees}")
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
             raise ValueError("degrees must be strictly increasing")
         if self.grid < 64:
@@ -192,11 +198,6 @@ def cylinder_blocks(resolution: int):
     return disk.astype(np.complex128), seg.reshape(-1, 1).astype(np.complex128)
 
 
-def cylinder_grid(resolution: int):
-    """Deterministic samples of the solid unit disk times [-1, 1]."""
-    return cartesian(*cylinder_blocks(resolution))
-
-
 def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     """Kergin on the disk crossed with Lagrange on the segment.
 
@@ -254,10 +255,10 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
 # -- integer-node threshold experiment ---------------------------------------------
 
 
-def _omega_sup_logs(dmax: int, gridsize: int = 4097):
+def _omega_sup_logs(dmax: int):
     """log of max over [0,1] of the running node products prod |x - i|."""
-    x = np.linspace(0.0, 1.0, gridsize)
-    logs = np.zeros(gridsize)
+    x = np.linspace(0.0, 1.0, _OMEGA_GRID)
+    logs = np.zeros(_OMEGA_GRID)
     out = [0.0]  # empty product
     with np.errstate(divide="ignore"):
         for k in range(dmax):
@@ -288,8 +289,11 @@ def polya_run(lam: float, dmax: int) -> dict:
     drives the convergence verdict; the raw ratios carry a 1/(k+1) bias from
     the factorial, so the reported ratio extrapolates them linearly in
     1/(k+1).  The limiting value is |e^lam - 1|, below 1 exactly when
-    lam < ln 2 for positive lam.
+    lam < ln 2 for positive lam.  ``dmax`` runs from 3, where the fit first
+    has two ratios, to 60.
     """
+    if dmax < 3:
+        raise ValueError(f"dmax must be at least 3 to fit the ratio tail, got {dmax}")
     if dmax > 60:
         raise ValueError("dmax capped at 60")
     dd_logs = divided_differences_exp(lam, dmax)

@@ -18,6 +18,11 @@ from .points import cartesian
 from .polynomials import Polynomial, evaluate_grid
 from .zoo import orthogonal_projector
 
+# errors at most this fraction of the largest are taken as converged to roundoff
+_ROUNDOFF_FLOOR = 1e-13
+# points bws_check samples on the compact and on the level-set boundary
+_BWS_SAMPLES = 1024
+
 
 class CompactModel:
     """One of: interval [-1,1], closed unit disk, or a product of models."""
@@ -157,7 +162,7 @@ def parse_compact(obj) -> CompactModel:
     return CompactModel(kind)
 
 
-def bws_check(p: Polynomial, model: CompactModel, R: float, samples: int = 1024) -> float:
+def bws_check(p: Polynomial, model: CompactModel, R: float) -> float:
     """Sampled sup of p on the level set over R^deg times its sup on K.
 
     The underlying inequality bounds |p| on {V_K <= ln R} by R^(deg p) times
@@ -168,15 +173,15 @@ def bws_check(p: Polynomial, model: CompactModel, R: float, samples: int = 1024)
     deg = p.effective_degree()
     if deg < 0:
         return 0.0
-    on_k = float(np.max(np.abs(p.eval_many(model.sample_points(samples)))))
-    on_level = float(np.max(np.abs(p.eval_many(model.level_set_boundary(R, samples)))))
+    on_k = float(np.max(np.abs(p.eval_many(model.sample_points(_BWS_SAMPLES)))))
+    on_level = float(np.max(np.abs(p.eval_many(model.level_set_boundary(R, _BWS_SAMPLES)))))
     return on_level / (R**deg * on_k)
 
 
-def fit_decay_rate(degrees, errors, floor: float = 1e-13):
+def fit_decay_rate(degrees, errors):
     """Geometric decay rate of errors over degrees, floor-aware.
 
-    Values at or below the floor (relative to the largest error) are
+    Values at or below ``_ROUNDOFF_FLOOR`` (relative to the largest error) are
     treated as converged-to-roundoff and excluded; the fit uses the tail
     half of what remains, where asymptotic behavior lives.  Returns
     (rate, slope_stderr, used_indices); rate is per unit degree, so
@@ -185,7 +190,7 @@ def fit_decay_rate(degrees, errors, floor: float = 1e-13):
     """
     degrees = np.asarray(degrees, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    cut = floor * max(1.0, float(np.max(errors, initial=0.0)))
+    cut = _ROUNDOFF_FLOOR * max(1.0, float(np.max(errors, initial=0.0)))
     keep = np.flatnonzero((errors > cut) & np.isfinite(errors))
     if keep.size < 3:
         return 0.0, 0.0, keep
@@ -215,8 +220,7 @@ class RhoEstimate:
         return f"RhoEstimate(rho={self.rho}, degrees=0..{self.degrees[-1]})"
 
 
-def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256,
-                 floor: float = 1e-13) -> RhoEstimate:
+def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256) -> RhoEstimate:
     """Convergence radius parameter from orthogonal-projection errors.
 
     The degree-d orthogonal projections of f are the truncations of one
@@ -232,13 +236,13 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256,
     errors = [float(np.max(np.abs(target - col))) for col in values.T]
     degrees = list(range(dmax + 1))
 
-    cut = floor * max(1.0, float(np.max(errors)))
+    cut = _ROUNDOFF_FLOOR * max(1.0, float(np.max(errors)))
     clean = sum(1 for e in errors if e > cut)
     floor_hit = clean < len(errors)  # some degrees converged to roundoff
     if clean < 5:
         # decay too fast to fit a geometric rate: polynomial or entire input
         return RhoEstimate(degrees, errors, math.inf, 0.0, floor_hit)
-    rate, stderr, _ = fit_decay_rate(degrees, errors, floor=floor)
+    rate, stderr, _ = fit_decay_rate(degrees, errors)
     if rate <= 0.0:
         return RhoEstimate(degrees, errors, math.inf, 0.0, floor_hit)
     return RhoEstimate(degrees, errors, 1.0 / rate, stderr, floor_hit)

@@ -5,9 +5,11 @@ mean-value conditions on derivative data (the Kergin conditions), weighted
 inner products against a basis polynomial, and tensor pairs acting on a
 joined variable block.
 
-Every functional discretizes itself into weighted point derivatives -- the
-simplex conditions through Grundmann-Moller cubature of a requested
-exactness.  Its values on the graded-lex monomial basis come from the same
+A functional is weights and points for one derivative order, its
+``alpha``: ``discretize`` builds them, the simplex conditions through
+Grundmann-Moller cubature of a requested exactness and a tensor pair as
+the products of its factors' weights and points at the sum of their
+orders.  Its values on the graded-lex monomial basis come from the same
 discretization at exactness ``degree``, paired with the derivative
 Vandermonde of the monomials; the cubature integrates polynomials of that
 degree exactly, so ``apply_to_polynomial`` is exact up to rounding.  The
@@ -65,9 +67,13 @@ def _point_array(point):
 
 
 class Functional:
-    """Base class; concrete kinds implement ``discretize`` and friends."""
+    """Base class; concrete kinds implement ``discretize`` and friends.
+
+    ``alpha`` is the derivative order every batch of ``discretize`` carries.
+    """
 
     nvars: int
+    alpha: tuple
 
     # -- exact action on polynomials ------------------------------------
 
@@ -98,7 +104,7 @@ class Functional:
         key = self._rule_key()
         if key not in memo:
             memo[key] = self.discretize(exactness)
-        return memo[key]
+        return [(weights, points, self.alpha) for weights, points, _ in memo[key]]
 
     def apply_to_function(self, f: TestFunction, exactness: int | None = None) -> complex:
         return complex(rhs([self], f, exactness)[0])
@@ -115,9 +121,10 @@ class PointEval(Functional):
     def __init__(self, point):
         self.point = _point_array(point)
         self.nvars = self.point.shape[0]
+        self.alpha = (0,) * self.nvars
 
     def discretize(self, exactness):
-        return [(np.array([1.0 + 0j]), self.point[None, :], (0,) * self.nvars)]
+        return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
 
     def __repr__(self):
         return f"PointEval({self.point})"
@@ -137,10 +144,6 @@ class DerivativeEval(Functional):
     def _rule_key(self):
         # every order at one point (a Taylor level) shares that point
         return ("point", self.point.tobytes())
-
-    def _batches(self, exactness, memo):
-        (weights, point, _), = super()._batches(exactness, memo)
-        return [(weights, point, self.alpha)]
 
     def __repr__(self):
         return f"DerivativeEval(alpha={self.alpha}, point={self.point})"
@@ -188,10 +191,6 @@ class KerginCondition(Functional):
         # the mapped rule depends on the nodes alone
         return ("kergin", self.nodes.shape, self.nodes.tobytes())
 
-    def _batches(self, exactness, memo):
-        (weights, mapped, _), = super()._batches(exactness, memo)
-        return [(weights, mapped, self.alpha)]
-
     def __repr__(self):
         return f"KerginCondition(alpha={self.alpha}, nodes={len(self.nodes)})"
 
@@ -209,6 +208,7 @@ class InnerProduct(Functional):
         self.basis = basis
         self.measure = measure
         self.nvars = basis.nvars
+        self.alpha = (0,) * self.nvars
         if basis_values is None:
             basis_values = measure.poly_values(basis)
         self._bvals = np.asarray(basis_values, dtype=np.complex128)
@@ -221,7 +221,7 @@ class InnerProduct(Functional):
         return self.measure.monomial_values(degree) @ self._weighted_conj()
 
     def discretize(self, exactness):
-        return [(self._weighted_conj(), self.measure.nodes, (0,) * self.nvars)]
+        return [(self._weighted_conj(), self.measure.nodes, self.alpha)]
 
     def __repr__(self):
         return f"InnerProduct(basis_degree={self.basis.degree}, domain={self.measure.domain})"
@@ -240,20 +240,12 @@ class Tensor(Functional):
         self.left = left
         self.right = right
         self.nvars = left.nvars + right.nvars
+        self.alpha = left.alpha + right.alpha
 
     def discretize(self, exactness):
-        return self._batches(exactness, {})
-
-    def _batches(self, exactness, memo):
-        key = self._rule_key()
-        if key not in memo:
-            memo[key] = [
-                ((w1[:, None] * w2[None, :]).reshape(-1), cartesian(p1, p2),
-                 tuple(a1) + tuple(a2))
-                for w1, p1, a1 in self.left._batches(exactness, memo)
-                for w2, p2, a2 in self.right._batches(exactness, memo)
-            ]
-        return memo[key]
+        return [((w1[:, None] * w2[None, :]).reshape(-1), cartesian(p1, p2), a1 + a2)
+                for w1, p1, a1 in self.left.discretize(exactness)
+                for w2, p2, a2 in self.right.discretize(exactness)]
 
     def __repr__(self):
         return f"Tensor({self.left!r}, {self.right!r})"
@@ -299,7 +291,7 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
             for w1, p1, a1 in left._batches(exactness, left_memo):
                 for w2, p2, a2 in rights:
                     users = pairs.setdefault((id(p1), id(p2)), (p1, p2, []))[2]
-                    users.append((i, w1, w2, tuple(a1) + tuple(a2)))
+                    users.append((i, w1, w2, a1 + a2))
         for p1, p2, users in pairs.values():
             pending.add(p1, p2, users)
     pending.flush()

@@ -22,6 +22,9 @@ from .config import check_config_keys
 from .points import as_rows
 from .polynomials import Polynomial
 
+# log-spaced radii at which omega_density counts the sequence
+_DENSITY_GRID = 128
+
 
 def _xlogx(k: float) -> float:
     return 0.0 if k == 0 else k * math.log(k)
@@ -258,23 +261,23 @@ def gelfond_constant(omega: float) -> float:
     return val
 
 
-def omega_density(points, norm: Norm, omega: float, rmax: float,
-                  gridsize: int = 128) -> float:
+def omega_density(points, norm: Norm, omega: float, rmax: float) -> float:
     """Empirical liminf of the counting function against r^omega.
 
     Counts points of the sequence with norm at most r on a log-spaced grid
-    and returns the smallest ratio count / r^omega over the tail half of the
-    grid, which is where the liminf shows.  The points must be supplied out
-    to radius rmax or beyond; the count saturates otherwise and the estimate
-    is an overcount of nothing, i.e. too small.
+    of ``_DENSITY_GRID`` radii and returns the smallest ratio count /
+    r^omega over the tail half of the grid, which is where the liminf shows.
+    The points must be supplied out to radius rmax or beyond; the count
+    saturates otherwise and the estimate is an overcount of nothing, i.e.
+    too small.
     """
     pts = as_rows(points)
     norms = np.sort(norm.value(pts))
     if norms.size and norms[-1] < rmax:
         raise ValueError("point sequence too short for rmax: counting saturates")
     r0 = max(float(norms[0]), 1e-6, rmax * 1e-3)
-    grid = np.geomspace(max(r0, 1e-6), rmax, gridsize)
+    grid = np.geomspace(max(r0, 1e-6), rmax, _DENSITY_GRID)
     counts = np.searchsorted(norms, grid, side="right")
     ratios = counts / grid**omega
-    tail = ratios[gridsize // 2:]
+    tail = ratios[_DENSITY_GRID // 2:]
     return float(np.min(tail))

@@ -69,14 +69,6 @@ def exponents(nvars: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def degrees_of(nvars: int, degree: int) -> np.ndarray:
-    """Total degree of each graded-lex rank, as a read-only int array."""
-    out = exponents(nvars, degree).sum(axis=1, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def degree_starts(nvars: int, degree: int) -> tuple[int, ...]:
     """Start offset of each degree block; entry ``degree + 1`` is the total."""
     return tuple(monomial_count(nvars, j - 1) for j in range(degree + 2))
@@ -177,25 +169,3 @@ def factor_ranks(sizes: tuple[int, ...], degree: int):
     for r in out:
         r.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def split_ranks(n1: int, d1: int, n2: int, d2: int):
-    """Decomposition of product-space ranks into factor ranks.
-
-    For the graded-lex basis in ``n1 + n2`` variables of degree ``d1 + d2``,
-    returns ``(mask, r1, r2)``: ``mask`` flags rows whose left block has
-    degree <= d1 and right block degree <= d2, and ``r1``/``r2`` are the
-    factor-space ranks of the masked rows.
-    """
-    E = exponents(n1 + n2, d1 + d2)
-    left = E[:, :n1]
-    right = E[:, n1:]
-    mask = (left.sum(axis=1) <= d1) & (right.sum(axis=1) <= d2)
-    r1 = ranks_of_rows(n1, d1, left[mask])
-    r2 = ranks_of_rows(n2, d2, right[mask])
-    mask = mask.copy()
-    mask.setflags(write=False)
-    r1.setflags(write=False)
-    r2.setflags(write=False)
-    return mask, r1, r2

@@ -1,9 +1,11 @@
 """Interpolation node families: Leja sequences and classical 1-D grids.
 
 ``as_rows`` reads a point set as rows of coordinates, a 1-D sequence as
-one variable.  ``cartesian`` joins the rows of point sets, which is how
-product measures, tensor conditions, product compacts and the cylinder
-build their points.
+one variable unless a width is given, and checks the width it is given;
+test functions and polynomial evaluation read their points through it.
+``cartesian`` joins the rows of point sets, which is how product
+measures, tensor conditions, product compacts and the cylinder build
+their points.
 
 Point sequences are plain 1-D numpy arrays (complex for the disk, real-valued
 complex for intervals); prefixes are slices.  The Leja sequence on the unit
@@ -15,6 +17,11 @@ greedy builder used to cross-check that rule.
 from __future__ import annotations
 
 import numpy as np
+
+# circle mesh that leja_greedy_gap compares each greedy choice against
+_GAP_MESH = 4096
+# real parts of circle Leja points closer than this are one node
+_DUPLICATE_TOL = 1e-12
 
 
 def leja_disk(count: int) -> np.ndarray:
@@ -52,17 +59,17 @@ def leja_greedy(candidates, count: int) -> np.ndarray:
     return cand[chosen]
 
 
-def leja_greedy_gap(points, mesh: int = 4096) -> float:
+def leja_greedy_gap(points) -> float:
     """Worst relative greedy-optimality gap of a circle Leja sequence.
 
     For each prefix, compares the log distance-product objective achieved by
-    the next point against the best value on a fine circle mesh (the chosen
-    points themselves are added to the mesh so exact ties are visible).
-    Returns the largest relative shortfall; a genuine greedy sequence stays
-    at roundoff level.
+    the next point against the best value on a fine circle mesh of
+    ``_GAP_MESH`` points (the chosen points themselves are added to the mesh
+    so exact ties are visible).  Returns the largest relative shortfall; a
+    genuine greedy sequence stays at roundoff level.
     """
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
-    cand = np.concatenate([np.exp(2j * np.pi * np.arange(mesh) / mesh), pts])
+    cand = np.concatenate([np.exp(2j * np.pi * np.arange(_GAP_MESH) / _GAP_MESH), pts])
     worst = 0.0
     logsum = np.log(np.abs(cand - pts[0]) + 1e-300)
     for k in range(1, pts.size):
@@ -73,22 +80,32 @@ def leja_greedy_gap(points, mesh: int = 4096) -> float:
     return worst
 
 
-def real_leja(points, tol: float = 1e-12) -> np.ndarray:
+def real_leja(points) -> np.ndarray:
     """Real parts of unit-circle Leja points, in order, duplicates dropped."""
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
     if np.any(np.abs(np.abs(pts) - 1.0) > 1e-12):
         raise ValueError("real_leja expects points on the unit circle")
     out: list[float] = []
     for value in pts.real:
-        if all(abs(value - seen) > tol for seen in out):
+        if all(abs(value - seen) > _DUPLICATE_TOL for seen in out):
             out.append(float(value))
     return np.array(out)
 
 
-def as_rows(points) -> np.ndarray:
-    """``points`` as complex128 rows; a 1-D sequence becomes one column."""
+def as_rows(points, nvars: int | None = None) -> np.ndarray:
+    """``points`` as complex128 rows of coordinates.
+
+    A 1-D sequence becomes rows of ``nvars`` coordinates, one column when
+    ``nvars`` is None.  Given ``nvars``, points of any other width raise
+    ``ValueError``.
+    """
     pts = np.asarray(points, dtype=np.complex128)
-    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+    width = 1 if nvars is None else nvars
+    if pts.ndim == 1 and pts.size % width == 0:
+        pts = pts.reshape(-1, width)
+    if nvars is not None and (pts.ndim != 2 or pts.shape[1] != nvars):
+        raise ValueError(f"expected points of {nvars} coordinates, got shape {pts.shape}")
+    return pts
 
 
 def cartesian(*blocks) -> np.ndarray:

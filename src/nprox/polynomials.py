@@ -17,7 +17,6 @@ from .indexing import (
     monomial_vandermonde,
     rank_of,
     ranks_of_rows,
-    split_ranks,
 )
 from .points import as_rows
 
@@ -209,10 +208,16 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Polynomial ``p(z) q(w)`` on the joined variable block ``(z, w)``."""
-    mask, r1, r2 = split_ranks(p.nvars, p.degree, q.nvars, q.degree)
-    coeffs = np.zeros(mask.shape[0], dtype=np.complex128)
-    coeffs[mask] = p.coeffs[r1] * q.coeffs[r2]
+    """Polynomial ``p(z) q(w)`` on the joined variable block ``(z, w)``.
+
+    A factor rank falls inside a factor's storage exactly when its degree
+    is within that bound (the graded-lex prefix property), so the terms
+    kept are those whose factor ranks do.
+    """
+    r1, r2 = factor_ranks((p.nvars, q.nvars), p.degree + q.degree)
+    keep = (r1 < p.coeffs.shape[0]) & (r2 < q.coeffs.shape[0])
+    coeffs = np.zeros(r1.shape[0], dtype=np.complex128)
+    coeffs[keep] = p.coeffs[r1[keep]] * q.coeffs[r2[keep]]
     return Polynomial(p.nvars + q.nvars, p.degree + q.degree, coeffs)
 
 
@@ -255,11 +260,7 @@ def evaluate(polys, points) -> np.ndarray:
     Cartesian ones.
     """
     nvars, degree, coeffs = _coefficient_matrix(polys)
-    pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, nvars)
-    if pts.shape[1] != nvars:
-        raise ValueError("points have the wrong number of coordinates")
+    pts = as_rows(points, nvars)
     out = np.zeros((pts.shape[0], coeffs.shape[1]), dtype=np.complex128)
     if degree < 0:
         return out

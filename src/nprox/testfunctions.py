@@ -2,16 +2,18 @@
 
 Functions are small expression trees over constants, affine forms,
 exponentials and reciprocals of affine forms, sums and products, plus
-polynomial leaves.  Every node can evaluate ``D^alpha f`` exactly at a batch
-of complex points, and ``deriv_table`` evaluates several orders at once,
-which is what the functional layer consumes: an exponential takes one
-``exp`` per point for all of them, a reciprocal one base and one power per
-order, and a product asks each factor once for every order its Leibniz
-sums need.  Constants, exponentials, and affine forms and their
-reciprocals that involve one variable block, and products of these,
-``split`` into a tensor product of two functions on the leading and
-trailing variables; a product projector uses that to apply its factors'
-conditions to the parts.
+polynomial leaves.  ``deriv_table`` is the one method a node implements:
+it evaluates ``D^alpha f`` exactly at a batch of complex points for several
+orders at once, which is what the functional layer consumes.  An
+exponential takes one ``exp`` per point for all of them, a reciprocal one
+base and one power per order, and a product asks each factor once for
+every order its Leibniz sums need.  ``deriv_values`` and the other
+evaluations are the one-order case, defined once in the base class.
+
+Constants, exponentials, and affine forms and their reciprocals that
+involve one variable block, and products of these, ``split`` into a
+tensor product of two functions on the leading and trailing variables; a
+product projector uses that to apply its factors' conditions to the parts.
 
 Trees are read from a JSON prefix grammar (``parse_function``), e.g.::
 
@@ -27,6 +29,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .points import as_rows
 from .polynomials import Polynomial
 
 
@@ -47,49 +50,30 @@ class PoleOnSupportError(ValueError):
         return f"{terms} + ({self.const})"
 
 
-def _as_points(pts, nvars):
-    arr = np.asarray(pts, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, nvars) if nvars > 1 else arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != nvars:
-        raise ValueError(f"expected points of shape (m, {nvars})")
-    return arr
-
-
-def _zero_alpha(nvars):
-    return (0,) * nvars
-
-
 class TestFunction:
-    """Base class; concrete nodes implement ``deriv_values`` or ``deriv_table``."""
+    """Base class; a concrete node implements ``deriv_table``."""
 
     nvars: int
-
-    def deriv_values(self, alpha, pts) -> np.ndarray:
-        raise NotImplementedError
 
     def deriv_table(self, alphas, pts) -> np.ndarray:
         """``D^alpha`` at ``pts`` for every alpha in ``alphas``, one row each.
 
-        Returns shape ``(len(alphas), m)``.  Nodes whose derivatives share
-        work across orders (exponentials, reciprocals, sums and products)
-        override this to do that work once, and their ``deriv_values`` is
-        its one-order case.
+        Returns shape ``(len(alphas), m)``.  A node does the work its orders
+        share once; a bad order raises ``ValueError``.
         """
-        pts = _as_points(pts, self.nvars)
-        out = np.empty((len(alphas), pts.shape[0]), dtype=np.complex128)
-        for row, alpha in zip(out, alphas):
-            row[:] = self.deriv_values(alpha, pts)
-        return out
+        raise NotImplementedError
+
+    def deriv_values(self, alpha, pts) -> np.ndarray:
+        return self.deriv_table([alpha], pts)[0]
 
     def values(self, pts) -> np.ndarray:
-        return self.deriv_values(_zero_alpha(self.nvars), pts)
+        return self.deriv_values((0,) * self.nvars, pts)
 
     def eval(self, point) -> complex:
-        return complex(self.values(_as_points(point, self.nvars))[0])
+        return complex(self.values(as_rows(point, self.nvars))[0])
 
     def deriv_eval(self, alpha, point) -> complex:
-        return complex(self.deriv_values(alpha, _as_points(point, self.nvars))[0])
+        return complex(self.deriv_values(alpha, as_rows(point, self.nvars))[0])
 
     def poles(self):
         """Affine forms ``(coeffs, const)`` whose zero sets are poles of self."""
@@ -121,16 +105,12 @@ def _coerce(obj, nvars):
     return Const(nvars, complex(obj))
 
 
-def _check_alpha(alpha, nvars):
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != nvars or any(a < 0 for a in alpha):
-        raise ValueError(f"bad derivative order {alpha} for {nvars} variables")
-    return alpha
-
-
 def _alpha_rows(alphas, nvars):
     """Checked derivative orders as an int array of shape ``(len(alphas), nvars)``."""
-    rows = [_check_alpha(a, nvars) for a in alphas]
+    rows = [tuple(int(a) for a in alpha) for alpha in alphas]
+    for alpha in rows:
+        if len(alpha) != nvars or any(a < 0 for a in alpha):
+            raise ValueError(f"bad derivative order {alpha} for {nvars} variables")
     return np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
 
 
@@ -139,11 +119,12 @@ class Const(TestFunction):
         self.nvars = int(nvars)
         self.value = complex(value)
 
-    def deriv_values(self, alpha, pts):
-        alpha = _check_alpha(alpha, self.nvars)
-        pts = _as_points(pts, self.nvars)
-        fill = self.value if sum(alpha) == 0 else 0.0
-        return np.full(pts.shape[0], fill, dtype=np.complex128)
+    def deriv_table(self, alphas, pts):
+        alphas = _alpha_rows(alphas, self.nvars)
+        pts = as_rows(pts, self.nvars)
+        out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
+        out[alphas.sum(axis=1) == 0] = self.value
+        return out
 
     def split(self, k):
         return Const(k, self.value), Const(self.nvars - k, 1.0)
@@ -159,16 +140,17 @@ class Affine(TestFunction):
         if self.nvars == 0:
             raise ValueError("affine form needs at least one variable")
 
-    def deriv_values(self, alpha, pts):
-        alpha = _check_alpha(alpha, self.nvars)
-        pts = _as_points(pts, self.nvars)
-        order = sum(alpha)
-        if order == 0:
-            return pts @ self.coeffs + self.const
-        if order == 1:
-            v = alpha.index(1)
-            return np.full(pts.shape[0], self.coeffs[v], dtype=np.complex128)
-        return np.zeros(pts.shape[0], dtype=np.complex128)
+    def deriv_table(self, alphas, pts):
+        # the values for order 0, a coefficient for order 1, zero above
+        alphas = _alpha_rows(alphas, self.nvars)
+        pts = as_rows(pts, self.nvars)
+        orders = alphas.sum(axis=1)
+        out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
+        if np.any(orders == 0):
+            out[orders == 0] = pts @ self.coeffs + self.const
+        first = orders == 1
+        out[first] = self.coeffs[np.argmax(alphas[first], axis=1)][:, None]
+        return out
 
     def split(self, k):
         lo, hi = self.coeffs[:k], self.coeffs[k:]
@@ -194,13 +176,10 @@ class Exp(TestFunction):
         self.arg = affine
         self.nvars = affine.nvars
 
-    def deriv_values(self, alpha, pts):
-        return self.deriv_table([alpha], pts)[0]
-
     def deriv_table(self, alphas, pts):
         # every order is a scale prod(coeffs ** alpha) times one exponential
         alphas = _alpha_rows(alphas, self.nvars)
-        pts = _as_points(pts, self.nvars)
+        pts = as_rows(pts, self.nvars)
         scales = np.prod(self.arg.coeffs ** alphas, axis=1)
         return scales[:, None] * np.exp(pts @ self.arg.coeffs + self.arg.const)
 
@@ -219,13 +198,10 @@ class Recip(TestFunction):
         self.nvars = affine.nvars
         self._scale = 1.0 + float(np.sum(np.abs(affine.coeffs)) + abs(affine.const))
 
-    def deriv_values(self, alpha, pts):
-        return self.deriv_table([alpha], pts)[0]
-
     def deriv_table(self, alphas, pts):
         # one base u and one pole test for all orders, one power per order
         alphas = _alpha_rows(alphas, self.nvars)
-        pts = _as_points(pts, self.nvars)
+        pts = as_rows(pts, self.nvars)
         u = pts @ self.arg.coeffs + self.arg.const
         bad = np.abs(u) < 1e-12 * self._scale
         if np.any(bad):
@@ -263,11 +239,8 @@ class Sum(TestFunction):
         if any(t.nvars != self.nvars for t in terms):
             raise ValueError("mixed variable counts in sum")
 
-    def deriv_values(self, alpha, pts):
-        return self.deriv_table([alpha], pts)[0]
-
     def deriv_table(self, alphas, pts):
-        pts = _as_points(pts, self.nvars)
+        pts = as_rows(pts, self.nvars)
         out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
         for t in self.terms:
             out += t.deriv_table(alphas, pts)
@@ -289,12 +262,9 @@ class Product(TestFunction):
         if any(f.nvars != self.nvars for f in factors):
             raise ValueError("mixed variable counts in product")
 
-    def deriv_values(self, alpha, pts):
-        return self.deriv_table([alpha], pts)[0]
-
     def deriv_table(self, alphas, pts):
-        alphas = [_check_alpha(a, self.nvars) for a in alphas]
-        pts = _as_points(pts, self.nvars)
+        alphas = [tuple(a) for a in _alpha_rows(alphas, self.nvars).tolist()]
+        pts = as_rows(pts, self.nvars)
         return self._leibniz(self.factors, alphas, pts)
 
     def _leibniz(self, factors, alphas, pts):
@@ -343,9 +313,14 @@ class PolynomialFunction(TestFunction):
         self.poly = poly
         self.nvars = poly.nvars
 
-    def deriv_values(self, alpha, pts):
-        alpha = _check_alpha(alpha, self.nvars)
-        return self.poly.derivative(alpha).eval_many(_as_points(pts, self.nvars))
+    def deriv_table(self, alphas, pts):
+        # one derivative polynomial per order: evaluating them together in
+        # one table rounds differently
+        pts = as_rows(pts, self.nvars)
+        out = np.empty((len(alphas), pts.shape[0]), dtype=np.complex128)
+        for row, alpha in zip(out, _alpha_rows(alphas, self.nvars)):
+            row[:] = self.poly.derivative(alpha).eval_many(pts)
+        return out
 
 
 # -- prefix grammar ----------------------------------------------------------

@@ -128,6 +128,22 @@ def test_points_count_below_one_exits_one(tmp_path, capsys, count):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,cfg,message", [
+    ("converge", {"projector": {"kind": "lagrange", "nodes": "real_leja"},
+                  "function": ["exp", ["affine", [1.0], 0.0]],
+                  "compact": "interval", "degrees": [], "grid": 64}, "degrees"),
+    ("cylinder", {"degrees": [], "grid": 64}, "degrees"),
+    ("cylinder", {"degrees": [-1, 2], "grid": 64}, "degrees"),
+    ("polya", {"lambda": 0.5, "dmax": 2}, "dmax must be at least 3"),
+    ("polya", {"lambda": 0.5, "dmax": 0}, "dmax must be at least 3"),
+], ids=["converge-no-degrees", "cylinder-no-degrees", "cylinder-negative-degree",
+        "polya-dmax-2", "polya-dmax-0"])
+def test_out_of_range_sizes_exit_one(tmp_path, capsys, command, cfg, message):
+    assert run(tmp_path, command, cfg, "--check") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gelfond_values_and_check(tmp_path):
     code = run(tmp_path, "gelfond", {"omegas": [0.5, 1.0, 2.0]}, "--check")
     assert code == 0

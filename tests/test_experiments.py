@@ -11,7 +11,7 @@ from nprox.experiments import (
     ExperimentConfig,
     ExperimentReport,
     convergence_run,
-    cylinder_grid,
+    cylinder_blocks,
     cylinder_run,
     divided_differences_exp,
     polya_bisect,
@@ -19,6 +19,7 @@ from nprox.experiments import (
     report_write,
 )
 from nprox.functionals import KerginCondition
+from nprox.points import cartesian
 from nprox.testfunctions import Affine, Exp
 from nprox.zoo import projector_from_spec
 
@@ -41,6 +42,18 @@ def test_config_rejects_unordered_degrees():
         small_config(degrees=[2, 2, 4])
     with pytest.raises(ValueError, match="strictly increasing"):
         small_config(degrees=[4, 2])
+
+
+def test_config_rejects_empty_or_negative_degrees():
+    for degrees in ([], [-1, 2]):
+        with pytest.raises(ValueError, match="degrees"):
+            small_config(degrees=degrees)
+    # the cylinder run read parts[-1], the degree-2 values, into a d=-1 row
+    with pytest.raises(ValueError, match="degrees"):
+        cylinder_run(ExperimentConfig(
+            name="cyl", projector=None, compact=None,
+            function=["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+            degrees=[-1, 2], grid=64))
 
 
 def test_config_rejects_coarse_grid():
@@ -146,7 +159,7 @@ def test_convergence_refuses_pole_on_the_compact():
 
 
 def test_cylinder_grid_shape_and_range():
-    pts = cylinder_grid(64)
+    pts = cartesian(*cylinder_blocks(64))
     xy = pts[:, :2]
     assert np.max(np.abs(xy)) <= 1.0 + 1e-12
     assert np.max(np.sqrt(np.sum(xy.real**2, axis=1))) <= 1.0 + 1e-12
@@ -254,6 +267,11 @@ def test_polya_term_norms_monotone_once_settled():
 def test_polya_dmax_cap():
     with pytest.raises(ValueError, match="capped"):
         polya_run(0.5, 61)
+    # below 3 the tail fit has one ratio or none
+    for dmax in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3"):
+            polya_run(0.5, dmax)
+    assert polya_run(0.5, 3)["dmax"] == 3
 
 
 def test_polya_bisection_brackets_the_threshold():

@@ -78,17 +78,25 @@ def nested_simplex_quad(f, ndim, npts=24):
 def per_order_values(f, alpha, pts):
     """Oracle: ``D^alpha f`` by each node's closed form, one order per call.
 
-    Exponentials, reciprocals, sums and products are written out here (the
-    Leibniz rule by recursion over the factors); the other nodes evaluate
-    one order at a time already.
+    Every node is written out here, the Leibniz rule by recursion over the
+    factors and a polynomial leaf through ``Polynomial.derivative``, so no
+    value comes from the node's own ``deriv_table``.
     """
     alpha = tuple(int(a) for a in alpha)
+    order = sum(alpha)
+    if isinstance(f, Const):
+        return np.full(len(pts), f.value if order == 0 else 0j)
+    if isinstance(f, Affine):
+        if order == 0:
+            return pts @ f.coeffs + f.const
+        return np.full(len(pts), f.coeffs[alpha.index(1)] if order == 1 else 0j)
+    if isinstance(f, PolynomialFunction):
+        return f.poly.derivative(alpha).eval_many(pts)
     if isinstance(f, (Exp, Recip)):
         coef = np.prod([f.arg.coeffs[v] ** a for v, a in enumerate(alpha)])
         u = pts @ f.arg.coeffs + f.arg.const
         if isinstance(f, Exp):
             return coef * np.exp(u)
-        order = sum(alpha)
         return (-1.0) ** order * float(math.factorial(order)) * coef * u ** (-(order + 1))
     if isinstance(f, Sum):
         out = np.zeros(len(pts), dtype=complex)
@@ -106,7 +114,7 @@ def per_order_values(f, alpha, pts):
             out += (coef * per_order_values(head, beta, pts)
                     * per_order_values(Product(rest), remainder, pts))
         return out
-    return f.deriv_values(alpha, pts)
+    raise TypeError(f"no closed form for {type(f).__name__}")
 
 
 def fd_derivative(f, alpha, point, h=None):
@@ -302,6 +310,31 @@ def test_deriv_table_matches_per_order_values(case):
     assert f.deriv_table([], pts).shape == (0, len(pts))
     with pytest.raises(ValueError, match="derivative order"):
         f.deriv_table([(0, 0), (1,)], pts)
+
+
+class TableOnly(TestFunction):
+    """A node that implements ``deriv_table`` alone: ``D^alpha`` of z0^2 z1."""
+
+    nvars = 2
+
+    def deriv_table(self, alphas, pts):
+        pts = np.asarray(pts, dtype=complex)
+        z0, z1 = pts[:, 0], pts[:, 1]
+        forms = {(0, 0): z0**2 * z1, (1, 0): 2 * z0 * z1, (0, 1): z0**2,
+                 (1, 1): 2 * z0, (2, 0): 2 * z1, (2, 1): 2 + 0 * z0}
+        return np.array([forms.get(tuple(a), 0 * z0) for a in alphas])
+
+
+def test_a_node_needs_only_deriv_table():
+    f = TableOnly()
+    pts = np.array([[0.5, -2.0], [1j, 3.0]])
+    assert np.array_equal(f.values(pts), [-0.5, -3.0])
+    assert np.array_equal(f.deriv_values((1, 0), pts), [-2.0, 6j])
+    assert f.eval([0.5, -2.0]) == -0.5
+    assert f.deriv_eval((1, 1), [0.5, -2.0]) == 1.0
+    assert f.deriv_eval((3, 0), [0.5, -2.0]) == 0.0
+    with pytest.raises(ValueError, match="coordinates"):
+        f.eval([0.5, -2.0, 1.0])
 
 
 def test_product_deriv_table_asks_each_factor_once():
@@ -604,6 +637,10 @@ def _rhs_cases():
         taylor_projector(1, 4, center=[0.1])), Exp(Affine([0.4, 0.3, -0.6]))
     yield "product_with_a_product", orthogonal_projector(circle_measure(9), 4).newton_product(
         inner), Exp(Affine([0.4, 0.3, -0.6]))
+    # a reciprocal over every variable does not split: the nested tensor
+    # conditions discretize through their factors
+    yield "product_of_a_product_unsplit", inner.newton_product(
+        taylor_projector(1, 4, center=[0.1])), Recip(Affine([0.5, 0.25, -0.3], -3.0))
     # the factors are asked for the product's levels only, below their own degrees
     yield "unequal_degrees", _cheb_leja(9).newton_product(
         kergin_projector(nodes_by_name("real_leja", 5))), Exp(Affine([0.6, -0.8], 0.1))
@@ -648,10 +685,6 @@ class CountingFunction(TestFunction):
     @property
     def calls(self):
         return len(self.sizes)
-
-    def deriv_values(self, alpha, pts):
-        self.sizes.append(len(pts))
-        return self.inner.deriv_values(alpha, pts)
 
     def deriv_table(self, alphas, pts):
         self.sizes.append(len(pts))

@@ -16,13 +16,11 @@ import pytest
 
 from nprox.indexing import (
     degree_starts,
-    degrees_of,
     exponents,
     monomial_count,
     monomial_vandermonde,
     rank_of,
     ranks_of_rows,
-    split_ranks,
 )
 from nprox.experiments import cylinder_blocks
 from nprox.extremal import CompactModel
@@ -107,7 +105,7 @@ def test_rank_enumerate_round_trip_exhaustive():
             for i, row in enumerate(rows):
                 assert rank_of(tuple(row)) == i
             # degrees are non-decreasing and blocks are aligned
-            degs = degrees_of(nvars, degree)
+            degs = rows.sum(axis=1)
             starts = degree_starts(nvars, degree)
             for j in range(degree + 1):
                 block = degs[starts[j]:starts[j + 1]]
@@ -336,26 +334,33 @@ def test_derivative_order_zero_is_identity():
 
 def test_tensor_product_coefficients_factor():
     rng = np.random.default_rng(5)
-    p = random_poly(rng, 1, 3)
-    q = random_poly(rng, 2, 2)
-    t = tensor_product(p, q)
-    assert t.nvars == 3 and t.degree == 5
-    E = exponents(3, 5)
-    for row in E:
-        a, b = (int(row[0]),), (int(row[1]), int(row[2]))
-        want = p.coeff(a) * q.coeff(b)
-        assert t.coeff(tuple(row)) == pytest.approx(want, rel=1e-13, abs=1e-13)
-    # evaluation factorizes as well
-    z = rng.standard_normal((4, 1)) + 0.2j
-    w = rng.standard_normal((4, 2))
-    joined = np.hstack([z, w])
-    assert np.allclose(t.eval_many(joined), p.eval_many(z) * q.eval_many(w))
-
-
-def test_split_ranks_cover_factor_pairs():
-    mask, r1, r2 = split_ranks(1, 2, 1, 2)
-    assert mask.sum() == 9  # all pairs (i, j), i, j <= 2
-    assert len(r1) == len(r2) == 9
+    # unequal variable counts and degrees, degree-0 factors on either side
+    for n1, d1, n2, d2 in [(1, 3, 2, 2), (1, 2, 1, 2), (2, 4, 1, 1), (3, 1, 2, 3),
+                           (2, 0, 1, 3), (1, 3, 3, 0)]:
+        p = random_poly(rng, n1, d1)
+        q = random_poly(rng, n2, d2)
+        for left, right in ((p, q), (Polynomial.zero(n1, d1), q),
+                            (p, Polynomial.zero(n2, d2))):
+            t = tensor_product(left, right)
+            assert t.nvars == n1 + n2 and t.degree == d1 + d2
+            # every term pair once and nothing else, with the same bits: the
+            # pairs inside both bounds multiplied as arrays, because numpy's
+            # vectorized complex product can round apart from a scalar one
+            pairs = [(tuple(row[:n1]), tuple(row[n1:])) for row in exponents(n1 + n2, d1 + d2)]
+            inside = np.array([sum(a) <= d1 and sum(b) <= d2 for a, b in pairs])
+            kept = [pair for pair, k in zip(pairs, inside) if k]
+            want = np.zeros(len(pairs), dtype=complex)
+            want[inside] = (np.array([left.coeff(a) for a, _ in kept])
+                            * np.array([right.coeff(b) for _, b in kept]))
+            assert np.array_equal(t.coeffs, want)
+            assert np.count_nonzero(t.coeffs) == (
+                np.count_nonzero(left.coeffs) * np.count_nonzero(right.coeffs))
+        # evaluation factorizes as well
+        z = rng.standard_normal((4, n1)) + 0.2j
+        w = rng.standard_normal((4, n2))
+        joined = np.hstack([z, w])
+        assert np.allclose(tensor_product(p, q).eval_many(joined),
+                           p.eval_many(z) * q.eval_many(w))
 
 
 def test_truncate_and_embed():
