@@ -17,15 +17,14 @@ import sys
 import numpy as np
 
 from .config import check_config_keys
-from .experiments import (RATE_HEADER, ExperimentConfig, TableReport,
-                          build_projector, convergence_run, cylinder_run,
-                          polya_bisect, polya_run, report_write)
+from .experiments import (RATE_HEADER, ExperimentConfig, TableReport, convergence_run,
+                          cylinder_run, polya_bisect, polya_run, report_write)
 from .extremal import parse_compact, rho_estimate
 from .growth import gelfond_constant, omega_density, parse_norm
 from .measures import gram_schmidt_basis, parse_measure
 from .points import leja_greedy_gap
 from .testfunctions import parse_function
-from .zoo import nodes_by_name
+from .zoo import nodes_by_name, projector_from_spec
 
 
 def run_points(cfg):
@@ -80,7 +79,7 @@ def check_ortho(resid):
 
 
 def run_project(cfg):
-    proj = build_projector(cfg["projector"], cfg.get("degree"))
+    proj = projector_from_spec(cfg["projector"], cfg.get("degree"))
     f = parse_function(cfg["function"], proj.nvars)
     result = proj.apply(f, exactness=cfg.get("exactness"))
     report = TableReport(

@@ -112,19 +112,6 @@ class ExperimentReport:
                    obj.get("metadata"), obj.get("extras"))
 
 
-def build_projector(spec: dict, degree: int):
-    """Zoo spec or a newton_product composition of two zoo specs."""
-    if spec.get("kind") == "newton_product":
-        check_config_keys(spec, ("kind", "factors"), ("cond_threshold",))
-        f1, f2 = spec["factors"]
-        left = projector_from_spec(f1, degree)
-        right = projector_from_spec(f2, degree)
-        return left.newton_product(
-            right, cond_threshold=spec.get("cond_threshold", 1e12)
-        )
-    return projector_from_spec(spec, degree)
-
-
 def _row(d, sup, seconds):
     root = sup ** (1.0 / max(d, 1)) if sup > 0 else 0.0
     return {"d": int(d), "sup_error": float(sup), "root_error": float(root),
@@ -148,7 +135,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     approxs, seconds, cond_max = [], [], 0.0
     for d in config.degrees:
         tick = time.perf_counter()
-        proj = build_projector(config.projector, d)
+        proj = projector_from_spec(config.projector, d)
         approxs.append(proj.apply(f, exactness=config.exactness))
         seconds.append(time.perf_counter() - tick)
         cond_max = max(cond_max, *proj.level_conds)

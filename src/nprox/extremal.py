@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .config import check_config_keys
-from .points import cartesian
+from .points import as_rows, cartesian
 from .polynomials import Polynomial, evaluate_grid
 from .zoo import orthogonal_projector
 
@@ -49,11 +49,14 @@ class CompactModel:
     # -- extremal function ----------------------------------------------------
 
     def extremal_value(self, z) -> np.ndarray:
-        """V_K at each point (rows of z); nonnegative, zero on K."""
+        """V_K at each point (rows of z); nonnegative, zero on K.
+
+        A scalar, or one point of ``nvars`` coordinates for a model in
+        several variables, gives a float.
+        """
         pts = np.asarray(z, dtype=np.complex128)
         squeeze = pts.ndim == 0 or (pts.ndim == 1 and self.nvars > 1)
-        pts = pts.reshape(-1, self.nvars)
-        out = self._extremal(pts)
+        out = self._extremal(as_rows(pts.reshape(1, -1) if squeeze else pts, self.nvars))
         return float(out[0]) if squeeze else out
 
     def _extremal(self, pts: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import check_config_keys
 from .points import as_rows
@@ -65,7 +64,7 @@ class LpNorm(Norm):
         self.nvars = int(nvars)
 
     def value(self, z):
-        pts = np.asarray(z, dtype=np.complex128).reshape(-1, self.nvars)
+        pts = as_rows(z, self.nvars)
         if self.p == math.inf:
             return np.max(np.abs(pts), axis=1)
         if self.p == 1:
@@ -119,7 +118,7 @@ class CombinedNorm(Norm):
         self.nvars = left.nvars + right.nvars
 
     def value(self, z):
-        pts = np.asarray(z, dtype=np.complex128).reshape(-1, self.nvars)
+        pts = as_rows(z, self.nvars)
         v1 = self.left.value(pts[:, : self.left.nvars])
         v2 = self.right.value(pts[:, self.left.nvars:])
         a1, a2 = self.weights
@@ -245,20 +244,14 @@ def power_series_coeff_bound(f: Polynomial, alpha, norm: Norm, t: float,
 def gelfond_constant(omega: float) -> float:
     """The threshold constant: integral of t^(omega-1)/(1-t) over [0, 1/2].
 
-    At omega = 1 the value is log 2.  For omega < 1 the endpoint singularity
-    t^(omega-1) is removed by substituting t = u^(1/omega), which flattens
-    the integrand to 1/(omega (1 - u^(1/omega))).
+    Expanding 1/(1-t) and integrating termwise gives the series
+    sum_{n>=0} 2^-(omega+n) / (omega+n).  Each term is less than half the
+    last, so 60 terms, summed smallest first, leave a tail below 2^-59 of
+    the first term.  At omega = 1 the value is log 2.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    if omega >= 1:
-        val, _ = quad(lambda t: t ** (omega - 1.0) / (1.0 - t), 0.0, 0.5,
-                      epsabs=1e-13, epsrel=1e-13)
-        return val
-    upper = 0.5**omega
-    val, _ = quad(lambda u: 1.0 / (omega * (1.0 - u ** (1.0 / omega))), 0.0, upper,
-                  epsabs=1e-13, epsrel=1e-13)
-    return val
+    return sum(0.5 ** (omega + n) / (omega + n) for n in reversed(range(60)))
 
 
 def omega_density(points, norm: Norm, omega: float, rmax: float) -> float:

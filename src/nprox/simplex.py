@@ -6,36 +6,34 @@ normalization).  Moments have the closed form
 
     int_{T_k} t^beta dt = (prod_i beta_i!) / (|beta| + k)!
 
-evaluated through log-gamma so large degrees do not overflow.  Cubature uses
-the Grundmann-Moller combinatorial construction, which is exact for
+taken as a ratio of exact integers, which Python's true division rounds
+once, correctly: large degrees neither overflow nor lose digits.  Cubature
+uses the Grundmann-Moller combinatorial construction, which is exact for
 polynomials of degree 2s+1 and reuses the graded-lex enumeration machinery
-for its point sets.
+for its point sets; its weights are ratios of factorials too, rounded once
+in the same way.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
-from scipy.special import gammaln
 
 from .indexing import degree_starts, exponents
 
 
 def simplex_monomial_moment(beta) -> float:
-    beta = np.asarray(beta, dtype=np.int64).reshape(-1)
-    if beta.size == 0:
-        return 1.0  # zero-dimensional simplex: the integral is a point value
-    if np.any(beta < 0):
+    beta = np.asarray(beta, dtype=np.int64).reshape(-1).tolist()
+    if any(b < 0 for b in beta):
         raise ValueError("moment exponents must be nonnegative")
-    k = beta.size
-    return float(np.exp(np.sum(gammaln(beta + 1)) - gammaln(beta.sum() + k + 1)))
+    # an empty beta is the zero-dimensional simplex, a point: the value is 1
+    return prod(map(factorial, beta)) / factorial(sum(beta) + len(beta))
 
 
 def simplex_moment_vector(ndim: int, degree: int) -> np.ndarray:
     """Moments of every graded-lex monomial of degree <= ``degree`` on T_ndim."""
-    E = exponents(ndim, degree)
-    logs = gammaln(E + 1.0).sum(axis=1) - gammaln(E.sum(axis=1) + ndim + 1.0)
-    return np.exp(logs)
+    return np.array([simplex_monomial_moment(row) for row in exponents(ndim, degree)])
 
 
 @lru_cache(maxsize=None)
@@ -60,13 +58,7 @@ def grundmann_moller_rule(ndim: int, s: int):
         k = s - i
         block = table[starts[k]:starts[k + 1]]
         denom = d + ndim - 2 * i
-        logw = (
-            d * np.log(denom)
-            - 2 * s * np.log(2.0)
-            - gammaln(i + 1.0)
-            - gammaln(d + ndim - i + 1.0)
-        )
-        w = (-1.0) ** i * np.exp(logw)
+        w = (-1) ** i * denom**d / (4**s * factorial(i) * factorial(d + ndim - i))
         node_blocks.append((2.0 * block[:, 1:] + 1.0) / denom)
         weight_blocks.append(np.full(block.shape[0], w))
     nodes = np.vstack(node_blocks)

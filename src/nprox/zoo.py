@@ -111,11 +111,14 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
       {"kind": "kergin", "nodes": "leja_disk"}            (1-D menus)
       {"kind": "kergin", "nodes": [[...], ...]}           (rows = nodes)
       {"kind": "orthogonal", "measure": {...}}
+      {"kind": "newton_product", "factors": [spec, spec]}
 
-    A 1-D menu name with "planar": true lifts the points to rows (re, im),
-    which is how a disk node set feeds a two-variable Kergin build.  Explicit
-    node lists fix their own degree.  An optional "cond_threshold" (null to
-    disable) is passed to the engine.  Any other key is refused.
+    A product's two factors are specs themselves, products included, built
+    at the same degree.  A 1-D menu name with "planar": true lifts the
+    points to rows (re, im), which is how a disk node set feeds a
+    two-variable Kergin build.  Explicit node lists fix their own degree.
+    An optional "cond_threshold" (null to disable) is passed to the engine.
+    Any other key is refused.
     """
     kind = spec.get("kind")
     common = ("kind", "degree", "cond_threshold")
@@ -144,4 +147,10 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
         check_config_keys(spec, ("measure",), common)
         measure = parse_measure(spec["measure"])
         return orthogonal_projector(measure, int(degree), cond_threshold=threshold)
+    if kind == "newton_product":
+        check_config_keys(spec, ("kind", "factors"), ("cond_threshold",))
+        if len(spec["factors"]) != 2:
+            raise ValueError("a newton_product takes exactly two factors")
+        left, right = (projector_from_spec(f, degree) for f in spec["factors"])
+        return left.newton_product(right, cond_threshold=threshold)
     raise ValueError(f"unknown projector kind {kind!r}")

@@ -81,6 +81,17 @@ def test_product_extremal_is_pointwise_max(rng=np.random.default_rng(7)):
     assert np.max(np.abs(prod.extremal_value(z) - want)) < 1e-12
 
 
+def test_extremal_value_checks_the_point_width():
+    model = CompactModel("product", ["interval", "disk"])
+    with pytest.raises(ValueError, match="coordinates"):
+        model.extremal_value(np.ones((4, 3)))
+    with pytest.raises(ValueError, match="coordinates"):
+        model.extremal_value(np.ones(4))
+    # one point of nvars coordinates, or a scalar in one variable, is a float
+    assert model.extremal_value(np.array([2.0, 0.5])) == pytest.approx(math.log(2 + math.sqrt(3)))
+    assert CompactModel("disk").extremal_value(3.0) == pytest.approx(math.log(3.0))
+
+
 @pytest.mark.parametrize("kind", ["interval", "disk"])
 @pytest.mark.parametrize("R", [1.5, 2.0, 4.0])
 def test_level_set_boundary_sits_at_log_R(kind, R):
@@ -312,6 +323,16 @@ def test_combined_norm_rejects_bad_parameters():
         LpNorm(3, 2)
 
 
+def test_lp_norm_checks_the_point_width():
+    with pytest.raises(ValueError, match="coordinates"):
+        LpNorm(2, 2).value(np.ones((4, 3)))
+
+
+def test_combined_norm_checks_the_point_width():
+    with pytest.raises(ValueError, match="coordinates"):
+        CombinedNorm(LpNorm(2, 1), LpNorm(1, 1)).value(np.ones((4, 3)))
+
+
 def test_norm_json_round_trips():
     rng = np.random.default_rng(5)
     for norm in _norm_menu():
@@ -409,7 +430,10 @@ def test_gelfond_constant_against_series():
 
 
 def test_gelfond_constant_at_one_is_log_two():
-    assert abs(gelfond_constant(1.0) - math.log(2.0)) < 1e-12
+    # c(1) = ln 2, c(2) = ln 2 - 1/2 and, with t = u^2, c(1/2) = 2 artanh(1/sqrt 2)
+    for omega, want in ((1.0, math.log(2.0)), (2.0, math.log(2.0) - 0.5),
+                        (0.5, 2.0 * math.log(1.0 + math.sqrt(2.0)))):
+        assert abs(gelfond_constant(omega) - want) <= 4e-16 * want
 
 
 def test_gelfond_constant_decreasing_in_omega():

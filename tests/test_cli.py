@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from nprox import cli
-from nprox.cli import build_projector, main
+from nprox.cli import main
+from nprox.zoo import projector_from_spec
 
 
 def run(tmp_path, command, cfg, *flags):
@@ -201,16 +202,32 @@ def test_project_check_passes_an_ill_conditioned_projector(tmp_path):
     assert run(tmp_path, "project", CHEB_LEJA_24, "--check") == 0
 
 
+NESTED_PRODUCT = {
+    "projector": {"kind": "newton_product", "factors": [
+        {"kind": "newton_product", "factors": [
+            {"kind": "kergin", "nodes": "leja_disk", "planar": True},
+            {"kind": "lagrange", "nodes": "chebyshev_leja"}]},
+        {"kind": "taylor", "nvars": 1, "center": [0.1]}]},
+    "degree": 5,
+    "function": ["exp", ["affine", [0.5, 0.25, -0.3, 0.2], 0.0]],
+}
+
+
+def test_project_check_passes_a_nested_product_spec(tmp_path):
+    # a product factor may itself be a product: (Kergin x Lagrange) x Taylor
+    assert run(tmp_path, "project", NESTED_PRODUCT, "--check") == 0
+
+
 def test_project_check_fails_an_operator_that_is_not_a_projector(
         tmp_path, monkeypatch, capsys):
     def scaled(spec, degree):
         # (1 + 1e-6) P maps its own result to (1 + 1e-6)^2 P f
-        proj = build_projector(spec, degree)
+        proj = projector_from_spec(spec, degree)
         apply = proj.apply
         proj.apply = lambda f, exactness=None: (1 + 1e-6) * apply(f, exactness)
         return proj
 
-    monkeypatch.setattr(cli, "build_projector", scaled)
+    monkeypatch.setattr(cli, "projector_from_spec", scaled)
     assert run(tmp_path, "project", CHEB_LEJA_24, "--check") == 2
     assert "projection not idempotent" in capsys.readouterr().err
 
@@ -320,3 +337,17 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+def test_import_loads_no_scipy_beyond_lapack():
+    # scipy serves nprox for LAPACK only: importing nprox loads no scipy
+    # subpackage that importing scipy.linalg.lapack alone does not
+    code = ("import sys, {}; print(' '.join({{m.split('.')[1] for m in sys.modules"
+            " if m.startswith('scipy.')}}))")
+
+    def loaded(module):
+        proc = subprocess.run([sys.executable, "-c", code.format(module)],
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    assert loaded("nprox") <= loaded("scipy.linalg.lapack")

@@ -9,6 +9,7 @@ Oracles:
   * direct closed forms for tiny cases worked by hand.
 """
 import math
+from fractions import Fraction
 from itertools import product as iter_product
 
 import numpy as np
@@ -190,6 +191,9 @@ def test_moment_closed_forms():
     assert simplex_monomial_moment([1]) == pytest.approx(0.5)  # int_0^1 t dt
     assert simplex_monomial_moment([1, 1]) == pytest.approx(1 / 24)
     assert simplex_monomial_moment([]) == 1.0
+    # rounded once from the exact ratio, far past where factorials overflow
+    want = Fraction(math.factorial(90) * math.factorial(120), math.factorial(212))
+    assert simplex_monomial_moment([90, 120]) == float(want)
 
 
 def test_moments_match_nested_quadrature():
@@ -220,6 +224,20 @@ def test_grundmann_moller_exactness():
             got = weights @ vals
             want = simplex_moment_vector(ndim, 2 * s + 1)
             assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_grundmann_moller_weights_are_rounded_exact_ratios():
+    # w_i = (-1)^i denom^d / (4^s i! (d + ndim - i)!), denom = d + ndim - 2i,
+    # shared by the C(ndim + s - i, ndim) nodes of block i
+    for ndim, s in ((1, 0), (2, 3), (3, 7), (6, 5)):
+        _, weights = grundmann_moller_rule(ndim, s)
+        d = 2 * s + 1
+        want = []
+        for i in range(s + 1):
+            w = Fraction((-1) ** i * (d + ndim - 2 * i) ** d,
+                         4**s * math.factorial(i) * math.factorial(d + ndim - i))
+            want += [float(w)] * math.comb(ndim + s - i, ndim)
+        assert np.array_equal(weights, want)
 
 
 def test_grundmann_moller_weight_sum_is_volume():

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from nprox.experiments import cylinder_nodes
-from nprox.functionals import KerginCondition, PointEval
+from nprox.functionals import KerginCondition, PointEval, rhs
 from nprox.indexing import exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import chebyshev_nodes, leja_disk, real_leja
@@ -377,25 +377,39 @@ def test_high_degree_taylor_reproduces_exp_coefficients():
     assert np.max(np.abs(got - want) / want) < 1e-12
 
 
-@pytest.mark.parametrize("d", [8, 11, 12])
-def test_kergin_default_exactness_matches_hermite_genocchi_oracle(d):
+def _hermite_genocchi_values(P, c):
     # By Hermite-Genocchi a Kergin condition of order j on exp(c.z) is
     # c^alpha times the divided difference of exp at u = nodes @ c, which is
-    # entry (0, j) of expm(diag(u) + superdiagonal ones).  At d = 11 and 12
-    # an uncapped 2d + 5 rule passes DESK_LIMIT.
-    c = np.array([1.0, 1.0])
-    P = kergin_projector(cylinder_nodes(d)[0])
-    p = P.apply(Exp(Affine(c, 0.0)))
-    want = np.array([
+    # entry (0, j) of expm(diag(u) + superdiagonal ones).
+    return np.array([
         np.prod(c ** np.array(mu.alpha))
         * expm(np.diag(mu.nodes @ c) + np.diag(np.ones(mu.order), 1))[0, mu.order]
         for mu in P.conditions
     ])
+
+
+@pytest.mark.parametrize("d", [8, 11, 12])
+def test_kergin_default_exactness_matches_hermite_genocchi_oracle(d):
+    # At d = 11 and 12 an uncapped 2d + 5 rule passes DESK_LIMIT.
+    c = np.array([1.0, 1.0])
+    P = kergin_projector(cylinder_nodes(d)[0])
+    p = P.apply(Exp(Affine(c, 0.0)))
+    want = _hermite_genocchi_values(P, c)
     assert np.max(np.abs(P.matrix @ p.coeffs - want) / np.abs(want)) < 1e-9
     # a bare top-level condition integrates at the same capped default
     top = want[monomial_count(2, d - 1):]
     bare = np.array([mu.apply_to_function(Exp(Affine(c, 0.0))) for mu in P.levels[-1]])
     assert np.max(np.abs(bare - top) / np.abs(top)) < 1e-9
+
+
+def test_kergin_rhs_past_the_default_exactness_matches_hermite_genocchi_oracle():
+    # with each alternating Grundmann-Moller weight rounded once from its
+    # exact ratio, the d = 10 right-hand side at exactness 25 is off by 1.5e-11
+    c = np.array([1.0, 1.0])
+    P = kergin_projector(cylinder_nodes(10)[0])
+    got = rhs(P.conditions, Exp(Affine(c, 0.0)), 25)
+    want = _hermite_genocchi_values(P, c)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
 
 
 def test_kergin_at_coincident_nodes_is_taylor():
@@ -438,6 +452,11 @@ def test_spec_keys_are_checked():
         projector_from_spec({"family": "lagrange", "nodes": "real_leja"}, 4)
     with pytest.raises(ValueError, match="unknown config key 'points'"):
         projector_from_spec({"kind": "lagrange", "points": "real_leja"}, 4)
+    leaf = {"kind": "lagrange", "nodes": "real_leja"}
+    with pytest.raises(ValueError, match="exactly two factors"):
+        projector_from_spec({"kind": "newton_product", "factors": [leaf] * 3}, 4)
+    with pytest.raises(ValueError, match="unknown config key 'degree'"):
+        projector_from_spec({"kind": "newton_product", "factors": [leaf] * 2, "degree": 4})
 
 
 # -- product structure ---------------------------------------------------------------
