@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import check_config_keys
 from .extremal import fit_decay_rate, parse_compact
+from .functionals import check_exactness
 from .points import cartesian
 from .polynomials import evaluate_grid
 from .testfunctions import parse_function
@@ -52,7 +53,7 @@ class ExperimentConfig:
         self.compact = compact
         self.degrees = [int(d) for d in degrees]
         self.grid = int(grid)
-        self.exactness = None if exactness is None else int(exactness)
+        self.exactness = None if exactness is None else check_exactness(exactness)
         self.expected_rho = None if expected_rho is None else float(expected_rho)
         if not self.degrees or min(self.degrees) < 0:
             raise ValueError(f"degrees must be a non-empty list of nonnegative "

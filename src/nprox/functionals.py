@@ -40,6 +40,7 @@ passed to the test function once for all the orders they ask of it.
 from __future__ import annotations
 
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,17 @@ from .testfunctions import TestFunction
 # its Hermite-Genocchi values by 5.3e-13 at exactness 15, 3.4e-12 at 21 and
 # 1.5e-11 at 25 (row-relative).
 DEFAULT_EXACTNESS = 21
+
+
+def check_exactness(exactness) -> int:
+    """``exactness`` as an int, or ValueError if it is not a nonnegative integer.
+
+    A bool, a float (even an integral one) or a negative value raises rather
+    than being rounded or clamped into some other rule.
+    """
+    if isinstance(exactness, bool) or not isinstance(exactness, Integral) or exactness < 0:
+        raise ValueError(f"exactness must be a nonnegative integer, got {exactness!r}")
+    return int(exactness)
 
 # Distinct points per deriv_table call of ``rhs``: small batches merge up to
 # it and larger tensor batches are cut into row pieces of about this size.
@@ -269,14 +281,14 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     factors are discretized once per call.  Each pair of factor batches is
     handed on whole, with the conditions that use it, so its row pieces are
     built once for all of them.  ``exactness`` defaults to
-    ``DEFAULT_EXACTNESS``; a Kergin condition whose rule at that exactness
-    would pass the desk scale raises ``ValueError`` before any rule is built.
+    ``DEFAULT_EXACTNESS``; one that is not a nonnegative integer, or a
+    Kergin condition whose rule at it would pass the desk scale, raises
+    ``ValueError`` before any rule is built.
     """
     conditions = list(conditions)
     if any(mu.nvars != f.nvars for mu in conditions):
         raise ValueError("variable count mismatch")
-    if exactness is None:
-        exactness = DEFAULT_EXACTNESS
+    exactness = DEFAULT_EXACTNESS if exactness is None else check_exactness(exactness)
     groups: dict = {}
     top_order = 0
     for i, mu in enumerate(conditions):

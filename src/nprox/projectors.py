@@ -23,17 +23,27 @@ polynomial inputs.  In the evaluation formula the right summands telescope
 into truncations: sum over i1 + i2 <= d of Delta1_i1 (x) Delta2_i2 equals
 sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, d + 1 tensor products.
 
-Leading blocks are factored and solved by LAPACK's zgetrf/zgetrs, called
-directly: the projectors are small and many, and on a 15 x 15 block scipy's
-LU solve wrapper takes about 11 us where the zgetrs it wraps takes 1.2 us
-(Intel Xeon, scipy 1.17).
+Leading blocks are row-equilibrated and then factored and solved by
+LAPACK's zgetrf/zgetrs, called directly: the projectors are small and many,
+and on a 15 x 15 block scipy's LU solve wrapper takes about 11 us where the
+zgetrs it wraps takes 1.2 us (Intel Xeon, scipy 1.17).  Every block's row
+scales come from one running maximum of the matrix taken at build time,
+which the nesting gate and the solves share.
+
+A projector keeps the right-hand side of the last test function it
+evaluated: its values under the conditions of levels 0..top.  A later call
+with the same object (``is``; test functions are immutable) at the same
+exactness and a degree k <= top slices them, so ``apply(f)`` followed by
+``truncate(k, f)`` at every k evaluates f once.  Any other call evaluates
+the levels it needs and takes the entry's place.  Polynomials keep their
+exact product with the collocation rows.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import zgetrf, zgetrs
 
-from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
+from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, check_exactness, rhs
 from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import PoleOnSupportError, TestFunction
@@ -111,8 +121,11 @@ class NewtonStructuredProjector:
         self.levels = [self.conditions[lo:hi] for lo, hi in zip(starts, starts[1:])]
         self.cond_threshold = cond_threshold
         self.matrix = self._assemble(self.degree)
+        self._scales = self._row_scales()
         self.level_conds = self._check_nesting()
         self._factors: dict[int, tuple] = {}
+        # (f, exactness, values of levels 0..top) of the last test function
+        self._last_rhs: tuple | None = None
 
     # -- collocation rows ----------------------------------------------------
 
@@ -129,6 +142,16 @@ class NewtonStructuredProjector:
 
     # -- construction-time checks ------------------------------------------
 
+    def _row_scales(self) -> list[np.ndarray]:
+        """Per level j, each row's largest |entry| in the level-j leading block.
+
+        A running maximum along the rows holds every block's row maxima at
+        once, and a maximum is exact, so they equal each block's own.  Only
+        the per-level columns are kept, not the n x n table.
+        """
+        running = np.maximum.accumulate(np.abs(self.matrix), axis=1)
+        return [running[:m, m - 1].copy() for m in degree_starts(self.nvars, self.degree)[1:]]
+
     def _check_nesting(self) -> list[float]:
         # A real matrix (real nodes, real centers) takes real SVDs, about twice
         # as fast.  The real and complex estimates of one block differ by
@@ -141,7 +164,7 @@ class NewtonStructuredProjector:
         for j in range(self.degree + 1):
             m = monomial_count(self.nvars, j)
             block = matrix[:m, :m]
-            scale = np.max(np.abs(block), axis=1)
+            scale = self._scales[j]
             if np.any(scale == 0):
                 raise NestedUnisolvenceFailure(
                     f"{self._level_name(j)}: a condition vanishes on all monomials"
@@ -175,9 +198,8 @@ class NewtonStructuredProjector:
         factors = self._factors.get(k)
         if factors is None:
             m = monomial_count(self.nvars, k)
-            block = self.matrix[:m, :m]
-            scale = np.max(np.abs(block), axis=1)
-            lu, piv, info = zgetrf(block / scale[:, None])
+            scale = self._scales[k]
+            lu, piv, info = zgetrf(self.matrix[:m, :m] / scale[:, None])
             if info > 0:  # an exactly zero pivot
                 raise np.linalg.LinAlgError(f"{self._level_name(k)}: leading block is singular")
             factors = self._factors[k] = (lu, piv, scale)
@@ -191,18 +213,33 @@ class NewtonStructuredProjector:
     def _exactness(self, exactness: int | None) -> int:
         # only Kergin conditions integrate; 2d + 5 resolves smooth integrands
         # of a degree-d projector, and DEFAULT_EXACTNESS caps the rule size
-        return min(2 * self.degree + 5, DEFAULT_EXACTNESS) if exactness is None else exactness
+        if exactness is None:
+            return min(2 * self.degree + 5, DEFAULT_EXACTNESS)
+        return check_exactness(exactness)
 
     def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
-        """Values of f under the conditions of levels 0..k (default: all)."""
+        """Values of f under the conditions of levels 0..k (default: all).
+
+        A test function's values are kept, read-only, for the last one
+        evaluated; the same object at the same exactness and a degree up to
+        theirs reads them.  A failed evaluation keeps nothing.
+        """
         if not isinstance(f, (Polynomial, TestFunction)):
             raise TypeError(f"cannot project a {type(f).__name__}")
         if f.nvars != self.nvars:
             raise ValueError("variable count mismatch")
+        exactness = self._exactness(exactness)
         k = self.degree if k is None else k
+        n = monomial_count(self.nvars, k)
         if isinstance(f, Polynomial):
-            return self._rows(f.degree)[:monomial_count(self.nvars, k)] @ f.coeffs
-        return self._function_rhs(f, self._exactness(exactness), k)
+            return self._rows(f.degree)[:n] @ f.coeffs
+        last = self._last_rhs
+        if last is not None and last[0] is f and last[1] == exactness and n <= len(last[2]):
+            return last[2][:n]
+        values = self._function_rhs(f, exactness, k)
+        values.setflags(write=False)
+        self._last_rhs = (f, exactness, values)
+        return values
 
     def _function_rhs(self, f: TestFunction, exactness: int, k: int) -> np.ndarray:
         """Values of the test function f under the conditions of levels 0..k."""

@@ -15,6 +15,11 @@ involve one variable block, and products of these, ``split`` into a
 tensor product of two functions on the leading and trailing variables; a
 product projector uses that to apply its factors' conditions to the parts.
 
+Functions are immutable values, like ``Polynomial``: an affine form keeps
+a read-only copy of its coefficients, and sums and products keep tuples.
+A projector relies on that when it reuses the values of the last test
+function it evaluated, recognised by identity (``is``).
+
 Trees are read from a JSON prefix grammar (``parse_function``), e.g.::
 
     ["exp", ["affine", [0.5], 0.0]]          # exp(z/2)
@@ -131,10 +136,11 @@ class Const(TestFunction):
 
 
 class Affine(TestFunction):
-    """The affine form ``coeffs . z + const``."""
+    """The affine form ``coeffs . z + const``, over a read-only copy of ``coeffs``."""
 
     def __init__(self, coeffs, const=0.0):
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+        self.coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1).copy()
+        self.coeffs.setflags(write=False)
         self.const = complex(const)
         self.nvars = self.coeffs.shape[0]
         if self.nvars == 0:
@@ -231,7 +237,7 @@ class Recip(TestFunction):
 
 class Sum(TestFunction):
     def __init__(self, terms):
-        terms = list(terms)
+        terms = tuple(terms)
         if not terms:
             raise ValueError("empty sum")
         self.terms = terms
@@ -254,7 +260,7 @@ class Product(TestFunction):
     """Product of factors differentiated via the general Leibniz rule."""
 
     def __init__(self, factors):
-        factors = list(factors)
+        factors = tuple(factors)
         if not factors:
             raise ValueError("empty product")
         self.factors = factors

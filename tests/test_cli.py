@@ -232,6 +232,21 @@ def test_project_check_fails_an_operator_that_is_not_a_projector(
     assert "projection not idempotent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("project", {"projector": {"kind": "kergin", "nodes": "real_leja"}, "degree": 6,
+                 "function": ["exp", ["affine", [0.9], 0.0]], "exactness": -5}),
+    ("converge", {"projector": {"kind": "lagrange", "nodes": "real_leja"},
+                  "function": ["exp", ["affine", [1.0], 0.0]], "compact": "interval",
+                  "degrees": [2, 4], "grid": 64, "exactness": 2.7}),
+    ("cylinder", {"degrees": [2, 3], "grid": 64, "exactness": -3}),
+], ids=["project", "converge", "cylinder"])
+def test_bad_exactness_exits_one(tmp_path, capsys, command, cfg):
+    # project --check used to pass with exactness -5, read as exactness 1
+    assert run(tmp_path, command, cfg, "--check") == 1
+    assert "exactness must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rho_check_against_expected(tmp_path):
     cfg = {
         "function": ["recip", ["affine", [1.0], -2.0]],

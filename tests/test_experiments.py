@@ -84,6 +84,14 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json(cfg)
 
 
+@pytest.mark.parametrize("bad", [-3, 2.7, True])
+def test_config_rejects_a_bad_exactness(bad):
+    # -3 used to be kept and 2.7 floored to 2
+    with pytest.raises(ValueError, match="exactness"):
+        small_config(exactness=bad)
+    assert small_config(exactness=0).exactness == 0
+
+
 def test_convergence_entire_function_decreases_fast():
     cfg = small_config(degrees=[2, 4, 6, 8])
     report = convergence_run(cfg)

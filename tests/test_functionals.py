@@ -258,6 +258,22 @@ def test_tree_values():
     assert h.eval([1.0, 2.0]) == pytest.approx(7.0)
 
 
+def test_test_functions_are_immutable():
+    # a projector finds its last right-hand side by identity, so a function
+    # must not change under it
+    coeffs = np.array([0.5, -1.0])
+    affine = Affine(coeffs, 0.3)
+    for form in (affine, Exp(Affine(coeffs)).arg, Recip(Affine(coeffs, 3.0)).arg):
+        with pytest.raises(ValueError, match="read-only"):
+            form.coeffs[0] = 7.0
+    assert coeffs.flags.writeable
+    coeffs[0] = 7.0
+    assert affine.coeffs[0] == 0.5
+    assert affine.eval([1.0, 1.0]) == pytest.approx(-0.2)
+    assert isinstance(Sum([affine, affine]).terms, tuple)
+    assert isinstance(Product([affine, affine]).factors, tuple)
+
+
 def test_tree_derivatives_match_finite_differences():
     rng = np.random.default_rng(2)
     cases = [
@@ -767,6 +783,54 @@ def test_a_truncation_evaluates_its_own_factor_levels_only():
     counting = CountingFunction(f)
     prod.apply(counting)
     assert sum(counting.sizes) == want
+
+
+def test_apply_then_every_truncation_evaluates_f_once():
+    prod = kergin_projector(nodes_by_name("real_leja", 5)).newton_product(_cheb_leja(8))
+    f = CountingFunction(Exp(Affine([0.8, -0.6], 0.1)))
+    prod.apply(f)
+    once = list(f.sizes)
+    for k in range(prod.degree + 1):
+        prod.truncate(k, f)
+    prod.truncations(f)
+    prod.newton_summands(f)
+    # an explicit exactness equal to the default is the same exactness
+    prod.truncate(2, f, prod._exactness(None))
+    assert f.sizes == once
+    assert not prod._rhs(f, None).flags.writeable
+
+
+def test_another_function_or_exactness_or_a_higher_degree_evaluates_again():
+    prod = kergin_projector(nodes_by_name("real_leja", 5)).newton_product(_cheb_leja(8))
+    f = CountingFunction(Exp(Affine([0.8, -0.6], 0.1)))
+    prod.truncate(2, f)
+    calls = f.calls
+    # equal is not enough: the last right-hand side is found by identity
+    g = CountingFunction(Exp(Affine([0.8, -0.6], 0.1)))
+    prod.truncate(2, g)
+    assert g.calls == calls
+    prod.truncate(2, f, prod._exactness(None) - 2)
+    assert f.calls == 2 * calls
+    prod.truncate(2, f)
+    assert f.calls == 3 * calls
+    prod.truncate(3, f)
+    assert f.calls > 3 * calls
+
+
+def test_a_pole_raises_again_and_keeps_nothing():
+    pts = nodes_by_name("real_leja", 7)
+    P = lagrange_projector(pts)
+    # the pole sits at the last node, outside the degree-2 truncation's support
+    f = CountingFunction(Recip(Affine([1.0], -pts[-1].real)))
+    want = P.truncate(2, f)
+    calls = f.calls
+    for _ in range(2):
+        with pytest.raises(PoleOnSupportError):
+            P.apply(f)
+    assert f.calls == calls + 2
+    # the failed evaluations left the degree-2 values in place
+    assert np.array_equal(P.truncate(2, f).coeffs, want.coeffs)
+    assert f.calls == calls + 2
 
 
 def test_cylinder_right_hand_side_evaluates_each_point_once():

@@ -459,6 +459,81 @@ def test_spec_keys_are_checked():
         projector_from_spec({"kind": "newton_product", "factors": [leaf] * 2, "degree": 4})
 
 
+
+# -- the last right-hand side --------------------------------------------------------
+
+
+def zoo_families(degree):
+    """The benchmark's zoo families: five in one variable, two in two."""
+    disk = nodes_by_name("leja_disk", degree)
+    return [
+        taylor_projector(1, degree, center=[0.1]),
+        lagrange_projector(nodes_by_name("real_leja", degree)),
+        lagrange_projector(disk),
+        orthogonal_projector(chebyshev_measure(64), degree),
+        orthogonal_projector(circle_measure(64), degree),
+        taylor_projector(2, degree, center=[0.1, -0.2]),
+        kergin_projector(np.stack([disk.real, disk.imag], axis=1)),
+    ]
+
+
+def assert_truncations_read_alike(build, f):
+    """truncate(k, f) fresh, after apply(f), and truncations(f)[k], bit for bit."""
+    prod = build()
+    fresh = [build().truncate(k, f) for k in range(prod.degree + 1)]
+    parts = build().truncations(f)
+    prod.apply(f)
+    for k in range(prod.degree + 1):
+        after = prod.truncate(k, f)
+        assert np.array_equal(after.coeffs, fresh[k].coeffs)
+        assert np.array_equal(after.coeffs, parts[k].coeffs)
+
+
+def test_truncations_after_apply_match_fresh_ones_on_every_zoo_pair():
+    # separable f: the product gathers its values from the factors'
+    rng = np.random.default_rng(15)
+    for left in zoo_families(3):
+        for right in zoo_families(4):
+            f = Exp(Affine(rng.uniform(-1.0, 1.0, left.nvars + right.nvars)))
+            assert_truncations_read_alike(lambda: left.newton_product(right), f)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_truncations_after_apply_match_fresh_ones_unsplit(d):
+    # every variable in one affine form: the batched tensor right-hand side
+    planar, line = cylinder_nodes(d)
+    factors = kergin_projector(planar), lagrange_projector(line)
+    recip = Recip(Affine([0.5, 0.25, -0.3], -3.0))
+    for f in (recip, Exp(Affine([0.3, -0.2, 0.7])) * recip):
+        assert f.split(2) is None
+        assert_truncations_read_alike(lambda: factors[0].newton_product(factors[1]), f)
+
+
+@pytest.mark.parametrize("bad", [-5, -1, 2.7, 2.0, True, "21"])
+def test_a_bad_exactness_raises(bad):
+    # -5 used to act as exactness 1: the coefficients of exp(0.9 x) moved by 0.15
+    P = kergin_projector(nodes_by_name("real_leja", 6))
+    f = Exp(Affine([0.9]))
+    for call in (lambda: P.apply(f, exactness=bad), lambda: P.truncations(f, bad),
+                 lambda: P.apply(Polynomial.monomial(1, (2,)), exactness=bad),
+                 lambda: rhs(P.conditions, f, bad)):
+        with pytest.raises(ValueError, match="exactness"):
+            call()
+    # a call that would read the last right-hand side fails alike
+    P.apply(f)
+    with pytest.raises(ValueError, match="exactness"):
+        P.truncate(3, f, bad)
+    prod = P.newton_product(lagrange_projector(nodes_by_name("real_leja", 6)))
+    with pytest.raises(ValueError, match="exactness"):
+        prod.apply_product_formula(f, f, exactness=bad)
+
+
+def test_exactness_zero_and_numpy_integers_are_valid():
+    P = kergin_projector(nodes_by_name("real_leja", 6))
+    f = Exp(Affine([0.9]))
+    assert np.array_equal(P.apply(f, exactness=np.int64(9)).coeffs, P.apply(f, 9).coeffs)
+    assert P.apply(f, exactness=0).degree == 6
+
 # -- product structure ---------------------------------------------------------------
 
 
