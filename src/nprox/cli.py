@@ -1,10 +1,12 @@
 """Command line front end.
 
-Each subcommand in ``COMMANDS`` reads a JSON config, checks its keys against
-the ones the entry declares, and writes CSV tables plus a JSON file into the
-output directory through ``experiments.report_write``.  With --check it also
-verifies the subcommand's invariant and exits 2 if it fails.  Any other
-failure (unknown or missing config key, degenerate input) exits 1.
+Each subcommand in ``COMMANDS`` reads a JSON config against its entry of
+``config.SCHEMA``, which types every value and fills in the defaults, and
+writes CSV tables plus a JSON file into the output directory through
+``experiments.report_write``.  With --check it also verifies the
+subcommand's invariant and exits 2 if it fails.  Any other failure (unknown
+or missing config key, a value of the wrong type or out of range, degenerate
+input) exits 1.
 --timings fills the converge and cylinder seconds columns with wall times.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import check_config_keys
+from .config import read_config
 from .experiments import (RATE_HEADER, ExperimentConfig, TableReport, convergence_run,
                           cylinder_run, polya_bisect, polya_run, report_write)
 from .extremal import parse_compact, rho_estimate
@@ -28,13 +30,10 @@ from .zoo import nodes_by_name, projector_from_spec
 
 
 def run_points(cfg):
-    family = cfg.get("family", "leja_disk")
-    count = int(cfg.get("count", 16))
-    if count < 1:
-        raise ValueError(f"points count must be at least 1, got {count}")
+    family, count = cfg["family"], cfg["count"]
     pts = np.asarray(nodes_by_name(family, count - 1), dtype=np.complex128)[:count]
     report = TableReport(
-        cfg.get("name", f"points_{family}"),
+        f"points_{family}" if cfg["name"] is None else cfg["name"],
         [("", "index,re,im",
           [(k, float(z.real), float(z.imag)) for k, z in enumerate(pts)])],
         {"family": family, "count": count,
@@ -54,7 +53,7 @@ def check_points(facts):
 
 def run_ortho(cfg):
     measure = parse_measure(cfg["measure"])
-    degree = int(cfg["degree"])
+    degree = cfg["degree"]
     basis = gram_schmidt_basis(measure, degree)
     rows = []
     C = basis.coeff_matrix
@@ -63,7 +62,7 @@ def run_ortho(cfg):
             if C[i, j] != 0:
                 rows.append((i, j, float(C[i, j].real), float(C[i, j].imag)))
     resid = basis.gram_residual()
-    report = TableReport(cfg.get("name", "ortho"), [("", "i,j,re,im", rows)], {
+    report = TableReport(cfg["name"], [("", "i,j,re,im", rows)], {
         "degree": degree,
         "measure": measure.to_json(),
         "gram_residual": resid,
@@ -79,11 +78,11 @@ def check_ortho(resid):
 
 
 def run_project(cfg):
-    proj = projector_from_spec(cfg["projector"], cfg.get("degree"))
+    proj = projector_from_spec(cfg["projector"], cfg["degree"])
     f = parse_function(cfg["function"], proj.nvars)
-    result = proj.apply(f, exactness=cfg.get("exactness"))
+    result = proj.apply(f, exactness=cfg["exactness"])
     report = TableReport(
-        cfg.get("name", "project"),
+        cfg["name"],
         [("", "rank,re,im",
           [(k, float(c.real), float(c.imag)) for k, c in enumerate(result.coeffs)])],
         {"degree": proj.degree,
@@ -108,7 +107,7 @@ def check_project(facts):
 
 
 def run_converge(cfg):
-    report = convergence_run(ExperimentConfig.from_json(cfg))
+    report = convergence_run(ExperimentConfig(**cfg))
     return report, report
 
 
@@ -124,17 +123,8 @@ def check_converge(report):
 
 
 def run_cylinder(cfg):
-    # cylinder_run fixes the projector and compact; null keeps the config layout
-    config = ExperimentConfig.from_json({
-        "name": "cylinder",
-        "projector": None,
-        "compact": None,
-        "degrees": list(range(2, 11)),
-        "grid": 64,
-        "function": ["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
-        **cfg,
-    })
-    report = cylinder_run(config)
+    # cylinder_run fixes the projector and compact; None keeps the config layout
+    report = cylinder_run(ExperimentConfig(projector=None, compact=None, **cfg))
     return report, report
 
 
@@ -151,11 +141,9 @@ def check_cylinder(report):
 
 
 def run_polya(cfg):
-    lams = cfg.get("lambdas")
-    if lams is None:
-        lams = [cfg.get("lambda", 0.5)]
-    dmax = int(cfg.get("dmax", 40))
-    results = [polya_run(float(lam), dmax) for lam in lams]
+    lams = cfg["lambdas"] or [cfg["lambda"]]
+    dmax = cfg["dmax"]
+    results = [polya_run(lam, dmax) for lam in lams]
     tables = []
     for idx, out in enumerate(results):
         rows = []
@@ -170,9 +158,9 @@ def run_polya(cfg):
             for r in results
         ],
     }
-    if cfg.get("bisect"):
+    if cfg["bisect"]:
         payload["bisect"] = polya_bisect(dmax)
-    return TableReport(cfg.get("name", "polya"), tables, payload), payload
+    return TableReport(cfg["name"], tables, payload), payload
 
 
 def check_polya(payload):
@@ -191,12 +179,9 @@ def check_polya(payload):
 
 
 def run_gelfond(cfg):
-    omegas = cfg.get("omegas")
-    if omegas is None:
-        omegas = [cfg.get("omega", 1.0)]
-    omegas = [float(w) for w in omegas]
+    omegas = cfg["omegas"] or [cfg["omega"]]
     values = [gelfond_constant(w) for w in omegas]
-    report = TableReport(cfg.get("name", "gelfond"),
+    report = TableReport(cfg["name"],
                          [("", "omega,value", list(zip(omegas, values)))],
                          {"omegas": omegas, "values": values})
     return report, list(zip(omegas, values))
@@ -216,19 +201,19 @@ def run_rho(cfg):
     model = parse_compact(cfg["compact"])
     f = parse_function(cfg["function"], model.nvars)
     measure = parse_measure(cfg["measure"])
-    dmax = int(cfg.get("dmax", 24))
-    est = rho_estimate(f, model, dmax, measure, grid=int(cfg.get("grid", 256)))
+    dmax = cfg["dmax"]
+    est = rho_estimate(f, model, dmax, measure, grid=cfg["grid"])
     rows = []
     for d, e in zip(est.degrees, est.errors):
         root = e ** (1.0 / max(d, 1)) if e > 0 else 0.0
         rows.append((d, float(e), float(root), 0.0))
-    report = TableReport(cfg.get("name", "rho"), [("", RATE_HEADER, rows)], {
+    report = TableReport(cfg["name"], [("", RATE_HEADER, rows)], {
         "rho": None if math.isinf(est.rho) else est.rho,
         "slope_stderr": est.slope_stderr,
         "floor_hit": est.floor_hit,
         "dmax": dmax,
     })
-    return report, (est.rho, cfg.get("expected_rho"))
+    return report, (est.rho, cfg["expected_rho"])
 
 
 def check_rho(facts):
@@ -244,25 +229,25 @@ def check_rho(facts):
 def run_density(cfg):
     seq = cfg["sequence"]
     if isinstance(seq, dict):
-        check_config_keys(seq, (), ("kind", "count", "step"))
-        if seq.get("kind", "integers") != "integers":
+        seq = read_config("sequence", seq)
+        if seq["kind"] != "integers":
             raise ValueError(f"unknown sequence kind {seq['kind']!r}")
-        count = int(seq.get("count", 256))
-        step = float(seq.get("step", 1.0))
-        pts = np.arange(1, count + 1, dtype=float).reshape(-1, 1) * step
+        pts = np.arange(1, seq["count"] + 1, dtype=float).reshape(-1, 1) * seq["step"]
     else:
         pts = np.asarray(seq, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-    norm = parse_norm(cfg.get("norm", {"kind": "linf", "nvars": pts.shape[1]}))
-    omega = float(cfg.get("omega", 1.0))
-    rmax = float(cfg.get("rmax", np.max(np.abs(pts))))
+    norm = cfg["norm"]
+    norm = parse_norm({"kind": "linf", "nvars": pts.shape[1]} if norm is None else norm)
+    omega, rmax = cfg["omega"], cfg["rmax"]
+    if rmax is None:
+        rmax = float(np.max(np.abs(pts)))
     dens = omega_density(pts, norm, omega, rmax)
-    report = TableReport(cfg.get("name", "density"),
+    report = TableReport(cfg["name"],
                          [("", "omega,rmax,density", [(omega, rmax, dens)])],
                          {"omega": omega, "rmax": rmax, "density": dens,
                           "count": int(pts.shape[0])})
-    return report, (dens, cfg.get("expected"))
+    return report, (dens, cfg["expected"])
 
 
 def check_density(facts):
@@ -272,24 +257,19 @@ def check_density(facts):
     return None
 
 
-# name -> (run, check, required keys, optional keys); run(cfg) returns the
-# report and the facts that check(facts) reads to return a failure or None
+# name -> (run, check); run(cfg) takes the config that config.read_config
+# returns for the name and returns the report and the facts that
+# check(facts) reads to return a failure or None
 COMMANDS = {
-    "points": (run_points, check_points, (), ("family", "count", "name")),
-    "ortho": (run_ortho, check_ortho, ("measure", "degree"), ("name",)),
-    "project": (run_project, check_project, ("projector", "function"),
-                ("degree", "exactness", "name")),
-    "converge": (run_converge, check_converge,
-                 ExperimentConfig.REQUIRED, ExperimentConfig.FIELDS),
-    "cylinder": (run_cylinder, check_cylinder, (),
-                 ("name", "degrees", "grid", "function", "exactness")),
-    "polya": (run_polya, check_polya, (),
-              ("lambdas", "lambda", "dmax", "bisect", "name")),
-    "gelfond": (run_gelfond, check_gelfond, (), ("omegas", "omega", "name")),
-    "rho": (run_rho, check_rho, ("compact", "function", "measure"),
-            ("dmax", "grid", "expected_rho", "name")),
-    "density": (run_density, check_density, ("sequence",),
-                ("norm", "omega", "rmax", "expected", "name")),
+    "points": (run_points, check_points),
+    "ortho": (run_ortho, check_ortho),
+    "project": (run_project, check_project),
+    "converge": (run_converge, check_converge),
+    "cylinder": (run_cylinder, check_cylinder),
+    "polya": (run_polya, check_polya),
+    "gelfond": (run_gelfond, check_gelfond),
+    "rho": (run_rho, check_rho),
+    "density": (run_density, check_density),
 }
 
 
@@ -308,11 +288,10 @@ def main(argv=None) -> int:
         p.add_argument("--timings", action="store_true",
                        help="write real wall times into the CSV seconds column")
     args = parser.parse_args(argv)
-    run, check, required, optional = COMMANDS[args.command]
+    run, check = COMMANDS[args.command]
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        check_config_keys(cfg, required, optional)
+            cfg = read_config(args.command, json.load(fh))
         report, facts = run(cfg)
         report_write(report, args.out, timings=args.timings)
         failure = check(facts) if args.check else None

@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import check_config_keys
+from .config import read_config
 from .extremal import fit_decay_rate, parse_compact
-from .functionals import check_exactness
 from .points import cartesian
 from .polynomials import evaluate_grid
 from .testfunctions import parse_function
@@ -35,38 +34,30 @@ _OMEGA_GRID = 4097
 class ExperimentConfig:
     """Validated bundle of everything a sweep needs.
 
-    Fields: name, projector spec (possibly a newton_product composition),
-    function tree, compact model, non-empty strictly increasing list of
-    nonnegative degrees, per-axis grid resolution (at least 64), optional
-    quadrature exactness and expected rate parameter.
+    The keyword fields are the keys of the ``converge`` entry of
+    ``config.SCHEMA``, read by the same rule as a JSON config: name,
+    projector spec (possibly a newton_product composition), function tree,
+    compact model, a non-empty strictly increasing list of nonnegative
+    degrees, per-axis grid resolution (at least 64), optional quadrature
+    exactness and expected rate parameter.
     """
 
-    FIELDS = ("name", "projector", "function", "compact", "degrees",
-              "grid", "exactness", "expected_rho")
-    REQUIRED = ("projector", "function", "compact", "degrees")
-
-    def __init__(self, name, projector, function, compact, degrees,
-                 grid=128, exactness=None, expected_rho=None):
-        self.name = str(name)
-        self.projector = projector
-        self.function = function
-        self.compact = compact
-        self.degrees = [int(d) for d in degrees]
-        self.grid = int(grid)
-        self.exactness = None if exactness is None else check_exactness(exactness)
-        self.expected_rho = None if expected_rho is None else float(expected_rho)
-        if not self.degrees or min(self.degrees) < 0:
-            raise ValueError(f"degrees must be a non-empty list of nonnegative "
-                             f"degrees, got {self.degrees}")
+    def __init__(self, **fields):
+        cfg = read_config("converge", fields)
+        self.name = cfg["name"]
+        self.projector = cfg["projector"]
+        self.function = cfg["function"]
+        self.compact = cfg["compact"]
+        self.degrees = cfg["degrees"]
+        self.grid = cfg["grid"]
+        self.exactness = cfg["exactness"]
+        self.expected_rho = cfg["expected_rho"]
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
             raise ValueError("degrees must be strictly increasing")
-        if self.grid < 64:
-            raise ValueError("grid resolution must be at least 64 per dimension")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        check_config_keys(obj, cls.REQUIRED, cls.FIELDS)
-        return cls(**{"name": "experiment", **obj})
+        return cls(**read_config("converge", obj))
 
     def to_json(self) -> dict:
         out = {

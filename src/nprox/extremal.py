@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .config import check_config_keys
+from .config import read_spec
 from .points import as_rows, cartesian
 from .polynomials import Polynomial, evaluate_grid
 from .zoo import orthogonal_projector
@@ -157,12 +157,10 @@ def _resolution(count: int, nvars: int) -> int:
 def parse_compact(obj) -> CompactModel:
     if isinstance(obj, str):
         return CompactModel(obj)
-    kind = obj.get("kind")
-    if kind == "product":
-        check_config_keys(obj, ("kind", "factors"), ())
-        return CompactModel("product", [parse_compact(f) for f in obj["factors"]])
-    check_config_keys(obj, ("kind",), ())
-    return CompactModel(kind)
+    cfg = read_spec("compact", obj)
+    if cfg["kind"] == "product":
+        return CompactModel("product", [parse_compact(f) for f in cfg["factors"]])
+    return CompactModel(cfg["kind"])
 
 
 def bws_check(p: Polynomial, model: CompactModel, R: float) -> float:

@@ -40,10 +40,10 @@ passed to the test function once for all the orders they ask of it.
 from __future__ import annotations
 
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
+from .config import check_exactness
 from .indexing import DESK_LIMIT, monomial_vandermonde
 from .measures import QuadratureMeasure
 from .points import as_rows, cartesian
@@ -59,16 +59,6 @@ from .testfunctions import TestFunction
 # 1.5e-11 at 25 (row-relative).
 DEFAULT_EXACTNESS = 21
 
-
-def check_exactness(exactness) -> int:
-    """``exactness`` as an int, or ValueError if it is not a nonnegative integer.
-
-    A bool, a float (even an integral one) or a negative value raises rather
-    than being rounded or clamped into some other rule.
-    """
-    if isinstance(exactness, bool) or not isinstance(exactness, Integral) or exactness < 0:
-        raise ValueError(f"exactness must be a nonnegative integer, got {exactness!r}")
-    return int(exactness)
 
 # Distinct points per deriv_table call of ``rhs``: small batches merge up to
 # it and larger tensor batches are cut into row pieces of about this size.

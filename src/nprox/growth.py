@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .config import check_config_keys
+from .config import read_spec
 from .points import as_rows
 from .polynomials import Polynomial
 
@@ -168,17 +168,11 @@ class CombinedNorm(Norm):
 
 
 def parse_norm(obj: dict) -> Norm:
-    kind = obj.get("kind")
-    if kind in ("l1", "l2", "linf"):
-        check_config_keys(obj, ("kind",), ("nvars",))
-        p = {"l1": 1, "l2": 2, "linf": math.inf}[kind]
-        return LpNorm(p, int(obj.get("nvars", 1)))
-    if kind == "combined":
-        check_config_keys(obj, ("kind", "factors"), ("weights", "omega"))
-        left, right = (parse_norm(f) for f in obj["factors"])
-        return CombinedNorm(left, right, obj.get("weights", (1.0, 1.0)),
-                            omega=obj.get("omega"))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    cfg = read_spec("norm", obj)
+    if cfg["kind"] == "combined":
+        left, right = (parse_norm(f) for f in cfg["factors"])
+        return CombinedNorm(left, right, cfg["weights"], omega=cfg["omega"])
+    return LpNorm({"l1": 1, "l2": 2, "linf": math.inf}[cfg["kind"]], cfg["nvars"])
 
 
 class GrowthParams:
@@ -264,6 +258,10 @@ def omega_density(points, norm: Norm, omega: float, rmax: float) -> float:
     saturates otherwise and the estimate is an overcount of nothing, i.e.
     too small.
     """
+    if not rmax > 0:
+        raise ValueError(f"rmax must be positive, got {rmax!r}")
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
     pts = as_rows(points)
     norms = np.sort(norm.value(pts))
     if norms.size and norms[-1] < rmax:

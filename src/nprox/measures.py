@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check_config_keys
+from .config import read_spec
 from .indexing import degree_starts, monomial_count, monomial_vandermonde
 from .points import as_rows, cartesian, chebyshev_nodes, equiangular_nodes
 from .polynomials import Polynomial
@@ -120,25 +120,20 @@ def product_measure(m1: QuadratureMeasure, m2: QuadratureMeasure) -> QuadratureM
 
 
 def parse_measure(obj: dict) -> QuadratureMeasure:
-    kind = obj.get("kind")
+    cfg = read_spec("measure", obj)
+    kind = cfg["kind"]
     if kind in ("circle", "chebyshev"):
-        check_config_keys(obj, ("kind", "mnodes"), ())
         build = circle_measure if kind == "circle" else chebyshev_measure
-        return build(int(obj["mnodes"]))
+        return build(cfg["mnodes"])
     if kind == "product":
-        check_config_keys(obj, ("kind", "factors"), ())
-        factors = [parse_measure(f) for f in obj["factors"]]
+        factors = [parse_measure(f) for f in cfg["factors"]]
         measure = factors[0]
         for extra in factors[1:]:
             measure = product_measure(measure, extra)
         return measure
-    if kind == "custom":
-        check_config_keys(obj, ("kind", "nodes", "weights", "exactness"), ("domain",))
-        nodes = np.array([[complex(re, im) for re, im in row] for row in obj["nodes"]])
-        return QuadratureMeasure(
-            nodes, obj["weights"], int(obj["exactness"]), obj.get("domain", "custom")
-        )
-    raise ValueError(f"unknown measure kind {kind!r}")
+    # custom
+    nodes = np.array([[complex(re, im) for re, im in row] for row in cfg["nodes"]])
+    return QuadratureMeasure(nodes, cfg["weights"], cfg["exactness"], cfg["domain"])
 
 
 class OrthonormalBasis:

@@ -43,7 +43,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import zgetrf, zgetrs
 
-from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, check_exactness, rhs
+from .config import check_exactness
+from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
 from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import PoleOnSupportError, TestFunction

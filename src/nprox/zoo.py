@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import check_config_keys
+from .config import read_spec
 from .functionals import DerivativeEval, InnerProduct, KerginCondition, PointEval
 from .indexing import exponents
 from .measures import gram_schmidt_basis, parse_measure
@@ -103,7 +103,8 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
     """Build a zoo projector from a JSON-friendly description.
 
     The spec's own "degree" entry may be overridden by the argument, which is
-    how sweeps rebuild one family across degrees.  Recognized kinds:
+    how sweeps rebuild one family across degrees.  Recognized kinds (their
+    keys are the ``projector.<kind>`` entries of ``config.SCHEMA``):
 
       {"kind": "taylor", "nvars": 1, "center": [0.0]}
       {"kind": "lagrange", "nodes": "chebyshev"}          (1-D menus)
@@ -116,41 +117,40 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
     A product's two factors are specs themselves, products included, built
     at the same degree.  A 1-D menu name with "planar": true lifts the
     points to rows (re, im), which is how a disk node set feeds a
-    two-variable Kergin build.  Explicit node lists fix their own degree.
-    An optional "cond_threshold" (null to disable) is passed to the engine.
-    Any other key is refused.
+    two-variable Kergin build.  Explicit node lists fix their own degree;
+    every other kind needs one.  An optional "cond_threshold" (null to
+    disable) is passed to the engine.  Any other key is refused.
     """
-    kind = spec.get("kind")
-    common = ("kind", "degree", "cond_threshold")
-    if degree is None:
-        degree = spec.get("degree")
-    threshold = spec.get("cond_threshold", 1e12)
+    cfg = read_spec("projector", spec)
+    kind, threshold = cfg["kind"], cfg["cond_threshold"]
+    if kind == "newton_product":
+        if len(cfg["factors"]) != 2:
+            raise ValueError("a newton_product takes exactly two factors")
+        left, right = (projector_from_spec(f, degree) for f in cfg["factors"])
+        return left.newton_product(right, cond_threshold=threshold)
+    if degree is not None:
+        cfg = read_spec("projector", {**spec, "degree": degree})
+    degree = cfg["degree"]
+    fixed = kind in ("lagrange", "kergin") and not isinstance(cfg["nodes"], str)
+    if degree is None and not fixed:
+        raise ValueError(f"missing config key 'degree' for a {kind} projector")
 
     if kind == "taylor":
-        check_config_keys(spec, (), common + ("nvars", "center"))
-        nvars = int(spec.get("nvars", 1))
-        center = np.asarray(spec.get("center", np.zeros(nvars)), dtype=np.complex128)
-        return taylor_projector(nvars, int(degree), center, cond_threshold=threshold)
+        nvars = cfg["nvars"]
+        center = np.zeros(nvars) if cfg["center"] is None else cfg["center"]
+        return taylor_projector(nvars, degree, np.asarray(center, dtype=np.complex128),
+                                cond_threshold=threshold)
     if kind in ("lagrange", "kergin"):
-        check_config_keys(spec, ("nodes",), common + ("planar",))
-        pts = spec["nodes"]
+        pts = cfg["nodes"]
         if isinstance(pts, str):
-            pts = nodes_by_name(pts, int(degree))
-            if spec.get("planar"):
+            pts = nodes_by_name(pts, degree)
+            if cfg["planar"]:
                 pts = np.stack([pts.real, pts.imag], axis=1)
         else:
             pts = np.array([[complex(*c) if isinstance(c, (list, tuple)) else complex(c)
                              for c in row] for row in pts])
         build = lagrange_projector if kind == "lagrange" else kergin_projector
         return build(pts, cond_threshold=threshold)
-    if kind == "orthogonal":
-        check_config_keys(spec, ("measure",), common)
-        measure = parse_measure(spec["measure"])
-        return orthogonal_projector(measure, int(degree), cond_threshold=threshold)
-    if kind == "newton_product":
-        check_config_keys(spec, ("kind", "factors"), ("cond_threshold",))
-        if len(spec["factors"]) != 2:
-            raise ValueError("a newton_product takes exactly two factors")
-        left, right = (projector_from_spec(f, degree) for f in spec["factors"])
-        return left.newton_product(right, cond_threshold=threshold)
-    raise ValueError(f"unknown projector kind {kind!r}")
+    # orthogonal
+    return orthogonal_projector(parse_measure(cfg["measure"]), degree,
+                                cond_threshold=threshold)

@@ -454,3 +454,19 @@ def test_omega_density_needs_enough_points():
     pts = np.arange(1, 10, dtype=float).reshape(-1, 1)
     with pytest.raises(ValueError):
         omega_density(pts, norm, 1.0, 100.0)
+
+
+@pytest.mark.parametrize("rmax", [-5.0, 0.0])
+def test_omega_density_needs_a_positive_rmax(rmax):
+    # -5 used to give a NaN density and a RuntimeWarning from np.geomspace
+    pts = np.arange(1, 200, dtype=float).reshape(-1, 1)
+    with pytest.raises(ValueError, match="rmax must be positive"):
+        omega_density(pts, LpNorm(math.inf, 1), 1.0, rmax)
+
+
+@pytest.mark.parametrize("omega", [-1.0, 0.0])
+def test_omega_density_needs_a_positive_omega(omega):
+    # -1 used to give a density of 50.27
+    pts = np.arange(1, 200, dtype=float).reshape(-1, 1)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        omega_density(pts, LpNorm(math.inf, 1), omega, 100.0)

@@ -122,6 +122,73 @@ def test_bad_config_keys_exit_one(tmp_path, capsys, command, cfg, message):
     assert not (tmp_path / "out").exists()
 
 
+LAGRANGE_4 = {"projector": {"kind": "lagrange", "nodes": "real_leja"}, "degree": 4,
+              "function": ["exp", ["affine", [1.0], 0.0]]}
+CONVERGE = {"projector": {"kind": "lagrange", "nodes": "real_leja"},
+            "function": ["exp", ["affine", [1.0], 0.0]], "compact": "interval",
+            "degrees": [2, 4], "grid": 64}
+
+
+# each value used to be floored, parsed or read as true, and the run exit 0
+@pytest.mark.parametrize("command,cfg,message", [
+    ("points", {"count": 16.7}, "count must be an integer, got 16.7"),
+    ("points", {"count": True}, "count must be an integer, got True"),
+    ("polya", {"lambda": 0.5, "dmax": "30"}, "dmax must be an integer, got '30'"),
+    ("polya", {"lambda": "0.5", "dmax": 30}, "lambda must be a number, got '0.5'"),
+    ("polya", {"lambda": 0.5, "dmax": 30, "bisect": "no"},
+     "bisect must be true or false, got 'no'"),
+    ("gelfond", {"omegas": ["1.0", 2]}, "omegas must be a number, got '1.0'"),
+    ("ortho", {"measure": {"kind": "chebyshev", "mnodes": 32}, "degree": 4.5},
+     "degree must be a nonnegative integer, got 4.5"),
+    ("ortho", {"measure": {"kind": "chebyshev", "mnodes": 32.9}, "degree": 4},
+     "mnodes must be an integer, got 32.9"),
+    ("rho", {**RHO_CFG, "dmax": 16.9}, "dmax must be an integer, got 16.9"),
+    ("rho", {**RHO_CFG, "grid": "256"}, "grid must be an integer, got '256'"),
+    ("density", {"sequence": {"kind": "integers", "count": 199.5}, "rmax": 50},
+     "count must be an integer, got 199.5"),
+    ("density", {"sequence": {"kind": "integers", "count": 199, "step": "1"}, "rmax": 50},
+     "step must be a number, got '1'"),
+    ("density", {"sequence": {"kind": "integers", "count": 199}, "rmax": 50,
+                 "norm": {"kind": "l2", "nvars": 1.9}}, "nvars must be an integer, got 1.9"),
+    ("project", {**LAGRANGE_4, "degree": 4.6}, "degree must be a nonnegative integer, got 4.6"),
+    ("project", {**LAGRANGE_4, "degree": True},
+     "degree must be a nonnegative integer, got True"),
+    ("project", {**LAGRANGE_4, "projector": {"kind": "taylor", "nvars": 1.2}},
+     "nvars must be an integer, got 1.2"),
+    ("cylinder", {"degrees": [2.7, 4.2], "grid": 64},
+     "degrees must be a nonnegative integer, got 2.7"),
+    ("cylinder", {"degrees": [2, 3], "grid": 64.9}, "grid must be an integer, got 64.9"),
+    ("converge", {**CONVERGE, "expected_rho": "3"}, "expected_rho must be a number, got '3'"),
+    # these two exited 1 before, with messages that did not name the key
+    ("project", {**LAGRANGE_4, "projector": {"kind": "lagrange", "nodes": "real_leja",
+                                             "planar": "no"}},
+     "planar must be true or false, got 'no'"),
+    ("project", {**LAGRANGE_4, "projector": {"kind": "lagrange", "nodes": "real_leja",
+                                             "cond_threshold": "1e12"}},
+     "cond_threshold must be a number, got '1e12'"),
+    # only one of each pair ran
+    ("polya", {"lambda": 0.9, "lambdas": [0.3], "dmax": 20},
+     "config keys 'lambda' and 'lambdas' exclude each other"),
+    ("gelfond", {"omega": 2.0, "omegas": [0.5]},
+     "config keys 'omega' and 'omegas' exclude each other"),
+    # this one failed inside int(None)
+    ("project", {"projector": {"kind": "lagrange", "nodes": "real_leja"},
+                 "function": ["exp", ["affine", [1.0], 0.0]]},
+     "missing config key 'degree' for a lagrange projector"),
+], ids=["points-count-float", "points-count-bool", "polya-dmax-str", "polya-lambda-str",
+        "polya-bisect-str", "gelfond-omegas-str", "ortho-degree-float",
+        "ortho-mnodes-float", "rho-dmax-float", "rho-grid-str", "density-count-float",
+        "density-step-str", "density-nvars-float", "project-degree-float",
+        "project-degree-bool", "project-taylor-nvars-float", "cylinder-degrees-float",
+        "cylinder-grid-float", "converge-expected_rho-str", "project-planar-str",
+        "project-cond_threshold-str", "polya-lambda-and-lambdas",
+        "gelfond-omega-and-omegas", "project-no-degree"])
+def test_bad_config_values_exit_one(tmp_path, capsys, command, cfg, message):
+    assert run(tmp_path, command, cfg, "--check") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_points_count_below_one_exits_one(tmp_path, capsys, count):
     assert run(tmp_path, "points", {"count": count}, "--check") == 1
