@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import read_config
+from .config import read_config, read_points
 from .experiments import (RATE_HEADER, ExperimentConfig, TableReport, convergence_run,
                           cylinder_run, polya_bisect, polya_run, report_write)
 from .extremal import parse_compact, rho_estimate
@@ -234,9 +234,7 @@ def run_density(cfg):
             raise ValueError(f"unknown sequence kind {seq['kind']!r}")
         pts = np.arange(1, seq["count"] + 1, dtype=float).reshape(-1, 1) * seq["step"]
     else:
-        pts = np.asarray(seq, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        pts = read_points("sequence", seq, real=True)
     norm = cfg["norm"]
     norm = parse_norm({"kind": "linf", "nvars": pts.shape[1]} if norm is None else norm)
     omega, rmax = cfg["omega"], cfg["rmax"]

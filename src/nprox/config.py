@@ -13,12 +13,20 @@ true or false for a flag, and a value below the key's least one.
 
 A range sits here only when no library function checks it already:
 ``polya_run`` keeps 3 <= dmax <= 60, the measures keep mnodes >= 1.
+
+The values a spec hands to its own parser are read here too: ``read_value``
+reads one value as a ``Key`` describes it, ``read_scalar`` one number and
+``read_points`` a point list, so a string or a bool is refused wherever a
+number is meant.
 """
 from __future__ import annotations
 
 import copy
+from functools import partial
 from numbers import Integral, Real
 from typing import NamedTuple
+
+import numpy as np
 
 REQUIRED = object()
 
@@ -42,6 +50,10 @@ class Key(NamedTuple):
     excludes: str | None = None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _int(name, value, low):
     is_int = isinstance(value, Integral) and not isinstance(value, bool)
     if is_int and (low is None or value >= low):
@@ -54,7 +66,7 @@ def _int(name, value, low):
 
 
 def _float(name, value, low):
-    if isinstance(value, bool) or not isinstance(value, Real):
+    if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -78,7 +90,7 @@ def _json(name, value, low):
 _READERS = {"int": _int, "float": _float, "bool": _bool, "str": _str, "json": _json}
 
 
-def _read_value(name: str, key: Key, value):
+def read_value(name: str, key: Key, value):
     """``value`` read as ``key`` describes it; ValueError naming ``name`` if it does not fit."""
     read = _READERS[key.type]
     if not key.many:
@@ -86,6 +98,34 @@ def _read_value(name: str, key: Key, value):
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"{name} must be a non-empty list, got {value!r}")
     return [read(name, v, key.low) for v in value]
+
+
+def read_scalar(name: str, value) -> complex:
+    """A number that is not a bool, or an ``[re, im]`` pair of such numbers, as a complex."""
+    if _is_number(value):
+        return complex(value)
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+        return complex(value[0], value[1])
+    raise ValueError(f"{name} must be a number or an [re, im] pair, got {value!r}")
+
+
+def read_points(name: str, value, real: bool = False) -> np.ndarray:
+    """A non-empty point list as an ``(m, n)`` array, complex or, with ``real``, float.
+
+    A point is a list of ``n`` coordinates, the same ``n`` for every point,
+    or a lone number for a point of one coordinate.  A coordinate is read by
+    ``read_scalar``, or with ``real`` as a number only.
+    """
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list of points, got {value!r}")
+    where = f"{name} coordinate"
+    read = partial(_float, where, low=None) if real else partial(read_scalar, where)
+    rows = [[read(c) for c in p] if isinstance(p, (list, tuple)) else [read(p)]
+            for p in value]
+    if not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError(f"{name} points must all have the same, nonzero number "
+                         f"of coordinates, got {value!r}")
+    return np.array(rows, dtype=np.float64 if real else np.complex128)
 
 
 def read_config(entry: str, obj) -> dict:
@@ -114,7 +154,7 @@ def read_config(entry: str, obj) -> dict:
         if value is None and (key.default is None or key.nullable):
             out[name] = None
         else:
-            out[name] = _read_value(name, key, value)
+            out[name] = read_value(name, key, value)
     return out
 
 
@@ -139,7 +179,7 @@ def check_exactness(exactness) -> int:
     A bool, a float (even an integral one) or a negative value raises rather
     than being rounded or clamped into some other rule.
     """
-    return _read_value("exactness", _EXACTNESS, exactness)
+    return read_value("exactness", _EXACTNESS, exactness)
 
 
 _EXACTNESS = Key("int", None, low=0)
@@ -187,6 +227,9 @@ SCHEMA = {
     # nested specs
     "sequence": {"kind": Key("str", "integers"), "count": Key("int", 256, low=1),
                  "step": Key("float", 1.0)},
+    # a "poly" function leaf, as Polynomial.to_json writes it
+    "poly": {"nvars": Key("int", low=1), "degree": Key("int", low=0),
+             "coeffs": Key("json", many=True)},
     "projector.taylor": {**_PROJECTOR, "nvars": _NVARS,
                          "center": Key("float", None, many=True)},
     "projector.lagrange": _NODES,

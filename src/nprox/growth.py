@@ -170,6 +170,8 @@ class CombinedNorm(Norm):
 def parse_norm(obj: dict) -> Norm:
     cfg = read_spec("norm", obj)
     if cfg["kind"] == "combined":
+        if len(cfg["factors"]) != 2:
+            raise ValueError("a combined norm takes exactly two factors")
         left, right = (parse_norm(f) for f in cfg["factors"])
         return CombinedNorm(left, right, cfg["weights"], omega=cfg["omega"])
     return LpNorm({"l1": 1, "l2": 2, "linf": math.inf}[cfg["kind"]], cfg["nvars"])

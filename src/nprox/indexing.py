@@ -4,6 +4,12 @@ Multi-indices over ``nvars`` variables are ordered by total degree first and
 lexicographically within a degree, with the first variable most significant:
 in two variables the order starts 1, x, y, x^2, xy, y^2.  All dense
 coefficient arrays in this package follow this order.
+
+``exponents`` is the one table of exponent rows.  Its blocks are prefixes
+of the table in one variable fewer, so the rows of total degree exactly
+``k`` in ``nvars + 1`` variables, without their first entry, are the first
+``monomial_count(nvars, k)`` rows of ``exponents(nvars, s)`` for any
+``s >= k``; the simplex cubature reads its point blocks that way.
 """
 from __future__ import annotations
 
@@ -36,34 +42,26 @@ def monomial_count(nvars: int, degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _degree_block(nvars: int, degree: int) -> np.ndarray:
-    """Exponent rows of total degree exactly ``degree``, descending lex."""
-    if nvars == 1:
-        out = np.array([[degree]], dtype=np.int32)
-    else:
-        parts = []
-        for lead in range(degree, -1, -1):
-            tail = _degree_block(nvars - 1, degree - lead)
-            block = np.empty((tail.shape[0], nvars), dtype=np.int32)
-            block[:, 0] = lead
-            block[:, 1:] = tail
-            parts.append(block)
-        out = np.vstack(parts)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def exponents(nvars: int, degree: int) -> np.ndarray:
     """All exponent rows of degree <= ``degree`` in graded-lex order.
 
     Returns a read-only int32 array of shape ``(monomial_count, nvars)``.
+    Every degree block is built from prefixes of the table one variable
+    smaller: its first ``monomial_count(nvars - 1, j)`` rows, in order, are
+    the tails of the degree-``j`` rows, each led by ``j`` minus its degree.
     """
-    monomial_count(nvars, degree)  # desk-scale guard
-    # below degree 0 there are no rows, as monomial_count says
-    blocks = [np.empty((0, nvars), dtype=np.int32)]
-    blocks += [_degree_block(nvars, j) for j in range(degree + 1)]
-    out = np.vstack(blocks)
+    out = np.empty((monomial_count(nvars, degree), nvars), dtype=np.int32)
+    if nvars == 1:
+        out[:, 0] = np.arange(out.shape[0])
+    else:
+        tail = exponents(nvars - 1, degree)
+        tail_degree = tail.sum(axis=1)
+        start = 0
+        for j in range(degree + 1):
+            m = monomial_count(nvars - 1, j)
+            out[start:start + m, 0] = j - tail_degree[:m]
+            out[start:start + m, 1:] = tail[:m]
+            start += m
     out.setflags(write=False)
     return out
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import read_spec
+from .config import read_points, read_spec
 from .indexing import degree_starts, monomial_count, monomial_vandermonde
 from .points import as_rows, cartesian, chebyshev_nodes, equiangular_nodes
 from .polynomials import Polynomial
@@ -132,8 +132,8 @@ def parse_measure(obj: dict) -> QuadratureMeasure:
             measure = product_measure(measure, extra)
         return measure
     # custom
-    nodes = np.array([[complex(re, im) for re, im in row] for row in cfg["nodes"]])
-    return QuadratureMeasure(nodes, cfg["weights"], cfg["exactness"], cfg["domain"])
+    return QuadratureMeasure(read_points("nodes", cfg["nodes"]), cfg["weights"],
+                             cfg["exactness"], cfg["domain"])
 
 
 class OrthonormalBasis:

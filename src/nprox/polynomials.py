@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import read_config, read_scalar
 from .indexing import (
     degree_starts,
     exponents,
@@ -178,8 +179,9 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polynomial":
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return cls(int(obj["nvars"]), int(obj["degree"]), coeffs)
+        cfg = read_config("poly", obj)
+        coeffs = np.array([read_scalar("coeffs", c) for c in cfg["coeffs"]])
+        return cls(cfg["nvars"], cfg["degree"], coeffs)
 
     def __repr__(self):
         nnz = int(np.count_nonzero(self.coeffs))

@@ -9,9 +9,9 @@ normalization).  Moments have the closed form
 taken as a ratio of exact integers, which Python's true division rounds
 once, correctly: large degrees neither overflow nor lose digits.  Cubature
 uses the Grundmann-Moller combinatorial construction, which is exact for
-polynomials of degree 2s+1 and reuses the graded-lex enumeration machinery
-for its point sets; its weights are ratios of factorials too, rounded once
-in the same way.
+polynomials of degree 2s+1.  Its point blocks are prefixes of one table,
+``exponents(ndim, s)``; its weights are ratios of factorials too, rounded
+once in the same way.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .indexing import degree_starts, exponents
+from .indexing import exponents, monomial_count
 
 
 def simplex_monomial_moment(beta) -> float:
@@ -47,19 +47,18 @@ def grundmann_moller_rule(ndim: int, s: int):
         raise ValueError("ndim must be >= 1")
     if s < 0:
         raise ValueError("s must be >= 0")
+    monomial_count(ndim + 1, s)  # desk-scale guard on the node count
     d = 2 * s + 1
-    # beta runs over all barycentric multi-indices with |beta| = s - i; the
-    # graded-lex table over ndim + 1 slots holds every block we need.
-    table = exponents(ndim + 1, s)
-    starts = degree_starts(ndim + 1, s)
+    # beta runs over the barycentric multi-indices with |beta| = s - i; the
+    # block without beta_0 is a prefix of the graded-lex table over ndim slots
+    table = exponents(ndim, s)
     node_blocks = []
     weight_blocks = []
     for i in range(s + 1):
-        k = s - i
-        block = table[starts[k]:starts[k + 1]]
+        block = table[:monomial_count(ndim, s - i)]
         denom = d + ndim - 2 * i
         w = (-1) ** i * denom**d / (4**s * factorial(i) * factorial(d + ndim - i))
-        node_blocks.append((2.0 * block[:, 1:] + 1.0) / denom)
+        node_blocks.append((2 * block + 1) / denom)
         weight_blocks.append(np.full(block.shape[0], w))
     nodes = np.vstack(node_blocks)
     weights = np.concatenate(weight_blocks)

@@ -34,6 +34,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .config import Key, read_scalar, read_value
 from .points import as_rows
 from .polynomials import Polynomial
 
@@ -332,48 +333,61 @@ class PolynomialFunction(TestFunction):
 # -- prefix grammar ----------------------------------------------------------
 
 
-def _parse_scalar(obj):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) for x in obj
-    ):
-        return complex(obj[0], obj[1])
-    raise ValueError(f"not a scalar: {obj!r}")
+# head -> (least, most) argument count; None is no upper bound
+_ARGUMENTS = {"const": (1, 1), "coord": (1, 1), "affine": (1, 2), "exp": (1, 1),
+              "recip": (1, 1), "sum": (1, None), "product": (1, None), "poly": (1, 1)}
 
 
 def parse_function(tree, nvars: int) -> TestFunction:
-    """Build a :class:`TestFunction` from its prefix-grammar tree."""
-    if isinstance(tree, (int, float)):
-        return Const(nvars, float(tree))
-    if not isinstance(tree, (list, tuple)) or not tree:
-        raise ValueError(f"malformed function tree: {tree!r}")
-    head = tree[0]
+    """Build a :class:`TestFunction` from its prefix-grammar tree.
+
+    A node with the wrong number of arguments, a scalar that is a bool or
+    a string, and a coordinate index that is not an integer in
+    ``0 .. nvars - 1`` raise ``ValueError`` naming the node.
+    """
+    if not isinstance(tree, (list, tuple)):
+        return Const(nvars, read_scalar("function constant", tree))
+    head = tree[0] if tree else None
     if not isinstance(head, str):
         raise ValueError(f"malformed function tree: {tree!r}")
+    if head not in _ARGUMENTS:
+        raise ValueError(f"unknown function node {head!r}")
+    least, most = _ARGUMENTS[head]
+    args = tree[1:]
+    if len(args) < least or (most is not None and len(args) > most):
+        takes = (f"{least}" if least == most else f"at least {least}" if most is None
+                 else f"{least} to {most}")
+        raise ValueError(f"function node {tree!r} has {len(args)} arguments; "
+                         f"{head!r} takes {takes}")
     if head == "const":
-        return Const(nvars, _parse_scalar(tree[1]))
+        return Const(nvars, read_scalar(f"value of {tree!r}", args[0]))
     if head == "coord":
-        return coordinate(nvars, int(tree[1]))
+        index = read_value(f"index of {tree!r}", Key("int", low=0), args[0])
+        if index >= nvars:
+            raise ValueError(f"index of {tree!r} must be below nvars={nvars}")
+        return coordinate(nvars, index)
     if head == "affine":
-        coeffs = [_parse_scalar(c) for c in tree[1]]
+        if not isinstance(args[0], (list, tuple)):
+            raise ValueError(f"coefficients of {tree!r} must be a list")
+        coeffs = [read_scalar(f"coefficient of {tree!r}", c) for c in args[0]]
         if len(coeffs) != nvars:
             raise ValueError(
-                f"affine form has {len(coeffs)} coefficients but nvars={nvars}"
+                f"affine form {tree!r} has {len(coeffs)} coefficients but nvars={nvars}"
             )
-        const = _parse_scalar(tree[2]) if len(tree) > 2 else 0.0
+        const = read_scalar(f"constant of {tree!r}", args[1]) if len(args) > 1 else 0.0
         return Affine(coeffs, const)
     if head in ("exp", "recip"):
-        arg = parse_function(tree[1], nvars)
+        arg = parse_function(args[0], nvars)
         arg = _to_affine(arg)
         return Exp(arg) if head == "exp" else Recip(arg)
     if head == "sum":
-        return Sum([parse_function(t, nvars) for t in tree[1:]])
+        return Sum([parse_function(t, nvars) for t in args])
     if head == "product":
-        return Product([parse_function(t, nvars) for t in tree[1:]])
-    if head == "poly":
-        return PolynomialFunction(Polynomial.from_json(tree[1]))
-    raise ValueError(f"unknown function node {head!r}")
+        return Product([parse_function(t, nvars) for t in args])
+    poly = Polynomial.from_json(args[0])
+    if poly.nvars != nvars:
+        raise ValueError(f"polynomial of {tree!r} has nvars={poly.nvars}, not {nvars}")
+    return PolynomialFunction(poly)
 
 
 def _to_affine(node: TestFunction) -> Affine:

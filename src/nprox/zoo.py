@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import read_spec
+from .config import read_points, read_spec
 from .functionals import DerivativeEval, InnerProduct, KerginCondition, PointEval
 from .indexing import exponents
 from .measures import gram_schmidt_basis, parse_measure
@@ -147,8 +147,7 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
             if cfg["planar"]:
                 pts = np.stack([pts.real, pts.imag], axis=1)
         else:
-            pts = np.array([[complex(*c) if isinstance(c, (list, tuple)) else complex(c)
-                             for c in row] for row in pts])
+            pts = read_points("nodes", pts)
         build = lagrange_projector if kind == "lagrange" else kergin_projector
         return build(pts, cond_threshold=threshold)
     # orthogonal

@@ -124,6 +124,7 @@ def test_bad_config_keys_exit_one(tmp_path, capsys, command, cfg, message):
 
 LAGRANGE_4 = {"projector": {"kind": "lagrange", "nodes": "real_leja"}, "degree": 4,
               "function": ["exp", ["affine", [1.0], 0.0]]}
+TAYLOR_2D = {"projector": {"kind": "taylor", "nvars": 2}, "degree": 2}
 CONVERGE = {"projector": {"kind": "lagrange", "nodes": "real_leja"},
             "function": ["exp", ["affine", [1.0], 0.0]], "compact": "interval",
             "degrees": [2, 4], "grid": 64}
@@ -175,6 +176,41 @@ CONVERGE = {"projector": {"kind": "lagrange", "nodes": "real_leja"},
     ("project", {"projector": {"kind": "lagrange", "nodes": "real_leja"},
                  "function": ["exp", ["affine", [1.0], 0.0]]},
      "missing config key 'degree' for a lagrange projector"),
+    # function trees: the index was floored or wrapped, an extra argument
+    # ignored and a bool read as 1
+    ("project", {**LAGRANGE_4, "function": ["exp", ["coord", 0.7]]},
+     "index of ['coord', 0.7] must be a nonnegative integer, got 0.7"),
+    ("project", {**TAYLOR_2D, "function": ["exp", ["coord", -1]]},
+     "index of ['coord', -1] must be a nonnegative integer, got -1"),
+    ("project", {**TAYLOR_2D, "function": ["exp", ["coord", True]]},
+     "index of ['coord', True] must be a nonnegative integer, got True"),
+    ("project", {**TAYLOR_2D, "function": ["exp", ["coord", 2]]},
+     "index of ['coord', 2] must be below nvars=2"),
+    ("project", {**LAGRANGE_4, "function": ["exp", ["coord", 0], "junk"]},
+     "function node ['exp', ['coord', 0], 'junk'] has 2 arguments; 'exp' takes 1"),
+    ("project", {**LAGRANGE_4, "function": ["const", True]},
+     "value of ['const', True] must be a number or an [re, im] pair, got True"),
+    ("project", {**LAGRANGE_4, "function": ["poly", {"nvars": 1.5, "degree": 0,
+                                                     "coeffs": [[1.0, 0.0]]}]},
+     "nvars must be an integer, got 1.5"),
+    ("project", {**LAGRANGE_4, "function": ["poly", {"nvars": 1, "degree": 0,
+                                                     "coeffs": [["1", 0]]}]},
+     "coeffs must be a number or an [re, im] pair, got ['1', 0]"),
+    ("project", {**LAGRANGE_4, "function": ["poly", {"nvars": 2, "degree": 0,
+                                                     "coeffs": [[1.0, 0.0]]}]},
+     "has nvars=2, not 1"),
+    # point lists: strings were parsed as numbers
+    ("project", {**LAGRANGE_4, "projector": {"kind": "lagrange", "nodes": [["0"], ["1"]]}},
+     "nodes coordinate must be a number or an [re, im] pair, got '0'"),
+    ("density", {"sequence": ["1", "2", "3", "4"]},
+     "sequence coordinate must be a number, got '1'"),
+    # these two exited 1 before, with messages that did not name the key
+    ("ortho", {"measure": {"kind": "custom", "nodes": [[["1", 0]]], "weights": [1.0],
+                           "exactness": 0}, "degree": 0},
+     "nodes coordinate must be a number or an [re, im] pair, got ['1', 0]"),
+    ("density", {"sequence": [[1.0, 2.0]],
+                 "norm": {"kind": "combined", "factors": [{"kind": "l2"}] * 3}},
+     "a combined norm takes exactly two factors"),
 ], ids=["points-count-float", "points-count-bool", "polya-dmax-str", "polya-lambda-str",
         "polya-bisect-str", "gelfond-omegas-str", "ortho-degree-float",
         "ortho-mnodes-float", "rho-dmax-float", "rho-grid-str", "density-count-float",
@@ -182,7 +218,11 @@ CONVERGE = {"projector": {"kind": "lagrange", "nodes": "real_leja"},
         "project-degree-bool", "project-taylor-nvars-float", "cylinder-degrees-float",
         "cylinder-grid-float", "converge-expected_rho-str", "project-planar-str",
         "project-cond_threshold-str", "polya-lambda-and-lambdas",
-        "gelfond-omega-and-omegas", "project-no-degree"])
+        "gelfond-omega-and-omegas", "project-no-degree", "project-coord-float",
+        "project-coord-negative", "project-coord-bool", "project-coord-past-nvars",
+        "project-exp-extra-argument", "project-const-bool", "project-poly-nvars-float",
+        "project-poly-coeff-str", "project-poly-nvars-mismatch", "project-nodes-str",
+        "density-sequence-str", "ortho-custom-node-str", "density-combined-three-factors"])
 def test_bad_config_values_exit_one(tmp_path, capsys, command, cfg, message):
     assert run(tmp_path, command, cfg, "--check") == 1
     assert message in capsys.readouterr().err

@@ -6,9 +6,11 @@ Oracles:
   * central finite differences for expression-tree derivatives,
   * the per-order closed forms, one derivative order at a time, for
     derivative tables,
-  * direct closed forms for tiny cases worked by hand.
+  * direct closed forms for tiny cases worked by hand,
+  * the Grundmann-Moller rule built from its (ndim + 1)-slot multi-indices.
 """
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -23,7 +25,7 @@ from nprox.functionals import (
     Tensor,
     rhs,
 )
-from nprox.indexing import exponents, monomial_count
+from nprox.indexing import DESK_LIMIT, exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import leja_disk, real_leja
 from nprox.polynomials import Polynomial, multiply
@@ -238,6 +240,49 @@ def test_grundmann_moller_weights_are_rounded_exact_ratios():
                          4**s * math.factorial(i) * math.factorial(d + ndim - i))
             want += [float(w)] * math.comb(ndim + s - i, ndim)
         assert np.array_equal(weights, want)
+
+
+def _compositions(total, slots):
+    """Every ``slots``-tuple of nonnegative ints summing to ``total``, descending lex."""
+    if slots == 1:
+        return [(total,)]
+    return [(lead,) + rest for lead in range(total, -1, -1)
+            for rest in _compositions(total - lead, slots - 1)]
+
+
+def test_grundmann_moller_rule_matches_its_barycentric_definition():
+    # block i holds (2 beta_1.. + 1) / denom for every beta over ndim + 1
+    # slots with |beta| = s - i; the rule reads them off a smaller table
+    for ndim in range(1, 9):
+        for s in range(7):
+            d = 2 * s + 1
+            node_blocks, weights = [], []
+            for i in range(s + 1):
+                betas = np.array(_compositions(s - i, ndim + 1))
+                denom = d + ndim - 2 * i
+                node_blocks.append((2.0 * betas[:, 1:] + 1.0) / denom)
+                w = (-1) ** i * denom**d / (4**s * math.factorial(i)
+                                           * math.factorial(d + ndim - i))
+                weights += [w] * len(betas)
+            got_nodes, got_weights = grundmann_moller_rule(ndim, s)
+            assert np.array_equal(got_nodes, np.vstack(node_blocks))
+            assert np.array_equal(got_weights, weights)
+
+
+def test_grundmann_moller_rule_past_desk_limit_allocates_nothing():
+    # its 4,457,400 nodes pass DESK_LIMIT, but the 1,961,256-row table the
+    # nodes are read from does not: the node count is checked first
+    assert monomial_count(10, 14) <= DESK_LIMIT < math.comb(10 + 1 + 14, 14)
+    tables = exponents.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="desk scale"):
+            grundmann_moller_rule(10, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert exponents.cache_info().currsize == tables
 
 
 def test_grundmann_moller_weight_sum_is_volume():

@@ -7,9 +7,12 @@ Oracles used here:
   * flat evaluation on the joined points, for factor-wise grid evaluation,
   * a double loop over term pairs for products,
   * central finite differences for derivatives,
-  * exhaustive rank/enumerate round trips.
+  * exhaustive rank/enumerate round trips,
+  * an itertools enumeration sorted by degree, then descending lex, for the
+    exponent table.
 """
 import math
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -110,6 +113,17 @@ def test_rank_enumerate_round_trip_exhaustive():
             for j in range(degree + 1):
                 block = degs[starts[j]:starts[j + 1]]
                 assert np.all(block == j)
+
+
+def test_exponents_match_an_itertools_enumeration():
+    for nvars in range(1, 7):
+        rows = [r for r in iter_product(range(9), repeat=nvars) if sum(r) <= 8]
+        rows.sort(key=lambda r: (sum(r), [-e for e in r]))
+        full = np.array(rows).reshape(-1, nvars)
+        for degree in range(-1, 9):
+            E = exponents(nvars, degree)
+            assert E.dtype == np.int32 and not E.flags.writeable
+            assert np.array_equal(E, full[full.sum(axis=1) <= degree])
 
 
 def test_ranks_of_rows_follow_exponent_order():
