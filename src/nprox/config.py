@@ -17,11 +17,13 @@ A range sits here only when no library function checks it already:
 The values a spec hands to its own parser are read here too: ``read_value``
 reads one value as a ``Key`` describes it, ``read_scalar`` one number and
 ``read_points`` a point list, so a string or a bool is refused wherever a
-number is meant.
+number is meant.  ``read_index`` reads a library argument that must be an
+integer, such as a polynomial's degree bound.
 """
 from __future__ import annotations
 
 import copy
+import operator
 from functools import partial
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -98,6 +100,19 @@ def read_value(name: str, key: Key, value):
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"{name} must be a non-empty list, got {value!r}")
     return [read(name, v, key.low) for v in value]
+
+
+def read_index(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``; TypeError naming ``name`` otherwise.
+
+    A bool is refused; a numpy integer is read.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def read_scalar(name: str, value) -> complex:

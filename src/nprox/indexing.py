@@ -27,8 +27,14 @@ DESK_LIMIT = 2_500_000
 _GATHER_BYTES = 1 << 19
 
 
+@lru_cache(maxsize=None, typed=True)
 def monomial_count(nvars: int, degree: int) -> int:
-    """Number of monomials in ``nvars`` variables of total degree <= ``degree``."""
+    """Number of monomials in ``nvars`` variables of total degree <= ``degree``.
+
+    Cached: the small-projector paths ask for the same few counts many times.
+    ``typed`` keeps a float argument failing as ``comb`` fails, never
+    answered from an int's entry.
+    """
     if nvars < 1:
         raise ValueError("nvars must be a positive integer")
     if degree < 0:

@@ -4,12 +4,17 @@ Coefficients are stored densely in graded-lex monomial order (see
 :mod:`nprox.indexing`).  ``degree`` is a storage bound: the coefficient array
 always has length ``monomial_count(nvars, degree)`` and trailing blocks may be
 zero.  Instances are immutable; all arithmetic returns new objects.
+
+The public constructor copies and checks its coefficients.  This package's
+own results are built by ``Polynomial._owning``, which takes a freshly built
+complex128 vector as it is: arithmetic and solves make many small
+polynomials, and each would pay for the copy and the checks.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .config import read_config, read_scalar
+from .config import read_config, read_index, read_scalar
 from .indexing import (
     degree_starts,
     exponents,
@@ -28,6 +33,7 @@ class Polynomial:
     __slots__ = ("nvars", "degree", "coeffs")
 
     def __init__(self, nvars: int, degree: int, coeffs=None):
+        degree = read_index("degree", degree)
         if degree < 0:
             raise ValueError("degree bound must be >= 0")
         size = monomial_count(nvars, degree)
@@ -44,6 +50,20 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", data)
+
+    @classmethod
+    def _owning(cls, nvars: int, degree: int, data: np.ndarray) -> "Polynomial":
+        """A polynomial whose coefficients are ``data``, neither copied nor checked.
+
+        ``data`` is a complex128 vector of ``monomial_count(nvars, degree)``
+        entries that nothing else writes to; it is made read-only here.
+        """
+        data.setflags(write=False)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "degree", degree)
+        object.__setattr__(poly, "coeffs", data)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
@@ -97,31 +117,35 @@ class Polynomial:
             return self
         coeffs = np.zeros(monomial_count(self.nvars, degree), dtype=np.complex128)
         coeffs[: self.coeffs.shape[0]] = self.coeffs
-        return Polynomial(self.nvars, degree, coeffs)
+        return Polynomial._owning(self.nvars, degree, coeffs)
 
     def truncated(self, degree: int) -> "Polynomial":
         """Drop all terms of degree above ``degree``."""
         if degree >= self.degree:
             return self.embedded(degree)
         keep = monomial_count(self.nvars, degree)
-        return Polynomial(self.nvars, degree, self.coeffs[:keep])
+        return Polynomial._owning(self.nvars, degree, self.coeffs[:keep])
 
     # -- arithmetic --------------------------------------------------------
+
+    def _aligned(self, other: "Polynomial"):
+        """The larger degree bound, and both coefficient vectors at that bound."""
+        if other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
+        d = max(self.degree, other.degree)
+        return d, self.embedded(d).coeffs, other.embedded(d).coeffs
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError("mixed variable counts")
-        d = max(self.degree, other.degree)
-        a = self.embedded(d).coeffs
-        b = other.embedded(d).coeffs
-        return Polynomial(self.nvars, d, a + b)
+        d, a, b = self._aligned(other)
+        return Polynomial._owning(self.nvars, d, a + b)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-1.0) * other
+        d, a, b = self._aligned(other)
+        return Polynomial._owning(self.nvars, d, a - b)
 
     def __neg__(self):
         return (-1.0) * self
@@ -129,12 +153,12 @@ class Polynomial:
     def __rmul__(self, scalar):
         if isinstance(scalar, Polynomial):
             return NotImplemented
-        return Polynomial(self.nvars, self.degree, self.coeffs * complex(scalar))
+        return Polynomial._owning(self.nvars, self.degree, self.coeffs * complex(scalar))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return multiply(self, other)
-        return Polynomial(self.nvars, self.degree, self.coeffs * complex(other))
+        return Polynomial._owning(self.nvars, self.degree, self.coeffs * complex(other))
 
     # -- evaluation --------------------------------------------------------
 
@@ -166,7 +190,7 @@ class Polynomial:
         for v, a in enumerate(alpha):
             for t in range(1, a + 1):
                 factor *= E_out[:, v] + t
-        return Polynomial(self.nvars, dout, self.coeffs[src] * factor)
+        return Polynomial._owning(self.nvars, dout, self.coeffs[src] * factor)
 
     # -- serialization -----------------------------------------------------
 
@@ -195,7 +219,7 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
     n = p.nvars
     dout = p.degree + q.degree
     if n == 1:
-        return Polynomial(1, dout, np.convolve(p.coeffs, q.coeffs))
+        return Polynomial._owning(1, dout, np.convolve(p.coeffs, q.coeffs))
     nzp = np.flatnonzero(p.coeffs)
     nzq = np.flatnonzero(q.coeffs)
     # every term pair at once; bincount adds the pairs that share a rank
@@ -206,7 +230,7 @@ def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
     out = np.zeros(size, dtype=np.complex128)
     out.real = np.bincount(ranks, terms.real, size)
     out.imag = np.bincount(ranks, terms.imag, size)
-    return Polynomial(n, dout, out)
+    return Polynomial._owning(n, dout, out)
 
 
 def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -220,15 +244,13 @@ def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
     keep = (r1 < p.coeffs.shape[0]) & (r2 < q.coeffs.shape[0])
     coeffs = np.zeros(r1.shape[0], dtype=np.complex128)
     coeffs[keep] = p.coeffs[r1[keep]] * q.coeffs[r2[keep]]
-    return Polynomial(p.nvars + q.nvars, p.degree + q.degree, coeffs)
+    return Polynomial._owning(p.nvars + q.nvars, p.degree + q.degree, coeffs)
 
 
 def coeff_distance(p: Polynomial, q: Polynomial) -> float:
     """Max absolute coefficient difference after aligning degree bounds."""
-    if p.nvars != q.nvars:
-        raise ValueError("mixed variable counts")
-    d = max(p.degree, q.degree)
-    return float(np.max(np.abs(p.embedded(d).coeffs - q.embedded(d).coeffs)))
+    _, a, b = p._aligned(q)
+    return float(np.max(np.abs(a - b)))
 
 
 def _coefficient_matrix(polys):

@@ -23,12 +23,10 @@ polynomial inputs.  In the evaluation formula the right summands telescope
 into truncations: sum over i1 + i2 <= d of Delta1_i1 (x) Delta2_i2 equals
 sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, d + 1 tensor products.
 
-Leading blocks are row-equilibrated and then factored and solved by
-LAPACK's zgetrf/zgetrs, called directly: the projectors are small and many,
-and on a 15 x 15 block scipy's LU solve wrapper takes about 11 us where the
-zgetrs it wraps takes 1.2 us (Intel Xeon, scipy 1.17).  Every block's row
-scales come from one running maximum of the matrix taken at build time,
-which the nesting gate and the solves share.
+Each solve is numpy's LAPACK ``gesv`` (an LU factorization, then the two
+triangular solves) on the row-equilibrated leading block, factored on each
+call.  Every block's row scales come from one running maximum of the matrix
+taken at build time, which the nesting gate and the solves share.
 
 A projector keeps the right-hand side of the last test function it
 evaluated: its values under the conditions of levels 0..top.  A later call
@@ -41,9 +39,8 @@ exact product with the collocation rows.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetrs
 
-from .config import check_exactness
+from .config import check_exactness, read_index
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
 from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
@@ -52,7 +49,7 @@ from .testfunctions import PoleOnSupportError, TestFunction
 
 def _differences(parts: list[Polynomial]) -> list[Polynomial]:
     """Newton summands from truncations: the first, then consecutive differences."""
-    return parts[:1] + [b - a.embedded(b.degree) for a, b in zip(parts, parts[1:])]
+    return parts[:1] + [b - a for a, b in zip(parts, parts[1:])]
 
 
 class NestedUnisolvenceFailure(ValueError):
@@ -124,7 +121,6 @@ class NewtonStructuredProjector:
         self.matrix = self._assemble(self.degree)
         self._scales = self._row_scales()
         self.level_conds = self._check_nesting()
-        self._factors: dict[int, tuple] = {}
         # (f, exactness, values of levels 0..top) of the last test function
         self._last_rhs: tuple | None = None
 
@@ -188,26 +184,25 @@ class NewtonStructuredProjector:
     # -- linear algebra ------------------------------------------------------
 
     def _solve(self, k: int, values: np.ndarray) -> Polynomial:
-        """Degree-k solve by LU of the row-equilibrated leading block, cached per k.
+        """Degree-k solve of the row-equilibrated leading block.
 
-        Calls LAPACK's zgetrf/zgetrs directly, the routines behind scipy's LU
-        factor and solve wrappers, so a small block pays for its
-        factorization and solve only.  Of the wrappers' finiteness checks, the
-        one on the right-hand side is kept here; a non-finite block never
-        gets this far, since the nesting gate's SVD of it fails.
+        ``np.linalg.solve`` is LAPACK's ``gesv``, the LU factorization and
+        the triangular solves; the block is factored on each call.  LAPACK
+        checks no finiteness, so the right-hand side is checked here; a
+        non-finite block never gets this far, since the nesting gate's SVD of
+        it fails.  An exactly zero pivot raises ``LinAlgError`` naming the
+        level.
         """
-        factors = self._factors.get(k)
-        if factors is None:
-            m = monomial_count(self.nvars, k)
-            scale = self._scales[k]
-            lu, piv, info = zgetrf(self.matrix[:m, :m] / scale[:, None])
-            if info > 0:  # an exactly zero pivot
-                raise np.linalg.LinAlgError(f"{self._level_name(k)}: leading block is singular")
-            factors = self._factors[k] = (lu, piv, scale)
-        lu, piv, scale = factors
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError(f"degree-{k} right-hand side is not finite")
-        return Polynomial(self.nvars, k, zgetrs(lu, piv, values / scale)[0])
+        scale = self._scales[k]
+        m = scale.shape[0]
+        try:
+            coeffs = np.linalg.solve(self.matrix[:m, :m] / scale[:, None], values / scale)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(
+                f"{self._level_name(k)}: leading block is singular") from err
+        return Polynomial._owning(self.nvars, k, coeffs)
 
     # -- projector actions ----------------------------------------------------
 
@@ -254,6 +249,7 @@ class NewtonStructuredProjector:
 
     def truncate(self, k: int, f, exactness: int | None = None) -> Polynomial:
         """The degree-k projector sharing this one's first levels."""
+        k = read_index("truncation degree", k)
         if not 0 <= k <= self.degree:
             raise ValueError("truncation degree out of range")
         return self._solve(k, self._rhs(f, exactness, k))

@@ -461,15 +461,40 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
-def test_import_loads_no_scipy_beyond_lapack():
-    # scipy serves nprox for LAPACK only: importing nprox loads no scipy
-    # subpackage that importing scipy.linalg.lapack alone does not
-    code = ("import sys, {}; print(' '.join({{m.split('.')[1] for m in sys.modules"
-            " if m.startswith('scipy.')}}))")
+def test_import_loads_no_scipy():
+    # nprox runs on numpy alone; scipy serves the tests and the benchmark only
+    for module in ("nprox", "nprox.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print(' '.join(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == [], module
 
-    def loaded(module):
-        proc = subprocess.run([sys.executable, "-c", code.format(module)],
-                              capture_output=True, text=True, check=True)
-        return set(proc.stdout.split())
 
-    assert loaded("nprox") <= loaded("scipy.linalg.lapack")
+def test_nprox_runs_without_scipy(tmp_path):
+    # with scipy's import blocked, projectors, a product and a converge
+    # --check run to the end
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({
+        "name": "conv", "projector": {"kind": "lagrange", "nodes": "chebyshev_leja"},
+        "function": ["exp", ["affine", [1.0], 0.0]], "compact": "interval",
+        "degrees": [2, 4, 6, 8], "grid": 64}))
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from nprox.cli import main
+from nprox.testfunctions import Affine, Exp
+from nprox.zoo import kergin_projector, lagrange_projector, nodes_by_name
+
+f1, f2 = Exp(Affine([0.5], 0.1)), Exp(Affine([0.7], 0.0))
+lagrange = lagrange_projector(nodes_by_name("chebyshev_leja", 5))
+product = kergin_projector(nodes_by_name("real_leja", 4)).newton_product(lagrange)
+f = Exp(Affine([0.5, 0.7], 0.1))
+for P, g in ((lagrange, f1), (product, f)):
+    P.apply(g)
+    assert len(P.truncations(g)) == len(P.newton_summands(g)) == P.degree + 1
+sys.exit(main(["converge", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r},
+               "--check"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -78,6 +78,54 @@ def test_lagrange_needs_graded_count():
         lagrange_projector(np.zeros((4, 2)))  # dim P_1 = 3, dim P_2 = 6
 
 
+@pytest.mark.parametrize("target, value, error, message", [
+    ("degree", -1, ValueError, "degree bound must be >= 0"),
+    ("degree", True, TypeError, "degree must be an integer, got True"),
+    ("degree", 2.0, TypeError, r"degree must be an integer, got 2\.0"),
+    ("degree", np.int64(2), None, None),
+    ("truncate", -1, ValueError, "truncation degree out of range"),
+    ("truncate", 4, ValueError, "truncation degree out of range"),
+    ("truncate", True, TypeError, "truncation degree must be an integer, got True"),
+    ("truncate", 1.0, TypeError, r"truncation degree must be an integer, got 1\.0"),
+    ("truncate", np.int32(2), None, None),
+])
+def test_degrees_are_integers_not_bools(target, value, error, message):
+    def call():
+        if target == "degree":
+            return Polynomial(1, value)
+        P = lagrange_projector(nodes_by_name("chebyshev_leja", 3))
+        return P.truncate(value, Exp(Affine([1.0], 0.0)))
+
+    if error is None:
+        result = call()
+        assert type(result.degree) is int and result.degree == value
+    else:
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_results_own_their_read_only_coefficients():
+    a = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+    p = Polynomial(1, 2, a)
+    a[0] = 99.0
+    assert p.coeffs[0] == 1.0
+    q = Polynomial(1, 1, [0.5, -1.0])
+    f = Exp(Affine([0.5], 0.1))
+    lagrange = lagrange_projector(nodes_by_name("chebyshev_leja", 3))
+    prod = lagrange.newton_product(lagrange)
+    results = [p + q, p - q, q - p, -p, 2.0 * p, p * 2.0, p * q, p.truncated(1),
+               p.embedded(4), p.derivative((1,)), tensor_product(p, q),
+               Polynomial(2, 1, [1.0, 2.0, 3.0]) * Polynomial(2, 1, [0.0, 1.0, 1.0]),
+               lagrange.apply(f), lagrange.truncate(1, f), lagrange.apply(p),
+               *lagrange.truncations(f), *lagrange.newton_summands(f),
+               prod.apply_product_formula(f, f), *prod.newton_summands(tensor_product(p, q))]
+    for r in results:
+        assert r.coeffs.dtype == np.complex128 and r.coeffs.ndim == 1
+        assert not r.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            r.coeffs[0] = 1.0
+
+
 def test_duplicate_point_fails_nesting():
     with pytest.raises(NestedUnisolvenceFailure, match="level 1"):
         lagrange_projector([0.0, 0.0])
