@@ -1,10 +1,12 @@
 """Experiment harness: sweeps, the cylinder build, the integer-node test.
 
 Reports are written as CSV plus JSON metadata.  The CSV is the determinism
-contract: identical configs must produce identical bytes, so wall-clock
-timings are kept out of it by default (the seconds column holds zeros unless
-timings are explicitly requested) and live in the JSON metadata, which is
-deterministic except for its wall_time fields.
+contract: identical configs at a fixed BLAS thread count must produce
+identical bytes (threading changes the rounding of BLAS sums; see the
+README's "pin BLAS to one thread" section), so wall-clock timings are kept
+out of it by default (the seconds column holds zeros unless timings are
+explicitly requested) and live in the JSON metadata, which is deterministic
+except for its wall_time fields.
 """
 from __future__ import annotations
 

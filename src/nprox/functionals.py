@@ -10,12 +10,15 @@ A functional is weights and points for one derivative order, its
 Grundmann-Moller cubature of a requested exactness and a tensor pair as
 the products of its factors' weights and points at the sum of their
 orders.  Its values on the graded-lex monomial basis come from the same
-discretization at exactness ``degree``, paired with the derivative
-Vandermonde of the monomials; the cubature integrates polynomials of that
-degree exactly, so ``apply_to_polynomial`` is exact up to rounding.  The
-Grundmann-Moller weights alternate in sign, so that rounding grows with the
-degree: against the exact moment expansion the planar Kergin values agree
-to 1.1e-15 (row-relative) through degree 5 and 2.1e-12 at degree 10.
+discretization, paired with the derivative Vandermonde of the monomials, at
+exactness ``degree - |alpha|``: ``D^alpha`` of a monomial of degree at most
+``degree`` has degree at most ``degree - |alpha|``, so ``apply_to_polynomial``
+is exact up to rounding, and an order-j row of a degree-d Kergin projector
+takes the rule of exactness d - j (one point at j = d) instead of the
+degree-d rule.  The Grundmann-Moller weights alternate in sign, so that
+rounding grows with the exactness: against the exact moment expansion the
+planar Kergin values agree to 8.3e-16 (row-relative) at degree 5, 6.6e-14
+at degree 8 and 1.6e-12 at degree 10.
 Nothing is cached per functional, so the values do not depend on what was
 asked before.  Inner products read the measure's Vandermonde, shared by the
 whole basis.  A tensor pair's values come from its discretization like any
@@ -56,7 +59,12 @@ from .testfunctions import TestFunction
 # default here too.  The alternating weights still cost digits as the
 # exactness grows: on the planar d=10 Kergin conditions, exp(x + y) is off
 # its Hermite-Genocchi values by 5.3e-13 at exactness 15, 3.4e-12 at 21 and
-# 1.5e-11 at 25 (row-relative).
+# 1.5e-11 at 25 (row-relative).  Unlike the collocation rows
+# (``on_monomials``), test functions take this exactness at every order: on
+# the d=8 cylinder with a pole of 1 / (0.5x + 0.5y + 0.3z - 1.6), the
+# order-8 values at exactness 13 (21 - 8) are off their Hermite-Genocchi
+# closed form by 1.6e-4 against 1.4e-7 at 21 (relative), and rules at
+# 21 - j for order j raise the node residual from 1.1e-9 to 1.1e-7.
 DEFAULT_EXACTNESS = 21
 
 
@@ -84,10 +92,18 @@ class Functional:
     # -- exact action on polynomials ------------------------------------
 
     def on_monomials(self, degree: int) -> np.ndarray:
-        """Values on every graded-lex monomial of degree <= ``degree``."""
+        """Values on every graded-lex monomial of degree <= ``degree``.
+
+        ``D^alpha`` of such a monomial has degree at most ``degree - |alpha|``,
+        so the discretization asks for that exactness.  A tensor pair has
+        ``alpha = a1 + a2``, and a term is nonzero only where each factor's
+        block survives its own derivative, so each factor's rule at that
+        exactness is still exact.
+        """
+        exactness = max(degree - sum(self.alpha), 0)
         return sum(
             weights @ monomial_vandermonde(pts, degree, alpha)
-            for weights, pts, alpha in self.discretize(degree)
+            for weights, pts, alpha in self.discretize(exactness)
         )
 
     def apply_to_polynomial(self, poly: Polynomial) -> complex:

@@ -210,6 +210,19 @@ def test_cylinder_run_at_the_degree_cap():
     assert report.rows[0]["sup_error"] < 5.2e-6
 
 
+def test_cylinder_run_with_a_pole_function_holds_its_nodes():
+    # 1 / (0.5x + 0.5y + 0.3z - 1.6) has its pole near the cylinder; the
+    # residual reads about 1e-9.  Right-hand-side rules at exactness 21 - j
+    # for order j (order-aware, like the collocation rows) raised it to 1e-7
+    cfg = ExperimentConfig(
+        name="cyl_pole", projector=None, compact=None,
+        function=["recip", ["affine", [0.5, 0.5, 0.3], -1.6]],
+        degrees=list(range(2, 9)), grid=128,
+    )
+    report = cylinder_run(cfg)
+    assert report.metadata["node_residual"] < 1e-8
+
+
 def test_cylinder_degree_cap():
     cfg = ExperimentConfig(
         name="cyl", projector=None, compact=None,

@@ -17,6 +17,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
+import nprox.functionals
 from nprox.functionals import (
     DerivativeEval,
     InnerProduct,
@@ -25,7 +26,7 @@ from nprox.functionals import (
     Tensor,
     rhs,
 )
-from nprox.indexing import DESK_LIMIT, exponents, monomial_count
+from nprox.indexing import DESK_LIMIT, exponents, factor_ranks, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import leja_disk, real_leja
 from nprox.polynomials import Polynomial, multiply
@@ -574,6 +575,43 @@ def test_kergin_monomial_values_match_moment_oracle(nodes):
         want = kergin_moment_values(mu, proj.degree)
         got = mu.on_monomials(proj.degree)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_tensor_of_kergin_conditions_matches_the_factor_moment_oracles():
+    # the pair integrates at degree - |a1| - |a2|, and so does each factor's
+    # rule; a product monomial is nonzero only where both blocks survive
+    # their derivatives, so that is still exact.  The degrees give the pair
+    # exactness 0, 2 and 5: both parities and the one-point rule
+    rng = np.random.default_rng(23)
+    left = KerginCondition((2, 1), rng.uniform(-1, 1, size=(4, 2)))
+    right = KerginCondition((2,), rng.uniform(-1, 1, size=(3, 1)))
+    mu = Tensor(left, right)
+    for degree in (5, 7, 10):
+        r1, r2 = factor_ranks((2, 1), degree)
+        want = kergin_moment_values(left, degree)[r1] * kergin_moment_values(right, degree)[r2]
+        got = mu.on_monomials(degree)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+_DISK = leja_disk(16)[:9]
+
+
+@pytest.mark.parametrize("nodes", [real_leja(leja_disk(64))[:7].reshape(-1, 1),
+                                   np.stack([_DISK.real, _DISK.imag], axis=1)],
+                         ids=["real6", "planar8"])
+def test_kergin_projector_assembles_order_j_at_exactness_d_minus_j(nodes, monkeypatch):
+    # an order-j row integrates D^alpha of monomials of degree <= d - j, so
+    # it asks for the rule s = (d - j) // 2 and never the degree-d rule
+    requested = set()
+
+    def spy(ndim, s):
+        requested.add((ndim, s))
+        return grundmann_moller_rule(ndim, s)
+
+    monkeypatch.setattr(nprox.functionals, "grundmann_moller_rule", spy)
+    proj = kergin_projector(nodes)
+    d = proj.degree
+    assert requested == {(j, (d - j) // 2) for j in range(1, d + 1)}
 
 
 def test_inner_product_circle_orthonormality():
