@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import read_config
 from .extremal import fit_decay_rate, parse_compact
+from .indexing import monomial_count
 from .points import cartesian
 from .polynomials import evaluate_grid
 from .testfunctions import parse_function
@@ -31,6 +32,24 @@ RATE_HEADER = "d,sup_error,root_error,seconds"
 
 # samples of [0, 1] on which polya_run takes the node products' maxima
 _OMEGA_GRID = 4097
+
+# Conditions of a sweep's top-degree projector from which its degrees run on
+# forked workers.  A two-worker pool costs 6-7 ms to start, run four
+# trivial jobs and shut down, and its workers share the CPUs with the target's
+# evaluation.  Median sweep times on a 2-core host, one BLAS thread, grid 64,
+# broke even between 41 and 61 conditions in one variable (Chebyshev-Leja to
+# d = 40 and 60), near 153 in two (the Chebyshev-Leja product to d = 16) and
+# between 220 and 286 in three (that product times Chebyshev-Leja, 262,144
+# samples).
+_POOL_CONDITIONS = 250
+
+# A BLAS takes its thread count from the first of these that is set, and
+# starts one thread per core when none is.  Each forked worker starts that
+# many threads, and oversubscribed cores cost more than the pool saves: with
+# BLAS unpinned on a 2-core host, the rate_biv sweep (the Chebyshev-Leja
+# product at d = 2..28) took 1.1-3.9 s on two workers against 0.46-0.55 s
+# in process (medians of 5 sweeps).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ExperimentConfig:
@@ -112,10 +131,60 @@ def _row(d, sup, seconds):
             "seconds": float(seconds)}
 
 
+def _degree_step(spec: dict, degree: int, f, exactness) -> tuple:
+    """One degree of a sweep: the build, its nesting gate, right-hand side and solve.
+
+    Returns the projection of f, the seconds these took and the projector's
+    ``level_conds``.
+    """
+    tick = time.perf_counter()
+    proj = projector_from_spec(spec, degree)
+    approx = proj.apply(f, exactness=exactness)
+    return approx, time.perf_counter() - tick, proj.level_conds
+
+
+def _sweep_workers(degrees, nvars: int) -> int:
+    """Worker processes for a sweep's degrees; 1 runs them in this process.
+
+    A sweep forks as many workers as the usable CPUs (``taskset`` limits
+    them) hold at the BLAS thread count of ``_BLAS_THREAD_VARS``, but no
+    more than it has degrees; so a sweep with BLAS unpinned stays in
+    process.  So does a sweep of one degree, one whose top degree has fewer
+    conditions than ``_POOL_CONDITIONS``, one without a ``fork`` start
+    method, one in a daemonic process (which may not have children) and one
+    while other threads run (a forked child copies only the calling thread,
+    so a lock another thread holds stays held in it).  The cheap tests come
+    first, so a small sweep never imports ``multiprocessing``.
+    """
+    if len(degrees) < 2 or monomial_count(nvars, degrees[-1]) < _POOL_CONDITIONS:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else 1
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+                 if (v or "").isdigit() and int(v) > 0), cpus)
+    workers = min(cpus // blas, len(degrees))
+    if workers < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return workers
+
+
 def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     """Build the projector family across degrees and track sup errors.
 
-    A row's seconds cover that degree's build, right-hand side and solve.
+    Each degree's build, nesting gate, right-hand side and solve is one
+    independent step (``_degree_step``); a row's seconds cover that step,
+    measured where it ran.  Large sweeps run the steps on forked worker
+    processes, one per usable CPU at one BLAS thread (``_sweep_workers``),
+    largest degree first, while this process evaluates the target on the
+    samples; the results are read back in degree order, so a failing sweep
+    raises the lowest failing degree's error, as the in-process loop does.
     All degrees are then evaluated on the samples in one batch, from one
     monomial table per leaf of the compact (``evaluate_grid``), whose time
     is the metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the
@@ -125,14 +194,25 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     model = parse_compact(config.compact)
     f = parse_function(config.function, model.nvars)
     blocks = model.sample_blocks(config.grid ** model.nvars)
-    target = f.values(cartesian(*blocks))  # raises if a pole sits on the compact
-    approxs, seconds, cond_max = [], [], 0.0
-    for d in config.degrees:
-        tick = time.perf_counter()
-        proj = projector_from_spec(config.projector, d)
-        approxs.append(proj.apply(f, exactness=config.exactness))
-        seconds.append(time.perf_counter() - tick)
-        cond_max = max(cond_max, *proj.level_conds)
+    workers = _sweep_workers(config.degrees, model.nvars)
+    if workers == 1:
+        target = f.values(cartesian(*blocks))  # raises if a pole sits on the compact
+        steps = [_degree_step(config.projector, d, f, config.exactness)
+                 for d in config.degrees]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = {d: pool.submit(_degree_step, config.projector, d, f, config.exactness)
+                       for d in reversed(config.degrees)}
+            target = f.values(cartesian(*blocks))  # while the workers build
+            steps = [futures[d].result() for d in config.degrees]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    approxs, seconds, conds = zip(*steps)
+    cond_max = max(max(c) for c in conds)
     tick = time.perf_counter()
     values = evaluate_grid(approxs, blocks)
     eval_s = time.perf_counter() - tick

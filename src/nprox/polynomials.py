@@ -68,6 +68,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
 
+    def __reduce__(self):
+        # the default unpickler sets attributes, which __setattr__ refuses;
+        # the checked constructor copies the coefficients and makes them read-only
+        return (type(self), (self.nvars, self.degree, self.coeffs))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -51,6 +51,10 @@ class PoleOnSupportError(ValueError):
             f"near point {self.point}"
         )
 
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which __init__ does not take
+        return (type(self), (self.coeffs, self.const, self.point))
+
     def _locus(self):
         terms = " + ".join(f"({c})*z{v}" for v, c in enumerate(self.coeffs))
         return f"{terms} + ({self.const})"

@@ -462,11 +462,14 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # nprox runs on numpy alone; scipy serves the tests and the benchmark only
+    # nprox runs on numpy alone; scipy serves the tests and the benchmark only.
+    # A large sweep loads the process pool's modules when it forks workers;
+    # importing them with nprox would cost every run about 27 ms and 1.3 MB
+    pool = ("multiprocessing", "concurrent.futures.process")
     for module in ("nprox", "nprox.cli"):
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, {module}; print(' '.join(m for m in sys.modules"
-             " if m.split('.')[0] == 'scipy'))"],
+             f" if m.split('.')[0] == 'scipy' or m in {pool!r}))"],
             capture_output=True, text=True, check=True)
         assert proc.stdout.split() == [], module
 

@@ -2,11 +2,15 @@
 import json
 import pathlib
 import math
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from nprox import experiments
+from nprox.cli import main
 from nprox.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -18,10 +22,12 @@ from nprox.experiments import (
     polya_run,
     report_write,
 )
+from nprox.extremal import parse_compact
 from nprox.functionals import KerginCondition
 from nprox.points import cartesian
-from nprox.testfunctions import Affine, Exp
-from nprox.zoo import projector_from_spec
+from nprox.projectors import NestedUnisolvenceFailure
+from nprox.testfunctions import Affine, Exp, PoleOnSupportError, parse_function
+from nprox.zoo import nodes_by_name, projector_from_spec
 
 
 def small_config(**overrides):
@@ -161,6 +167,115 @@ def test_convergence_refuses_pole_on_the_compact():
     cfg = small_config(function=["recip", ["affine", [1.0], -0.5]])
     with pytest.raises(Exception):
         convergence_run(cfg)
+
+
+# -- sweeps on worker processes ----------------------------------------------------
+
+
+def _sweep_mode(monkeypatch, cfg, pooled: bool):
+    """Run cfg's degrees on two forked workers or in process, whatever its size.
+
+    The patches reach the workers: fork copies the patched module.
+    """
+    monkeypatch.setattr(experiments, "_POOL_CONDITIONS", 0 if pooled else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    nvars = parse_compact(cfg.compact).nvars
+    assert experiments._sweep_workers(cfg.degrees, nvars) == (2 if pooled else 1)
+
+
+def _assert_lowest_failing_degree_raises(monkeypatch, cfg, build, expected):
+    """Both paths raise what the lowest failing degree raises alone."""
+    errors = []
+    for d in cfg.degrees:
+        try:
+            build(d)
+        except expected as err:
+            errors.append(err)
+    # the failing degrees raise different messages, so the order shows
+    assert len(errors) >= 2 and str(errors[0]) != str(errors[-1])
+    for pooled in (False, True):
+        _sweep_mode(monkeypatch, cfg, pooled)
+        with pytest.raises(expected) as info:
+            convergence_run(cfg)
+        assert type(info.value) is expected and str(info.value) == str(errors[0])
+
+
+def test_pooled_sweep_raises_the_lowest_failing_nesting_error(monkeypatch):
+    # sorted Chebyshev nodes fail the default gate from d=28 on, at a level
+    # and estimate that differ by degree
+    spec = {"kind": "lagrange", "nodes": "chebyshev"}
+    cfg = small_config(projector=spec, function=["recip", ["affine", [1.0], -2.0]],
+                       degrees=[20, 24, 28, 32, 36])
+    _assert_lowest_failing_degree_raises(
+        monkeypatch, cfg, lambda d: projector_from_spec(spec, d), NestedUnisolvenceFailure)
+
+
+def test_pooled_sweep_raises_the_lowest_failing_pole_error(monkeypatch):
+    # one pole at a Chebyshev node of degree 2, one at a node of degree 4;
+    # the samples miss both, so only a degree's right-hand side meets them
+    spec = {"kind": "lagrange", "nodes": "chebyshev"}
+    poles = [float(nodes_by_name("chebyshev", d)[0].real) for d in (2, 4)]
+    function = ["product"] + [["recip", ["affine", [1.0], -p]] for p in poles]
+    cfg = small_config(projector=spec, function=function, degrees=[1, 2, 3, 4])
+    f = parse_function(function, 1)
+    _assert_lowest_failing_degree_raises(
+        monkeypatch, cfg, lambda d: projector_from_spec(spec, d).apply(f), PoleOnSupportError)
+
+
+def test_sweep_forks_only_where_it_pays_and_is_safe(monkeypatch):
+    big = list(range(2, 29, 2))  # top degree 28: 435 conditions in two variables
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for name in experiments._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    assert experiments._sweep_workers(big, 2) == 1  # unpinned: a BLAS thread per core
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert experiments._sweep_workers(big, 2) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP_NUM_THREADS
+    assert experiments._sweep_workers(big, 2) == 8
+    assert experiments._sweep_workers([26, 28], 2) == 2
+    assert experiments._sweep_workers([28], 2) == 1
+    assert experiments._sweep_workers(list(range(2, 21, 2)), 2) == 1  # 231 conditions
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # a daemonic process
+        assert pool.apply(experiments._sweep_workers, (big, 2)) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert experiments._sweep_workers(big, 2) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert experiments._sweep_workers(big, 2) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert experiments._sweep_workers(big, 2) == 1
+
+
+def test_pooled_and_in_process_sweeps_write_identical_csvs(monkeypatch, tmp_path):
+    cfg = small_config(
+        name="biv",
+        projector={"kind": "newton_product",
+                   "factors": [{"kind": "lagrange", "nodes": "chebyshev_leja"},
+                               {"kind": "lagrange", "nodes": "chebyshev_leja"}]},
+        function=["product", ["recip", ["affine", [1.0, 0.0], -2.0]],
+                  ["recip", ["affine", [0.0, 1.0], -5.0]]],
+        compact={"kind": "product", "factors": ["interval", "interval"]},
+        degrees=list(range(2, 17, 2)))
+    cfg_path = tmp_path / "biv.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    outs = []
+    for pooled in (False, True):
+        _sweep_mode(monkeypatch, cfg, pooled)
+        out = tmp_path / ("pooled" if pooled else "in_process")
+        assert main(["converge", "--config", str(cfg_path), "--out", str(out),
+                     "--check"]) == 0
+        report = json.loads((out / "biv.json").read_text())
+        outs.append(((out / "biv.csv").read_bytes(), report["rate"],
+                     report["metadata"]["level_cond_max"]))
+    assert outs[0] == outs[1]
 
 
 # -- cylinder --------------------------------------------------------------------

@@ -10,6 +10,7 @@ Oracles:
   * the Grundmann-Moller rule built from its (ndim + 1)-slot multi-indices.
 """
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
@@ -360,6 +361,16 @@ def test_pole_detection_reports_locus():
         f.eval([0.5])
     assert "pole locus" in str(err.value)
     assert f.poles()[0][1] == pytest.approx(-0.5)
+
+
+def test_pole_error_pickle_round_trip():
+    # a sweep's worker process raises it back to the parent by pickle
+    err = PoleOnSupportError([1.0, -0.5], 0.25 - 1j, [0.5, 1.5])
+    again = pickle.loads(pickle.dumps(err))
+    assert type(again) is PoleOnSupportError and str(again) == str(err)
+    assert np.array_equal(again.coeffs, err.coeffs)
+    assert again.const == err.const
+    assert np.array_equal(again.point, err.point)
 
 
 def _table_cases():

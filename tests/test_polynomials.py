@@ -12,6 +12,7 @@ Oracles used here:
     exponent table.
 """
 import math
+import pickle
 from itertools import product as iter_product
 
 import numpy as np
@@ -306,6 +307,17 @@ def test_addition_promotes_degree_bounds():
     assert s.degree == 3
     assert s.coeff((0,)) == 1.0 and s.coeff((3,)) == 1.0
     assert (p - p).effective_degree() == -1
+
+
+def test_pickle_round_trip_keeps_the_coefficients_read_only():
+    # sweeps send projections back from worker processes by pickle
+    p = Polynomial(2, 3, np.arange(10) + 1j)
+    q = pickle.loads(pickle.dumps(p))
+    assert type(q) is Polynomial and (q.nvars, q.degree) == (2, 3)
+    assert np.array_equal(q.coeffs, p.coeffs) and q.coeffs.dtype == np.complex128
+    assert not q.coeffs.flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        q.degree = 4
 
 
 def test_derivative_against_finite_differences():
