@@ -30,15 +30,30 @@ On a test function, ``rhs`` applies a whole list of functionals at once and
 hands it tensor pairs only for a test function that does not separate
 (``TestFunction.split``): on f = f1 (x) f2 a pair's value is mu(f1) * nu(f2),
 so the product applies each factor's conditions to its part and gathers
-the products of the values (``NewtonProduct``).  ``rhs`` discretizes each
-factor of a tensor pair once, derivative conditions at the same point share
-it, and Kergin conditions on the same nodes share one mapped rule, dropped
-once the conditions that use it are done and its last pending piece is
-evaluated.  A tensor batch is cut into row pieces of about ``_RHS_CHUNK``
-points instead of being built whole; pieces are merged up to that many
-distinct points, and the derivative orders that meet the same pieces share
-one ``deriv_table`` call, so a piece that several conditions share is
-passed to the test function once for all the orders they ask of it.
+the products of the values (``NewtonProduct``).
+
+``rhs`` takes a sum term by term.  On a ridge term f(z) = g(a . z)
+(constants, affine forms, and exponentials and reciprocals of affine
+forms), a Kergin condition of order 1 or more, alone or as a factor of a
+tensor pair, integrates along one dimension (``ridge``): j * ceil((E + j)
+/ 2) points with positive weights at exactness E, where Grundmann-Moller
+takes C(j + 1 + E // 2, j + 1).  That needs real nodes and a real
+direction in every such Kergin factor.  Kergin conditions on complex nodes
+or along a complex direction, on products and polynomial leaves, and every
+collocation row (``on_monomials``) keep Grundmann-Moller; point,
+derivative and inner-product conditions are evaluated as they stand.  A
+pole of g on a line rule's support raises ``PoleOnSupportError`` with a
+point on the pole locus between the nodes.
+
+On the cubature path ``rhs`` discretizes each factor of a tensor pair
+once, derivative conditions at the same point share it, and Kergin
+conditions on the same nodes share one mapped rule, dropped once the
+conditions that use it are done and its last pending piece is evaluated.
+A tensor batch is cut into row pieces of about ``_RHS_CHUNK`` points
+instead of being built whole; pieces are merged up to that many distinct
+points, and the derivative orders that meet the same pieces share one
+``deriv_table`` call, so a piece that several conditions share is passed
+to the test function once for all the orders they ask of it.
 """
 from __future__ import annotations
 
@@ -51,20 +66,18 @@ from .indexing import DESK_LIMIT, monomial_vandermonde
 from .measures import QuadratureMeasure
 from .points import as_rows, cartesian
 from .polynomials import Polynomial
-from .simplex import grundmann_moller_rule, rule_order_for_exactness
-from .testfunctions import TestFunction
+from .ridge import LineRule, apply_line_rules, line_rule, sum_terms
+from .simplex import bspline_rule, grundmann_moller_rule, rule_order_for_exactness
+from .testfunctions import Sum, TestFunction
 
-# Past 21 the Grundmann-Moller rules of order-11 and order-12 conditions
-# outgrow the desk scale; projectors cap their own min(2 * degree + 5, ...)
-# default here too.  The alternating weights still cost digits as the
-# exactness grows: on the planar d=10 Kergin conditions, exp(x + y) is off
-# its Hermite-Genocchi values by 5.3e-13 at exactness 15, 3.4e-12 at 21 and
-# 1.5e-11 at 25 (row-relative).  Unlike the collocation rows
-# (``on_monomials``), test functions take this exactness at every order: on
-# the d=8 cylinder with a pole of 1 / (0.5x + 0.5y + 0.3z - 1.6), the
-# order-8 values at exactness 13 (21 - 8) are off their Hermite-Genocchi
-# closed form by 1.6e-4 against 1.4e-7 at 21 (relative), and rules at
-# 21 - j for order j raise the node residual from 1.1e-9 to 1.1e-7.
+# Grundmann-Moller sets this cap: past 21 its rules of order-11 and order-12
+# conditions outgrow the desk scale (projectors cap min(2 * degree + 5, ...)
+# here too).  They now serve only Kergin conditions that have no line rule,
+# and their alternating weights cost digits: on the planar d=10 Kergin
+# conditions exp(x + y) is off its Hermite-Genocchi values by 3.4e-12 at 21
+# (row-relative).  The line rules have positive weights: 6.7e-13 at 11,
+# 9e-16 at 15, 1.0e-15 at 21.  Test functions take this exactness at every
+# order, unlike the collocation rows (``on_monomials``).
 DEFAULT_EXACTNESS = 21
 
 
@@ -121,6 +134,15 @@ class Functional:
         """Functionals with equal keys discretize alike up to ``alpha``."""
         return id(self)
 
+    def _line_rule(self, direction, exactness: int, memo: dict):
+        """This functional on f(z) = g(a . z), as a ``ridge.LineRule`` for g.
+
+        ``direction`` is a; the value on f is ``a^alpha`` times the rule
+        applied to ``g^(|alpha|)``.  None means the functional has no such
+        rule there, and the caller takes ``discretize`` instead.
+        """
+        return None
+
     def _batches(self, exactness: int, memo: dict):
         """``discretize(exactness)``, computed once per key of ``memo``."""
         key = self._rule_key()
@@ -148,6 +170,9 @@ class PointEval(Functional):
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
 
+    def _line_rule(self, direction, exactness, memo):
+        return LineRule.point(self.point, direction)
+
     def __repr__(self):
         return f"PointEval({self.point})"
 
@@ -167,6 +192,9 @@ class DerivativeEval(Functional):
         # every order at one point (a Taylor level) shares that point
         return ("point", self.point.tobytes())
 
+    def _line_rule(self, direction, exactness, memo):
+        return LineRule.point(self.point, direction)
+
     def __repr__(self):
         return f"DerivativeEval(alpha={self.alpha}, point={self.point})"
 
@@ -179,7 +207,11 @@ class KerginCondition(Functional):
         f -> int_{T_j} (D^alpha f)(z_0 + sum_i t_i (z_i - z_0)) dt,
 
     the plain Lebesgue integral over the unit simplex (so level-j conditions
-    carry a natural 1/j! volume factor).
+    carry a natural 1/j! volume factor).  On a test function with a ridge
+    term g(a . z), real nodes and a real a, the integral runs along the
+    line, over the B-spline of the projected nodes a . z_i
+    (``simplex.bspline_rule``); on anything else, and on the monomials, it
+    takes the Grundmann-Moller rule of the requested exactness.
     """
 
     def __init__(self, alpha, nodes):
@@ -213,6 +245,17 @@ class KerginCondition(Functional):
         # the mapped rule depends on the nodes alone
         return ("kergin", self.nodes.shape, self.nodes.tobytes())
 
+    def _line_rule(self, direction, exactness, memo):
+        if self.order == 0:
+            return LineRule.point(self.nodes[0], direction)
+        if direction.imag.any() or self.nodes.imag.any():
+            return None  # complex knots: no B-spline, Grundmann-Moller instead
+        knots = self.nodes.real @ direction.real
+        points, weights = bspline_rule(knots, exactness)
+        lo, hi = knots.argmin(), knots.argmax()
+        return LineRule(weights, points, knots[lo:lo + 1], knots[hi:hi + 1],
+                         self.nodes[lo:lo + 1], self.nodes[hi:hi + 1])
+
     def __repr__(self):
         return f"KerginCondition(alpha={self.alpha}, nodes={len(self.nodes)})"
 
@@ -245,6 +288,11 @@ class InnerProduct(Functional):
     def discretize(self, exactness):
         return [(self._weighted_conj(), self.measure.nodes, self.alpha)]
 
+    def _line_rule(self, direction, exactness, memo):
+        nodes = self.measure.nodes
+        along = nodes @ direction
+        return LineRule(self._weighted_conj(), along, along, along, nodes, nodes)
+
     def __repr__(self):
         return f"InnerProduct(basis_degree={self.basis.degree}, domain={self.measure.domain})"
 
@@ -269,6 +317,15 @@ class Tensor(Functional):
                 for w1, p1, a1 in self.left.discretize(exactness)
                 for w2, p2, a2 in self.right.discretize(exactness)]
 
+    def _line_rule(self, direction, exactness, memo):
+        # along a the pair integrates g over the sum of its factors' measures
+        k = self.left.nvars
+        left = line_rule(self.left, direction[:k], exactness, memo)
+        right = line_rule(self.right, direction[k:], exactness, memo)
+        if left is None or right is None:
+            return None
+        return left.convolve(right)
+
     def __repr__(self):
         return f"Tensor({self.left!r}, {self.right!r})"
 
@@ -281,28 +338,81 @@ _UNIT = [(np.ones(1, dtype=np.complex128), _UNIT_POINTS, ())]
 def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray:
     """Values of every functional in ``conditions`` on the test function f.
 
-    Conditions are grouped by the rule of their left factor (a condition
-    that is not a tensor pair is its own left factor).  A group
-    discretizes its left factors once and drops them when it is done; right
-    factors are discretized once per call.  Each pair of factor batches is
-    handed on whole, with the conditions that use it, so its row pieces are
-    built once for all of them.  ``exactness`` defaults to
+    A sum is taken term by term.  On a ridge term g(a . z) (``f.ridge()``)
+    a condition with a Kergin factor of order 1 or more takes its line rule
+    (``ridge.LineRule``) when it has one: the B-spline rule of real nodes
+    along a real direction, convolved with the other factors' rules in a
+    tensor pair.  Every other condition and term goes through
+    ``discretize`` (``_discretized_rhs``).  ``exactness`` defaults to
     ``DEFAULT_EXACTNESS``; one that is not a nonnegative integer, or a
-    Kergin condition whose rule at it would pass the desk scale, raises
-    ``ValueError`` before any rule is built.
+    Kergin condition whose Grundmann-Moller rule at it would pass the desk
+    scale, raises ``ValueError`` before any rule is built.
     """
     conditions = list(conditions)
     if any(mu.nvars != f.nvars for mu in conditions):
         raise ValueError("variable count mismatch")
     exactness = DEFAULT_EXACTNESS if exactness is None else check_exactness(exactness)
+    orders = [_kergin_order(mu) for mu in conditions]
+    terms = sum_terms(f)
+    ridges = [term.ridge() for term in terms] if any(orders) else [None] * len(terms)
+    whole = tuple(range(len(terms)))
+    if all(ridge is None for ridge in ridges):
+        along, rest = {}, {whole: range(len(conditions))}
+    else:
+        along, rest = _route(conditions, orders, ridges, exactness)
+    _check_rule_size(max((orders[i] for indices in rest.values() for i in indices),
+                         default=0), exactness)
+    out = np.zeros(len(conditions), dtype=np.complex128)
+    for k, users in along.items():
+        apply_line_rules(users, ridges[k], out, _RHS_CHUNK)
+    for left, indices in rest.items():
+        part = f if left == whole else (
+            terms[left[0]] if len(left) == 1 else Sum([terms[k] for k in left]))
+        _discretized_rhs(((i, conditions[i]) for i in indices), part, exactness, out)
+    return out
+
+
+def _route(conditions, orders, ridges, exactness):
+    """Which conditions take line rules on which ridge terms.
+
+    Returns ``along``, term -> [(condition index, alpha, line rule)], and
+    ``rest``, the tuple of terms a condition takes by ``discretize`` ->
+    condition indices.
+    """
+    whole = tuple(range(len(ridges)))
+    memo: dict = {}
+    along: dict = {}
+    rest: dict = {}
+    for i, (mu, order) in enumerate(zip(conditions, orders)):
+        left = whole
+        if order:
+            left = []
+            for k, ridge in enumerate(ridges):
+                rule = None if ridge is None else line_rule(mu, ridge[0], exactness, memo)
+                if rule is None:
+                    left.append(k)
+                else:
+                    along.setdefault(k, []).append((i, mu.alpha, rule))
+            left = tuple(left)
+        if left:
+            rest.setdefault(left, []).append(i)
+    return along, rest
+
+
+def _discretized_rhs(conditions, f: TestFunction, exactness: int, out: np.ndarray):
+    """Add the values of ``(index, condition)`` pairs on f into ``out[index]``.
+
+    Conditions are grouped by the rule of their left factor (a condition
+    that is not a tensor pair is its own left factor).  A group
+    discretizes its left factors once and drops them when it is done; right
+    factors are discretized once per call.  Each pair of factor batches is
+    handed on whole, with the conditions that use it, so its row pieces are
+    built once for all of them.
+    """
     groups: dict = {}
-    top_order = 0
-    for i, mu in enumerate(conditions):
+    for i, mu in conditions:
         left, right = (mu.left, mu.right) if isinstance(mu, Tensor) else (mu, None)
         groups.setdefault(left._rule_key(), []).append((i, left, right))
-        top_order = max(top_order, _kergin_order(mu))
-    _check_rule_size(top_order, exactness)
-    out = np.zeros(len(conditions), dtype=np.complex128)
     pending = _PendingPieces(f, out)
     right_memo: dict = {}
     for group in groups.values():
@@ -317,7 +427,6 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
         for p1, p2, users in pairs.values():
             pending.add(p1, p2, users)
     pending.flush()
-    return out
 
 
 def _kergin_order(mu: Functional) -> int:
@@ -332,7 +441,8 @@ def _check_rule_size(order: int, exactness: int):
 
     The Grundmann-Moller rule of an order-j condition has
     ``monomial_count(j + 1, s)`` points; its size grows with the order, so
-    checking the largest order checks them all.
+    checking the largest order of the conditions that take one checks them
+    all.
     """
     if order == 0:
         return  # an order-0 condition is a point value, no rule

@@ -14,6 +14,9 @@ Constants, exponentials, and affine forms and their reciprocals that
 involve one variable block, and products of these, ``split`` into a
 tensor product of two functions on the leading and trailing variables; a
 product projector uses that to apply its factors' conditions to the parts.
+Constants, affine forms, and exponentials and reciprocals of affine forms
+are ridge functions, f(z) = g(a . z) for a one-variable g (``ridge``); the
+Kergin conditions integrate those along one dimension.
 
 Functions are immutable values, like ``Polynomial``: an affine form keeps
 a read-only copy of its coefficients, and sums and products keep tuples.
@@ -98,6 +101,16 @@ class TestFunction:
         """
         return None
 
+    def ridge(self):
+        """``(a, g)`` with f(z) = g(a . z) for a one-variable g, or None.
+
+        The constant of an affine argument goes into g, so ``g.deriv_table``
+        gives the derivatives along the direction a and ``g.poles()`` the
+        poles on that line.  Sums and products answer None: a sum is applied
+        term by term, and a product is not a ridge function in general.
+        """
+        return None
+
     def __add__(self, other):
         return Sum([self, _coerce(other, self.nvars)])
 
@@ -139,6 +152,9 @@ class Const(TestFunction):
     def split(self, k):
         return Const(k, self.value), Const(self.nvars - k, 1.0)
 
+    def ridge(self):
+        return np.zeros(self.nvars, dtype=np.complex128), Const(1, self.value)
+
 
 class Affine(TestFunction):
     """The affine form ``coeffs . z + const``, over a read-only copy of ``coeffs``."""
@@ -171,6 +187,9 @@ class Affine(TestFunction):
             return Const(k, 1.0), Affine(hi, self.const)
         return None
 
+    def ridge(self):
+        return self.coeffs, Affine([1.0], self.const)
+
 
 def coordinate(nvars, index):
     coeffs = np.zeros(nvars)
@@ -197,6 +216,9 @@ class Exp(TestFunction):
     def split(self, k):
         coeffs = self.arg.coeffs
         return Exp(Affine(coeffs[:k], self.arg.const)), Exp(Affine(coeffs[k:], 0.0))
+
+    def ridge(self):
+        return self.arg.coeffs, Exp(Affine([1.0], self.arg.const))
 
 
 class Recip(TestFunction):
@@ -238,6 +260,9 @@ class Recip(TestFunction):
         # the affine part of the split keeps the constant, and its reciprocal
         # keeps the pole test's scale
         return tuple(Recip(p) if isinstance(p, Affine) else p for p in parts)
+
+    def ridge(self):
+        return self.arg.coeffs, Recip(Affine([1.0], self.arg.const))
 
 
 class Sum(TestFunction):

@@ -2,6 +2,8 @@
 
 Oracles:
   * nested 1-D Gauss-Legendre quadrature for simplex integrals,
+  * Hermite-Genocchi divided differences, read off a matrix function of a
+    bidiagonal matrix (Opitz), for Kergin conditions on ridge functions,
   * the exact moment expansion of Kergin conditions on monomials,
   * central finite differences for expression-tree derivatives,
   * the per-order closed forms, one derivative order at a time, for
@@ -17,6 +19,7 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import nprox.functionals
 from nprox.functionals import (
@@ -30,8 +33,9 @@ from nprox.functionals import (
 from nprox.indexing import DESK_LIMIT, exponents, factor_ranks, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import leja_disk, real_leja
-from nprox.polynomials import Polynomial, multiply
+from nprox.polynomials import Polynomial, coeff_distance, multiply
 from nprox.simplex import (
+    bspline_rule,
     grundmann_moller_rule,
     simplex_moment_vector,
     simplex_monomial_moment,
@@ -120,6 +124,97 @@ def per_order_values(f, alpha, pts):
                     * per_order_values(Product(rest), remainder, pts))
         return out
     raise TypeError(f"no closed form for {type(f).__name__}")
+
+
+def _difference_terms(mu, a):
+    """``(weight, J)`` terms whose divided differences make up mu along a.
+
+    Along the line u = a . z + c a Kergin condition is the divided
+    difference at its projected nodes (Hermite-Genocchi), a point value the
+    one at one point and an order-m derivative m! times the one at m + 1
+    copies of its point; an inner product sums point values.  The divided
+    difference of h at x_0..x_j is entry (0, j) of h(J) for
+    J = diag(x) + superdiagonal ones, and a tensor pair's is entry
+    (first, last) of h at the Kronecker sum of its factors' J.
+    """
+    def bidiagonal(knots):
+        return np.diag(knots) + np.diag(np.ones(len(knots) - 1), 1)
+
+    if isinstance(mu, Tensor):
+        k = mu.left.nvars
+        return [(w1 * w2, np.kron(J1, np.eye(len(J2))) + np.kron(np.eye(len(J1)), J2))
+                for w1, J1 in _difference_terms(mu.left, a[:k])
+                for w2, J2 in _difference_terms(mu.right, a[k:])]
+    if isinstance(mu, KerginCondition):
+        return [(1.0, bidiagonal(mu.nodes @ a))]
+    if isinstance(mu, DerivativeEval):
+        m = sum(mu.alpha)
+        return [(math.factorial(m), bidiagonal(np.full(m + 1, mu.point @ a)))]
+    if isinstance(mu, PointEval):
+        return [(1.0, bidiagonal(mu.point[None] @ a))]
+    if isinstance(mu, InnerProduct):
+        return [(w, bidiagonal(node[None] @ a))
+                for w, node in zip(mu._weighted_conj(), mu.measure.nodes)]
+    raise TypeError(f"no divided-difference form for {type(mu).__name__}")
+
+
+def divided_difference_values(mu, f):
+    """Oracle for mu on exp(a . z + c) or 1/(a . z + c): each term, then the sum.
+
+    Returns the value and the absolute sum of its terms, the scale of its
+    rounding.
+    """
+    a, c = f.arg.coeffs, f.arg.const
+    scale = np.prod(a ** np.array(mu.alpha))
+    terms = []
+    for w, J in _difference_terms(mu, a):
+        shifted = J + c * np.eye(len(J))
+        h = expm(shifted) if isinstance(f, Exp) else np.linalg.inv(shifted)
+        terms.append(scale * w * h[0, -1])
+    return sum(terms), float(np.sum(np.abs(terms)))
+
+
+def _kergin_factors(mu):
+    if isinstance(mu, Tensor):
+        return _kergin_factors(mu.left) + _kergin_factors(mu.right)
+    return [mu] if isinstance(mu, KerginCondition) else []
+
+
+def takes_line_rule(mu, f):
+    """Whether ``rhs`` integrates mu on f along one dimension.
+
+    f must be an exponential or a reciprocal of a real affine form, mu must
+    have a Kergin factor of order 1 or more, and every Kergin factor's nodes
+    must be real.
+    """
+    kergin = _kergin_factors(mu)
+    return (isinstance(f, (Exp, Recip)) and not np.any(f.arg.coeffs.imag)
+            and any(k.order > 0 for k in kergin)
+            and not any(np.any(k.nodes.imag) for k in kergin))
+
+
+def line_rule_of(mu, a, exactness):
+    """``(weights, points)`` of mu along the real direction a, by hand.
+
+    A Kergin factor of order 1 or more takes ``bspline_rule`` at its
+    projected nodes, a point or derivative value is a point mass, an inner
+    product weights its projected nodes, and a tensor pair sums every pair
+    of its factors' points.  The value on g(a . z) is ``a^alpha`` times the
+    weighted sum of ``g^(|alpha|)`` at the points.
+    """
+    if isinstance(mu, Tensor):
+        k = mu.left.nvars
+        w1, p1 = line_rule_of(mu.left, a[:k], exactness)
+        w2, p2 = line_rule_of(mu.right, a[k:], exactness)
+        return np.outer(w1, w2).ravel(), np.add.outer(p1, p2).ravel()
+    if isinstance(mu, KerginCondition) and mu.order > 0:
+        points, weights = bspline_rule(mu.nodes.real @ a, exactness)
+        return weights, points
+    if isinstance(mu, KerginCondition):
+        return np.ones(1), mu.nodes[:1] @ a
+    if isinstance(mu, (PointEval, DerivativeEval)):
+        return np.ones(1), mu.point[None] @ a
+    return mu._weighted_conj(), mu.measure.nodes @ a
 
 
 def fd_derivative(f, alpha, point, h=None):
@@ -722,10 +817,19 @@ def per_condition_rhs(conditions, f, exactness):
 
     Also returns each condition's absolute sum ``sum |w D^alpha f(p)|``, the
     scale of its rounding: the Grundmann-Moller weights alternate in sign, so
-    a value can be far smaller than the terms that cancel into it.
+    a value can be far smaller than the terms that cancel into it.  A
+    condition that ``rhs`` integrates along one dimension takes its line
+    rule instead (``line_rule_of``).
     """
     values, scales = [], []
     for mu in conditions:
+        if takes_line_rule(mu, f):
+            a, g = f.ridge()
+            w, p = line_rule_of(mu, a.real, exactness)
+            v = np.prod(a ** np.array(mu.alpha)) * w * g.deriv_values((sum(mu.alpha),), p)
+            values.append(np.sum(v))
+            scales.append(float(np.sum(np.abs(v))))
+            continue
         total, scale = 0j, 0.0
         for w, p, a in mu.discretize(exactness):
             v = f.deriv_values(a, p)
@@ -974,7 +1078,8 @@ RULE_TOO_LARGE = (r"order-14 Kergin condition at exactness 21 needs a Grundmann-
 
 
 def test_rhs_refuses_a_kergin_rule_past_the_desk_scale():
-    mu = KerginCondition((14,), np.linspace(-1.0, 1.0, 15))
+    # complex nodes have no B-spline rule and keep Grundmann-Moller
+    mu = KerginCondition((14,), nodes_by_name("leja_disk", 14))
     with pytest.raises(ValueError, match=RULE_TOO_LARGE):
         mu.apply_to_function(Exp(Affine([1.0])))
 
@@ -982,7 +1087,7 @@ def test_rhs_refuses_a_kergin_rule_past_the_desk_scale():
 def test_kergin_projector_checks_its_rule_sizes_before_building_any():
     # the default exactness of a degree-14 projector is 21; its order-13 rule
     # alone would take seconds and about a gigabyte before order 14 failed
-    proj = kergin_projector(nodes_by_name("real_leja", 14))
+    proj = kergin_projector(nodes_by_name("leja_disk", 14))
     misses = grundmann_moller_rule.cache_info().misses
     with pytest.raises(ValueError, match=RULE_TOO_LARGE):
         proj.apply(Exp(Affine([1.0])))
@@ -1010,3 +1115,255 @@ def test_rhs_pole_in_a_factor_block_is_named_in_the_product_variables(coeffs):
     assert np.array_equal(info.value.coeffs, pole.coeffs)
     assert info.value.const == pole.const
     assert abs(pole.eval(info.value.point)) < 1e-12
+
+
+# -- Kergin conditions along one dimension ------------------------------------
+
+
+def _complete_homogeneous(knots, m):
+    """h_m(knots), exactly: the divided difference of x^(m + j) at j + 1 knots."""
+    h = [Fraction(1)] + [Fraction(0)] * m
+    for t in map(Fraction, knots):
+        for k in range(1, m + 1):
+            h[k] += t * h[k - 1]
+    return h[m]
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeated"])
+def test_bspline_rule_is_exact_to_its_exactness(repeat):
+    # int_{T_j} x^m = h_m(knots) m! / (m + j)! along the simplex image of the
+    # knots, repeated ones included; the weights are positive
+    rng = np.random.default_rng(41)
+    for j in range(1, 9):
+        knots = rng.uniform(-1, 1, j + 1)
+        if repeat:
+            knots[1::2] = knots[0]
+        for exactness in range(12):
+            points, weights = bspline_rule(knots, exactness)
+            assert np.all(weights > 0)
+            assert math.fsum(weights) == pytest.approx(1 / math.factorial(j), rel=1e-14)
+            cells = len(set(knots.tolist())) - 1
+            assert points.size == max(cells * ((exactness + j + 1) // 2), 1)
+            for m in range(exactness + 1):
+                want = float(_complete_homogeneous(knots, m) * math.factorial(m)
+                             / math.factorial(m + j))
+                got = math.fsum(weights * points ** m)
+                assert abs(got - want) <= 1e-14 * math.fsum(weights * np.abs(points) ** m)
+
+
+def test_a_line_rule_past_the_desk_scale_is_refused_before_it_is_built():
+    # 500,001 points per interval would take a 2 TB eigenproblem
+    with pytest.raises(ValueError, match="pass a lower exactness"):
+        bspline_rule([0.0, 1.0], 10 ** 6)
+    mu = KerginCondition((1,), [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="pass a lower exactness"):
+        mu.apply_to_function(Exp(Affine([1.0])), exactness=10 ** 6)
+
+
+def test_bspline_rule_at_coincident_knots_is_a_point_mass():
+    points, weights = bspline_rule([0.3] * 5, 21)
+    assert points.tolist() == [0.3] and weights.tolist() == [1 / 24]
+
+
+@pytest.mark.parametrize("f", [Exp(Affine([0.5, -1.5], 0.25)), Recip(Affine([1.0, 2.0], -3.0)),
+                               Affine([0.5, 0.7], 0.1), Const(2, 2.5)],
+                         ids=["exp", "recip", "affine", "const"])
+def test_ridge_functions_are_one_variable_functions_along_a_direction(f):
+    a, g = f.ridge()
+    assert g.nvars == 1
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, (5, 2))
+    for alpha in [(0, 0), (1, 0), (0, 1), (2, 3)]:
+        want = f.deriv_values(alpha, pts)
+        got = np.prod(a ** np.array(alpha)) * g.deriv_values((sum(alpha),), pts @ a)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_sums_products_and_polynomials_are_not_ridge_functions():
+    assert Sum([Exp(Affine([1.0])), Recip(Affine([1.0], -3.0))]).ridge() is None
+    assert Product([Exp(Affine([1.0])), coordinate(1, 0)]).ridge() is None
+    assert PolynomialFunction(Polynomial.monomial(1, (2,))).ridge() is None
+
+
+def _recip_closed_form(mu, a, c):
+    # 1/(u) has divided differences (-1)^j / prod(u_i) at u_i = a . x_i + c
+    u = mu.nodes @ a + c
+    return np.prod(a ** np.array(mu.alpha)) * (-1) ** mu.order / np.prod(u)
+
+
+def _planar(nodes):
+    return np.stack([nodes.real, nodes.imag], axis=1)
+
+
+@pytest.mark.parametrize("nodes, a, c, exactness", [
+    (nodes_by_name("real_leja", 14).real.reshape(-1, 1), [0.5], -1.6, None),
+    (_planar(nodes_by_name("leja_disk", 14)), [0.5, 0.5], -1.6, None),
+    # the pole 0.59 from the span: 1.9e-12 at order 5 with the default 21
+    (_planar(nodes_by_name("leja_disk", 14)), [0.5, 0.5], -1.3, 25),
+], ids=["real_leja", "planar_leja", "planar_leja_near_pole"])
+def test_recip_kergin_values_match_their_closed_form(nodes, a, c, exactness):
+    a = np.array(a)
+    proj = kergin_projector(nodes, cond_threshold=None)
+    f = Recip(Affine(a, c))
+    got = rhs(proj.conditions, f, exactness)
+    want = np.array([_recip_closed_form(mu, a, c) for mu in proj.conditions])
+    assert {mu.order for mu in proj.conditions} == set(range(15))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def test_kergin_level_with_repeated_projected_knots_matches_its_closed_form():
+    # a is perpendicular to the differences of the first three nodes, so the
+    # level's knots are 0, 0, 0, 0.35, -0.45; the last level's nodes all
+    # project to 0.4, a point mass
+    a = np.array([0.5, 0.5])
+    nodes = np.array([[0.0, 0.0], [0.3, -0.3], [-0.3, 0.3], [0.6, 0.1], [-0.2, -0.7]])
+    line = np.array([[0.4 + t, 0.4 - t] for t in (0.0, 0.5, -0.3, 0.2)])
+    for level in (nodes, line):
+        j = len(level) - 1
+        conditions = [KerginCondition(alpha, level) for alpha in [(j, 0), (1, j - 1), (2, j - 2)]]
+        got = rhs(conditions, Recip(Affine(a, -1.3)))
+        want = [_recip_closed_form(mu, a, -1.3) for mu in conditions]
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        got = rhs(conditions, Exp(Affine(a, 0.2)))
+        want = [divided_difference_values(mu, Exp(Affine(a, 0.2)))[0] for mu in conditions]
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_planar_kergin_at_coincident_nodes_is_taylor_on_a_ridge_function():
+    center = [0.2, -0.1]
+    K = kergin_projector(np.tile(center, (6, 1)))
+    T = taylor_projector(2, 5, center=center)
+    f = Recip(Affine([0.5, 0.5], -1.3))
+    assert coeff_distance(K.apply(f), T.apply(f)) < 1e-12
+
+
+def test_order_14_real_leja_condition_on_exp_matches_the_expm_oracle():
+    # refused while it took Grundmann-Moller (3,268,760 points); along the
+    # line it takes 14 * 18.  The superdiagonal is scaled by 14, so entry
+    # (0, 14) is 14^14 times the divided difference: unscaled, expm's own
+    # rounding is 3e-10 of this value
+    x = nodes_by_name("real_leja", 14).real
+    got = KerginCondition((14,), x).apply_to_function(Exp(Affine([1.0])))
+    want = expm(np.diag(x) + 14.0 * np.diag(np.ones(14), 1))[0, 14] / 14.0 ** 14
+    assert abs(got - want) / abs(want) < 1e-12
+
+
+@pytest.mark.parametrize("nodes, f", [
+    (nodes_by_name("leja_disk", 3).reshape(-1, 1), Exp(Affine([1.0]))),
+    (nodes_by_name("real_leja", 3).reshape(-1, 1), Exp(Affine([1.0 + 0.5j]))),
+    (nodes_by_name("real_leja", 3).reshape(-1, 1),
+     Product([Exp(Affine([1.0])), Recip(Affine([1.0], -3.0))])),
+    (nodes_by_name("real_leja", 3).reshape(-1, 1), Exp(Affine([1.0]))),
+], ids=["complex_nodes", "complex_direction", "product", "real_ridge"])
+def test_only_real_ridge_conditions_integrate_along_one_dimension(nodes, f, monkeypatch):
+    requested = []
+
+    def spy(ndim, s):
+        requested.append((ndim, s))
+        return grundmann_moller_rule(ndim, s)
+
+    monkeypatch.setattr(nprox.functionals, "grundmann_moller_rule", spy)
+    mu = KerginCondition((3,), nodes)
+    value = mu.apply_to_function(f, exactness=15)
+    assert bool(requested) == (f.ridge() is None or np.any(nodes.imag)
+                               or np.any(f.ridge()[0].imag))
+    oracle = sum(np.dot(w, f.deriv_values(a, p)) for w, p, a in mu.discretize(15))
+    assert value == pytest.approx(oracle, rel=1e-10)
+
+
+def test_a_sum_takes_each_ridge_term_along_its_line_and_the_rest_by_cubature(monkeypatch):
+    requested = []
+
+    def spy(ndim, s):
+        requested.append((ndim, s))
+        return grundmann_moller_rule(ndim, s)
+
+    monkeypatch.setattr(nprox.functionals, "grundmann_moller_rule", spy)
+    proj = kergin_projector(_planar(nodes_by_name("leja_disk", 5)))
+    terms = [Exp(Affine([1.0, 0.5])), Recip(Affine([0.5, 0.5], -1.6)),
+             Product([Exp(Affine([0.3, 0.0])), coordinate(2, 1)])]
+    got = rhs(proj.conditions, Sum([terms[0], Sum(terms[1:])]))
+    assert {ndim for ndim, _ in requested} == set(range(1, 6))
+    want = sum(rhs(proj.conditions, t) for t in terms)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    requested.clear()
+    rhs(proj.conditions, Sum(terms[:2]))
+    assert requested == []
+
+
+class RidgeCounting(TestFunction):
+    """A ridge function whose one-variable part records its point counts."""
+
+    def __init__(self, inner, sizes):
+        self.inner = inner
+        self.nvars = inner.nvars
+        self.sizes = sizes
+
+    def ridge(self):
+        a, g = self.inner.ridge()
+        return a, CountingFunction(g, self.sizes)
+
+    def deriv_table(self, alphas, pts):
+        self.sizes.append(len(pts))
+        return self.inner.deriv_table(alphas, pts)
+
+
+def test_a_kergin_level_shares_one_line_rule_and_one_call():
+    # the d=8 planar factor of the cylinder: one call per level, with
+    # ceil((21 + j) / 2) points on each interval between distinct projected
+    # knots at level j (the disk Leja points 1 and i both project to 1),
+    # then one for the order-0 node; the Grundmann-Moller rules took 167,958
+    nodes = _planar(nodes_by_name("leja_disk", 8))
+    proj = kergin_projector(nodes)
+    sizes = []
+    got = rhs(proj.conditions, RidgeCounting(Exp(Affine([1.0, 1.0])), sizes))
+    knots = nodes @ [1.0, 1.0]
+    cells = [len(set(knots[:j + 1].round(12).tolist())) - 1 for j in range(1, 9)]
+    assert sizes == [c * ((21 + j + 1) // 2) for j, c in zip(range(1, 9), cells)] + [1]
+    assert sum(sizes) == 288
+    assert np.array_equal(got, rhs(proj.conditions, Exp(Affine([1.0, 1.0]))))
+
+
+def test_a_pole_inside_the_knot_span_raises_on_the_locus():
+    # the quadrature points straddle the pole; the span test names a point
+    # between the nodes whose images bound the span
+    # the bare pair's span is [-1, 1] + [0, 2], so its point sits at 0.425
+    # of the way between the nodes (-1, 0) and (1, 2)
+    pair = Tensor(KerginCondition((2,), [[-1.0], [0.0], [1.0]]),
+                  KerginCondition((2,), [[0.0], [2.0], [1.0]]))
+    cases = [
+        (kergin_projector(nodes_by_name("real_leja", 6).reshape(-1, 1)).apply,
+         Affine([0.5], -0.1)),
+        (kergin_projector(_planar(nodes_by_name("leja_disk", 6))).apply, Affine([0.5, 0.5], -0.2)),
+        (kergin_projector(nodes_by_name("real_leja", 4)).newton_product(_cheb_leja(4))
+         .newton_product(kergin_projector(nodes_by_name("real_leja", 4))).apply,
+         Affine([0.5, 0.25, -0.3], -0.1)),
+        (lambda f: rhs([pair], f), Affine([1.0, 1.0], -0.7)),
+    ]
+    for apply, pole in cases:
+        with pytest.raises(PoleOnSupportError) as info:
+            apply(Recip(pole))
+        err = info.value
+        assert np.array_equal(err.coeffs, pole.coeffs) and err.const == pole.const
+        assert abs(pole.eval(err.point)) < 1e-12
+        again = pickle.loads(pickle.dumps(err))
+        assert str(again) == str(err) and np.array_equal(again.point, err.point)
+
+
+def test_nested_kergin_tensor_pairs_convolve_their_line_rules(monkeypatch):
+    # (kergin x lagrange) x kergin on a reciprocal that does not split: each
+    # pair sums the points of its factors' line rules, and no cubature rule
+    # is built (the product of two Grundmann-Moller rules took 47 s at d=10)
+    inner = kergin_projector(nodes_by_name("real_leja", 8)).newton_product(_cheb_leja(8))
+    proj = inner.newton_product(kergin_projector(nodes_by_name("real_leja", 8)))
+    f = Recip(Affine([0.5, 0.25, -0.3], -3.0))
+    requested = []
+
+    def spy(ndim, s):
+        requested.append((ndim, s))
+        return grundmann_moller_rule(ndim, s)
+
+    monkeypatch.setattr(nprox.functionals, "grundmann_moller_rule", spy)
+    got = proj._rhs(f, None)
+    assert requested == []
+    want = np.array([divided_difference_values(mu, f)[0] for mu in proj.conditions])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
