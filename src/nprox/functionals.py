@@ -9,20 +9,30 @@ A functional is weights and points for one derivative order, its
 ``alpha``: ``discretize`` builds them, the simplex conditions through
 Grundmann-Moller cubature of a requested exactness and a tensor pair as
 the products of its factors' weights and points at the sum of their
-orders.  Its values on the graded-lex monomial basis come from the same
-discretization, paired with the derivative Vandermonde of the monomials, at
-exactness ``degree - |alpha|``: ``D^alpha`` of a monomial of degree at most
-``degree`` has degree at most ``degree - |alpha|``, so ``apply_to_polynomial``
-is exact up to rounding, and an order-j row of a degree-d Kergin projector
-takes the rule of exactness d - j (one point at j = d) instead of the
-degree-d rule.  The Grundmann-Moller weights alternate in sign, so that
-rounding grows with the exactness: against the exact moment expansion the
-planar Kergin values agree to 8.3e-16 (row-relative) at degree 5, 6.6e-14
-at degree 8 and 1.6e-12 at degree 10.
-Nothing is cached per functional, so the values do not depend on what was
-asked before.  Inner products read the measure's Vandermonde, shared by the
-whole basis.  A tensor pair's values come from its discretization like any
-other; a product projector gathers its rows from its factors' rows instead
+orders.
+
+On the graded-lex monomial basis, ``rows`` assembles a whole list of
+functionals at once and ``on_monomials`` is its one-functional case, as
+``apply_to_function`` is for ``rhs``.  Conditions that share a table are
+built together: every point and derivative condition of the list from one
+``monomial_vandermonde`` call with one derivative order per point (bit for
+bit the rows each would get alone), the inner products on one measure from
+one product with the measure's cached Vandermonde, and the Kergin
+conditions on one node set from one rule and one table.  ``D^alpha`` of a
+monomial of degree at most ``degree`` has degree at most
+``degree - |alpha|``, so ``apply_to_polynomial`` is exact up to rounding
+with the rule of that exactness, and an order-j row of a degree-d Kergin
+projector takes the rule of exactness d - j (one point at j = d) instead
+of the degree-d rule.  All order-j conditions on the same nodes then share
+the rule's moments of the monomials of degree at most d - j, and each row
+is a falling-factorial multiple of those moments
+(``indexing.derivative_gather``).  The Grundmann-Moller weights alternate
+in sign, so that rounding grows with the exactness: against the exact
+moment expansion the planar Kergin values agree to 8.9e-16 (row-relative)
+at degree 4, 6.7e-14 at degree 8 and 1.6e-12 at degree 10.  Nothing is
+cached per functional, so the values do not depend on what was asked
+before.  A tensor pair's values come from its discretization; a product
+projector gathers its rows from its factors' rows instead
 (``NewtonProduct``).
 
 On a test function, ``rhs`` applies a whole list of functionals at once and
@@ -40,10 +50,14 @@ tensor pair, integrates along one dimension (``ridge``): j * ceil((E + j)
 takes C(j + 1 + E // 2, j + 1).  That needs real nodes and a real
 direction in every such Kergin factor.  Kergin conditions on complex nodes
 or along a complex direction, on products and polynomial leaves, and every
-collocation row (``on_monomials``) keep Grundmann-Moller; point,
-derivative and inner-product conditions are evaluated as they stand.  A
-pole of g on a line rule's support raises ``PoleOnSupportError`` with a
-point on the pole locus between the nodes.
+collocation row (``rows``) keep Grundmann-Moller; point, derivative and
+inner-product conditions are evaluated as they stand.  A pole of g on a
+line rule's support raises ``PoleOnSupportError`` with a point on the pole
+locus between the nodes.  So does a pole of a test function inside the
+simplex of a condition on the Grundmann-Moller path, where the rule's
+points would miss it: an affine pole form maps the simplex onto the convex
+hull of its values at the nodes (of the sums of both factors' values, for
+a tensor pair), and the error is raised when 0 lies in that hull.
 
 On the cubature path ``rhs`` discretizes each factor of a tensor pair
 once, derivative conditions at the same point share it, and Kergin
@@ -62,13 +76,13 @@ from math import comb
 import numpy as np
 
 from .config import check_exactness
-from .indexing import DESK_LIMIT, monomial_vandermonde
+from .indexing import DESK_LIMIT, derivative_gather, monomial_count, monomial_vandermonde
 from .measures import QuadratureMeasure
 from .points import as_rows, cartesian
 from .polynomials import Polynomial
 from .ridge import LineRule, apply_line_rules, line_rule, sum_terms
 from .simplex import bspline_rule, grundmann_moller_rule, rule_order_for_exactness
-from .testfunctions import Sum, TestFunction
+from .testfunctions import PoleOnSupportError, Sum, TestFunction
 
 # Grundmann-Moller sets this cap: past 21 its rules of order-11 and order-12
 # conditions outgrow the desk scale (projectors cap min(2 * degree + 5, ...)
@@ -107,17 +121,18 @@ class Functional:
     def on_monomials(self, degree: int) -> np.ndarray:
         """Values on every graded-lex monomial of degree <= ``degree``.
 
-        ``D^alpha`` of such a monomial has degree at most ``degree - |alpha|``,
-        so the discretization asks for that exactness.  A tensor pair has
-        ``alpha = a1 + a2``, and a term is nonzero only where each factor's
-        block survives its own derivative, so each factor's rule at that
-        exactness is still exact.
+        The one-condition case of ``rows``.
         """
-        exactness = max(degree - sum(self.alpha), 0)
-        return sum(
-            weights @ monomial_vandermonde(pts, degree, alpha)
-            for weights, pts, alpha in self.discretize(exactness)
-        )
+        return rows([self], degree)[0]
+
+    def _row_group(self):
+        """``(build, key)``: conditions with equal pairs share one ``build`` call.
+
+        ``build(conditions, degree)`` returns their rows on the monomials
+        (``rows``).  By default a condition is its own group and sums its
+        discretization against the monomial table (``_discretized_rows``).
+        """
+        return _discretized_rows, id(self)
 
     def apply_to_polynomial(self, poly: Polynomial) -> complex:
         if poly.nvars != self.nvars:
@@ -133,6 +148,14 @@ class Functional:
     def _rule_key(self):
         """Functionals with equal keys discretize alike up to ``alpha``."""
         return id(self)
+
+    def _support(self):
+        """Point sets whose convex hulls hold every point the functional reads.
+
+        An array of shape ``(pieces, points, nvars)``: a Kergin condition's
+        nodes, a single point, or one piece per measure node.
+        """
+        raise NotImplementedError
 
     def _line_rule(self, direction, exactness: int, memo: dict):
         """This functional on f(z) = g(a . z), as a ``ridge.LineRule`` for g.
@@ -170,6 +193,12 @@ class PointEval(Functional):
     def discretize(self, exactness):
         return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
 
+    def _row_group(self):
+        return _point_rows, None
+
+    def _support(self):
+        return self.point[None, None, :]
+
     def _line_rule(self, direction, exactness, memo):
         return LineRule.point(self.point, direction)
 
@@ -191,6 +220,12 @@ class DerivativeEval(Functional):
     def _rule_key(self):
         # every order at one point (a Taylor level) shares that point
         return ("point", self.point.tobytes())
+
+    def _row_group(self):
+        return _point_rows, None
+
+    def _support(self):
+        return self.point[None, None, :]
 
     def _line_rule(self, direction, exactness, memo):
         return LineRule.point(self.point, direction)
@@ -242,8 +277,15 @@ class KerginCondition(Functional):
         return [(weights.astype(np.complex128), mapped, self.alpha)]
 
     def _rule_key(self):
-        # the mapped rule depends on the nodes alone
+        # the mapped rule depends on the nodes alone, and so does the order
         return ("kergin", self.nodes.shape, self.nodes.tobytes())
+
+    def _row_group(self):
+        return _kergin_rows, self._rule_key()
+
+    def _support(self):
+        # the simplex is the hull of the nodes
+        return self.nodes[None]
 
     def _line_rule(self, direction, exactness, memo):
         if self.order == 0:
@@ -281,9 +323,11 @@ class InnerProduct(Functional):
     def _weighted_conj(self):
         return self.measure.weights * np.conj(self._bvals)
 
-    def on_monomials(self, degree):
-        # the measure's cached Vandermonde, shared by the whole basis
-        return self.measure.monomial_values(degree) @ self._weighted_conj()
+    def _row_group(self):
+        return _inner_product_rows, id(self.measure)
+
+    def _support(self):
+        return self.measure.nodes[:, None, :]
 
     def discretize(self, exactness):
         return [(self._weighted_conj(), self.measure.nodes, self.alpha)]
@@ -317,6 +361,15 @@ class Tensor(Functional):
                 for w1, p1, a1 in self.left.discretize(exactness)
                 for w2, p2, a2 in self.right.discretize(exactness)]
 
+    def _support(self):
+        # each pair of factor pieces spans the product of their hulls
+        a, b = self.left._support(), self.right._support()
+        (p1, k1, n1), (p2, k2, n2) = a.shape, b.shape
+        joined = np.empty((p1, p2, k1, k2, n1 + n2), dtype=np.complex128)
+        joined[..., :n1] = a[:, None, :, None, :]
+        joined[..., n1:] = b[None, :, None, :, :]
+        return joined.reshape(p1 * p2, k1 * k2, n1 + n2)
+
     def _line_rule(self, direction, exactness, memo):
         # along a the pair integrates g over the sum of its factors' measures
         k = self.left.nvars
@@ -328,6 +381,79 @@ class Tensor(Functional):
 
     def __repr__(self):
         return f"Tensor({self.left!r}, {self.right!r})"
+
+
+def rows(conditions, degree: int) -> np.ndarray:
+    """Values of every functional in ``conditions`` on the monomials.
+
+    Returns the ``(len(conditions), monomial_count(nvars, degree))`` matrix
+    of each condition on every graded-lex monomial of degree <= ``degree``,
+    in condition order.  Conditions that share a table are built together
+    (``Functional._row_group``): every point and derivative condition in one
+    ``monomial_vandermonde`` call with one order per point, the Kergin
+    conditions on one node set from one rule (``_kergin_rows``), and the
+    inner products on one measure in one product with its cached
+    Vandermonde.  Groups are kept in the order of their first condition, so
+    nothing depends on hash order.
+    """
+    conditions = list(conditions)
+    if not conditions:
+        raise ValueError("need at least one condition")
+    nvars = conditions[0].nvars
+    if any(mu.nvars != nvars for mu in conditions):
+        raise ValueError("conditions mix variable counts")
+    groups: dict = {}
+    for i, mu in enumerate(conditions):
+        groups.setdefault(mu._row_group(), []).append(i)
+    out = np.empty((len(conditions), monomial_count(nvars, degree)), dtype=np.complex128)
+    for (build, _), indices in groups.items():
+        out[indices] = build([conditions[i] for i in indices], degree)
+    return out
+
+
+def _point_rows(conditions, degree: int) -> np.ndarray:
+    """Point and derivative values: one Vandermonde, one order per point."""
+    points = np.array([mu.point for mu in conditions])
+    return monomial_vandermonde(points, degree, [mu.alpha for mu in conditions])
+
+
+def _kergin_rows(conditions, degree: int) -> np.ndarray:
+    """Kergin conditions on one node set, from one rule and one table.
+
+    They share their order j, so one rule of exactness ``degree - j``
+    integrates every monomial of degree <= ``degree - j`` at once (its
+    moments), and ``D^alpha z^gamma`` is a falling-factorial multiple of
+    ``z^(gamma - alpha)``, one of those (``indexing.derivative_gather``).
+    """
+    mu = conditions[0]
+    exactness = max(degree - mu.order, 0)
+    (weights, points, _), = mu.discretize(exactness)
+    moments = weights @ monomial_vandermonde(points, exactness)
+    index, coeff = derivative_gather(mu.nvars, degree, tuple(c.alpha for c in conditions))
+    return coeff * np.append(moments, 0.0)[index]
+
+
+def _inner_product_rows(conditions, degree: int) -> np.ndarray:
+    """Inner products on one measure: one product with its cached Vandermonde."""
+    measure = conditions[0].measure
+    basis = np.array([mu._bvals for mu in conditions])
+    return (measure.monomial_values(degree) @ (measure.weights * np.conj(basis)).T).T
+
+
+def _discretized_rows(conditions, degree: int) -> np.ndarray:
+    """Each condition's discretization summed against the monomial table.
+
+    ``D^alpha`` of a monomial of degree <= ``degree`` has degree at most
+    ``degree - |alpha|``, so the discretization asks for that exactness.  A
+    tensor pair has ``alpha = a1 + a2``, and a term is nonzero only where
+    each factor's block survives its own derivative, so each factor's rule
+    at that exactness is still exact.
+    """
+    return np.array([
+        sum(weights @ monomial_vandermonde(pts, degree, alpha)
+            for weights, pts, alpha in mu.discretize(max(degree - sum(mu.alpha), 0)))
+        for mu in conditions
+    ])
 
 
 # the right factor of a condition that is not a tensor pair
@@ -368,8 +494,79 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     for left, indices in rest.items():
         part = f if left == whole else (
             terms[left[0]] if len(left) == 1 else Sum([terms[k] for k in left]))
+        _check_hull_poles([conditions[i] for i in indices if orders[i]], part)
         _discretized_rhs(((i, conditions[i]) for i in indices), part, exactness, out)
     return out
+
+
+def _check_hull_poles(conditions, f: TestFunction):
+    """Raise ``PoleOnSupportError`` if a pole of f meets a condition's simplex.
+
+    A cubature rule's points miss a pole inside its simplex, where the
+    integral does not exist, and it would return a finite value.  An affine
+    form maps a simplex onto the convex hull of its values at the nodes,
+    and a tensor pair's product of simplices onto the hull of the sums of
+    its factors' values, so the pole meets the support exactly when 0 lies
+    in that hull (to the tolerance of ``Recip``'s own test).  The error
+    names a point of the support on the pole locus.
+    """
+    poles = f.poles()
+    if not poles:
+        return
+    seen = set()
+    for mu in conditions:
+        key = _support_key(mu)
+        if key in seen:
+            continue
+        seen.add(key)
+        pieces = mu._support()
+        for coeffs, const in poles:
+            tol = 1e-12 * (1.0 + float(np.sum(np.abs(coeffs))) + abs(const))
+            for piece, values in zip(pieces, pieces @ coeffs + const):
+                weights = _hull_weights(values, tol)
+                if weights is not None:
+                    raise PoleOnSupportError(coeffs, const, weights @ piece)
+
+
+def _support_key(mu: Functional):
+    """Functionals with equal keys have the same ``_support``."""
+    if isinstance(mu, Tensor):
+        return _support_key(mu.left), _support_key(mu.right)
+    return mu._rule_key()
+
+
+def _hull_weights(u: np.ndarray, tol: float):
+    """Convex weights w with ``|w @ u| <= tol``, or None if 0 is farther from hull(u).
+
+    ``u`` holds complex values, points of the plane.  0 is within ``tol``
+    of the hull if it is that close to a value or to a segment between two;
+    otherwise it is inside exactly when the values leave no angular gap of
+    pi or more around it, and then the triangle of ``u[0]`` and the two
+    values on either side of the direction ``-u[0]`` holds it.
+    """
+    k = u.shape[0]
+    weights = np.zeros(k)
+    i = int(np.argmin(np.abs(u)))
+    if abs(u[i]) <= tol:
+        weights[i] = 1.0
+        return weights
+    a, b = np.triu_indices(k, 1)
+    d = u[b] - u[a]
+    length = np.abs(d) ** 2
+    t = np.clip(-(np.conj(d) * u[a]).real / np.where(length > 0, length, 1.0), 0.0, 1.0)
+    dist = np.abs(u[a] + t * d)
+    p = int(np.argmin(dist)) if dist.size else 0
+    if dist.size and dist[p] <= tol:
+        weights[a[p]], weights[b[p]] = 1.0 - t[p], t[p]
+        return weights
+    angles = np.sort(np.angle(u))
+    if np.max(np.diff(np.append(angles, angles[0] + 2 * np.pi))) >= np.pi:
+        return None
+    turn = np.mod(np.angle(u) - np.angle(-u[0]), 2 * np.pi)
+    q, r = int(np.argmax(turn)), int(np.argmin(turn))
+    cross = [(np.conj(x) * y).imag for x, y in ((u[q], u[r]), (u[r], u[0]), (u[0], u[q]))]
+    weights[[0, q, r]] = np.abs(cross) / np.sum(np.abs(cross))
+    return weights
 
 
 def _route(conditions, orders, ridges, exactness):

@@ -78,33 +78,95 @@ def degree_starts(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(monomial_count(nvars, j - 1) for j in range(degree + 2))
 
 
+@lru_cache(maxsize=None)
+def _falling_factorials(degree: int, top: int) -> np.ndarray:
+    """Row ``a`` holds ``e (e-1) ... (e-a+1)`` for ``e = 0..degree``, ``a = 0..top``.
+
+    A read-only float64 table (the falling factorial overflows int64 from
+    21! on); each row is its own product, so it does not depend on ``top``.
+    """
+    e = np.arange(degree + 1)
+    out = np.stack([np.prod(e[:, None] - np.arange(a)[None, :], axis=1, dtype=np.float64)
+                    for a in range(top + 1)])
+    out.setflags(write=False)
+    return out
+
+
 def monomial_vandermonde(points, degree: int, alpha=None) -> np.ndarray:
     """``D^alpha`` of every graded-lex monomial of degree <= ``degree`` at ``points``.
 
     ``points`` has shape ``(m, nvars)``; the result has shape
-    ``(m, monomial_count(nvars, degree))``.  Per variable the table entry for
-    exponent ``e`` is ``e (e-1) ... (e-a+1) z^(e-a)``, which vanishes for
-    ``e < a``, so derivative orders need no separate mask.
+    ``(m, monomial_count(nvars, degree))``.  ``alpha`` is one derivative
+    order for every point, or an ``(m, nvars)`` array of one order per
+    point, so point and derivative conditions at any points share one call.
+    Per variable the table entry for exponent ``e`` is
+    ``e (e-1) ... (e-a+1) z^(e-a)``, which vanishes for ``e < a``, so
+    derivative orders need no separate mask.  An entry depends on its own
+    point and order only: a row is the same bits whichever other points
+    share the call.
 
     The table is built monomial-major, so every gather copies whole rows, and
     returned as a transposed view of that ``(M, m)`` array.
     """
     pts = np.asarray(points, dtype=np.complex128)
     nvars = pts.shape[1]
+    orders = np.zeros((1, nvars), dtype=np.int64) if alpha is None else (
+        np.asarray(alpha, dtype=np.int64).reshape(-1, nvars))
     E = exponents(nvars, degree)
     e = np.arange(degree + 1)
     out = np.ones((E.shape[0], pts.shape[0]), dtype=np.complex128)
     step = max(1, _GATHER_BYTES // (out.itemsize * max(1, pts.shape[0])))
     for v in range(nvars):
-        a = 0 if alpha is None else int(alpha[v])
-        table = pts[None, :, v] ** np.maximum(e - a, 0)[:, None]
-        if a:
-            # float64: the falling factorial overflows int64 from 21! on
-            table *= np.prod(e[:, None] - np.arange(a)[None, :], axis=1,
-                             dtype=np.float64)[:, None]
+        a = orders[:, v]
+        table = pts[None, :, v] ** np.maximum(e[:, None] - a[None, :], 0)
+        if a.any():
+            fall = _falling_factorials(degree, int(a.max()))
+            if a.shape[0] == 1:
+                table *= fall[a[0]][:, None]
+            else:
+                # only the points differentiated in v: a factor of 1 would
+                # still round the signs of zeros
+                cols = np.flatnonzero(a)
+                table[:, cols] *= fall[a[cols]].T
         for r in range(0, E.shape[0], step):
             out[r:r + step] *= table[E[r:r + step, v]]
     return out.T
+
+
+@lru_cache(maxsize=1024)
+def derivative_gather(nvars: int, degree: int, alphas: tuple) -> tuple:
+    """``D^alpha`` of the monomials as a gather from lower-degree monomials.
+
+    ``alphas`` is a tuple of orders of one modulus j.  For each order and
+    each graded-lex monomial z^gamma of degree <= ``degree``,
+    ``D^alpha z^gamma = c z^(gamma - alpha)``, where c is the product of
+    the falling factorials ``gamma_v (gamma_v - 1) ... (gamma_v - alpha_v + 1)``.
+    Returns read-only ``(index, coeff)`` of shape ``(len(alphas), M)``:
+    ``index`` is the rank of ``gamma - alpha`` in the degree ``degree - j``
+    basis, or ``monomial_count(nvars, degree - j)`` where ``gamma - alpha``
+    has a negative entry, and ``coeff`` is c there and 0 elsewhere.  So
+    values v of every monomial of degree <= ``degree - j``, extended by one
+    zero, give the derivatives as ``coeff * v[index]``.
+    """
+    A = np.array(alphas, dtype=np.int64).reshape(len(alphas), nvars)
+    j = int(A[0].sum()) if len(alphas) else 0
+    if np.any(A.sum(axis=1) != j):
+        raise ValueError("derivative orders of one gather share their modulus")
+    E = exponents(nvars, degree)
+    diff = E[None, :, :] - A[:, None, :]
+    valid = np.all(diff >= 0, axis=2)
+    index = np.full(valid.shape, monomial_count(nvars, degree - j), dtype=np.intp)
+    if valid.any():
+        index[valid] = ranks_of_rows(nvars, degree - j, diff[valid])
+    coeff = np.ones(valid.shape)
+    if A.any():
+        fall = _falling_factorials(degree, int(A.max()))
+        for v in range(nvars):
+            coeff *= fall[A[:, v][:, None], E[None, :, v]]
+    coeff[~valid] = 0.0
+    index.setflags(write=False)
+    coeff.setflags(write=False)
+    return index, coeff
 
 
 def rank_of(alpha) -> int:

@@ -4,7 +4,7 @@ A projector of degree d in n variables is specified by dim P_d conditions
 (linear functionals) in graded-lex level order: level j is the next
 dim P_j - dim P_{j-1} of them, so the count fixes the degree.  The
 collocation matrix on the graded-lex monomial basis is assembled exactly
-from each functional's monomial values.
+from the functionals' monomial values, in one ``functionals.rows`` call.
 Nested unisolvence means every leading block (conditions up to level j
 against monomials up to degree j) is invertible; it is checked at build time
 through condition-number estimates, and it is what makes degree truncation
@@ -21,12 +21,22 @@ factors' summands, which yields both an evaluation formula for separable
 functions and a finite expansion of the approximation residual for
 polynomial inputs.  In the evaluation formula the right summands telescope
 into truncations: sum over i1 + i2 <= d of Delta1_i1 (x) Delta2_i2 equals
-sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, d + 1 tensor products.
+sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, which is one matrix product
+of the left summands' and the right truncations' coefficients, gathered
+along the factor ranks.
 
 Each solve is numpy's LAPACK ``gesv`` (an LU factorization, then the two
 triangular solves) on the row-equilibrated leading block, factored on each
 call.  Every block's row scales come from one running maximum of the matrix
-taken at build time, which the nesting gate and the solves share.
+taken at build time, which the nesting gate and the solves share.  A
+projector of at most ``_STACK_CONDITIONS`` conditions keeps, from its first
+solve on, the stack of its row-equilibrated leading blocks, each padded
+with an identity to the full size: every solve reads its level's block
+there, and a sweep of truncations is one batched ``np.linalg.solve``
+instead of one call per level, whose Python overhead dominates at these
+sizes.  A single truncation solves its padded block in the same batched
+form, so it reads the same bits as the sweep.  A larger projector solves
+each level's unpadded block, as padding costs O(n^3) per level.
 
 A projector keeps the right-hand side of the last test function it
 evaluated: its values under the conditions of levels 0..top.  A later call
@@ -38,13 +48,44 @@ exact product with the collocation rows.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import check_exactness, read_index
-from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs
+from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs, rows
 from .indexing import degree_starts, factor_ranks, monomial_count
 from .polynomials import Polynomial, tensor_product
 from .testfunctions import PoleOnSupportError, TestFunction
+
+
+# Projectors with at most this many conditions solve through one stack of
+# padded leading blocks (``_padded_blocks``): a truncation sweep is one
+# batched ``np.linalg.solve``.  Padding every level to the full size costs
+# O(n^3) per level, so the stack pays only while numpy's per-call overhead
+# dominates.  A sweep over every level (``_solve_levels``), one BLAS thread,
+# 2-core Xeon, numpy 2.4, stacked against one solve per level:
+#
+#     conditions                        stacked   per level
+#     15, one variable (15 levels)        60 us      175 us
+#     15, two variables (5 levels)        27 us       58 us
+#     21, two variables                   49 us       77 us
+#     28, two variables                   77 us       99 us
+#     165, three variables (cylinder)    4.3 ms      1.3 ms
+#
+# Near 28 the two cross within this host's spread; 16 keeps every factor
+# of the benchmark's zoo on the stack and every product above degree 4 off
+# it, where a single truncation would pay for the full padded block.
+_STACK_CONDITIONS = 16
+
+
+@lru_cache(maxsize=None)
+def _level_rows(nvars: int, degree: int) -> np.ndarray:
+    """Read-only ``(degree + 1, n)`` mask: row i belongs to the level-k block."""
+    sizes = np.array(degree_starts(nvars, degree)[1:])
+    inside = np.arange(sizes[-1])[None, :] < sizes[:, None]
+    inside.setflags(write=False)
+    return inside
 
 
 def _differences(parts: list[Polynomial]) -> list[Polynomial]:
@@ -123,13 +164,15 @@ class NewtonStructuredProjector:
         self.level_conds = self._check_nesting()
         # (f, exactness, values of levels 0..top) of the last test function
         self._last_rhs: tuple | None = None
+        # the padded leading blocks of a small projector, built at its first solve
+        self._stacked = count <= _STACK_CONDITIONS
+        self._stack: np.ndarray | None = None
 
     # -- collocation rows ----------------------------------------------------
 
     def _assemble(self, degree: int) -> np.ndarray:
         """Every condition's values on the monomials of degree <= ``degree``."""
-        return np.array([mu.on_monomials(degree) for mu in self.conditions],
-                        dtype=np.complex128)
+        return rows(self.conditions, degree)
 
     def _rows(self, degree: int) -> np.ndarray:
         """``_assemble(degree)``, sliced from the matrix up to the projector degree."""
@@ -139,15 +182,17 @@ class NewtonStructuredProjector:
 
     # -- construction-time checks ------------------------------------------
 
-    def _row_scales(self) -> list[np.ndarray]:
+    def _row_scales(self) -> np.ndarray:
         """Per level j, each row's largest |entry| in the level-j leading block.
 
-        A running maximum along the rows holds every block's row maxima at
-        once, and a maximum is exact, so they equal each block's own.  Only
-        the per-level columns are kept, not the n x n table.
+        Row j of the ``(degree + 1, n)`` table holds them in its first
+        ``monomial_count(nvars, j)`` entries and 1 after.  A running maximum
+        along the rows holds every block's row maxima at once, and a maximum
+        is exact, so they equal each block's own.
         """
         running = np.maximum.accumulate(np.abs(self.matrix), axis=1)
-        return [running[:m, m - 1].copy() for m in degree_starts(self.nvars, self.degree)[1:]]
+        last = np.array(degree_starts(self.nvars, self.degree)[1:]) - 1
+        return np.where(_level_rows(self.nvars, self.degree), running[:, last].T, 1.0)
 
     def _check_nesting(self) -> list[float]:
         # A real matrix (real nodes, real centers) takes real SVDs, about twice
@@ -161,7 +206,7 @@ class NewtonStructuredProjector:
         for j in range(self.degree + 1):
             m = monomial_count(self.nvars, j)
             block = matrix[:m, :m]
-            scale = self._scales[j]
+            scale = self._scales[j, :m]
             if np.any(scale == 0):
                 raise NestedUnisolvenceFailure(
                     f"{self._level_name(j)}: a condition vanishes on all monomials"
@@ -183,26 +228,78 @@ class NewtonStructuredProjector:
 
     # -- linear algebra ------------------------------------------------------
 
-    def _solve(self, k: int, values: np.ndarray) -> Polynomial:
+    def _padded_blocks(self) -> np.ndarray:
+        """The ``(degree + 1, n, n)`` stack of row-equilibrated leading blocks.
+
+        Level k's block fills the top left of ``stack[k]`` and an identity
+        the rest, so a padded solve leaves the unknowns past the block at 0.
+        Built once, at the first solve of a projector of at most
+        ``_STACK_CONDITIONS`` conditions.
+        """
+        if self._stack is None:
+            inside = _level_rows(self.nvars, self.degree)
+            scaled = self.matrix[None, :, :] / self._scales[:, :, None]
+            self._stack = np.where(inside[:, :, None] & inside[:, None, :], scaled,
+                                   np.eye(self.matrix.shape[0]))
+        return self._stack
+
+    def _solve_levels(self, top: int, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the solves at levels 0..top, one row each.
+
+        ``values`` are the right-hand sides of levels 0..top; row k of the
+        ``(top + 1, monomial_count(nvars, top))`` result is the degree-k
+        solution, 0 past its own monomials.  A small projector solves its
+        padded blocks (``_padded_blocks``) in one batched ``np.linalg.solve``;
+        a larger one, and a small one whose batch fails or whose right-hand
+        side is not finite, solves level by level (``_solve_level``), which
+        raises naming the level.
+        """
+        size = values.shape[0]
+        if self._stacked and np.isfinite(values).all():
+            inside = _level_rows(self.nvars, self.degree)[:top + 1]
+            padded = np.zeros(self.matrix.shape[0], dtype=np.complex128)
+            padded[:size] = values
+            scaled = np.where(inside, padded / self._scales[:top + 1], 0.0)
+            try:
+                out = np.linalg.solve(self._padded_blocks()[:top + 1], scaled[..., None])
+                return out[:, :size, 0]
+            except np.linalg.LinAlgError:
+                pass  # the loop below names the singular level
+        out = np.zeros((top + 1, size), dtype=np.complex128)
+        for k in range(top + 1):
+            m = monomial_count(self.nvars, k)
+            out[k, :m] = self._solve_level(k, values[:m])
+        return out
+
+    def _solve_level(self, k: int, values: np.ndarray) -> np.ndarray:
         """Degree-k solve of the row-equilibrated leading block.
 
         ``np.linalg.solve`` is LAPACK's ``gesv``, the LU factorization and
-        the triangular solves; the block is factored on each call.  LAPACK
-        checks no finiteness, so the right-hand side is checked here; a
-        non-finite block never gets this far, since the nesting gate's SVD of
-        it fails.  An exactly zero pivot raises ``LinAlgError`` naming the
-        level.
+        the triangular solves; the block is factored on each call.  A small
+        projector reads its padded block ``stack[k]`` in the same batched
+        form as ``_solve_levels``, so a single truncation and a sweep agree
+        bit for bit.  LAPACK checks no finiteness, so the right-hand side is
+        checked here; a non-finite block never gets this far, since the
+        nesting gate's SVD of it fails.  An exactly zero pivot raises
+        ``LinAlgError`` naming the level.
         """
         if not np.isfinite(values).all():
             raise ValueError(f"degree-{k} right-hand side is not finite")
-        scale = self._scales[k]
-        m = scale.shape[0]
+        m = values.shape[0]
+        scale = self._scales[k, :m]
         try:
-            coeffs = np.linalg.solve(self.matrix[:m, :m] / scale[:, None], values / scale)
+            if self._stacked:
+                padded = np.zeros((1, self.matrix.shape[0], 1), dtype=np.complex128)
+                padded[0, :m, 0] = values / scale
+                return np.linalg.solve(self._padded_blocks()[k:k + 1], padded)[0, :m, 0]
+            return np.linalg.solve(self.matrix[:m, :m] / scale[:, None], values / scale)
         except np.linalg.LinAlgError as err:
             raise np.linalg.LinAlgError(
                 f"{self._level_name(k)}: leading block is singular") from err
-        return Polynomial._owning(self.nvars, k, coeffs)
+
+    def _solve(self, k: int, values: np.ndarray) -> Polynomial:
+        """The degree-k projection from the values of levels 0..k."""
+        return Polynomial._owning(self.nvars, k, self._solve_level(k, values))
 
     # -- projector actions ----------------------------------------------------
 
@@ -260,9 +357,13 @@ class NewtonStructuredProjector:
 
     def _truncations(self, f, exactness: int | None, top: int) -> list[Polynomial]:
         """truncate(k, f) for k = 0..top, from the conditions of levels 0..top."""
-        values = self._rhs(f, exactness, top)
-        return [self._solve(k, values[:monomial_count(self.nvars, k)])
+        table = self._truncation_table(f, exactness, top)
+        return [Polynomial._owning(self.nvars, k, table[k, :monomial_count(self.nvars, k)])
                 for k in range(top + 1)]
+
+    def _truncation_table(self, f, exactness: int | None, top: int) -> np.ndarray:
+        """Coefficients of truncate(k, f), k = 0..top, as rows, 0 past each degree."""
+        return self._solve_levels(top, self._rhs(f, exactness, top))
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
@@ -349,19 +450,23 @@ class NewtonProduct(NewtonStructuredProjector):
 
             sum over i1 = 0..d of Delta1_i1(f1) (x) P2_{d-i1}(f2),
 
-        d + 1 tensor products instead of (d + 1)(d + 2) / 2.  It uses the
+        d + 1 terms instead of (d + 1)(d + 2) / 2.  With the left summands'
+        and the right truncations' coefficients as the rows of S1 and P2,
+        the coefficient of a product monomial with factor ranks (a, b) is
+        entry (a, b) of S1^T R P2, where R reverses the order of the rows:
+        one matrix product, gathered along the factor ranks.  It uses the
         factors' solves only, not the product's.  Both factors integrate at
         the product's default exactness, the one apply() uses, so the two
         paths share their quadrature.
         """
         exactness = self._exactness(exactness)
         d = self.degree
-        s1 = _differences(self.left._truncations(f1, exactness, d))
-        p2 = self.right._truncations(f2, exactness, d)
-        total = Polynomial.zero(self.nvars, d)
-        for i1 in range(d + 1):
-            total = total + tensor_product(s1[i1], p2[d - i1])
-        return total
+        p1 = self.left._truncation_table(f1, exactness, d)
+        p2 = self.right._truncation_table(f2, exactness, d)
+        s1 = np.concatenate([p1[:1], p1[1:] - p1[:-1]])
+        r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), d)
+        coeffs = (s1.T @ p2[::-1])[r1, r2]
+        return Polynomial._owning(self.nvars, d, coeffs)
 
     def residual_expansion(self, f1: Polynomial, f2: Polynomial):
         """Finite expansion of f1 (x) f2 minus its projection.

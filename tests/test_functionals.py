@@ -29,8 +29,15 @@ from nprox.functionals import (
     PointEval,
     Tensor,
     rhs,
+    rows,
 )
-from nprox.indexing import DESK_LIMIT, exponents, factor_ranks, monomial_count
+from nprox.indexing import (
+    DESK_LIMIT,
+    exponents,
+    factor_ranks,
+    monomial_count,
+    monomial_vandermonde,
+)
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import leja_disk, real_leja
 from nprox.polynomials import Polynomial, coeff_distance, multiply
@@ -1367,3 +1374,142 @@ def test_nested_kergin_tensor_pairs_convolve_their_line_rules(monkeypatch):
     assert requested == []
     want = np.array([divided_difference_values(mu, f)[0] for mu in proj.conditions])
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+# -- rows: every condition of a projector at once ---------------------------------
+
+
+def falling_power_table(points, alphas, degree):
+    """Oracle: the closed form ``prod_v perm(g_v, a_v) z_v^(g_v - a_v)``.
+
+    Each factor is a power of one coordinate times the exact falling
+    factorial (an integer below 2**53 here, so one rounding), multiplied in
+    variable order from 1 as the assembly multiplies them; every operation
+    is one numpy array operation on the whole table, as in the assembly (a
+    numpy scalar operation may round differently).
+    """
+    points = np.asarray(points, dtype=np.complex128)
+    A = np.asarray(alphas, dtype=np.int64)
+    E = exponents(points.shape[1], degree)
+    perm = np.vectorize(math.perm)
+    out = np.ones((len(points), len(E)), dtype=np.complex128)
+    for v in range(points.shape[1]):
+        g, a = E[None, :, v], A[:, None, v]
+        assert np.all(perm(g, a) < 2 ** 53)
+        term = np.power(points[:, v:v + 1], np.maximum(g - a, 0))
+        term = np.where(a > 0, term * perm(g, a).astype(np.float64), term)
+        out = out * term
+    return out
+
+
+def _point_families():
+    yield taylor_projector(1, 9, center=[0.37])
+    yield taylor_projector(1, 6)
+    yield taylor_projector(2, 5, center=[0.3, -0.45])
+    yield taylor_projector(3, 3, center=[0.2, -0.1, 0.6])
+    yield lagrange_projector(nodes_by_name("real_leja", 8))
+    yield lagrange_projector(nodes_by_name("leja_disk", 8))
+    yield lagrange_projector(np.random.default_rng(2).uniform(-1, 1, (10, 3))
+                             + 1j * np.random.default_rng(3).uniform(-1, 1, (10, 3)))
+
+
+@pytest.mark.parametrize("proj", list(_point_families()),
+                         ids=lambda P: f"n{P.nvars}d{P.degree}")
+def test_point_and_derivative_rows_are_the_falling_factorial_table(proj):
+    points = [mu.point for mu in proj.conditions]
+    alphas = [mu.alpha for mu in proj.conditions]
+    for degree in (proj.degree, proj.degree + 7):
+        want = falling_power_table(points, alphas, degree)
+        assert np.array_equal(rows(proj.conditions, degree), want)
+        assert np.array_equal(proj._rows(degree), want)
+        # one condition alone reads the same bits
+        assert np.array_equal(proj.conditions[-1].on_monomials(degree), want[-1])
+
+
+def test_vandermonde_orders_per_point_match_one_call_per_point():
+    rng = np.random.default_rng(31)
+    pts = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    alphas = rng.integers(0, 4, size=(7, 3))
+    alphas[2] = 0
+    got = monomial_vandermonde(pts, 9, alphas)
+    for i in range(7):
+        assert np.array_equal(got[i], monomial_vandermonde(pts[i:i + 1], 9, alphas[i])[0])
+
+
+@pytest.mark.parametrize("nodes", [n for n in _kergin_node_sets() if len(n) <= 9][::3],
+                         ids=lambda nodes: f"n{nodes.shape[1]}d{nodes.shape[0] - 1}")
+def test_kergin_rows_match_the_moment_oracle(nodes):
+    # one rule per node prefix serves every order-j condition on it, at the
+    # projector degree and above it
+    proj = kergin_projector(nodes, cond_threshold=None)
+    for degree in (proj.degree, proj.degree + 2):
+        got = rows(proj.conditions, degree)
+        for mu, row in zip(proj.conditions, got):
+            want = kergin_moment_values(mu, degree)
+            assert np.max(np.abs(row - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_rows_keep_the_order_of_mixed_conditions():
+    # groups are built apart; each row lands where its condition stands
+    rng = np.random.default_rng(37)
+    nodes = rng.uniform(-1, 1, size=(4, 1))
+    measure = chebyshev_measure(9)
+    basis = orthogonal_projector(measure, 3).conditions
+    conditions = [KerginCondition((2,), nodes[:3]), PointEval([0.4]), basis[2],
+                  DerivativeEval((3,), [0.1]), KerginCondition((1,), nodes[:2]),
+                  basis[0], KerginCondition((0,), nodes[:1]),
+                  KerginCondition((2,), nodes[:3]), PointEval([-0.7])]
+    got = rows(conditions, 6)
+    for mu, row in zip(conditions, got):
+        want = mu.on_monomials(6)
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="at least one"):
+        rows([], 3)
+    with pytest.raises(ValueError, match="mix"):
+        rows([PointEval([0.0]), PointEval([0.0, 1.0])], 3)
+
+
+# -- a pole inside a Grundmann-Moller simplex ---------------------------------------
+
+
+def _no_ridge(g):
+    """g times a unit exponential: a product, so no line rule takes it."""
+    return Product([g, Exp(Affine([0.0] * g.nvars))])
+
+
+def test_a_pole_inside_the_nodes_hull_raises_on_the_cubature_path():
+    # at the parent the rule's points straddled the pole at 1.3 and the value
+    # read 2.06e7
+    mu = KerginCondition((2,), [[0.0], [1.0], [2.0]])
+    pole = Affine([1.0], -1.3)
+    with pytest.raises(PoleOnSupportError) as info:
+        mu.apply_to_function(_no_ridge(Recip(pole)))
+    assert abs(pole.eval(info.value.point)) < 1e-12
+    # complex nodes: the triangle 1, i, -1 - i holds 0.1 inside, not on an edge
+    mu = KerginCondition((2,), [[1.0], [1j], [-1.0 - 1j]])
+    pole = Affine([1.0], -0.1)
+    for f in (Recip(pole), _no_ridge(Recip(pole))):
+        with pytest.raises(PoleOnSupportError) as info:
+            mu.apply_to_function(f)
+        assert abs(pole.eval(info.value.point)) < 1e-12
+    # a tensor pair spans the sums of its factors' values: 0..2 along x + y
+    pair = Tensor(KerginCondition((1,), [[0.0], [1.0]]), KerginCondition((1,), [[0.0], [1.0]]))
+    pole = Affine([1.0, 1.0], -1.5)
+    with pytest.raises(PoleOnSupportError) as info:
+        pair.apply_to_function(_no_ridge(Recip(pole)))
+    assert abs(pole.eval(info.value.point)) < 1e-12
+
+
+def test_a_pole_just_outside_the_nodes_hull_still_integrates():
+    mu = KerginCondition((2,), [[0.0], [1.0], [2.0]])
+    g = Recip(Affine([1.0], -2.5))
+    got = mu.apply_to_function(_no_ridge(g))
+    want = mu.apply_to_function(g)  # the line rule: the divided difference
+    assert abs(got - want) < 1e-5 * abs(want)
+    mu = KerginCondition((2,), [[1.0], [1j], [-1.0 - 1j]])
+    g = Recip(Affine([1.0], -1.05))  # just past the vertex 1
+    assert np.isfinite(mu.apply_to_function(_no_ridge(g)))
+    pair = Tensor(KerginCondition((1,), [[0.0], [1.0]]), KerginCondition((1,), [[0.0], [1.0]]))
+    g = Recip(Affine([1.0, 1.0], -2.2))
+    got = pair.apply_to_function(_no_ridge(g))
+    assert abs(got - pair.apply_to_function(g)) < 1e-4 * abs(got)

@@ -135,6 +135,14 @@ def test_duplicate_point_fails_nesting():
         P.apply(Exp(Affine([1.0], 0.0)))
 
 
+def test_a_truncation_sweep_names_the_singular_level():
+    # the batched solve fails as a whole; the level-by-level retry names it
+    P = lagrange_projector([0.0, 0.5, 0.0], cond_threshold=None)
+    assert P._stacked
+    with pytest.raises(np.linalg.LinAlgError, match="level 2"):
+        P.truncations(Exp(Affine([1.0], 0.0)))
+
+
 def test_singular_gate_reads_np_linalg_cond_without_warning():
     # the repeated node makes the level-2 block singular; the gate's s[0] / s[-1]
     # must read what np.linalg.cond reads (inf or a huge finite value) silently
@@ -158,6 +166,73 @@ def test_overflowing_function_raises_from_the_solve():
             P.apply(f)
         with pytest.raises(ValueError, match="not finite"):
             P.truncate(2, f)
+
+
+def stack_zoo():
+    """Every stock family and product with at most 16 conditions, gate off."""
+    for d in (2, 3, 4, 8, 15):
+        singles = [taylor_projector(1, d, center=[0.3], cond_threshold=None),
+                   orthogonal_projector(chebyshev_measure(2 * d + 1), d, cond_threshold=None),
+                   orthogonal_projector(circle_measure(2 * d + 1), d, cond_threshold=None)]
+        for name in NODE_FAMILIES:
+            nodes = nodes_by_name(name, d)
+            singles.append(lagrange_projector(nodes, cond_threshold=None))
+            singles.append(kergin_projector(nodes, cond_threshold=None))
+        yield from singles
+        if d <= 4:  # 15 conditions in two variables at d=4
+            yield taylor_projector(2, d, center=[0.3, -0.2], cond_threshold=None)
+            yield kergin_projector(cylinder_nodes(d)[0], cond_threshold=None)
+            for P in singles:
+                yield P.newton_product(singles[2], cond_threshold=None)
+
+
+def test_stacked_solves_agree_with_unpadded_blocks():
+    # the padded LU factors its block with other column splits, so the two
+    # round apart; the normwise forward error bound of either is about
+    # cond x eps relative (0.88 of it at worst here)
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    checked = 0
+    for P in stack_zoo():
+        assert P._stacked
+        f = Exp(Affine(rng.uniform(-1.0, 1.0, P.nvars)))
+        parts = P.truncations(f, 15)
+        values = P._rhs(f, 15)
+        for k, part in enumerate(parts):
+            m = monomial_count(P.nvars, k)
+            block = P.matrix[:m, :m]
+            scale = np.max(np.abs(block), axis=1)
+            want = np.linalg.solve(block / scale[:, None], values[:m] / scale)
+            gap = np.linalg.norm(part.coeffs - want) / np.linalg.norm(want)
+            assert gap <= P.level_conds[k] * eps
+            # a single truncation reads the same padded block
+            assert np.array_equal(P.truncate(k, f, 15).coeffs, part.coeffs)
+        checked += 1
+    assert checked > 100
+
+
+def test_projectors_past_the_stack_limit_never_build_it(monkeypatch):
+    built = []
+    padded = NewtonStructuredProjector._padded_blocks
+
+    def spy(self):
+        built.append(self.matrix.shape[0])
+        return padded(self)
+
+    monkeypatch.setattr(NewtonStructuredProjector, "_padded_blocks", spy)
+    f = Exp(Affine([0.5, -0.25]))
+    line = lagrange_projector(nodes_by_name("real_leja", 16))  # 17 conditions
+    prod = line.newton_product(line)  # 153 conditions
+    for P, g in ((line, Exp(Affine([0.5]))), (prod, f)):
+        P.apply(g)
+        P.truncate(3, g)
+        P.truncations(g)
+    prod.apply_product_formula(Exp(Affine([0.5])), Exp(Affine([-0.25])))
+    assert built == []
+    small = lagrange_projector(nodes_by_name("real_leja", 15))  # 16 conditions
+    small.truncations(Exp(Affine([0.5])))
+    small.apply(Exp(Affine([0.5])))
+    assert built == [16, 16]
 
 
 def test_threshold_is_adjustable():
@@ -639,6 +714,34 @@ def summand_double_sum(prod, f1, f2, exactness=None):
         for i2 in range(d - i1 + 1):
             total = total + tensor_product(s1[i1], s2[i2]).embedded(d)
     return total
+
+
+def tensor_loop_formula(prod, f1, f2, exactness=None):
+    """Oracle: the sum over i1 of Delta1_i1 (x) P2_{d-i1}, one tensor product each."""
+    exactness = prod._exactness(exactness)
+    d = prod.degree
+    s1 = prod.left.newton_summands(f1, exactness=exactness)
+    p2 = prod.right.truncations(f2, exactness=exactness)
+    total = Polynomial.zero(prod.nvars, d)
+    for i1 in range(d + 1):
+        total = total + tensor_product(s1[i1], p2[d - i1]).embedded(d)
+    return total
+
+
+def test_product_formula_contraction_matches_the_tensor_product_loop():
+    rng = np.random.default_rng(59)
+    for left in zoo_families(3):
+        for right in zoo_families(4):
+            prod = left.newton_product(right)
+            f1 = Exp(Affine(rng.uniform(-1.0, 1.0, left.nvars)))
+            f2 = Exp(Affine(rng.uniform(-1.0, 1.0, right.nvars)))
+            p1 = random_poly(rng, left.nvars, prod.degree + 1, cplx=True)
+            p2 = random_poly(rng, right.nvars, prod.degree + 1, cplx=True)
+            for g1, g2 in ((f1, f2), (p1, p2)):
+                want = tensor_loop_formula(prod, g1, g2)
+                got = prod.apply_product_formula(g1, g2)
+                assert got.degree == prod.degree
+                assert coeff_distance(got, want) <= 1e-14 * np.max(np.abs(want.coeffs))
 
 
 def test_product_formula_matches_the_summand_double_sum():
