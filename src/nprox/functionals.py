@@ -414,7 +414,9 @@ def rows(conditions, degree: int) -> np.ndarray:
 def _point_rows(conditions, degree: int) -> np.ndarray:
     """Point and derivative values: one Vandermonde, one order per point."""
     points = np.array([mu.point for mu in conditions])
-    return monomial_vandermonde(points, degree, [mu.alpha for mu in conditions])
+    # + 0 turns the -0 entries of derivative columns into +0, as summing each
+    # condition's one-point batch did, so the rows keep their bytes
+    return monomial_vandermonde(points, degree, [mu.alpha for mu in conditions]) + 0.0
 
 
 def _kergin_rows(conditions, degree: int) -> np.ndarray:
