@@ -36,11 +36,16 @@ projector gathers its rows from its factors' rows instead
 (``NewtonProduct``).
 
 On a test function, ``rhs`` applies a whole list of functionals at once and
-``apply_to_function`` is its one-functional case.  A product projector
-hands it tensor pairs only for a test function that does not separate
-(``TestFunction.split``): on f = f1 (x) f2 a pair's value is mu(f1) * nu(f2),
-so the product applies each factor's conditions to its part and gathers
-the products of the values (``NewtonProduct``).
+``apply_to_function`` is its one-functional case.  Conditions that share
+an evaluation are applied together, as in ``rows``
+(``Functional._rhs_group``): every point and derivative condition of the
+list through one ``deriv_table`` call per ``_RHS_CHUNK`` distinct points,
+each reading its own entry, and the inner products on one measure from
+one evaluation of f at its nodes, each taking its own dot product.  A
+product projector hands it tensor pairs only for a test function that
+does not separate (``TestFunction.split``): on f = f1 (x) f2 a pair's value
+is mu(f1) * nu(f2), so the product applies each factor's conditions to its
+part and gathers the products of the values (``NewtonProduct``).
 
 ``rhs`` takes a sum term by term.  On a ridge term f(z) = g(a . z)
 (constants, affine forms, and exponentials and reciprocals of affine
@@ -59,15 +64,16 @@ points would miss it: an affine pole form maps the simplex onto the convex
 hull of its values at the nodes (of the sums of both factors' values, for
 a tensor pair), and the error is raised when 0 lies in that hull.
 
-On the cubature path ``rhs`` discretizes each factor of a tensor pair
-once, derivative conditions at the same point share it, and Kergin
-conditions on the same nodes share one mapped rule, dropped once the
-conditions that use it are done and its last pending piece is evaluated.
-A tensor batch is cut into row pieces of about ``_RHS_CHUNK`` points
-instead of being built whole; pieces are merged up to that many distinct
-points, and the derivative orders that meet the same pieces share one
-``deriv_table`` call, so a piece that several conditions share is passed
-to the test function once for all the orders they ask of it.
+Kergin conditions off the line rules and tensor pairs take the cubature
+path (``_discretized_rhs``).  There ``rhs`` discretizes each factor of a
+tensor pair once, derivative factors at the same point share it, and
+Kergin conditions on the same nodes share one mapped rule, dropped once
+the conditions that use it are done and its last pending piece is
+evaluated.  A tensor batch is cut into row pieces of about ``_RHS_CHUNK``
+points instead of being built whole; pieces are merged up to that many
+distinct points, and the derivative orders that meet the same pieces share
+one ``deriv_table`` call, so a piece that several conditions share is
+passed to the test function once for all the orders they ask of it.
 """
 from __future__ import annotations
 
@@ -166,6 +172,16 @@ class Functional:
         """
         return None
 
+    def _rhs_group(self):
+        """``(apply, key)``: conditions with equal pairs share one ``apply`` call.
+
+        ``apply(pairs, f, exactness, out)`` adds the values of its
+        ``(index, condition)`` pairs on f into ``out`` (``rhs``).  By default
+        every such condition goes to ``_discretized_rhs``, which shares the
+        rules and pieces of the whole group.
+        """
+        return _discretized_rhs, None
+
     def _batches(self, exactness: int, memo: dict):
         """``discretize(exactness)``, computed once per key of ``memo``."""
         key = self._rule_key()
@@ -196,6 +212,9 @@ class PointEval(Functional):
     def _row_group(self):
         return _point_rows, None
 
+    def _rhs_group(self):
+        return _point_rhs, None
+
     def _support(self):
         return self.point[None, None, :]
 
@@ -223,6 +242,9 @@ class DerivativeEval(Functional):
 
     def _row_group(self):
         return _point_rows, None
+
+    def _rhs_group(self):
+        return _point_rhs, None
 
     def _support(self):
         return self.point[None, None, :]
@@ -325,6 +347,9 @@ class InnerProduct(Functional):
 
     def _row_group(self):
         return _inner_product_rows, id(self.measure)
+
+    def _rhs_group(self):
+        return _inner_product_rhs, id(self.measure)
 
     def _support(self):
         return self.measure.nodes[:, None, :]
@@ -470,8 +495,13 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     a condition with a Kergin factor of order 1 or more takes its line rule
     (``ridge.LineRule``) when it has one: the B-spline rule of real nodes
     along a real direction, convolved with the other factors' rules in a
-    tensor pair.  Every other condition and term goes through
-    ``discretize`` (``_discretized_rhs``).  ``exactness`` defaults to
+    tensor pair.  The other conditions go in groups
+    (``Functional._rhs_group``): the point and derivative conditions
+    together, one ``deriv_table`` call per ``_RHS_CHUNK`` distinct points
+    (``_point_rhs``); the inner products on one measure from one evaluation
+    of f at its nodes (``_inner_product_rhs``); and the Kergin conditions
+    and tensor pairs through ``discretize`` (``_discretized_rhs``).
+    ``exactness`` defaults to
     ``DEFAULT_EXACTNESS``; one that is not a nonnegative integer, or a
     Kergin condition whose Grundmann-Moller rule at it would pass the desk
     scale, raises ``ValueError`` before any rule is built.
@@ -497,8 +527,57 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
         part = f if left == whole else (
             terms[left[0]] if len(left) == 1 else Sum([terms[k] for k in left]))
         _check_hull_poles([conditions[i] for i in indices if orders[i]], part)
-        _discretized_rhs(((i, conditions[i]) for i in indices), part, exactness, out)
+        groups: dict = {}
+        for i in indices:
+            groups.setdefault(conditions[i]._rhs_group(), []).append((i, conditions[i]))
+        for (apply, _), pairs in groups.items():
+            apply(pairs, part, exactness, out)
     return out
+
+
+def _point_rhs(conditions, f: TestFunction, exactness: int, out: np.ndarray):
+    """Point and derivative values, one ``deriv_table`` call per ``_RHS_CHUNK`` points.
+
+    The distinct points are taken in the order of their first condition.
+    A call asks for the distinct orders of its points' conditions, and each
+    condition reads its own entry of the table, bit for bit its value
+    alone wherever the test function computes each point on its own.
+    Affine forms of several variables and polynomial leaves are BLAS
+    products over the points, which can round a row apart with the row
+    count; at one point, as in a Taylor level, that cannot happen.
+    """
+    columns: dict = {}  # point bytes -> column
+    points, index, alphas, cols = [], [], [], []
+    for i, mu in conditions:
+        column = columns.setdefault(mu.point.tobytes(), len(points))
+        if column == len(points):
+            points.append(mu.point)
+        index.append(i)
+        alphas.append(mu.alpha)
+        cols.append(column)
+    points, index, cols = np.array(points), np.array(index), np.array(cols)
+    for lo in range(0, len(points), _RHS_CHUNK):
+        take = np.flatnonzero((cols >= lo) & (cols < lo + _RHS_CHUNK)).tolist()
+        orders: dict = {}  # alpha -> table row
+        rows = [orders.setdefault(alphas[t], len(orders)) for t in take]
+        table = f.deriv_table(list(orders), points[lo:lo + _RHS_CHUNK])
+        out[index[take]] += table[rows, cols[take] - lo]
+
+
+def _inner_product_rhs(conditions, f: TestFunction, exactness: int, out: np.ndarray):
+    """Inner products on one measure, from one evaluation of f at its nodes.
+
+    f is evaluated in pieces of at most ``_RHS_CHUNK`` nodes, and each
+    condition takes its own dot product with those values, so its value
+    does not depend on which others share the call.
+    """
+    nodes = conditions[0][1].measure.nodes
+    zero = (0,) * f.nvars
+    pieces = [f.deriv_table([zero], nodes[lo:lo + _RHS_CHUNK])[0]
+              for lo in range(0, nodes.shape[0], _RHS_CHUNK)]
+    values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    for i, mu in conditions:
+        out[i] += np.dot(mu._weighted_conj(), values)
 
 
 def _check_hull_poles(conditions, f: TestFunction):

@@ -6,7 +6,8 @@ to one, and a stated polynomial exactness degree, meaning every inner product
 integrated exactly.  Orthonormal bases are produced by Gram-Schmidt in
 graded-lex order with a second orthogonalization pass; basis values at the
 quadrature nodes are carried through the recurrence so they stay accurate
-even when the monomial coefficients of the basis grow large.
+even when the monomial coefficients of the basis grow large.  A measure
+keeps the bases built on it, one per degree, with read-only arrays.
 """
 from __future__ import annotations
 
@@ -164,11 +165,26 @@ class OrthonormalBasis:
 
 
 def gram_schmidt_basis(measure: QuadratureMeasure, degree: int) -> OrthonormalBasis:
+    """The orthonormal basis of degree ``degree``, built once per measure.
+
+    It is kept in the measure's cache under its exact degree, with read-only
+    coefficients and node values.  A lower degree's basis is not sliced
+    from it: the products ``h @ coeffs[:i]`` of the recurrence take the
+    width of the whole table, so the slice would round apart from a fresh
+    build.
+    """
     if measure.exactness < 2 * degree:
         raise InsufficientExactness(
             f"measure exactness {measure.exactness} cannot support an "
             f"orthonormal basis of degree {degree} (need >= {2 * degree})"
         )
+    key = ("gram_schmidt", degree)
+    if key not in measure._cache:
+        measure._cache[key] = _gram_schmidt(measure, degree)
+    return measure._cache[key]
+
+
+def _gram_schmidt(measure: QuadratureMeasure, degree: int) -> OrthonormalBasis:
     V = measure.monomial_values(degree)
     N = V.shape[0]
     w = measure.weights
@@ -191,6 +207,8 @@ def gram_schmidt_basis(measure: QuadratureMeasure, degree: int) -> OrthonormalBa
             )
         values[i] = vec / norm
         coeffs[i] = coef / norm
+    coeffs.setflags(write=False)
+    values.setflags(write=False)
     return OrthonormalBasis(measure, degree, coeffs, values)
 
 

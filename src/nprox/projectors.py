@@ -38,13 +38,24 @@ sizes.  A single truncation solves its padded block in the same batched
 form, so it reads the same bits as the sweep.  A larger projector solves
 each level's unpadded block, as padding costs O(n^3) per level.
 
-A projector keeps the right-hand side of the last test function it
-evaluated: its values under the conditions of levels 0..top.  A later call
-with the same object (``is``; test functions are immutable) at the same
-exactness and a degree k <= top slices them, so ``apply(f)`` followed by
-``truncate(k, f)`` at every k evaluates f once.  Any other call evaluates
-the levels it needs and takes the entry's place.  Polynomials keep their
-exact product with the collocation rows.
+A projector keeps two memos of one entry each.  The first holds the
+right-hand side of the last test function it evaluated: its values under
+the conditions of levels 0..top.  A later call with the same value
+(``TestFunction.key``: class, coefficient bytes, constants and children;
+test functions are immutable) at the same exactness and a degree k <= top
+slices them, so ``apply(f)`` followed by ``truncate(k, f)`` at every k
+evaluates f once.  A product applies its factors' conditions through the
+factors' own memos, so ``apply(f)`` followed by
+``apply_product_formula(*f.split(k))`` evaluates each factor's part once.
+Any other call evaluates the levels it needs and takes the entry's place.
+Polynomials take their exact product with the collocation rows, over every
+row, so the values of levels 0..k do not depend on k.  The second memo
+holds the last truncation table (``_truncation_table``), keyed by the test
+function's key and the exactness, or by a polynomial's variable count,
+degree and coefficient bytes; a table of levels 0..top serves every
+smaller top by its leading rows.  Truncation sweeps, Newton summands, the
+product formula and the residual expansion all read their factors'
+solutions from it.
 """
 from __future__ import annotations
 
@@ -55,7 +66,8 @@ import numpy as np
 from .config import check_exactness, read_index
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs, rows
 from .indexing import degree_starts, factor_ranks, monomial_count
-from .polynomials import Polynomial, tensor_product
+# tensor_product is re-exported: code that imports or patches it here finds it
+from .polynomials import Polynomial, tensor_product  # noqa: F401
 from .testfunctions import PoleOnSupportError, TestFunction
 
 
@@ -88,9 +100,42 @@ def _level_rows(nvars: int, degree: int) -> np.ndarray:
     return inside
 
 
-def _differences(parts: list[Polynomial]) -> list[Polynomial]:
-    """Newton summands from truncations: the first, then consecutive differences."""
-    return parts[:1] + [b - a for a, b in zip(parts, parts[1:])]
+def _summand_rows(table: np.ndarray) -> np.ndarray:
+    """Newton summands from a truncation table: row 0, then consecutive differences."""
+    return np.concatenate([table[:1], table[1:] - table[:-1]])
+
+
+@lru_cache(maxsize=None)
+def _residual_gather(nvars: tuple[int, int], degree: int, a1: int, a2: int):
+    """Where the terms of ``BSet(degree, a1, a2)`` take their coefficients.
+
+    Term (i1, i2) is the tensor product of the left summand i1 and the right
+    summand i2, a polynomial of degree i1 + i2 on the joined variables; its
+    coefficient at factor ranks (r1, r2) is the product of the two summand
+    coefficients, and 0 where a rank passes its summand's degree (as in
+    ``tensor_product``).  All terms share one flat buffer: returns the
+    ``(i1, i2, lo, hi)`` slice of each, the buffer positions of the
+    products, and the flat positions of their factors in the summand tables
+    of shapes ``(a1 + 1, monomial_count(n1, a1))`` and
+    ``(a2 + 1, monomial_count(n2, a2))``.
+    """
+    n1, n2 = nvars
+    w1, w2 = monomial_count(n1, a1), monomial_count(n2, a2)
+    slices, dst, src1, src2 = [], [], [], []
+    size = 0
+    for i1, i2 in BSet(degree, a1, a2):
+        r1, r2 = factor_ranks(nvars, i1 + i2)
+        keep = np.flatnonzero((r1 < monomial_count(n1, i1)) & (r2 < monomial_count(n2, i2)))
+        slices.append((i1, i2, size, size + r1.shape[0]))
+        dst.append(size + keep)
+        src1.append(i1 * w1 + r1[keep])
+        src2.append(i2 * w2 + r2[keep])
+        size += r1.shape[0]
+    gather = tuple(np.concatenate(part) if part else np.zeros(0, dtype=np.intp)
+                   for part in (dst, src1, src2))
+    for index in gather:
+        index.setflags(write=False)
+    return (tuple(slices), size) + gather
 
 
 class NestedUnisolvenceFailure(ValueError):
@@ -162,8 +207,10 @@ class NewtonStructuredProjector:
         self.matrix = self._assemble(self.degree)
         self._scales = self._row_scales()
         self.level_conds = self._check_nesting()
-        # (f, exactness, values of levels 0..top) of the last test function
+        # (key, exactness, values of levels 0..top) of the last test function
         self._last_rhs: tuple | None = None
+        # (key, table of levels 0..top) of the last truncation table
+        self._last_table: tuple | None = None
         # the padded leading blocks of a small projector, built at its first solve
         self._stacked = count <= _STACK_CONDITIONS
         self._stack: np.ndarray | None = None
@@ -202,12 +249,17 @@ class NewtonStructuredProjector:
         # more exact one, so only a block that close to the threshold could
         # be decided differently.
         matrix = self.matrix.real if not np.any(self.matrix.imag) else self.matrix
+        # the first level with a row that vanishes on its block's monomials;
+        # the loop still raises in level order, so a lower level's estimate
+        # above the threshold is reported first
+        vanishing = np.flatnonzero(np.any(self._scales == 0, axis=1))
+        first = int(vanishing[0]) if vanishing.size else -1
         conds = []
         for j in range(self.degree + 1):
             m = monomial_count(self.nvars, j)
             block = matrix[:m, :m]
             scale = self._scales[j, :m]
-            if np.any(scale == 0):
+            if j == first:
                 raise NestedUnisolvenceFailure(
                     f"{self._level_name(j)}: a condition vanishes on all monomials"
                 )
@@ -310,28 +362,34 @@ class NewtonStructuredProjector:
             return min(2 * self.degree + 5, DEFAULT_EXACTNESS)
         return check_exactness(exactness)
 
-    def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
-        """Values of f under the conditions of levels 0..k (default: all).
-
-        A test function's values are kept, read-only, for the last one
-        evaluated; the same object at the same exactness and a degree up to
-        theirs reads them.  A failed evaluation keeps nothing.
-        """
+    def _check_input(self, f):
         if not isinstance(f, (Polynomial, TestFunction)):
             raise TypeError(f"cannot project a {type(f).__name__}")
         if f.nvars != self.nvars:
             raise ValueError("variable count mismatch")
+
+    def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
+        """Values of f under the conditions of levels 0..k (default: all).
+
+        A test function's values are kept, read-only, for the last one
+        evaluated; a function with the same key at the same exactness and a
+        degree up to theirs reads them.  A failed evaluation keeps nothing.
+        A polynomial's values are its product with every collocation row,
+        cut to levels 0..k.
+        """
+        self._check_input(f)
         exactness = self._exactness(exactness)
         k = self.degree if k is None else k
         n = monomial_count(self.nvars, k)
         if isinstance(f, Polynomial):
-            return self._rows(f.degree)[:n] @ f.coeffs
+            return (self._rows(f.degree) @ f.coeffs)[:n]
+        key = f.key()
         last = self._last_rhs
-        if last is not None and last[0] is f and last[1] == exactness and n <= len(last[2]):
+        if last is not None and last[0] == key and last[1] == exactness and n <= len(last[2]):
             return last[2][:n]
         values = self._function_rhs(f, exactness, k)
         values.setflags(write=False)
-        self._last_rhs = (f, exactness, values)
+        self._last_rhs = (key, exactness, values)
         return values
 
     def _function_rhs(self, f: TestFunction, exactness: int, k: int) -> np.ndarray:
@@ -362,12 +420,35 @@ class NewtonStructuredProjector:
                 for k in range(top + 1)]
 
     def _truncation_table(self, f, exactness: int | None, top: int) -> np.ndarray:
-        """Coefficients of truncate(k, f), k = 0..top, as rows, 0 past each degree."""
-        return self._solve_levels(top, self._rhs(f, exactness, top))
+        """Coefficients of truncate(k, f), k = 0..top, as rows, 0 past each degree.
+
+        The last table is kept, read-only: a test function with the same key
+        at the same exactness, or a polynomial with the same variable count,
+        degree and coefficient bytes, reads the leading rows of a table of
+        at least ``top + 1`` levels.  Level k's solution depends on the
+        values of levels 0..k alone, so those rows are what solving levels
+        0..top of the same values gives.  Any other call solves levels
+        0..top and takes the entry's place.
+        """
+        self._check_input(f)
+        exactness = self._exactness(exactness)
+        if isinstance(f, Polynomial):
+            key = (f.nvars, f.degree, f.coeffs.tobytes())
+        else:
+            key = (f.key(), exactness)
+        last = self._last_table
+        if last is not None and last[0] == key and top < last[1].shape[0]:
+            return last[1][:top + 1, :monomial_count(self.nvars, top)]
+        table = self._solve_levels(top, self._rhs(f, exactness, top))
+        table.setflags(write=False)
+        self._last_table = (key, table)
+        return table
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
-        return _differences(self.truncations(f, exactness))
+        steps = _summand_rows(self._truncation_table(f, exactness, self.degree))
+        return [Polynomial._owning(self.nvars, k, steps[k, :monomial_count(self.nvars, k)])
+                for k in range(self.degree + 1)]
 
     # -- products ---------------------------------------------------------------
 
@@ -386,9 +467,10 @@ class NewtonProduct(NewtonStructuredProjector):
     row is gathered from the two factor rows.  So is its value on a test
     function that splits into f1 (x) f2 along the factor variables: the
     factors apply their conditions of the levels asked for to f1 and f2, at
-    the product's exactness, and each tensor condition takes the product of
-    its two factor values.  A test function that does not split goes through
-    ``functionals.rhs`` as a list of tensor conditions.
+    the product's exactness and through their own memos (``_rhs``), and
+    each tensor condition takes the product of its two factor values.  A
+    test function that does not split goes through ``functionals.rhs`` as a
+    list of tensor conditions.
     """
 
     def __init__(self, left: NewtonStructuredProjector,
@@ -419,7 +501,7 @@ class NewtonProduct(NewtonStructuredProjector):
         for factor, g, before, after in ((self.left, parts[0], 0, self.right.nvars),
                                          (self.right, parts[1], self.left.nvars, 0)):
             try:
-                values.append(factor._function_rhs(g, exactness, k))
+                values.append(factor._rhs(g, exactness, k))
             except PoleOnSupportError as err:
                 # name the pole in the product's variables: the other block's
                 # coefficients are 0, so any coordinates there stay on the locus
@@ -461,9 +543,8 @@ class NewtonProduct(NewtonStructuredProjector):
         """
         exactness = self._exactness(exactness)
         d = self.degree
-        p1 = self.left._truncation_table(f1, exactness, d)
+        s1 = _summand_rows(self.left._truncation_table(f1, exactness, d))
         p2 = self.right._truncation_table(f2, exactness, d)
-        s1 = np.concatenate([p1[:1], p1[1:] - p1[:-1]])
         r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), d)
         coeffs = (s1.T @ p2[::-1])[r1, r2]
         return Polynomial._owning(self.nvars, d, coeffs)
@@ -474,7 +555,11 @@ class NewtonProduct(NewtonStructuredProjector):
         Both inputs must be polynomials the factor projectors reproduce
         (degree within the factor degree).  Returns the list of terms
         (i1, i2, tensor polynomial) over the residual index set, and the set
-        itself; the sum of the terms equals the residual exactly.
+        itself; the sum of the terms equals the residual exactly.  The
+        summands come from the factors' truncation tables of levels 0..a1
+        and 0..a2, the factor moduli, and every term is gathered from one
+        elementwise product (``_residual_gather``), bit for bit the
+        ``tensor_product`` of the two summands.
         """
         if not isinstance(f1, Polynomial) or not isinstance(f2, Polynomial):
             raise TypeError("residual expansion needs polynomial factors")
@@ -484,8 +569,12 @@ class NewtonProduct(NewtonStructuredProjector):
                 "factor degrees exceed the factor projectors; they would not "
                 "be reproduced and the expansion would not close"
             )
-        s1 = self.left.newton_summands(f1)
-        s2 = self.right.newton_summands(f2)
-        bset = BSet(self.degree, a1, a2)
-        terms = [(i1, i2, tensor_product(s1[i1], s2[i2])) for i1, i2 in bset]
-        return terms, bset
+        s1 = _summand_rows(self.left._truncation_table(f1, None, a1))
+        s2 = _summand_rows(self.right._truncation_table(f2, None, a2))
+        slices, size, dst, src1, src2 = _residual_gather(
+            (self.left.nvars, self.right.nvars), self.degree, a1, a2)
+        coeffs = np.zeros(size, dtype=np.complex128)
+        coeffs[dst] = s1.ravel()[src1] * s2.ravel()[src2]
+        terms = [(i1, i2, Polynomial._owning(self.nvars, i1 + i2, coeffs[lo:hi]))
+                 for i1, i2, lo, hi in slices]
+        return terms, BSet(self.degree, a1, a2)

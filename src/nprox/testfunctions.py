@@ -20,8 +20,11 @@ Kergin conditions integrate those along one dimension.
 
 Functions are immutable values, like ``Polynomial``: an affine form keeps
 a read-only copy of its coefficients, and sums and products keep tuples.
-A projector relies on that when it reuses the values of the last test
-function it evaluated, recognised by identity (``is``).
+``key`` names a function by value: its class, the bytes of its
+coefficients and constants, and its children's keys.  Two functions with
+equal keys take the same values, bit for bit, so a projector reuses the
+values of the last test function it evaluated for any function with that
+key; a node that defines no key is equal to itself only.
 
 Trees are read from a JSON prefix grammar (``parse_function``), e.g.::
 
@@ -82,6 +85,14 @@ class TestFunction:
     def values(self, pts) -> np.ndarray:
         return self.deriv_values((0,) * self.nvars, pts)
 
+    def key(self):
+        """A hashable value; functions with equal keys evaluate alike, bit for bit.
+
+        The base class knows nothing of a node's data, so it names the
+        object itself: such a function is equal to itself only.
+        """
+        return (self,)
+
     def eval(self, point) -> complex:
         return complex(self.values(as_rows(point, self.nvars))[0])
 
@@ -128,6 +139,11 @@ def _coerce(obj, nvars):
     return Const(nvars, complex(obj))
 
 
+def _scalar_bytes(value) -> bytes:
+    """The bytes of a complex scalar, as a key compares coefficients."""
+    return np.complex128(value).tobytes()
+
+
 def _alpha_rows(alphas, nvars):
     """Checked derivative orders as an int array of shape ``(len(alphas), nvars)``."""
     rows = [tuple(int(a) for a in alpha) for alpha in alphas]
@@ -148,6 +164,9 @@ class Const(TestFunction):
         out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
         out[alphas.sum(axis=1) == 0] = self.value
         return out
+
+    def key(self):
+        return (type(self), self.nvars, _scalar_bytes(self.value))
 
     def split(self, k):
         return Const(k, self.value), Const(self.nvars - k, 1.0)
@@ -178,6 +197,9 @@ class Affine(TestFunction):
         first = orders == 1
         out[first] = self.coeffs[np.argmax(alphas[first], axis=1)][:, None]
         return out
+
+    def key(self):
+        return (type(self), self.coeffs.tobytes(), _scalar_bytes(self.const))
 
     def split(self, k):
         lo, hi = self.coeffs[:k], self.coeffs[k:]
@@ -212,6 +234,9 @@ class Exp(TestFunction):
         pts = as_rows(pts, self.nvars)
         scales = np.prod(self.arg.coeffs ** alphas, axis=1)
         return scales[:, None] * np.exp(pts @ self.arg.coeffs + self.arg.const)
+
+    def key(self):
+        return (type(self), self.arg.key())
 
     def split(self, k):
         coeffs = self.arg.coeffs
@@ -250,6 +275,9 @@ class Recip(TestFunction):
             row[:] = sign * float(factorial(order)) * coef * powers[order]
         return out
 
+    def key(self):
+        return (type(self), self.arg.key())
+
     def poles(self):
         return [(self.arg.coeffs.copy(), self.arg.const)]
 
@@ -281,6 +309,9 @@ class Sum(TestFunction):
         for t in self.terms:
             out += t.deriv_table(alphas, pts)
         return out
+
+    def key(self):
+        return (type(self), tuple(t.key() for t in self.terms))
 
     def poles(self):
         return [p for t in self.terms for p in t.poles()]
@@ -324,6 +355,9 @@ class Product(TestFunction):
             out[i] += coef * head_table[h] * rest_table[r]
         return out
 
+    def key(self):
+        return (type(self), tuple(f.key() for f in self.factors))
+
     def poles(self):
         return [p for f in self.factors for p in f.poles()]
 
@@ -357,6 +391,10 @@ class PolynomialFunction(TestFunction):
         for row, alpha in zip(out, _alpha_rows(alphas, self.nvars)):
             row[:] = self.poly.derivative(alpha).eval_many(pts)
         return out
+
+    def key(self):
+        poly = self.poly
+        return (type(self), poly.nvars, poly.degree, poly.coeffs.tobytes())
 
 
 # -- prefix grammar ----------------------------------------------------------

@@ -38,9 +38,10 @@ from nprox.indexing import (
     monomial_count,
     monomial_vandermonde,
 )
-from nprox.measures import chebyshev_measure, circle_measure
+from nprox.measures import chebyshev_measure, circle_measure, product_measure
 from nprox.points import leja_disk, real_leja
 from nprox.polynomials import Polynomial, coeff_distance, multiply
+from nprox.projectors import NewtonStructuredProjector
 from nprox.simplex import (
     bspline_rule,
     grundmann_moller_rule,
@@ -408,8 +409,8 @@ def test_tree_values():
 
 
 def test_test_functions_are_immutable():
-    # a projector finds its last right-hand side by identity, so a function
-    # must not change under it
+    # a projector finds its last right-hand side by the function's key, so a
+    # function must not change under it
     coeffs = np.array([0.5, -1.0])
     affine = Affine(coeffs, 0.3)
     for form in (affine, Exp(Affine(coeffs)).arg, Recip(Affine(coeffs, 3.0)).arg):
@@ -1010,7 +1011,7 @@ def test_another_function_or_exactness_or_a_higher_degree_evaluates_again():
     f = CountingFunction(Exp(Affine([0.8, -0.6], 0.1)))
     prod.truncate(2, f)
     calls = f.calls
-    # equal is not enough: the last right-hand side is found by identity
+    # a node without its own key is equal to itself only
     g = CountingFunction(Exp(Affine([0.8, -0.6], 0.1)))
     prod.truncate(2, g)
     assert g.calls == calls
@@ -1036,6 +1037,146 @@ def test_a_pole_raises_again_and_keeps_nothing():
     # the failed evaluations left the degree-2 values in place
     assert np.array_equal(P.truncate(2, f).coeffs, want.coeffs)
     assert f.calls == calls + 2
+
+
+def test_keys_name_functions_by_value():
+    a = Affine([0.5, -1.0], 0.3)
+    twin = Affine(np.array([0.5, -1.0]), 0.3)
+    assert a.key() == twin.key() and Exp(a).key() == Exp(twin).key()
+    differ = [Exp(a), Recip(a), a, Exp(Affine([0.5, -1.0], 0.4)),
+              Exp(Affine([0.5, 1.0], 0.3)), Exp(Affine([-0.5, -1.0], 0.3)),
+              Exp(Affine([0.5, -1.0], -0.0)), Exp(Affine([0.5, -1.0], 0.0)),
+              Const(2, 0.3), Const(2, -0.3), Const(1, 0.3),
+              Sum([Exp(a), Recip(a)]), Sum([Recip(a), Exp(a)]), Product([Exp(a), Recip(a)]),
+              PolynomialFunction(Polynomial(2, 1, [0.3, 0.5, -1.0])),
+              PolynomialFunction(Polynomial(2, 2, [0.3, 0.5, -1.0, 0, 0, 0]))]
+    keys = [f.key() for f in differ]
+    assert len(set(keys)) == len(keys)
+    # a split part has the key of the same function built directly
+    left, right = Exp(Affine([0.5, -1.0, 0.25], 0.3)).split(2)
+    assert left.key() == Exp(a).key()
+    assert right.key() == Exp(Affine([0.25])).key()
+    assert Sum([Exp(a), Recip(a)]).key() == Sum([Exp(twin), Recip(twin)]).key()
+    # a node that defines no key is equal to itself only
+    counting = CountingFunction(Exp(a))
+    assert counting.key() == counting.key()
+    assert counting.key() != CountingFunction(Exp(a)).key()
+
+
+def count_deriv_tables(monkeypatch, cls):
+    """Record the point count of every ``cls.deriv_table`` call."""
+    sizes = []
+    table = cls.deriv_table
+
+    def spy(self, alphas, pts):
+        sizes.append(len(pts))
+        return table(self, alphas, pts)
+
+    monkeypatch.setattr(cls, "deriv_table", spy)
+    return sizes
+
+
+def test_equal_functions_share_the_last_right_hand_side(monkeypatch):
+    prod = kergin_projector(nodes_by_name("real_leja", 5)).newton_product(_cheb_leja(8))
+    sizes = count_deriv_tables(monkeypatch, Exp)
+    want = prod.truncate(2, Exp(Affine([0.8, -0.6], 0.1)))
+    calls = len(sizes)
+    # an equal function built afresh reads the kept values
+    again = prod.truncate(2, Exp(Affine(np.array([0.8, -0.6]), 0.1)))
+    assert len(sizes) == calls
+    assert np.array_equal(again.coeffs, want.coeffs)
+    # another constant, another coefficient sign or another exactness evaluate again
+    for f, exactness in ((Exp(Affine([0.8, -0.6], 0.2)), None),
+                         (Exp(Affine([0.8, 0.6], 0.1)), None),
+                         (Exp(Affine([0.8, -0.6], 0.1)), prod._exactness(None) - 2)):
+        prod.truncate(2, f, exactness)
+        assert len(sizes) > calls
+        calls = len(sizes)
+    # the reciprocal of the same affine form is another function
+    recip = count_deriv_tables(monkeypatch, Recip)
+    prod.truncate(2, Recip(Affine([0.8, -0.6], 3.0)))
+    first = len(recip)
+    prod.truncate(2, Exp(Affine([0.8, -0.6], 3.0)))
+    prod.truncate(2, Recip(Affine([0.8, -0.6], 3.0)))
+    assert len(recip) == 2 * first
+
+
+def test_an_equal_degree_polynomial_never_reads_another_table(monkeypatch):
+    solves = []
+    levels = NewtonStructuredProjector._solve_levels
+
+    def spy(self, top, values):
+        solves.append(top)
+        return levels(self, top, values)
+
+    monkeypatch.setattr(NewtonStructuredProjector, "_solve_levels", spy)
+    rng = np.random.default_rng(23)
+    P = lagrange_projector(nodes_by_name("leja_disk", 6))
+    p = Polynomial(1, 4, rng.standard_normal(5))
+    q = Polynomial(1, 4, rng.standard_normal(5))
+    first = P.truncations(p)
+    # equal coefficients in a new polynomial read the table
+    P.truncations(Polynomial(1, 4, p.coeffs))
+    assert solves == [6]
+    # another polynomial of the same degree, or the same coefficients at
+    # another storage degree, solves afresh
+    inputs = (q, p.embedded(5))
+    got = [P.truncations(g) for g in inputs]
+    assert solves == [6, 6, 6]
+    for g, parts in zip(inputs, got):
+        fresh = lagrange_projector(nodes_by_name("leja_disk", 6)).truncations(g)
+        for part, want in zip(parts, fresh):
+            assert np.array_equal(part.coeffs, want.coeffs)
+    assert not np.array_equal(got[0][4].coeffs, first[4].coeffs)
+
+
+def _point_cases():
+    yield "taylor_1d", taylor_projector(1, 12, center=[0.2]).conditions
+    yield "taylor_2d", taylor_projector(2, 6, center=[0.1, -0.2]).conditions
+    yield "lagrange_real", lagrange_projector(nodes_by_name("real_leja", 14)).conditions
+    yield "lagrange_complex", lagrange_projector(nodes_by_name("leja_disk", 14)).conditions
+    point = [0.3, -0.1]
+    yield "mixed_orders_at_one_point", [PointEval(point), DerivativeEval((2, 1), point),
+                                        DerivativeEval((0, 3), point), PointEval(point),
+                                        DerivativeEval((1, 0), point)]
+
+
+@pytest.mark.parametrize("case", list(_point_cases()), ids=lambda case: case[0])
+def test_grouped_point_values_equal_the_per_condition_path(case):
+    _, conditions = case
+    nvars = conditions[0].nvars
+    a = np.array([0.7, -0.4][:nvars])
+    for f in (Exp(Affine(a, 0.1)), Recip(Affine(a, 3.0)),
+              Product([Exp(Affine(a, 0.1)), Recip(Affine(a, 3.0))])):
+        counting = CountingFunction(f)
+        got = rhs(conditions, counting)
+        assert counting.calls == 1
+        want = [rhs([mu], f)[0] for mu in conditions]
+        assert np.array_equal(got, want)
+
+
+def test_inner_products_on_one_measure_share_one_evaluation():
+    f = Exp(Affine([0.9, -0.4], 0.1))
+    measure = product_measure(chebyshev_measure(9), circle_measure(9))
+    conditions = orthogonal_projector(measure, 4).conditions
+    counting = CountingFunction(f)
+    got = rhs(conditions, counting)
+    assert counting.sizes == [81]
+    want, scale = per_condition_rhs(conditions, f, 7)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    # a condition's value does not depend on which others share the call
+    for i, mu in enumerate(conditions):
+        assert rhs([mu], f)[0] == got[i]
+    # two measures, two evaluations; one-variable conditions in between
+    line = orthogonal_projector(chebyshev_measure(11), 5).conditions
+    other = orthogonal_projector(circle_measure(12), 5).conditions
+    mixed = line[:3] + other[:3] + [PointEval([0.5]), DerivativeEval((2,), [0.1])] + line[3:]
+    g = Exp(Affine([0.9], 0.1))
+    counting = CountingFunction(g)
+    got = rhs(mixed, counting)
+    assert sorted(counting.sizes) == [2, 11, 12]
+    assert_matches_oracle(mixed, g, 7)
+    assert np.array_equal(got, [rhs([mu], g)[0] for mu in mixed])
 
 
 def test_cylinder_right_hand_side_evaluates_each_point_once():

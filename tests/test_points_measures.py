@@ -234,6 +234,28 @@ def test_product_basis_factors():
         assert np.max(diff) < 1e-10
 
 
+def test_gram_schmidt_basis_is_built_once_per_measure_and_degree():
+    measure = product_measure(chebyshev_measure(9), circle_measure(9))
+    high = gram_schmidt_basis(measure, 4)
+    low = gram_schmidt_basis(measure, 2)
+    assert gram_schmidt_basis(measure, 4) is high
+    assert gram_schmidt_basis(measure, 2) is low
+    # the same bytes as a fresh build on a fresh measure, degree by degree:
+    # a lower degree is built at its own width, not sliced from a higher one
+    fresh = product_measure(chebyshev_measure(9), circle_measure(9))
+    for basis in (low, high):
+        want = gram_schmidt_basis(fresh, basis.degree)
+        assert want is not basis
+        for got, ref in ((basis.coeff_matrix, want.coeff_matrix),
+                         (basis.node_values, want.node_values)):
+            assert got.tobytes() == ref.tobytes()
+            assert not got.flags.writeable
+    # a failed build keeps nothing
+    with pytest.raises(InsufficientExactness):
+        gram_schmidt_basis(measure, 9)
+    assert ("gram_schmidt", 9) not in measure._cache
+
+
 def test_gram_schmidt_requires_exactness():
     with pytest.raises(InsufficientExactness):
         gram_schmidt_basis(chebyshev_measure(4), 4)  # exactness 7 < 8

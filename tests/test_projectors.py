@@ -235,6 +235,17 @@ def test_projectors_past_the_stack_limit_never_build_it(monkeypatch):
     assert built == [16, 16]
 
 
+def test_a_vanishing_condition_names_its_level_after_the_lower_estimates():
+    from nprox.functionals import DerivativeEval
+    # D^2 vanishes on 1 and x: the level-1 block has a zero row
+    conditions = [PointEval([0.0]), DerivativeEval((2,), [0.0]), DerivativeEval((1,), [0.0])]
+    with pytest.raises(NestedUnisolvenceFailure, match="^level 1: a condition vanishes"):
+        NewtonStructuredProjector(conditions)
+    # level 0's estimate (1) above the threshold is reported first
+    with pytest.raises(NestedUnisolvenceFailure, match="^level 0: leading block"):
+        NewtonStructuredProjector(conditions, cond_threshold=0.5)
+
+
 def test_threshold_is_adjustable():
     pts = nodes_by_name("real_leja", 5)
     with pytest.raises(NestedUnisolvenceFailure, match="exceeds threshold"):
@@ -783,6 +794,84 @@ def test_residual_expansion_is_exact():
     assert coeff_distance(total, residual) < 1e-10
     assert bset.cardinality() == len(terms)
     assert bset.cardinality() <= (5 + 1) * (4 + 1)
+
+
+def test_residual_terms_are_the_tensor_products_of_the_summands():
+    rng = np.random.default_rng(31)
+    for left in zoo_families(3):
+        for right in zoo_families(4):
+            prod = left.newton_product(right)
+            p1 = random_poly(rng, left.nvars, left.degree, cplx=True)
+            p2 = random_poly(rng, right.nvars, prod.degree + 1, cplx=True)
+            s1, s2 = left.newton_summands(p1), right.newton_summands(p2)
+            # after the product formula, as the summands' tables are kept
+            prod.apply_product_formula(p1, p2)
+            terms, bset = prod.residual_expansion(p1, p2)
+            assert [(i1, i2) for i1, i2, _ in terms] == list(bset)
+            for i1, i2, term in terms:
+                want = tensor_product(s1[i1], s2[i2])
+                assert (term.nvars, term.degree) == (want.nvars, want.degree)
+                assert np.array_equal(term.coeffs, want.coeffs)
+                assert not term.coeffs.flags.writeable
+
+
+def test_apply_then_the_product_formula_evaluates_each_factor_once(monkeypatch):
+    calls = []
+    table = Exp.deriv_table
+
+    def spy(self, alphas, pts):
+        calls.append(self.nvars)
+        return table(self, alphas, pts)
+
+    monkeypatch.setattr(Exp, "deriv_table", spy)
+    rng = np.random.default_rng(37)
+    # two factors of one product are two projectors: a projector that is
+    # both factors keeps one of the two parts only
+    families = [lambda: taylor_projector(1, 6, center=[0.1]),
+                lambda: lagrange_projector(nodes_by_name("real_leja", 5)),
+                lambda: orthogonal_projector(chebyshev_measure(64), 8),
+                lambda: taylor_projector(2, 4, center=[0.1, -0.2])]
+    for build_left in families:
+        for build_right in families:
+            left, right = build_left(), build_right()
+            prod = left.newton_product(right)
+            f = Exp(Affine(rng.uniform(-1.0, 1.0, prod.nvars)))
+            calls.clear()
+            engine = prod.apply(f)
+            assert calls == [left.nvars, right.nvars]
+            formula = prod.apply_product_formula(*f.split(left.nvars))
+            assert calls == [left.nvars, right.nvars]
+            assert coeff_distance(engine, formula) <= 1e-12 * np.max(np.abs(engine.coeffs))
+
+
+def test_truncations_summands_and_the_formula_share_one_table(monkeypatch):
+    solves = []
+    levels = NewtonStructuredProjector._solve_levels
+
+    def spy(self, top, values):
+        solves.append(top)
+        return levels(self, top, values)
+
+    monkeypatch.setattr(NewtonStructuredProjector, "_solve_levels", spy)
+    left, right = lagrange_projector(nodes_by_name("real_leja", 6)), taylor_projector(1, 4)
+    prod = left.newton_product(right)
+    f = Exp(Affine([0.4, -0.7]))
+    f1, f2 = f.split(1)
+    parts = left.truncations(f1, prod._exactness(None))
+    left.newton_summands(f1, prod._exactness(None))
+    prod.apply_product_formula(f1, f2)
+    # the left factor solved levels 0..6 once, the right factor 0..4
+    assert solves == [6, 4]
+    # a smaller top reads the leading rows, bit for bit a fresh table's
+    fresh = lagrange_projector(nodes_by_name("real_leja", 6))
+    table = left._truncation_table(f1, prod._exactness(None), 2)
+    assert np.array_equal(table, fresh._truncation_table(f1, prod._exactness(None), 2))
+    assert np.array_equal(table[2, :3], parts[2].coeffs)
+    assert not table.flags.writeable
+    assert solves == [6, 4, 2]
+    # another exactness is another table
+    left.truncations(f1)
+    assert solves == [6, 4, 2, 6]
 
 
 def test_residual_expansion_rejects_oversized_factors():
