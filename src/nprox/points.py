@@ -81,15 +81,24 @@ def leja_greedy_gap(points) -> float:
 
 
 def real_leja(points) -> np.ndarray:
-    """Real parts of unit-circle Leja points, in order, duplicates dropped."""
+    """Real parts of unit-circle Leja points, in order, duplicates dropped.
+
+    Sorted, the real parts fall into runs whose neighbours lie within
+    ``_DUPLICATE_TOL``; each run keeps its first occurrence.  For runs
+    narrower than the tolerance, as the circle's conjugate pairs are, that
+    is the value kept by comparing each real part with every earlier kept one.
+    """
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
     if np.any(np.abs(np.abs(pts) - 1.0) > 1e-12):
         raise ValueError("real_leja expects points on the unit circle")
-    out: list[float] = []
-    for value in pts.real:
-        if all(abs(value - seen) > _DUPLICATE_TOL for seen in out):
-            out.append(float(value))
-    return np.array(out)
+    values = pts.real
+    if not values.size:
+        return values
+    order = np.argsort(values, kind="stable")
+    starts = np.flatnonzero(np.diff(values[order], prepend=-np.inf) > _DUPLICATE_TOL)
+    keep = np.zeros(values.size, dtype=bool)
+    keep[np.minimum.reduceat(order, starts)] = True
+    return values[keep]
 
 
 def as_rows(points, nvars: int | None = None) -> np.ndarray:

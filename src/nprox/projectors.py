@@ -49,7 +49,12 @@ factors' own memos, so ``apply(f)`` followed by
 ``apply_product_formula(*f.split(k))`` evaluates each factor's part once.
 Any other call evaluates the levels it needs and takes the entry's place.
 Polynomials take their exact product with the collocation rows, over every
-row, so the values of levels 0..k do not depend on k.  The second memo
+row, so the values of levels 0..k do not depend on k.  A product given a
+polynomial above its degree takes the factor form of that product,
+``(L C R^T)[a, b]`` with p's coefficients arranged by factor ranks in C and
+the factors' rows in L and R, as ``polynomials.evaluate_grid`` does on
+grids: no product row is assembled, and a factor assembles rows only past
+its own degree.  The second memo
 holds the last truncation table (``_truncation_table``), keyed by the test
 function's key and the exactness, or by a polynomial's variable count,
 degree and coefficient bytes; a table of levels 0..top serves every
@@ -59,6 +64,7 @@ solutions from it.
 """
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -103,6 +109,18 @@ def _level_rows(nvars: int, degree: int) -> np.ndarray:
 def _summand_rows(table: np.ndarray) -> np.ndarray:
     """Newton summands from a truncation table: row 0, then consecutive differences."""
     return np.concatenate([table[:1], table[1:] - table[:-1]])
+
+
+def _rank_degree(nvars: int, rank: int) -> int:
+    """Degree of the monomial at a graded-lex rank.
+
+    A rank is below ``monomial_count(nvars, j)`` exactly when its degree is
+    at most j.
+    """
+    j = 0
+    while monomial_count(nvars, j) <= rank:
+        j += 1
+    return j
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +400,7 @@ class NewtonStructuredProjector:
         k = self.degree if k is None else k
         n = monomial_count(self.nvars, k)
         if isinstance(f, Polynomial):
-            return (self._rows(f.degree) @ f.coeffs)[:n]
+            return self._polynomial_rhs(f, n)
         key = f.key()
         last = self._last_rhs
         if last is not None and last[0] == key and last[1] == exactness and n <= len(last[2]):
@@ -391,6 +409,10 @@ class NewtonStructuredProjector:
         values.setflags(write=False)
         self._last_rhs = (key, exactness, values)
         return values
+
+    def _polynomial_rhs(self, p: Polynomial, n: int) -> np.ndarray:
+        """Values of the polynomial p under the first n conditions."""
+        return (self._rows(p.degree) @ p.coeffs)[:n]
 
     def _function_rhs(self, f: TestFunction, exactness: int, k: int) -> np.ndarray:
         """Values of the test function f under the conditions of levels 0..k."""
@@ -476,6 +498,11 @@ class NewtonProduct(NewtonStructuredProjector):
     def __init__(self, left: NewtonStructuredProjector,
                  right: NewtonStructuredProjector,
                  cond_threshold: float | None = 1e12):
+        if right is left:
+            # one object in both slots would keep one memo entry for two
+            # parts; the copy shares the conditions, matrix and gate results
+            right = copy.copy(left)
+            right._last_rhs = right._last_table = right._stack = None
         self.left = left
         self.right = right
         degree = min(left.degree, right.degree)
@@ -492,6 +519,31 @@ class NewtonProduct(NewtonStructuredProjector):
         a, b = self._pairs
         return (self.left._rows(degree)[np.ix_(a, r1)]
                 * self.right._rows(degree)[np.ix_(b, r2)])
+
+    def _polynomial_rhs(self, p, n):
+        """Values of p under the first n tensor conditions.
+
+        Within the product degree, the product rows' matrix slice.  Above
+        it, each condition is ``(L C R^T)[a, b]``: p's coefficients scatter
+        into C by factor ranks, and L and R are the factors' rows of every
+        condition up to the product degree, at the block degrees d1 and d2
+        that p's nonzero terms reach.  So no product row is assembled, and a
+        factor assembles rows only where its block degree passes its own.
+        """
+        if p.degree <= self.degree:
+            return super()._polynomial_rhs(p, n)
+        nonzero = np.flatnonzero(p.coeffs)
+        if not nonzero.size:
+            return np.zeros(n, dtype=np.complex128)
+        (n1, n2), d = (self.left.nvars, self.right.nvars), self.degree
+        r1, r2 = (r[nonzero] for r in factor_ranks((n1, n2), p.degree))
+        d1, d2 = (_rank_degree(nv, int(r.max())) for nv, r in ((n1, r1), (n2, r2)))
+        coeffs = np.zeros((monomial_count(n1, d1), monomial_count(n2, d2)), dtype=np.complex128)
+        coeffs[r1, r2] = p.coeffs[nonzero]
+        values = (self.left._rows(d1)[:monomial_count(n1, d)] @ coeffs
+                  @ self.right._rows(d2)[:monomial_count(n2, d)].T)
+        a, b = self._pairs[:, :n]
+        return values[a, b]
 
     def _function_rhs(self, f, exactness, k):
         parts = f.split(self.left.nvars)

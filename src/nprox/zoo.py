@@ -81,12 +81,12 @@ def nodes_by_name(name: str, degree: int) -> np.ndarray:
         # matters whenever truncations or products of the family are taken
         return leja_greedy(chebyshev_nodes(degree), degree + 1)
     if name == "real_leja":
+        # 2^k circle Leja points have 2^(k-1) + 1 distinct real parts, and
+        # the sequence of a longer block starts with the shorter one
         block = 2
-        while True:
-            pts = real_leja(leja_disk(block))
-            if pts.size >= degree + 1:
-                return pts[: degree + 1]
+        while block // 2 < degree:
             block *= 2
+        return real_leja(leja_disk(block))[: degree + 1]
     if name == "leja_disk":
         block = 2
         while block < degree + 1:

@@ -24,6 +24,7 @@ from nprox.points import (
     real_leja,
 )
 from nprox.polynomials import Polynomial
+from nprox.zoo import nodes_by_name
 
 
 # -- Leja sequences -----------------------------------------------------------
@@ -96,6 +97,32 @@ def test_real_leja_known_values():
     more = real_leja(leja_disk(16))
     assert np.allclose(more[:5], [1.0, -1.0, 0.0, r, -r])
     assert more.size == 9  # 16 conjugate-symmetric points fold to 9 reals
+
+
+def _real_leja_by_doubling(degree):
+    """Real Leja nodes as first built: double the circle block until enough
+    distinct real parts appear, comparing each with every one kept."""
+    block = 2
+    while True:
+        out = []
+        for value in leja_disk(block).real:
+            if all(abs(value - seen) > 1e-12 for seen in out):
+                out.append(float(value))
+        if len(out) >= degree + 1:
+            return np.array(out[:degree + 1])
+        block *= 2
+
+
+def test_real_leja_nodes_equal_the_doubling_loop():
+    for degree in range(65):
+        assert np.array_equal(nodes_by_name("real_leja", degree),
+                              _real_leja_by_doubling(degree)), degree
+
+
+def test_real_leja_keeps_first_occurrences_in_order():
+    pts = np.exp(1j * np.array([0.3, -0.3, 2.0, 0.3 + 1e-15, np.pi, -2.0]))
+    assert np.array_equal(real_leja(pts), pts.real[[0, 2, 4]])
+    assert real_leja(np.zeros(0, dtype=complex)).shape == (0,)
 
 
 def test_real_leja_rejects_interior_points():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import nprox.projectors
 from nprox.experiments import cylinder_nodes
 from nprox.functionals import KerginCondition, PointEval, rhs
 from nprox.indexing import exponents, monomial_count
@@ -357,13 +358,74 @@ def test_polynomial_rhs_reads_the_collocation_rows():
             want = np.array([mu.apply_to_polynomial(p) for mu in conditions])
             got = prod._rhs(p, None, k)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # above it the rows are gathered afresh at the polynomial's degree
+    # above it the factors' rows take the coefficients arranged by factor ranks
     p = random_poly(rng, 2, 6, cplx=True)
     want = np.array([mu.apply_to_polynomial(p) for mu in prod.conditions])
     got = prod._rhs(p, None)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="variable count"):
         prod.apply(random_poly(rng, 3, 2))
+
+
+def factor_form_products():
+    """Lagrange x Taylor, planar Kergin x Lagrange and a product of that product."""
+    lagrange = lagrange_projector(nodes_by_name("real_leja", 5))
+    yield lagrange.newton_product(taylor_projector(1, 4, center=[0.1]))
+    planar = kergin_projector(cylinder_nodes(3)[0], cond_threshold=None)
+    kergin_x_lagrange = planar.newton_product(
+        lagrange_projector(nodes_by_name("chebyshev_leja", 4)), cond_threshold=None)
+    yield kergin_x_lagrange
+    circle = orthogonal_projector(circle_measure(9), 4, cond_threshold=None)
+    yield kergin_x_lagrange.newton_product(circle, cond_threshold=None)
+
+
+def above_degree_polynomials(prod, rng):
+    """Tensor polynomials within the factor degrees, then general ones whose
+    block degrees pass a factor degree, all above the product degree."""
+    n1, n2 = prod.left.nvars, prod.right.nvars
+    for d1, d2 in ((prod.left.degree, prod.right.degree), (prod.degree, 1)):
+        yield tensor_product(random_poly(rng, n1, d1, cplx=True),
+                             random_poly(rng, n2, d2, cplx=True))
+    yield random_poly(rng, prod.nvars, prod.degree + 1, cplx=True)
+    yield random_poly(rng, prod.nvars, max(prod.left.degree, prod.right.degree) + 2, cplx=True)
+
+
+def test_polynomial_rhs_above_the_degree_matches_the_conditions():
+    rng = np.random.default_rng(43)
+    for prod in factor_form_products():
+        for p in above_degree_polynomials(prod, rng):
+            assert p.degree > prod.degree
+            want = np.array([mu.apply_to_polynomial(p) for mu in prod.conditions])
+            got = prod._rhs(p, None)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            # the values of levels 0..k do not depend on k
+            for k in range(prod.degree + 1):
+                assert np.array_equal(prod._rhs(p, None, k),
+                                      got[:monomial_count(prod.nvars, k)])
+        zero = Polynomial(prod.nvars, prod.degree + 2)
+        assert np.array_equal(prod._rhs(zero, None), np.zeros(len(prod.conditions)))
+
+
+def test_tensor_polynomials_within_the_factor_degrees_assemble_no_rows(monkeypatch):
+    rng = np.random.default_rng(47)
+    products = list(factor_form_products())
+    calls = []
+    assemble = nprox.projectors.rows
+
+    def spy(conditions, degree):
+        calls.append(degree)
+        return assemble(conditions, degree)
+
+    monkeypatch.setattr(nprox.projectors, "rows", spy)
+    for prod in products:
+        p_a = random_poly(rng, prod.left.nvars, prod.left.degree, cplx=True)
+        p_b = random_poly(rng, prod.right.nvars, prod.right.degree, cplx=True)
+        prod.apply(tensor_product(p_a, p_b))
+    assert calls == []
+    # a block degree past one factor's degree assembles that factor's rows only
+    prod = products[0]  # Lagrange at degree 5 x Taylor at degree 4
+    prod.apply(tensor_product(random_poly(rng, 1, 5), random_poly(rng, 1, 5)))
+    assert calls == [5]
 
 
 # -- product rows gathered from the factors' rows ----------------------------------
@@ -825,8 +887,7 @@ def test_apply_then_the_product_formula_evaluates_each_factor_once(monkeypatch):
 
     monkeypatch.setattr(Exp, "deriv_table", spy)
     rng = np.random.default_rng(37)
-    # two factors of one product are two projectors: a projector that is
-    # both factors keeps one of the two parts only
+    # each factor is its own object here; the next test puts one in both slots
     families = [lambda: taylor_projector(1, 6, center=[0.1]),
                 lambda: lagrange_projector(nodes_by_name("real_leja", 5)),
                 lambda: orthogonal_projector(chebyshev_measure(64), 8),
@@ -842,6 +903,28 @@ def test_apply_then_the_product_formula_evaluates_each_factor_once(monkeypatch):
             formula = prod.apply_product_formula(*f.split(left.nvars))
             assert calls == [left.nvars, right.nvars]
             assert coeff_distance(engine, formula) <= 1e-12 * np.max(np.abs(engine.coeffs))
+
+
+def test_one_projector_as_both_factors_keeps_a_memo_per_part(monkeypatch):
+    calls = []
+    table = Exp.deriv_table
+
+    def spy(self, alphas, pts):
+        calls.append(self.nvars)
+        return table(self, alphas, pts)
+
+    P = taylor_projector(1, 6, center=[0.1])
+    prod = P.newton_product(P)
+    # the right slot holds a copy sharing the conditions and the gate's results
+    assert prod.left is P and prod.right is not P
+    assert prod.right.conditions is P.conditions and prod.right.matrix is P.matrix
+    assert prod.right.level_conds is P.level_conds
+    monkeypatch.setattr(Exp, "deriv_table", spy)
+    f = Exp(Affine([0.4, -0.7]))
+    engine = prod.apply(f)
+    formula = prod.apply_product_formula(*f.split(1))
+    assert calls == [1, 1]
+    assert coeff_distance(engine, formula) <= 1e-12 * np.max(np.abs(engine.coeffs))
 
 
 def test_truncations_summands_and_the_formula_share_one_table(monkeypatch):
