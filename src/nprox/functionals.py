@@ -56,13 +56,14 @@ takes C(j + 1 + E // 2, j + 1).  That needs real nodes and a real
 direction in every such Kergin factor.  Kergin conditions on complex nodes
 or along a complex direction, on products and polynomial leaves, and every
 collocation row (``rows``) keep Grundmann-Moller; point, derivative and
-inner-product conditions are evaluated as they stand.  A pole of g on a
-line rule's support raises ``PoleOnSupportError`` with a point on the pole
-locus between the nodes.  So does a pole of a test function inside the
-simplex of a condition on the Grundmann-Moller path, where the rule's
-points would miss it: an affine pole form maps the simplex onto the convex
-hull of its values at the nodes (of the sums of both factors' values, for
-a tensor pair), and the error is raised when 0 lies in that hull.
+inner-product conditions are evaluated as they stand.  Neither rule sees
+a pole of f between its points, so before it routes any condition ``rhs``
+tests each one with a Kergin factor of order 1 or more against every pole
+of f, once for both paths: an affine pole form maps a simplex onto the
+convex hull of its values at the nodes (a tensor pair's product of
+simplices onto the hull of the sums of both factors' values, which along a
+ridge direction is a line rule's span), and ``PoleOnSupportError`` names a
+point of the support on the pole locus when 0 lies in that hull.
 
 Kergin conditions off the line rules and tensor pairs take the cubature
 path (``_discretized_rhs``).  There ``rhs`` discretizes each factor of a
@@ -152,7 +153,10 @@ class Functional:
         raise NotImplementedError
 
     def _rule_key(self):
-        """Functionals with equal keys discretize alike up to ``alpha``."""
+        """Functionals with equal keys discretize alike up to ``alpha``.
+
+        They also have the same ``_support``, so a pole test serves them all.
+        """
         return id(self)
 
     def _support(self):
@@ -200,31 +204,6 @@ class Functional:
         raise TypeError(f"cannot apply a functional to {type(obj).__name__}")
 
 
-class PointEval(Functional):
-    def __init__(self, point):
-        self.point = _point_array(point)
-        self.nvars = self.point.shape[0]
-        self.alpha = (0,) * self.nvars
-
-    def discretize(self, exactness):
-        return [(np.array([1.0 + 0j]), self.point[None, :], self.alpha)]
-
-    def _row_group(self):
-        return _point_rows, None
-
-    def _rhs_group(self):
-        return _point_rhs, None
-
-    def _support(self):
-        return self.point[None, None, :]
-
-    def _line_rule(self, direction, exactness, memo):
-        return LineRule.point(self.point, direction)
-
-    def __repr__(self):
-        return f"PointEval({self.point})"
-
-
 class DerivativeEval(Functional):
     def __init__(self, alpha, point):
         self.point = _point_array(point)
@@ -256,6 +235,18 @@ class DerivativeEval(Functional):
         return f"DerivativeEval(alpha={self.alpha}, point={self.point})"
 
 
+class PointEval(DerivativeEval):
+    """The value at a point: the derivative value of order 0."""
+
+    def __init__(self, point):
+        self.point = _point_array(point)
+        self.nvars = self.point.shape[0]
+        self.alpha = (0,) * self.nvars
+
+    def __repr__(self):
+        return f"PointEval({self.point})"
+
+
 class KerginCondition(Functional):
     """Unnormalized simplex mean of ``D^alpha f`` along interpolation nodes.
 
@@ -268,7 +259,9 @@ class KerginCondition(Functional):
     term g(a . z), real nodes and a real a, the integral runs along the
     line, over the B-spline of the projected nodes a . z_i
     (``simplex.bspline_rule``); on anything else, and on the monomials, it
-    takes the Grundmann-Moller rule of the requested exactness.
+    takes the Grundmann-Moller rule of the requested exactness.  Neither
+    rule sees a pole inside the simplex, so ``rhs`` refuses a test function
+    with one there before it picks a rule (``_check_hull_poles``).
     """
 
     def __init__(self, alpha, nodes):
@@ -316,9 +309,7 @@ class KerginCondition(Functional):
             return None  # complex knots: no B-spline, Grundmann-Moller instead
         knots = self.nodes.real @ direction.real
         points, weights = bspline_rule(knots, exactness)
-        lo, hi = knots.argmin(), knots.argmax()
-        return LineRule(weights, points, knots[lo:lo + 1], knots[hi:hi + 1],
-                         self.nodes[lo:lo + 1], self.nodes[hi:hi + 1])
+        return LineRule(weights, points)
 
     def __repr__(self):
         return f"KerginCondition(alpha={self.alpha}, nodes={len(self.nodes)})"
@@ -358,9 +349,7 @@ class InnerProduct(Functional):
         return [(self._weighted_conj(), self.measure.nodes, self.alpha)]
 
     def _line_rule(self, direction, exactness, memo):
-        nodes = self.measure.nodes
-        along = nodes @ direction
-        return LineRule(self._weighted_conj(), along, along, along, nodes, nodes)
+        return LineRule(self._weighted_conj(), self.measure.nodes @ direction)
 
     def __repr__(self):
         return f"InnerProduct(basis_degree={self.basis.degree}, domain={self.measure.domain})"
@@ -385,6 +374,10 @@ class Tensor(Functional):
         return [((w1[:, None] * w2[None, :]).reshape(-1), cartesian(p1, p2), a1 + a2)
                 for w1, p1, a1 in self.left.discretize(exactness)
                 for w2, p2, a2 in self.right.discretize(exactness)]
+
+    def _rule_key(self):
+        # every factor key ignores alpha, so the pair's does too
+        return self.left._rule_key(), self.right._rule_key()
 
     def _support(self):
         # each pair of factor pieces spans the product of their hulls
@@ -504,13 +497,16 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     ``exactness`` defaults to
     ``DEFAULT_EXACTNESS``; one that is not a nonnegative integer, or a
     Kergin condition whose Grundmann-Moller rule at it would pass the desk
-    scale, raises ``ValueError`` before any rule is built.
+    scale, raises ``ValueError`` before any rule is built.  So does a pole
+    of f on the support of a condition with a Kergin factor of order 1 or
+    more, as ``PoleOnSupportError`` (``_check_hull_poles``).
     """
     conditions = list(conditions)
     if any(mu.nvars != f.nvars for mu in conditions):
         raise ValueError("variable count mismatch")
     exactness = DEFAULT_EXACTNESS if exactness is None else check_exactness(exactness)
     orders = [_kergin_order(mu) for mu in conditions]
+    _check_hull_poles([mu for mu, order in zip(conditions, orders) if order], f)
     terms = sum_terms(f)
     ridges = [term.ridge() for term in terms] if any(orders) else [None] * len(terms)
     whole = tuple(range(len(terms)))
@@ -526,7 +522,6 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     for left, indices in rest.items():
         part = f if left == whole else (
             terms[left[0]] if len(left) == 1 else Sum([terms[k] for k in left]))
-        _check_hull_poles([conditions[i] for i in indices if orders[i]], part)
         groups: dict = {}
         for i in indices:
             groups.setdefault(conditions[i]._rhs_group(), []).append((i, conditions[i]))
@@ -583,20 +578,21 @@ def _inner_product_rhs(conditions, f: TestFunction, exactness: int, out: np.ndar
 def _check_hull_poles(conditions, f: TestFunction):
     """Raise ``PoleOnSupportError`` if a pole of f meets a condition's simplex.
 
-    A cubature rule's points miss a pole inside its simplex, where the
-    integral does not exist, and it would return a finite value.  An affine
-    form maps a simplex onto the convex hull of its values at the nodes,
-    and a tensor pair's product of simplices onto the hull of the sums of
-    its factors' values, so the pole meets the support exactly when 0 lies
-    in that hull (to the tolerance of ``Recip``'s own test).  The error
-    names a point of the support on the pole locus.
+    A rule's points, on a line or in the simplex, miss a pole inside the
+    simplex, where the integral does not exist, and it would return a
+    finite value.  An affine form maps a simplex onto the convex hull of its
+    values at the nodes, and a tensor pair's product of simplices onto the
+    hull of the sums of its factors' values, so the pole meets the support
+    exactly when 0 lies in that hull (to the tolerance of ``Recip``'s own
+    test).  The error names a point of the support on the pole locus.
+    Conditions with equal rule keys share their support and are tested once.
     """
     poles = f.poles()
     if not poles:
         return
     seen = set()
     for mu in conditions:
-        key = _support_key(mu)
+        key = mu._rule_key()
         if key in seen:
             continue
         seen.add(key)
@@ -609,13 +605,6 @@ def _check_hull_poles(conditions, f: TestFunction):
                     raise PoleOnSupportError(coeffs, const, weights @ piece)
 
 
-def _support_key(mu: Functional):
-    """Functionals with equal keys have the same ``_support``."""
-    if isinstance(mu, Tensor):
-        return _support_key(mu.left), _support_key(mu.right)
-    return mu._rule_key()
-
-
 def _hull_weights(u: np.ndarray, tol: float):
     """Convex weights w with ``|w @ u| <= tol``, or None if 0 is farther from hull(u).
 
@@ -623,8 +612,13 @@ def _hull_weights(u: np.ndarray, tol: float):
     of the hull if it is that close to a value or to a segment between two;
     otherwise it is inside exactly when the values leave no angular gap of
     pi or more around it, and then the triangle of ``u[0]`` and the two
-    values on either side of the direction ``-u[0]`` holds it.
+    values on either side of the direction ``-u[0]`` holds it.  A hull
+    point within ``tol`` of 0 has real and imaginary parts within ``tol``
+    of 0, so values whose real or imaginary parts all pass ``tol`` on one
+    side leave 0 farther, and the pairwise search is skipped.
     """
+    if max(u.real.min(), u.imag.min(), -u.real.max(), -u.imag.max()) > tol:
+        return None
     k = u.shape[0]
     weights = np.zeros(k)
     i = int(np.argmin(np.abs(u)))

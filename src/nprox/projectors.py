@@ -65,6 +65,7 @@ solutions from it.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -109,18 +110,6 @@ def _level_rows(nvars: int, degree: int) -> np.ndarray:
 def _summand_rows(table: np.ndarray) -> np.ndarray:
     """Newton summands from a truncation table: row 0, then consecutive differences."""
     return np.concatenate([table[:1], table[1:] - table[:-1]])
-
-
-def _rank_degree(nvars: int, rank: int) -> int:
-    """Degree of the monomial at a graded-lex rank.
-
-    A rank is below ``monomial_count(nvars, j)`` exactly when its degree is
-    at most j.
-    """
-    j = 0
-    while monomial_count(nvars, j) <= rank:
-        j += 1
-    return j
 
 
 @lru_cache(maxsize=None)
@@ -537,7 +526,8 @@ class NewtonProduct(NewtonStructuredProjector):
             return np.zeros(n, dtype=np.complex128)
         (n1, n2), d = (self.left.nvars, self.right.nvars), self.degree
         r1, r2 = (r[nonzero] for r in factor_ranks((n1, n2), p.degree))
-        d1, d2 = (_rank_degree(nv, int(r.max())) for nv, r in ((n1, r1), (n2, r2)))
+        d1, d2 = (bisect_right(degree_starts(nv, p.degree), int(r.max())) - 1
+                  for nv, r in ((n1, r1), (n2, r2)))
         coeffs = np.zeros((monomial_count(n1, d1), monomial_count(n2, d2)), dtype=np.complex128)
         coeffs[r1, r2] = p.coeffs[nonzero]
         values = (self.left._rows(d1)[:monomial_count(n1, d)] @ coeffs

@@ -20,6 +20,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linprog
 
 import nprox.functionals
 from nprox.functionals import (
@@ -28,6 +29,7 @@ from nprox.functionals import (
     KerginCondition,
     PointEval,
     Tensor,
+    _hull_weights,
     rhs,
     rows,
 )
@@ -1472,29 +1474,37 @@ def test_a_kergin_level_shares_one_line_rule_and_one_call():
 
 
 def test_a_pole_inside_the_knot_span_raises_on_the_locus():
-    # the quadrature points straddle the pole; the span test names a point
-    # between the nodes whose images bound the span
-    # the bare pair's span is [-1, 1] + [0, 2], so its point sits at 0.425
-    # of the way between the nodes (-1, 0) and (1, 2)
+    # the quadrature points straddle the pole; one hull test names a point
+    # of the support on the locus, for the line rules (the bare reciprocal)
+    # and for the cubature rules (its _no_ridge twin) on the same supports
+    # the bare pair's span is [-1, 1] + [0, 2] along x + y
     pair = Tensor(KerginCondition((2,), [[-1.0], [0.0], [1.0]]),
                   KerginCondition((2,), [[0.0], [2.0], [1.0]]))
+    line = nodes_by_name("real_leja", 6).reshape(-1, 1)
     cases = [
-        (kergin_projector(nodes_by_name("real_leja", 6).reshape(-1, 1)).apply,
-         Affine([0.5], -0.1)),
+        (kergin_projector(line).apply, Affine([0.5], -0.1)),
         (kergin_projector(_planar(nodes_by_name("leja_disk", 6))).apply, Affine([0.5, 0.5], -0.2)),
         (kergin_projector(nodes_by_name("real_leja", 4)).newton_product(_cheb_leja(4))
          .newton_product(kergin_projector(nodes_by_name("real_leja", 4))).apply,
          Affine([0.5, 0.25, -0.3], -0.1)),
         (lambda f: rhs([pair], f), Affine([1.0, 1.0], -0.7)),
+        (kergin_projector(line).apply, Affine([1.0], -line[3, 0])),  # on a node
     ]
     for apply, pole in cases:
-        with pytest.raises(PoleOnSupportError) as info:
-            apply(Recip(pole))
-        err = info.value
-        assert np.array_equal(err.coeffs, pole.coeffs) and err.const == pole.const
-        assert abs(pole.eval(err.point)) < 1e-12
-        again = pickle.loads(pickle.dumps(err))
-        assert str(again) == str(err) and np.array_equal(again.point, err.point)
+        for f in (Recip(pole), _no_ridge(Recip(pole))):
+            with pytest.raises(PoleOnSupportError) as info:
+                apply(f)
+            err = info.value
+            assert np.array_equal(err.coeffs, pole.coeffs) and err.const == pole.const
+            assert abs(pole.eval(err.point)) < 1e-12
+            again = pickle.loads(pickle.dumps(err))
+            assert str(again) == str(err) and np.array_equal(again.point, err.point)
+    # 1e-3 past the end of the span both paths still integrate
+    for apply, pole in [(kergin_projector(line).apply, Affine([1.0], -1.001)),
+                        (lambda f: rhs([pair], f), Affine([1.0, 1.0], -3.001))]:
+        for f in (Recip(pole), _no_ridge(Recip(pole))):
+            got = apply(f)
+            assert np.all(np.isfinite(getattr(got, "coeffs", got)))
 
 
 def test_nested_kergin_tensor_pairs_convolve_their_line_rules(monkeypatch):
@@ -1658,3 +1668,49 @@ def test_a_pole_just_outside_the_nodes_hull_still_integrates():
     g = Recip(Affine([1.0, 1.0], -2.2))
     got = pair.apply_to_function(_no_ridge(g))
     assert abs(got - pair.apply_to_function(g)) < 1e-4 * abs(got)
+
+
+def _hull_distance(u):
+    """Oracle: the least s with ``|Re w @ u|, |Im w @ u| <= s`` over convex w.
+
+    s = 0 is the feasibility of ``w @ u = 0, sum(w) = 1, w >= 0``; above 0,
+    s is the max-norm distance from 0 to hull(u), at most the Euclidean one
+    and at least its 1/sqrt(2).
+    """
+    k = u.size
+    parts = np.vstack([u.real, -u.real, u.imag, -u.imag])
+    res = linprog(np.append(np.zeros(k), 1.0),
+                  A_ub=np.hstack([parts, -np.ones((4, 1))]), b_ub=np.zeros(4),
+                  A_eq=np.append(np.ones(k), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0, None)] * (k + 1))
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_hull_weights_agree_with_a_linear_program(kind):
+    # tol sits far above the solver's feasibility tolerance (1e-7), so the
+    # oracle tells the sets apart; a set within 10 tol of the boundary at
+    # distance tol (between tol / 10 and 10 tol in the max-norm) is skipped
+    tol = 1e-6
+    rng = np.random.default_rng(7 if kind == "real" else 8)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        k = int(rng.integers(1, 13))
+        if kind == "real":  # collinear along the real axis, as on a line rule
+            u = rng.normal(size=k) + 2 * rng.normal() + 0j
+        else:
+            u = rng.normal(size=k) + rng.normal() + 1j * (rng.normal(size=k) + rng.normal())
+        if rng.random() < 0.1:
+            u[rng.integers(k)] = 0.0  # 0 on a value
+        distance = _hull_distance(u)
+        if tol / 10 < distance <= 10 * tol:
+            continue
+        inside = distance <= tol / 10
+        weights = _hull_weights(u, tol)
+        assert (weights is not None) == inside, (u, distance)
+        seen[inside] += 1
+        if inside:
+            assert np.all(weights >= 0) and abs(weights.sum() - 1.0) < 1e-12
+            assert abs(weights @ u) <= tol
+    assert min(seen.values()) >= 50, seen
