@@ -88,7 +88,8 @@ def run_project(cfg):
         {"degree": proj.degree,
          "nvars": proj.nvars,
          "coeff_count": int(result.coeffs.size),
-         "level_conds": [float(c) for c in proj.level_conds]},
+         "level_conds": [float(c) for c in proj.level_conds],
+         "level_cond_bounds": proj.level_cond_bounds},
     )
     return report, (proj, result)
 

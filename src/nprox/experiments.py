@@ -134,13 +134,13 @@ def _row(d, sup, seconds):
 def _degree_step(spec: dict, degree: int, f, exactness) -> tuple:
     """One degree of a sweep: the build, its nesting gate, right-hand side and solve.
 
-    Returns the projection of f, the seconds these took and the projector's
-    ``level_conds``.
+    Returns the projection of f, the seconds these took, and the projector's
+    ``level_conds`` as ``(estimate, whether an SVD read it)`` pairs.
     """
     tick = time.perf_counter()
     proj = projector_from_spec(spec, degree)
     approx = proj.apply(f, exactness=exactness)
-    return approx, time.perf_counter() - tick, proj.level_conds
+    return approx, time.perf_counter() - tick, list(zip(proj.level_conds, proj.svd_levels()))
 
 
 def _sweep_workers(degrees, nvars: int) -> int:
@@ -188,7 +188,9 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     All degrees are then evaluated on the samples in one batch, from one
     monomial table per leaf of the compact (``evaluate_grid``), whose time
     is the metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the
-    largest leading-block condition estimate of the projectors applied.
+    largest leading-block condition estimate of the projectors applied, and
+    ``level_cond_max_exact`` says whether an SVD read it (true) or it is a
+    certified bound that stood in for one (``NewtonProduct._cond_bounds``).
     """
     t0 = time.perf_counter()
     model = parse_compact(config.compact)
@@ -212,7 +214,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
         finally:
             pool.shutdown(cancel_futures=True)
     approxs, seconds, conds = zip(*steps)
-    cond_max = max(max(c) for c in conds)
+    cond_max, cond_exact = max(pair for levels in conds for pair in levels)
     tick = time.perf_counter()
     values = evaluate_grid(approxs, blocks)
     eval_s = time.perf_counter() - tick
@@ -227,6 +229,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
         "fit_stderr": stderr,
         "grid": config.grid,
         "level_cond_max": cond_max,
+        "level_cond_max_exact": cond_exact,
     }
     if config.expected_rho is not None:
         metadata["expected_rate"] = 1.0 / config.expected_rho

@@ -584,25 +584,49 @@ def _check_hull_poles(conditions, f: TestFunction):
     values at the nodes, and a tensor pair's product of simplices onto the
     hull of the sums of its factors' values, so the pole meets the support
     exactly when 0 lies in that hull (to the tolerance of ``Recip``'s own
-    test).  The error names a point of the support on the pole locus.
-    Conditions with equal rule keys share their support and are tested once.
+    test).  A tensor pair's values are the broadcast sums of its factors'
+    (``_pole_values``); only an error builds the support, to name a point
+    of it on the pole locus.  Conditions with equal rule keys share their
+    support and are tested once.
     """
     poles = f.poles()
     if not poles:
         return
+    forms = [(coeffs, const, 1e-12 * (1.0 + float(np.sum(np.abs(coeffs))) + abs(const)), {})
+             for coeffs, const in poles]
     seen = set()
     for mu in conditions:
         key = mu._rule_key()
         if key in seen:
             continue
         seen.add(key)
-        pieces = mu._support()
-        for coeffs, const in poles:
-            tol = 1e-12 * (1.0 + float(np.sum(np.abs(coeffs))) + abs(const))
-            for piece, values in zip(pieces, pieces @ coeffs + const):
+        for coeffs, const, tol, memo in forms:
+            for p, values in enumerate(_pole_values(mu, coeffs, const, memo)):
                 weights = _hull_weights(values, tol)
                 if weights is not None:
-                    raise PoleOnSupportError(coeffs, const, weights @ piece)
+                    raise PoleOnSupportError(coeffs, const, weights @ mu._support()[p])
+
+
+def _pole_values(mu: Functional, coeffs: np.ndarray, const, memo: dict,
+                 start: int = 0) -> np.ndarray:
+    """The affine form ``coeffs . z + const`` on ``mu._support()``, ``(pieces, points)``.
+
+    ``mu`` reads variables ``start`` on of the form's, and ``const`` is 0
+    unless ``start`` is.  A tensor pair's values are the broadcast sums of
+    its factors', in the order of ``Tensor._support``, with no joined point
+    built; ``memo`` keeps each factor's values by its first variable and
+    rule key, so pairs that share a factor compute its values once.
+    """
+    if not isinstance(mu, Tensor):
+        return mu._support() @ coeffs[start:start + mu.nvars] + const
+    parts = []
+    for factor, lo in ((mu.left, start), (mu.right, start + mu.left.nvars)):
+        key = (lo, factor._rule_key())
+        if key not in memo:
+            memo[key] = _pole_values(factor, coeffs, const if lo == 0 else 0.0, memo, lo)
+        parts.append(memo[key])
+    a, b = parts
+    return (a[:, None, :, None] + b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def _hull_weights(u: np.ndarray, tol: float):

@@ -33,7 +33,8 @@ SUBCOMMAND_CASES = [
     ("project", {"projector": {"kind": "lagrange", "nodes": "real_leja"},
                  "degree": 4, "function": ["exp", ["affine", [1.0], 0.0]]}, 0,
      {"project.csv": "rank,re,im",
-      "project.json": {"coeff_count", "degree", "level_conds", "nvars"}}),
+      "project.json": {"coeff_count", "degree", "level_cond_bounds", "level_conds",
+                       "nvars"}}),
     ("converge", {"name": "conv",
                   "projector": {"kind": "lagrange", "nodes": "real_leja"},
                   "function": ["exp", ["affine", [1.0], 0.0]],

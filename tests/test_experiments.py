@@ -98,6 +98,22 @@ def test_config_rejects_a_bad_exactness(bad):
     assert small_config(exactness=0).exactness == 0
 
 
+def test_level_cond_max_says_whether_an_svd_read_it():
+    # a degree-16 product (153 conditions) certifies every level on its
+    # bound, so its largest entry is a bound; below it every level is an SVD
+    product = {"kind": "newton_product",
+               "factors": [{"kind": "lagrange", "nodes": "chebyshev_leja"}] * 2}
+    for degrees, exact in (([4, 8], True), ([14, 16], False)):
+        cfg = small_config(projector=product, function=["exp", ["affine", [1.0, 0.5], 0.0]],
+                           compact={"kind": "product", "factors": ["interval", "interval"]},
+                           degrees=degrees)
+        metadata = convergence_run(cfg).metadata
+        top = projector_from_spec(cfg.projector, degrees[-1])
+        assert metadata["level_cond_max"] == max(top.level_conds)
+        assert metadata["level_cond_max_exact"] is exact
+        assert all(top.svd_levels()) is exact
+
+
 def test_convergence_entire_function_decreases_fast():
     cfg = small_config(degrees=[2, 4, 6, 8])
     report = convergence_run(cfg)

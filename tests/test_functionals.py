@@ -29,7 +29,9 @@ from nprox.functionals import (
     KerginCondition,
     PointEval,
     Tensor,
+    _check_hull_poles,
     _hull_weights,
+    _kergin_order,
     rhs,
     rows,
 )
@@ -68,6 +70,7 @@ from nprox.zoo import (
     lagrange_projector,
     nodes_by_name,
     orthogonal_projector,
+    projector_from_spec,
     taylor_projector,
 )
 
@@ -1714,3 +1717,88 @@ def test_hull_weights_agree_with_a_linear_program(kind):
             assert np.all(weights >= 0) and abs(weights.sum() - 1.0) < 1e-12
             assert abs(weights @ u) <= tol
     assert min(seen.values()) >= 50, seen
+
+
+def _joined_pole_point(conditions, f):
+    """Oracle: the pole test on every joined support point, or None.
+
+    Each distinct condition's ``_support()`` times each pole form, as the
+    pole test read it before tensor pairs summed their factors' values;
+    returns the point the first hit names.
+    """
+    seen = set()
+    for mu in conditions:
+        if mu._rule_key() in seen:
+            continue
+        seen.add(mu._rule_key())
+        pieces = mu._support()
+        for coeffs, const in f.poles():
+            tol = 1e-12 * (1.0 + float(np.sum(np.abs(coeffs))) + abs(const))
+            for piece, values in zip(pieces, pieces @ coeffs + const):
+                weights = _hull_weights(values, tol)
+                if weights is not None:
+                    return weights @ piece
+    return None
+
+
+def _pole_point(conditions, f):
+    """The point ``_check_hull_poles`` names, or None if it passes."""
+    try:
+        _check_hull_poles(conditions, f)
+    except PoleOnSupportError as err:
+        return err.point
+    return None
+
+
+def test_tensor_pole_values_decide_as_the_joined_supports():
+    # the nested-Kergin product of CI: a pole far off (c = -3) and one on the
+    # supports (c = -0.1), as one pole and as two
+    spec = {"kind": "newton_product",
+            "factors": [{"kind": "newton_product",
+                         "factors": [{"kind": "kergin", "nodes": "real_leja"},
+                                     {"kind": "lagrange", "nodes": "chebyshev_leja"}]},
+                        {"kind": "kergin", "nodes": "real_leja"}]}
+    proj = projector_from_spec(spec, 10)
+    conditions = [mu for mu in proj.conditions if _kergin_order(mu)]
+    far, near = (Recip(Affine([0.5, 0.25, -0.3], c)) for c in (-3.0, -0.1))
+    for f, hit in ((far, False), (near, True), (Sum([far, near]), True),
+                   (Sum([near, far]), True)):
+        want = _joined_pole_point(conditions, f)
+        got = _pole_point(conditions, f)
+        assert (got is not None) == (want is not None) == hit
+        if hit:  # the same point, up to the rounding of the summed values
+            assert np.max(np.abs(got - want)) <= 1e-12
+    # random tensor pairs (nested ones too) around the LP oracle's boundary:
+    # the joined values decide, within the oracle's margin, as the sums do
+    rng = np.random.default_rng(9)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        complex_nodes = trial % 2 == 1
+
+        def kergin(nvars):
+            k = int(rng.integers(1, 4))
+            nodes = rng.normal(size=(k, nvars))
+            if complex_nodes:
+                nodes = nodes + 1j * rng.normal(size=(k, nvars))
+            return KerginCondition((k - 1,) + (0,) * (nvars - 1), nodes)
+
+        mu = Tensor(kergin(1), kergin(int(rng.integers(1, 3))))
+        if trial % 3 == 0:
+            # one factor on both sides: its values differ by offset and constant
+            mu = Tensor(mu, kergin(1)) if trial % 6 == 0 else Tensor(mu.left, mu)
+        coeffs = rng.normal(size=mu.nvars)
+        joined = mu._support()[0] @ coeffs
+        const = -joined[int(rng.integers(joined.size))] + rng.normal() * 0.3
+        f = Recip(Affine(coeffs, const))
+        distance = _hull_distance(joined + const)
+        tol = 1e-12 * (1.0 + float(np.sum(np.abs(coeffs))) + abs(const))
+        if tol / 10 < distance <= 10 * tol:
+            continue
+        got = _pole_point([mu], f)
+        want = _joined_pole_point([mu], f)
+        assert (got is None) == (want is None) == (distance > tol)
+        seen[got is not None] += 1
+        if got is not None:
+            assert abs(coeffs @ got + const) <= 4 * tol
+    assert min(seen.values()) >= 50, seen
+

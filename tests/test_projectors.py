@@ -16,6 +16,7 @@ from nprox.polynomials import Polynomial, coeff_distance, tensor_product
 from nprox.projectors import (
     BSet,
     NestedUnisolvenceFailure,
+    NewtonProduct,
     NewtonStructuredProjector,
 )
 from nprox.testfunctions import Affine, Exp, PolynomialFunction, Recip
@@ -345,6 +346,110 @@ def test_gate_takes_real_svds_of_a_real_matrix(monkeypatch):
     handed.clear()
     lagrange_projector(nodes_by_name("leja_disk", 6))
     assert handed == [np.dtype(np.complex128)] * 7
+
+
+# -- the certified product gate --------------------------------------------------
+
+
+def cheb_leja_product(d, cond_threshold=1e12):
+    cheb = lagrange_projector(nodes_by_name("chebyshev_leja", d))
+    return cheb.newton_product(cheb, cond_threshold=cond_threshold)
+
+
+def cylinder_product(d, cond_threshold=1e12):
+    planar, line = cylinder_nodes(d)
+    return kergin_projector(planar).newton_product(lagrange_projector(line),
+                                                   cond_threshold=cond_threshold)
+
+
+def ungated_products(case):
+    """Products with the gate off, so ``level_conds`` are every level's SVD value."""
+    if case.startswith("zoo"):
+        return [P for P in gate_zoo(int(case[3:])) if isinstance(P, NewtonProduct)
+                and not isinstance(P.left, NewtonProduct)]
+    if case == "chebyshev_leja":
+        return [cheb_leja_product(d, None) for d in range(2, 31)]
+    return [cylinder_product(d, None) for d in range(2, 13)]
+
+
+@pytest.mark.parametrize("case", ["zoo3", "zoo8", "zoo14", "chebyshev_leja", "cylinder"])
+def test_factor_bounds_hold_the_svd_estimates(case):
+    # complex nodes, Taylor, orthogonal and Kergin factors, ungated factors up
+    # to cond 1e17 in the zoo, and blocks past 1e12 in the d=30 product
+    products = ungated_products(case)
+    assert len(products) >= 11
+    for P in products:
+        bounds = np.array(P._factor_bounds())
+        assert np.all(bounds >= np.array(P.level_conds) * (1 - 1e-12))
+        assert bounds[0] == pytest.approx(1.0)
+
+
+def gate_outcome(P):
+    """``(level_conds, None)`` if P's gate passes at its threshold, else ``(None, message)``."""
+    try:
+        return P._check_nesting(), None
+    except NestedUnisolvenceFailure as err:
+        return None, str(err)
+
+
+@pytest.mark.parametrize("build, d, lowest", [(cheb_leja_product, 20, 0),
+                                              (cylinder_product, 8, 0),
+                                              (cheb_leja_product, 28, 23)],
+                         ids=["chebyshev_leja20", "cylinder8", "chebyshev_leja28"])
+def test_certified_gate_decides_as_the_svd_gate(monkeypatch, build, d, lowest):
+    # thresholds just above and below each level's SVD value: the certified
+    # gate passes or fails where the SVD gate does, with its message.  At
+    # d=28 the sweep starts at level 23, the last certified one at 1e12
+    P = build(d, None)
+    exact = list(P.level_conds)
+    certified = 0
+    for j in range(lowest, d + 1):
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            P.cond_threshold = exact[j] * factor
+            with monkeypatch.context() as m:
+                m.setattr(P, "_cond_bounds", lambda: None)
+                want, want_error = gate_outcome(P)
+            got, error = gate_outcome(P)
+            assert error == want_error
+            if got is None:
+                assert error.startswith(f"{P._level_name(j if factor < 1 else j + 1)}: ")
+                continue
+            for k, svd in enumerate(P.svd_levels()):
+                if svd:
+                    assert got[k] == want[k]
+                else:
+                    assert got[k] == P.level_cond_bounds[k] >= want[k] * (1 - 1e-12)
+                    assert got[k] * nprox.projectors._BOUND_MARGIN < P.cond_threshold
+                    certified += 1
+    assert certified > 0
+
+
+def test_certified_levels_take_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.ndim)
+        return svd(x, *args, **kwargs)
+
+    cheb = lagrange_projector(nodes_by_name("chebyshev_leja", 28))
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    prod = cheb.newton_product(cheb)
+    uncertified = sum(prod.svd_levels())
+    # one 2-d call per uncertified level; the factor norms are stacked (3-d)
+    assert calls.count(2) == uncertified == 5
+    assert prod.svd_levels() == [False] * 24 + [True] * 5
+    for k in range(24):
+        assert prod.level_conds[k] == prod.level_cond_bounds[k]
+    assert max(prod.level_conds) == prod.level_conds[-1] > 1e11
+    # the SVD path keeps no bounds: gate off, too small, or a nested product
+    assert cheb.newton_product(cheb, cond_threshold=None).level_cond_bounds is None
+    small = lagrange_projector(nodes_by_name("chebyshev_leja", 8))
+    assert small.newton_product(small).level_cond_bounds is None
+    assert all(small.newton_product(small).svd_levels())
+    nested = small.newton_product(small).newton_product(small)  # 165 conditions
+    assert len(nested.conditions) >= nprox.projectors._BOUND_CONDITIONS
+    assert nested.level_cond_bounds is None
 
 
 def test_polynomial_rhs_reads_the_collocation_rows():
