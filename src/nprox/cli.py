@@ -21,7 +21,7 @@ import numpy as np
 from .config import read_config, read_points
 from .experiments import (RATE_HEADER, ExperimentConfig, TableReport, convergence_run,
                           cylinder_run, polya_bisect, polya_run, report_write)
-from .extremal import parse_compact, rho_estimate
+from .extremal import above_floor, parse_compact, rho_estimate
 from .growth import gelfond_constant, omega_density, parse_norm
 from .measures import gram_schmidt_basis, parse_measure
 from .points import leja_greedy_gap
@@ -113,6 +113,11 @@ def run_converge(cfg):
 
 
 def check_converge(report):
+    # fit_decay_rate's off-scale rate 0.0 means converged only if some
+    # degree reached the roundoff floor; otherwise the sweep was too short
+    clean = above_floor([r["sup_error"] for r in report.rows]).size
+    if report.rate == 0.0 and clean == len(report.rows):
+        return f"rate off-scale: {clean} degrees above the roundoff floor, none at it"
     expected_rho = report.config.get("expected_rho")
     if expected_rho is not None:
         want = 1.0 / expected_rho
@@ -214,14 +219,17 @@ def run_rho(cfg):
         "floor_hit": est.floor_hit,
         "dmax": dmax,
     })
-    return report, (est.rho, cfg["expected_rho"])
+    return report, (est, cfg["expected_rho"])
 
 
 def check_rho(facts):
-    rho, expected = facts
+    est, expected = facts
+    rho = est.rho
     if expected is not None:
         if math.isinf(rho) or abs(rho - expected) > 0.10 * expected:
             return f"rho {rho}, expected {expected}"
+    elif math.isinf(rho) and not est.floor_hit:
+        return f"rho off-scale: {len(est.errors)} degrees above the roundoff floor, none at it"
     elif not (math.isinf(rho) or rho > 1.0):
         return f"rho {rho} not above 1"
     return None

@@ -234,7 +234,7 @@ SCHEMA = {
                 "omega": Key("float", 1.0, excludes="omegas"),
                 "name": Key("str", "gelfond")},
     "rho": {"compact": Key("json"), "function": Key("json"), "measure": Key("json"),
-            "dmax": Key("int", 24), "grid": Key("int", 256),
+            "dmax": Key("int", 24, low=0), "grid": Key("int", 256, low=1),
             "expected_rho": Key("float", None), "name": Key("str", "rho")},
     "density": {"sequence": Key("json"), "norm": Key("json", None),
                 "omega": Key("float", 1.0), "rmax": Key("float", None),

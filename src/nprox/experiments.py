@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import read_config
+from .config import REQUIRED, SCHEMA, read_config
 from .extremal import fit_decay_rate, parse_compact
 from .indexing import monomial_count
 from .points import cartesian
@@ -55,45 +55,25 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS
 class ExperimentConfig:
     """Validated bundle of everything a sweep needs.
 
-    The keyword fields are the keys of the ``converge`` entry of
-    ``config.SCHEMA``, read by the same rule as a JSON config: name,
-    projector spec (possibly a newton_product composition), function tree,
-    compact model, a non-empty strictly increasing list of nonnegative
-    degrees, per-axis grid resolution (at least 64), optional quadrature
-    exactness and expected rate parameter.
+    The keyword fields, their types, defaults and ranges are the keys of the
+    ``converge`` entry of ``config.SCHEMA``, read by ``read_config`` as a
+    JSON config is; each becomes an attribute.  The degrees must also
+    strictly increase.
     """
 
     def __init__(self, **fields):
-        cfg = read_config("converge", fields)
-        self.name = cfg["name"]
-        self.projector = cfg["projector"]
-        self.function = cfg["function"]
-        self.compact = cfg["compact"]
-        self.degrees = cfg["degrees"]
-        self.grid = cfg["grid"]
-        self.exactness = cfg["exactness"]
-        self.expected_rho = cfg["expected_rho"]
+        vars(self).update(read_config("converge", fields))
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
             raise ValueError("degrees must be strictly increasing")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        return cls(**read_config("converge", obj))
+        return cls(**obj)
 
     def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "projector": self.projector,
-            "function": self.function,
-            "compact": self.compact,
-            "degrees": self.degrees,
-            "grid": self.grid,
-        }
-        if self.exactness is not None:
-            out["exactness"] = self.exactness
-        if self.expected_rho is not None:
-            out["expected_rho"] = self.expected_rho
-        return out
+        """Every required key, and each optional one whose value is not None."""
+        return {name: getattr(self, name) for name, key in SCHEMA["converge"].items()
+                if key.default is REQUIRED or getattr(self, name) is not None}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -129,6 +109,27 @@ def _row(d, sup, seconds):
     root = sup ** (1.0 / max(d, 1)) if sup > 0 else 0.0
     return {"d": int(d), "sup_error": float(sup), "root_error": float(root),
             "seconds": float(seconds)}
+
+
+def _score(config, t0, approxs, seconds, blocks, target, metadata, extras=None):
+    """The report of a sweep whose degree-d approximations are ``approxs``.
+
+    All of them are evaluated on the Cartesian grid of ``blocks`` in one
+    batch (``evaluate_grid``), timed as the metadata's ``eval_s``; each
+    degree's row holds its sup error against ``target`` there and its
+    ``seconds``, and the rate is fitted to the sup errors.  The metadata
+    also gains ``config_hash``, ``fit_stderr`` and ``wall_time_s`` (since
+    ``t0``) ahead of the sweep's own ``metadata``.
+    """
+    tick = time.perf_counter()
+    values = evaluate_grid(approxs, blocks)
+    eval_s = time.perf_counter() - tick
+    rows = [_row(d, float(np.max(np.abs(target - col))), s)
+            for d, col, s in zip(config.degrees, values.T, seconds)]
+    rate, stderr, _ = fit_decay_rate(config.degrees, [r["sup_error"] for r in rows])
+    head = {"config_hash": config.config_hash(), "wall_time_s": time.perf_counter() - t0,
+            "eval_s": eval_s, "fit_stderr": stderr}
+    return ExperimentReport(config.to_json(), rows, rate, {**head, **metadata}, extras)
 
 
 def _degree_step(spec: dict, degree: int, f, exactness) -> tuple:
@@ -215,25 +216,11 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
             pool.shutdown(cancel_futures=True)
     approxs, seconds, conds = zip(*steps)
     cond_max, cond_exact = max(pair for levels in conds for pair in levels)
-    tick = time.perf_counter()
-    values = evaluate_grid(approxs, blocks)
-    eval_s = time.perf_counter() - tick
-    rows = [_row(d, float(np.max(np.abs(target - col))), s)
-            for d, col, s in zip(config.degrees, values.T, seconds)]
-    rate, stderr, _ = fit_decay_rate([r["d"] for r in rows],
-                                     [r["sup_error"] for r in rows])
-    metadata = {
-        "config_hash": config.config_hash(),
-        "wall_time_s": time.perf_counter() - t0,
-        "eval_s": eval_s,
-        "fit_stderr": stderr,
-        "grid": config.grid,
-        "level_cond_max": cond_max,
-        "level_cond_max_exact": cond_exact,
-    }
+    metadata = {"grid": config.grid, "level_cond_max": cond_max,
+                "level_cond_max_exact": cond_exact}
     if config.expected_rho is not None:
         metadata["expected_rate"] = 1.0 / config.expected_rho
-    return ExperimentReport(config.to_json(), rows, rate, metadata)
+    return _score(config, t0, approxs, seconds, blocks, target, metadata)
 
 
 # -- the cylinder experiment -----------------------------------------------------
@@ -289,12 +276,7 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     planar, line = cylinder_nodes(dmax)
     prod = kergin_projector(planar).newton_product(lagrange_projector(line))
     parts = prod.truncations(f, exactness=config.exactness)
-    seconds = time.perf_counter() - tick
-    tick = time.perf_counter()
-    values = evaluate_grid([parts[d] for d in config.degrees], blocks)
-    eval_s = time.perf_counter() - tick
-    rows = [_row(d, float(np.max(np.abs(target - col))), seconds if i == 0 else 0.0)
-            for i, (d, col) in enumerate(zip(config.degrees, values.T))]
+    seconds = [time.perf_counter() - tick] + [0.0] * (len(config.degrees) - 1)
     nodes = [
         (planar[i, 0].real, planar[i, 1].real, line[j].real)
         for i in range(dmax + 1)
@@ -302,18 +284,8 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     ]
     node_pts = np.array(nodes, dtype=np.complex128)
     resid = float(np.max(np.abs(f.values(node_pts) - parts[dmax].eval_many(node_pts))))
-    rate, stderr, _ = fit_decay_rate([r["d"] for r in rows],
-                                     [r["sup_error"] for r in rows])
-    metadata = {
-        "config_hash": config.config_hash(),
-        "wall_time_s": time.perf_counter() - t0,
-        "eval_s": eval_s,
-        "fit_stderr": stderr,
-        "node_residual": resid,
-        "node_count": len(nodes),
-    }
-    return ExperimentReport(config.to_json(), rows, rate, metadata,
-                            extras={"nodes": nodes})
+    return _score(config, t0, [parts[d] for d in config.degrees], seconds, blocks, target,
+                  {"node_residual": resid, "node_count": len(nodes)}, {"nodes": nodes})
 
 
 # -- integer-node threshold experiment ---------------------------------------------

@@ -179,6 +179,13 @@ def bws_check(p: Polynomial, model: CompactModel, R: float) -> float:
     return on_level / (R**deg * on_k)
 
 
+def above_floor(errors) -> np.ndarray:
+    """Indices of the finite errors above ``_ROUNDOFF_FLOOR`` times max(1, largest error)."""
+    errors = np.asarray(errors, dtype=float)
+    cut = _ROUNDOFF_FLOOR * max(1.0, float(np.max(errors, initial=0.0)))
+    return np.flatnonzero((errors > cut) & np.isfinite(errors))
+
+
 def fit_decay_rate(degrees, errors):
     """Geometric decay rate of errors over degrees, floor-aware.
 
@@ -191,8 +198,7 @@ def fit_decay_rate(degrees, errors):
     """
     degrees = np.asarray(degrees, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    cut = _ROUNDOFF_FLOOR * max(1.0, float(np.max(errors, initial=0.0)))
-    keep = np.flatnonzero((errors > cut) & np.isfinite(errors))
+    keep = above_floor(errors)
     if keep.size < 3:
         return 0.0, 0.0, keep
     tail = keep[keep.size // 2:]
@@ -227,9 +233,9 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256) ->
     The degree-d orthogonal projections of f are the truncations of one
     degree-dmax orthogonal projector (one Gram-Schmidt pass, one right-hand
     side).  Their sup errors on the sampled compact are fit as log error
-    against degree over the tail half.  Errors below the roundoff floor are
-    excluded; if everything is floored (f is a polynomial, say) the estimate
-    is infinity.
+    against degree over the tail half.  Errors at or below the roundoff
+    floor (``above_floor``) are excluded; with fewer than five degrees above
+    it (f is a polynomial, say) the estimate is infinity.
     """
     blocks = model.sample_blocks(grid)
     target = f.values(cartesian(*blocks))
@@ -237,13 +243,12 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256) ->
     errors = [float(np.max(np.abs(target - col))) for col in values.T]
     degrees = list(range(dmax + 1))
 
-    cut = _ROUNDOFF_FLOOR * max(1.0, float(np.max(errors)))
-    clean = sum(1 for e in errors if e > cut)
+    clean = above_floor(errors).size
     floor_hit = clean < len(errors)  # some degrees converged to roundoff
-    if clean < 5:
-        # decay too fast to fit a geometric rate: polynomial or entire input
-        return RhoEstimate(degrees, errors, math.inf, 0.0, floor_hit)
-    rate, stderr, _ = fit_decay_rate(degrees, errors)
-    if rate <= 0.0:
-        return RhoEstimate(degrees, errors, math.inf, 0.0, floor_hit)
-    return RhoEstimate(degrees, errors, 1.0 / rate, stderr, floor_hit)
+    if clean >= 5:
+        rate, stderr, _ = fit_decay_rate(degrees, errors)
+        if rate > 0.0:
+            return RhoEstimate(degrees, errors, 1.0 / rate, stderr, floor_hit)
+    # too few degrees above the floor to fit: a polynomial or entire input
+    # when some degree reached it, otherwise too short a sweep
+    return RhoEstimate(degrees, errors, math.inf, 0.0, floor_hit)

@@ -7,6 +7,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from nprox.extremal import (
     CompactModel,
+    above_floor,
     bws_check,
     fit_decay_rate,
     parse_compact,
@@ -200,6 +201,13 @@ def test_fit_decay_rate_ignores_roundoff_floor():
     assert abs(rate - 0.5) < 1e-6
     # the flat tail must not be part of the fit
     assert degrees[used].max() <= 46
+
+
+def test_above_floor_cuts_relative_to_the_largest_error():
+    # the floor is 1e-13 of the largest error, or of 1 below it
+    assert list(above_floor([1e3, 2e-10, 1e-10, 0.0])) == [0, 1]
+    assert list(above_floor([1e-12, 1e-13, 1e-14])) == [0]
+    assert list(above_floor([1e-15, 1.8e-15])) == []
 
 
 def test_fit_decay_rate_too_few_points():

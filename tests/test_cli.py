@@ -144,8 +144,11 @@ CONVERGE = {"projector": {"kind": "lagrange", "nodes": "real_leja"},
      "degree must be a nonnegative integer, got 4.5"),
     ("ortho", {"measure": {"kind": "chebyshev", "mnodes": 32.9}, "degree": 4},
      "mnodes must be an integer, got 32.9"),
-    ("rho", {**RHO_CFG, "dmax": 16.9}, "dmax must be an integer, got 16.9"),
+    ("rho", {**RHO_CFG, "dmax": 16.9}, "dmax must be a nonnegative integer, got 16.9"),
     ("rho", {**RHO_CFG, "grid": "256"}, "grid must be an integer, got '256'"),
+    # these two failed inside the fit with messages that did not name the key
+    ("rho", {**RHO_CFG, "dmax": -1}, "dmax must be a nonnegative integer, got -1"),
+    ("rho", {**RHO_CFG, "grid": 0}, "grid must be at least 1, got 0"),
     ("density", {"sequence": {"kind": "integers", "count": 199.5}, "rmax": 50},
      "count must be an integer, got 199.5"),
     ("density", {"sequence": {"kind": "integers", "count": 199, "step": "1"}, "rmax": 50},
@@ -214,7 +217,8 @@ CONVERGE = {"projector": {"kind": "lagrange", "nodes": "real_leja"},
      "a combined norm takes exactly two factors"),
 ], ids=["points-count-float", "points-count-bool", "polya-dmax-str", "polya-lambda-str",
         "polya-bisect-str", "gelfond-omegas-str", "ortho-degree-float",
-        "ortho-mnodes-float", "rho-dmax-float", "rho-grid-str", "density-count-float",
+        "ortho-mnodes-float", "rho-dmax-float", "rho-grid-str", "rho-dmax-negative",
+        "rho-grid-zero", "density-count-float",
         "density-step-str", "density-nvars-float", "project-degree-float",
         "project-degree-bool", "project-taylor-nvars-float", "cylinder-degrees-float",
         "cylinder-grid-float", "converge-expected_rho-str", "project-planar-str",
@@ -395,6 +399,36 @@ def test_converge_check_fails_on_wrong_expectation(tmp_path):
         "expected_rho": 100.0,
     }
     assert run(tmp_path, "converge", cfg, "--check") == 2
+
+
+# a pole at 1.05, just off [-1, 1]
+NEAR_POLE = ["recip", ["affine", [1.0], -1.05]]
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    # sup errors 13.5 and 10.5: the unfitted rate 0.0 read as convergence
+    ("converge", {"projector": {"kind": "lagrange", "nodes": "chebyshev"},
+                  "function": NEAR_POLE, "compact": "interval", "degrees": [2, 3]},
+     "rate off-scale: 2 degrees above the roundoff floor, none at it"),
+    # errors 16.9, 12.3 and 9.0: the null rho read as an entire function
+    ("rho", {"function": NEAR_POLE, "compact": "interval",
+             "measure": {"kind": "chebyshev", "mnodes": 64}, "dmax": 2},
+     "rho off-scale: 3 degrees above the roundoff floor, none at it"),
+], ids=["converge", "rho"])
+def test_check_fails_a_sweep_too_short_to_fit(tmp_path, capsys, command, cfg, message):
+    assert run(tmp_path, command, cfg, "--check") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_converge_check_passes_a_short_sweep_at_the_roundoff_floor(tmp_path):
+    # exp(x) at degrees 20 and 24 reads 1.3e-15 and 1.8e-15: converged
+    cfg = {"name": "exp_floor", "projector": {"kind": "lagrange", "nodes": "chebyshev"},
+           "function": ["exp", ["affine", [1.0], 0.0]], "compact": "interval",
+           "degrees": [20, 24]}
+    assert run(tmp_path, "converge", cfg, "--check") == 0
+    report = json.loads((tmp_path / "out" / "exp_floor.json").read_text())
+    assert max(r["sup_error"] for r in report["rows"]) < 1e-13
+    assert report["rate"] == 0.0
 
 
 def test_polya_verdicts(tmp_path):

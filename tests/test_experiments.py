@@ -83,6 +83,37 @@ def test_config_json_round_trip():
     assert again.expected_rho == 2.5
 
 
+def test_config_hash_is_pinned():
+    # the hash keys reports across versions; a change of field list or
+    # serialisation must not move it
+    assert small_config().config_hash() == "42329ed953687191"
+    rate_biv = small_config(
+        name="rate_biv",
+        projector={"kind": "newton_product", "factors": [
+            {"kind": "lagrange", "nodes": "chebyshev_leja"},
+            {"kind": "lagrange", "nodes": "chebyshev_leja"}]},
+        function=["product", ["recip", ["affine", [1.0, 0.0], -2.0]],
+                  ["recip", ["affine", [0.0, 1.0], -5.0]]],
+        compact={"kind": "product", "factors": ["interval", "interval"]},
+        degrees=list(range(2, 30, 2)), expected_rho=3.732050807568877)
+    assert rate_biv.config_hash() == "cef7347bb08b08fb"
+
+
+def test_config_to_json_keeps_required_nulls_and_drops_optional_ones():
+    # a cylinder config has no projector or compact, and says so
+    cyl = ExperimentConfig(name="cyl", projector=None, compact=None,
+                           function=["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+                           degrees=[2, 3], grid=64)
+    assert cyl.to_json() == {"name": "cyl", "projector": None, "compact": None,
+                             "function": ["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+                             "degrees": [2, 3], "grid": 64}
+    assert set(small_config().to_json()) == {
+        "name", "projector", "function", "compact", "degrees", "grid"}
+    assert set(small_config(exactness=0, expected_rho=2.5).to_json()) == {
+        "name", "projector", "function", "compact", "degrees", "grid",
+        "exactness", "expected_rho"}
+
+
 def test_config_rejects_unknown_keys():
     cfg = small_config().to_json()
     cfg["expected_rh0"] = 2.5
