@@ -112,10 +112,27 @@ def run_converge(cfg):
     return report, report
 
 
+def check_finite(degrees, errors):
+    """The first degree whose sup error is not finite, as a failure, or None.
+
+    An inf or NaN error would otherwise pass: ``above_floor`` cuts relative
+    to the largest error, so an inf leaves no degree above the floor, and
+    every comparison with a NaN is False.
+    """
+    for d, e in zip(degrees, errors):
+        if not math.isfinite(e):
+            return f"sup error {e} at degree {d}"
+    return None
+
+
 def check_converge(report):
+    sups = [r["sup_error"] for r in report.rows]
+    bad = check_finite([r["d"] for r in report.rows], sups)
+    if bad:
+        return bad
     # fit_decay_rate's off-scale rate 0.0 means converged only if some
     # degree reached the roundoff floor; otherwise the sweep was too short
-    clean = above_floor([r["sup_error"] for r in report.rows]).size
+    clean = above_floor(sups).size
     if report.rate == 0.0 and clean == len(report.rows):
         return f"rate off-scale: {clean} degrees above the roundoff floor, none at it"
     expected_rho = report.config.get("expected_rho")
@@ -136,6 +153,9 @@ def run_cylinder(cfg):
 
 def check_cylinder(report):
     sups = [r["sup_error"] for r in report.rows]
+    bad = check_finite([r["d"] for r in report.rows], sups)
+    if bad:
+        return bad
     if any(b >= a for a, b in zip(sups, sups[1:])):
         return "sup errors not strictly decreasing"
     resid = report.metadata.get("node_residual")
@@ -224,6 +244,9 @@ def run_rho(cfg):
 
 def check_rho(facts):
     est, expected = facts
+    bad = check_finite(est.degrees, est.errors)
+    if bad:
+        return bad
     rho = est.rho
     if expected is not None:
         if math.isinf(rho) or abs(rho - expected) > 0.10 * expected:

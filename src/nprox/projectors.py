@@ -29,14 +29,16 @@ The nesting gate takes one SVD per leading block, at O(n^3).  A product
 of at least ``_BOUND_CONDITIONS`` conditions first bounds every level from
 its factors: the inverse of its level-k block is the sum over i of the
 Kronecker products of the left factor's level-i summand map and the right
-factor's level-(k - i) block inverse, so ``||D^-1 A_k||_F`` times a sum of
-products of factor inverse norms bounds the block's condition estimate
-(``NewtonProduct._factor_bounds``).  A level whose bound is
-``_BOUND_MARGIN`` times under the threshold passes without its SVD and
-reports the bound in ``level_conds``; every other level takes its SVD,
-which decides as before, so the gate fails at the same level with the same
-message.  ``level_cond_bounds`` keeps every bound (None where the gate took
-SVDs only), and ``svd_levels()`` says which entries an SVD read.
+factor's level-(k - i) block inverse.  Its Frobenius norm under the
+factors' row scales is therefore exact from the factors' Gram tensors,
+Frobenius inner products of those maps, and ``||D^-1 A_k||_F`` times it
+bounds the block's condition estimate (``NewtonProduct._factor_bounds``).
+A level whose bound is ``_BOUND_MARGIN`` times under the threshold passes
+without its SVD and reports the bound in ``level_conds``; every other
+level takes its SVD, which decides as before, so the gate fails at the
+same level with the same message.  ``level_cond_bounds`` keeps every bound
+(None where the gate took SVDs only), and ``svd_levels()`` says which
+entries an SVD read.
 
 Each solve is numpy's LAPACK ``gesv`` (an LU factorization, then the two
 triangular solves) on the row-equilibrated leading block, factored on each
@@ -118,26 +120,31 @@ _STACK_CONDITIONS = 16
 # thread, 2-core Xeon, numpy 2.4, medians of 41 calls, every level certified:
 #
 #     product, conditions                    SVD per level   bounds
-#     Chebyshev-Leja^2 d=8, 45                    0.35 ms    0.59 ms
-#     Chebyshev-Leja^2 d=10, 66                   0.8 ms     0.8 ms
-#     Chebyshev-Leja^2 d=12, 91                   1.4 ms     1.2 ms
-#     Chebyshev-Leja^2 d=14, 120                  2.9 ms     1.7 ms
-#     disk Kergin x Taylor d=14, 120 (complex)    4.9 ms     1.8 ms
-#     cylinder d=8, 165                           3.4 ms     1.4 ms
-#     Chebyshev-Leja^2 d=16, 153                  5.0 ms     2.3 ms
-#     Chebyshev-Leja^2 d=20, 231                 16-20 ms    3.9-5.6 ms
-#     cylinder d=10, 286                         12.8 ms     3.1 ms
+#     Chebyshev-Leja^2 d=4, 15                    0.13 ms    0.30 ms
+#     Chebyshev-Leja^2 d=6, 28                    0.27 ms    0.41 ms
+#     Chebyshev-Leja^2 d=8, 45                    0.54 ms    0.52-0.57 ms
+#     Chebyshev-Leja^2 d=10, 66                   1.1 ms     0.7 ms
+#     Chebyshev-Leja^2 d=12, 91                 2.1-2.3 ms   0.9 ms
+#     Chebyshev-Leja^2 d=14, 120                  4.3 ms     1.2-1.3 ms
+#     disk Kergin x Taylor d=14, 120 (complex)    8.5 ms     1.6 ms
+#     cylinder d=8, 165                           5.0 ms     1.1-1.2 ms
+#     Chebyshev-Leja^2 d=16, 153                  7.9 ms     1.6-1.7 ms
+#     Chebyshev-Leja^2 d=20, 231                 23-24 ms    2.6-2.8 ms
+#     cylinder d=10, 286                          19 ms      2.3-2.4 ms
 #
-# They cross near 90 conditions.  150 keeps every product of the
-# benchmark's zoo (at most 120 conditions, where the SVDs cost under 5 ms a
-# product) on exact SVD values, and the sweeps' large products on bounds.
+# They cross near 45 conditions.  The benchmark's zoo builds products of 6
+# to 55 conditions, which stay on exact SVD values below 150, and the
+# sweeps' large products take bounds.
 _BOUND_CONDITIONS = 150
 # A certified level's bound, times this margin, is below the threshold.  The
 # bound is exact arithmetic on quantities that carry rounding: the factor
 # inverses are accurate to about cond x eps <= 1e-4 relative
-# (``_BOUND_FACTOR_COND``), the norms and sums to a few n x eps, and the SVD
-# estimate the bound stands in for is itself off by about cond x 1e-17 (5.6e-6
-# at 1.28e12).  A factor of 10 leaves all of these a wide berth.
+# (``_BOUND_FACTOR_COND``); the Gram sums to a few n x eps times their
+# cancellation, sum |terms| / |sum|, which reads at most 1.82 on the
+# Chebyshev-Leja^2 products d=2..30, 1.0 on the cylinder d=2..12 and 4.3 on
+# the zoo at d=3, 8 and 14; and the SVD estimate the bound stands in for is
+# itself off by about cond x 1e-17 (5.6e-6 at 1.28e12).  A factor of 10
+# leaves all of these a wide berth.
 _BOUND_MARGIN = 10.0
 # a bound reads factor inverses only where every factor estimate up to the
 # product degree is below this (and below the threshold)
@@ -191,30 +198,30 @@ def _residual_gather(nvars: tuple[int, int], degree: int, a1: int, a2: int):
     return (tuple(slices), size) + gather
 
 
-def _scaled_inverse_norms(P: "NewtonStructuredProjector", degree: int,
+def _scaled_inverse_grams(P: "NewtonStructuredProjector", degree: int,
                           summands: bool) -> np.ndarray:
-    """2-norms of a factor's leading-block inverses under its row scales.
+    """Gram tensor of a factor's leading-block inverses under its row scales.
 
-    B_i is the inverse of the level-i block, Delta_i = B_i - pad(B_{i-1})
-    (B_0 for i = 0), and S_k = diag(``P._scales[k]``), cut to the block.
-    Entry (i, k) of the ``(degree + 1, degree + 1)`` result, for
-    i <= k <= degree, is the 2-norm of Delta_i S_k with ``summands``, else
-    of B_i S_k; 0 below the diagonal.  Per level one inverse, of the
-    row-equilibrated block, and one stacked SVD over k.
+    B_i is the inverse of the level-i block, padded with zeros to
+    ``monomial_count(P.nvars, degree)`` rows and columns, Delta_i =
+    B_i - B_{i-1} (B_0 for i = 0), and S_k = diag(``P._scales[k]``).  Entry
+    (k, i, j) of the ``(degree + 1,) * 3`` result is the Frobenius inner
+    product <X_i S_k, X_j S_k>_F = trace((X_i S_k)^H X_j S_k), with X =
+    Delta under ``summands``, else B.  Only i, j <= k are meaningful: there
+    X_i and X_j vanish past the level-k block, where S_k reads 1.  One
+    inverse per level, of the row-equilibrated block, then two ``einsum``
+    contractions: over rows per column pair, then against the squared scales.
     """
     matrix = P.matrix.real if not np.any(P.matrix.imag) else P.matrix
-    out = np.zeros((degree + 1, degree + 1))
-    before = None
+    n = monomial_count(P.nvars, degree)
+    x = np.zeros((degree + 1, n, n), dtype=matrix.dtype)
     for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
         scale = P._scales[i, :m]
-        inverse = np.linalg.inv(matrix[:m, :m] / scale[:, None]) / scale
-        x = inverse
-        if summands and before is not None:
-            x = inverse.copy()
-            x[:before.shape[0], :before.shape[1]] -= before
-        before = inverse
-        out[i, i:] = np.linalg.svd(x * P._scales[i:degree + 1, None, :m], compute_uv=False)[:, 0]
-    return out
+        x[i, :m, :m] = np.linalg.inv(matrix[:m, :m] / scale[:, None]) / scale
+    if summands:
+        x = _summand_rows(x)
+    columns = np.einsum("irc,jrc->ijc", x.conj(), x, optimize=True)
+    return np.einsum("ijc,kc->kij", columns, P._scales[:degree + 1, :n] ** 2, optimize=True)
 
 
 class NestedUnisolvenceFailure(ValueError):
@@ -683,16 +690,23 @@ class NewtonProduct(NewtonStructuredProjector):
         maxima (a product of maxima bounds the maximum of products), so with
         D_k the gate's row scales and S1_k, S2_k the factors',
 
-            cond(D_k^-1 A_k) <= ||D_k^-1 A_k||_F
-                                * sum_i ||Delta1_i S1_k||_2 ||B2_{k-i} S2_k||_2.
+            cond(D_k^-1 A_k) <= ||D_k^-1 A_k||_F ||A_k^-1 (S1_k (x) S2_k)||_F.
 
-        The Frobenius norms read the product matrix once, at O(n^2); the
-        rest are ``_scaled_inverse_norms`` of the factors, which must not be
-        products themselves.  Every row scale must be positive.
+        Every Kronecker term lives inside the level-k block, and
+        <X (x) Y, X' (x) Y'>_F = <X, X'>_F <Y, Y'>_F, so the second norm is
+        exactly
+
+            ||A_k^-1 (S1_k (x) S2_k)||_F^2
+                = sum over i, j <= k of G1[k, i, j] G2[k, k - i, k - j]
+
+        with G1, G2 the factors' ``_scaled_inverse_grams`` (of Delta1 and
+        of B2), which must not be products themselves.  The first norm reads
+        the product matrix once, at O(n^2).  Every row scale must be
+        positive.
         """
         d = self.degree
-        left = _scaled_inverse_norms(self.left, d, summands=True)
-        right = _scaled_inverse_norms(self.right, d, summands=False)
+        left = _scaled_inverse_grams(self.left, d, summands=True)
+        right = _scaled_inverse_grams(self.right, d, summands=False)
         squares = np.abs(self.matrix)
         squares *= squares
         # row sums over each level's new columns, then over the levels up to k
@@ -700,7 +714,9 @@ class NewtonProduct(NewtonStructuredProjector):
                          axis=1).T
         inside = _level_rows(self.nvars, d)
         frobenius = np.sqrt(np.sum(np.where(inside, sums / self._scales ** 2, 0.0), axis=1))
-        return [float(frobenius[k] * (left[:k + 1, k] @ right[k::-1, k])) for k in range(d + 1)]
+        return [float(frobenius[k] * np.sqrt(np.sum(left[k, :k + 1, :k + 1]
+                                                    * right[k, k::-1, k::-1]).real))
+                for k in range(d + 1)]
 
     @staticmethod
     def _level_pairs(i: int) -> list[tuple[int, int]]:

@@ -8,6 +8,8 @@ import pytest
 
 from nprox import cli
 from nprox.cli import main
+from nprox.experiments import ExperimentReport
+from nprox.extremal import RhoEstimate, fit_decay_rate
 from nprox.zoo import projector_from_spec
 
 
@@ -418,6 +420,23 @@ NEAR_POLE = ["recip", ["affine", [1.0], -1.05]]
 def test_check_fails_a_sweep_too_short_to_fit(tmp_path, capsys, command, cfg, message):
     assert run(tmp_path, command, cfg, "--check") == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_checks_fail_a_nonfinite_sup_error(bad):
+    # an inf pushed the roundoff cut to inf, leaving no degree above it, and
+    # every comparison with a NaN is False: each check read the sweep as fine
+    degrees, errors = [2, 3, 4, 5], [1.0, bad, 1e-4, 1e-5]
+    rows = [{"d": d, "sup_error": e} for d, e in zip(degrees, errors)]
+    rate = fit_decay_rate(degrees, errors)[0]
+    converge = ExperimentReport({"degrees": degrees}, rows, rate)
+    cylinder = ExperimentReport({"degrees": degrees}, rows, rate, {"node_residual": 1e-14})
+    rho = RhoEstimate(degrees, errors, math.inf, 0.0, True)
+    message = f"sup error {bad} at degree 3"
+    assert cli.check_converge(converge) == message
+    assert cli.check_cylinder(cylinder) == message
+    assert cli.check_rho((rho, None)) == message
+    assert cli.check_rho((rho, 2.0)) == message
 
 
 def test_converge_check_passes_a_short_sweep_at_the_roundoff_floor(tmp_path):

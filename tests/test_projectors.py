@@ -9,7 +9,7 @@ from scipy.linalg import expm
 import nprox.projectors
 from nprox.experiments import cylinder_nodes
 from nprox.functionals import KerginCondition, PointEval, rhs
-from nprox.indexing import exponents, monomial_count
+from nprox.indexing import degree_starts, exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import chebyshev_nodes, leja_disk, real_leja
 from nprox.polynomials import Polynomial, coeff_distance, tensor_product
@@ -384,6 +384,65 @@ def test_factor_bounds_hold_the_svd_estimates(case):
         assert bounds[0] == pytest.approx(1.0)
 
 
+def explicit_bounds(P):
+    """Oracle: ||D_k^-1 A_k||_F ||inv(A_k) (S1_k (x) S2_k)||_F from each product block."""
+    a, b = P._pairs
+    bounds = []
+    for k in range(P.degree + 1):
+        m = monomial_count(P.nvars, k)
+        block = P.matrix[:m, :m].astype(np.complex128)
+        scaled = np.linalg.norm(block / P._scales[k, :m, None])
+        columns = P.left._scales[k, a[:m]] * P.right._scales[k, b[:m]]
+        bounds.append(scaled * np.linalg.norm(np.linalg.inv(block) * columns))
+    return np.array(bounds)
+
+
+def triangle_bounds(P):
+    """The triangle-inequality bound the Gram identity replaced.
+
+    ||D_k^-1 A_k||_F times sum over i of ||Delta1_i S1_k||_2 ||B2_{k-i} S2_k||_2,
+    each factor norm from its own SVD.
+    """
+    d = P.degree
+
+    def norms(factor, summands):
+        out = np.zeros((d + 1, d + 1))
+        before = np.zeros((0, 0))
+        for i in range(d + 1):
+            m = monomial_count(factor.nvars, i)
+            inverse = np.linalg.inv(factor.matrix[:m, :m].astype(np.complex128))
+            x = inverse.copy()
+            if summands:
+                x[:before.shape[0], :before.shape[1]] -= before
+            before = inverse
+            for k in range(i, d + 1):
+                out[i, k] = np.linalg.norm(x * factor._scales[k, :m], 2)
+        return out
+
+    left, right = norms(P.left, True), norms(P.right, False)
+    return np.array([np.linalg.norm(P.matrix[:m, :m] / P._scales[k, :m, None])
+                     * (left[:k + 1, k] @ right[k::-1, k])
+                     for k, m in enumerate(degree_starts(P.nvars, d)[1:])])
+
+
+@pytest.mark.parametrize("case", ["zoo3", "zoo8", "cylinder"])
+def test_factor_bounds_read_the_exact_inverse_norm(case):
+    # the Gram sum is an identity: it equals the Frobenius norm of the
+    # product block's explicit inverse under the factors' row scales
+    products = [P for P in ungated_products(case) if P.degree <= 8]
+    assert len(products) >= 5
+    for P in products:
+        want = explicit_bounds(P)
+        assert np.max(np.abs(np.array(P._factor_bounds()) / want - 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["zoo3", "zoo8", "zoo14", "chebyshev_leja", "cylinder"])
+def test_factor_bounds_never_exceed_the_triangle_bound(case):
+    for P in ungated_products(case):
+        bounds = np.array(P._factor_bounds())
+        assert np.all(bounds <= triangle_bounds(P) * (1 + 1e-12))
+
+
 def gate_outcome(P):
     """``(level_conds, None)`` if P's gate passes at its threshold, else ``(None, message)``."""
     try:
@@ -399,7 +458,8 @@ def gate_outcome(P):
 def test_certified_gate_decides_as_the_svd_gate(monkeypatch, build, d, lowest):
     # thresholds just above and below each level's SVD value: the certified
     # gate passes or fails where the SVD gate does, with its message.  At
-    # d=28 the sweep starts at level 23, the last certified one at 1e12
+    # d=28 the sweep starts at level 23, below 25, the last level certified
+    # at 1e12
     P = build(d, None)
     exact = list(P.level_conds)
     certified = 0
@@ -436,10 +496,10 @@ def test_certified_levels_take_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     prod = cheb.newton_product(cheb)
     uncertified = sum(prod.svd_levels())
-    # one 2-d call per uncertified level; the factor norms are stacked (3-d)
-    assert calls.count(2) == uncertified == 5
-    assert prod.svd_levels() == [False] * 24 + [True] * 5
-    for k in range(24):
+    # one call per uncertified level; the factor bounds take no SVD
+    assert calls == [2] * uncertified and uncertified == 3
+    assert prod.svd_levels() == [False] * 26 + [True] * 3
+    for k in range(26):
         assert prod.level_conds[k] == prod.level_cond_bounds[k]
     assert max(prod.level_conds) == prod.level_conds[-1] > 1e11
     # the SVD path keeps no bounds: gate off, too small, or a nested product
