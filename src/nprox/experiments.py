@@ -34,22 +34,44 @@ RATE_HEADER = "d,sup_error,root_error,seconds"
 _OMEGA_GRID = 4097
 
 # Conditions of a sweep's top-degree projector from which its degrees run on
-# forked workers.  A two-worker pool costs 6-7 ms to start, run four
+# forked workers.  A two-worker pool costs 14-22 ms to start, run four
 # trivial jobs and shut down, and its workers share the CPUs with the target's
-# evaluation.  Median sweep times on a 2-core host, one BLAS thread, grid 64,
-# broke even between 41 and 61 conditions in one variable (Chebyshev-Leja to
-# d = 40 and 60), near 153 in two (the Chebyshev-Leja product to d = 16) and
-# between 220 and 286 in three (that product times Chebyshev-Leja, 262,144
-# samples).
+# evaluation.  Median sweep times (9 alternating pairs) on a 2-core Xeon, one
+# BLAS thread, grid 64, in process against two workers:
+#
+#     sweep, top conditions                      in process   two workers
+#     Chebyshev-Leja d=2..40 step 2, 41 (*)         43 ms         68 ms
+#     Chebyshev-Leja d=2..60 step 2, 61 (*)        114 ms        106 ms
+#     Chebyshev-Leja^2 d=2..20 step 2, 231          59 ms         70 ms
+#     Chebyshev-Leja^2 d=2..22 step 2, 276          74 ms         79 ms
+#     Chebyshev-Leja^2 d=2..24 step 2, 325          94 ms         82 ms
+#     Chebyshev-Leja^2 d=2..28 step 2, 435         224 ms        162 ms
+#     Chebyshev-Leja^3 d=2..10, 286 (**)           144 ms        149 ms
+#     Chebyshev-Leja^3 d=2..11, 364 (**)           214 ms        177 ms
+#
+# (*) gate off, as the one-variable monomial blocks pass 1e12 at level 32;
+# (**) that product times Chebyshev-Leja, 262,144 samples.  The certified
+# product gate made the two- and three-variable builds cheaper, so the
+# pool's fixed cost now breaks even between 276 and 325 conditions in two
+# variables (near 153 before) and between 286 and 364 in three (220-286).
+# The host is shared: a sweep on workers waits for its slowest one, so the
+# workers' side moves with the other CPU's load, and the figures above
+# hold for a second CPU with little else to run.
 _POOL_CONDITIONS = 250
 
-# A BLAS takes its thread count from the first of these that is set, and
-# starts one thread per core when none is.  Each forked worker starts that
-# many threads, and oversubscribed cores cost more than the pool saves: with
-# BLAS unpinned on a 2-core host, the rate_biv sweep (the Chebyshev-Leja
-# product at d = 2..28) took 1.1-3.9 s on two workers against 0.46-0.55 s
-# in process (medians of 5 sweeps).
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# Each BLAS's thread-count variables, first to last, keyed by a substring of
+# the BLAS name numpy reports (``np.show_config``).  A BLAS takes its thread
+# count from the first of its variables that is set, and starts one thread
+# per core when none is; OpenBLAS never reads MKL_NUM_THREADS, nor MKL
+# GOTO_NUM_THREADS.  Each forked worker starts that many threads, and
+# oversubscribed cores cost more than the pool saves: with BLAS unpinned on
+# a 2-core host, the rate_biv sweep (the Chebyshev-Leja product at
+# d = 2..28) took 1.1-3.9 s on two workers against 0.46-0.55 s in process
+# (medians of 5 sweeps).
+_BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
 
 
 class ExperimentConfig:
@@ -144,24 +166,40 @@ def _degree_step(spec: dict, degree: int, f, exactness) -> tuple:
     return approx, time.perf_counter() - tick, list(zip(proj.level_conds, proj.svd_levels()))
 
 
+def _blas_thread_vars() -> tuple[str, ...]:
+    """The thread-count variables numpy's BLAS reads, in its order.
+
+    Empty for a BLAS not in ``_BLAS_THREAD_VARS`` and for a numpy that
+    cannot name its BLAS (``show_config`` takes ``mode`` from numpy 1.26).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return ()
+    name = str(blas.get("name")).lower()
+    return next((names for vendor, names in _BLAS_THREAD_VARS.items() if vendor in name), ())
+
+
 def _sweep_workers(degrees, nvars: int) -> int:
     """Worker processes for a sweep's degrees; 1 runs them in this process.
 
     A sweep forks as many workers as the usable CPUs (``taskset`` limits
-    them) hold at the BLAS thread count of ``_BLAS_THREAD_VARS``, but no
-    more than it has degrees; so a sweep with BLAS unpinned stays in
-    process.  So does a sweep of one degree, one whose top degree has fewer
-    conditions than ``_POOL_CONDITIONS``, one without a ``fork`` start
-    method, one in a daemonic process (which may not have children) and one
-    while other threads run (a forked child copies only the calling thread,
-    so a lock another thread holds stays held in it).  The cheap tests come
-    first, so a small sweep never imports ``multiprocessing``.
+    them) hold at the BLAS thread count that numpy's BLAS reads from the
+    environment (``_blas_thread_vars``), but no more than it has degrees;
+    so a sweep with BLAS unpinned, or with a BLAS whose variables are
+    unknown, stays in process.  So does a sweep of one degree, one whose top
+    degree has fewer conditions than ``_POOL_CONDITIONS``, one without a
+    ``fork`` start method, one in a daemonic process (which may not have
+    children) and one while other threads run (a forked child copies only
+    the calling thread, so a lock another thread holds stays held in it).
+    The cheap tests come first, so a small sweep never imports
+    ``multiprocessing``.
     """
     if len(degrees) < 2 or monomial_count(nvars, degrees[-1]) < _POOL_CONDITIONS:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else 1
-    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+    blas = next((int(v) for v in map(os.environ.get, _blas_thread_vars())
                  if (v or "").isdigit() and int(v) > 0), cpus)
     workers = min(cpus // blas, len(degrees))
     if workers < 2:

@@ -53,29 +53,27 @@ sizes.  A single truncation solves its padded block in the same batched
 form, so it reads the same bits as the sweep.  A larger projector solves
 each level's unpadded block, as padding costs O(n^3) per level.
 
-A projector keeps two memos of one entry each.  The first holds the
-right-hand side of the last test function it evaluated: its values under
-the conditions of levels 0..top.  A later call with the same value
+A projector keeps one memo entry (``_memo``): the last input it evaluated,
+its values under the conditions of levels 0..top, and the truncation table
+a sweep solved from them, if one did.  A test function is keyed by value
 (``TestFunction.key``: class, coefficient bytes, constants and children;
-test functions are immutable) at the same exactness and a degree k <= top
-slices them, so ``apply(f)`` followed by ``truncate(k, f)`` at every k
-evaluates f once.  A product applies its factors' conditions through the
+test functions are immutable) and the exactness, a polynomial by its
+variable count, degree and coefficient bytes.  A later call with the same
+key and a degree k <= top slices the values, and a table of at least k + 1
+levels serves by its leading rows, so ``apply(f)`` followed by
+``truncate(k, f)`` at every k evaluates f once, and truncation sweeps,
+Newton summands, the product formula and the residual expansion read one
+solve per factor.  Any other call evaluates the levels it needs and
+replaces the entry.  A product applies its factors' conditions through the
 factors' own memos, so ``apply(f)`` followed by
 ``apply_product_formula(*f.split(k))`` evaluates each factor's part once.
-Any other call evaluates the levels it needs and takes the entry's place.
 Polynomials take their exact product with the collocation rows, over every
-row, so the values of levels 0..k do not depend on k.  A product given a
-polynomial above its degree takes the factor form of that product,
-``(L C R^T)[a, b]`` with p's coefficients arranged by factor ranks in C and
-the factors' rows in L and R, as ``polynomials.evaluate_grid`` does on
-grids: no product row is assembled, and a factor assembles rows only past
-its own degree.  The second memo
-holds the last truncation table (``_truncation_table``), keyed by the test
-function's key and the exactness, or by a polynomial's variable count,
-degree and coefficient bytes; a table of levels 0..top serves every
-smaller top by its leading rows.  Truncation sweeps, Newton summands, the
-product formula and the residual expansion all read their factors'
-solutions from it.
+row, so the values of levels 0..k do not depend on k and a kept slice is
+bit for bit a fresh one.  A product given a polynomial above its degree
+takes the factor form of that product, ``(L C R^T)[a, b]`` with p's
+coefficients arranged by factor ranks in C and the factors' rows in L and
+R, as ``polynomials.evaluate_grid`` does on grids: no product row is
+assembled, and a factor assembles rows only past its own degree.
 """
 from __future__ import annotations
 
@@ -212,12 +210,10 @@ def _scaled_inverse_grams(P: "NewtonStructuredProjector", degree: int,
     inverse per level, of the row-equilibrated block, then two ``einsum``
     contractions: over rows per column pair, then against the squared scales.
     """
-    matrix = P.matrix.real if not np.any(P.matrix.imag) else P.matrix
     n = monomial_count(P.nvars, degree)
-    x = np.zeros((degree + 1, n, n), dtype=matrix.dtype)
+    x = np.zeros((degree + 1, n, n), dtype=P._real_view.dtype)
     for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
-        scale = P._scales[i, :m]
-        x[i, :m, :m] = np.linalg.inv(matrix[:m, :m] / scale[:, None]) / scale
+        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
     if summands:
         x = _summand_rows(x)
     columns = np.einsum("irc,jrc->ijc", x.conj(), x, optimize=True)
@@ -292,12 +288,20 @@ class NewtonStructuredProjector:
         self.levels = [self.conditions[lo:hi] for lo, hi in zip(starts, starts[1:])]
         self.cond_threshold = cond_threshold
         self.matrix = self._assemble(self.degree)
+        # A real matrix (real nodes, real centers) takes real SVDs and
+        # inverses in the nesting gate, about twice as fast.  The real and
+        # complex estimates of one block differ by about cond x 1e-17
+        # relative (3e-14 at cond 3e3, 5.6e-6 at the Chebyshev-Leja product's
+        # level-30 block, 1.28e12); neither is the more exact one, so only a
+        # block that close to the threshold could be decided differently.
+        # The solves keep the complex matrix: its blocks, divided by the row
+        # scales in complex arithmetic, round apart from the real view's.
+        self._real_view = self.matrix.real if not np.any(self.matrix.imag) else self.matrix
         self._scales = self._row_scales()
         self.level_conds = self._check_nesting()
-        # (key, exactness, values of levels 0..top) of the last test function
-        self._last_rhs: tuple | None = None
-        # (key, table of levels 0..top) of the last truncation table
-        self._last_table: tuple | None = None
+        # (key, values of levels 0..top, truncation table or None) of the
+        # last input evaluated; see _rhs
+        self._memo: tuple | None = None
         # the padded leading blocks of a small projector, built at its first solve
         self._stacked = count <= _STACK_CONDITIONS
         self._stack: np.ndarray | None = None
@@ -339,13 +343,6 @@ class NewtonStructuredProjector:
         would pass its SVD too, the first failing level and the message are
         those of an SVD at every level.
         """
-        # A real matrix (real nodes, real centers) takes real SVDs, about twice
-        # as fast.  The real and complex estimates of one block differ by
-        # about cond x 1e-17 relative (3e-14 at cond 3e3, 5.6e-6 at the
-        # Chebyshev-Leja product's level-30 block, 1.28e12); neither is the
-        # more exact one, so only a block that close to the threshold could
-        # be decided differently.
-        matrix = self.matrix.real if not np.any(self.matrix.imag) else self.matrix
         # the first level with a row that vanishes on its block's monomials;
         # the loop still raises in level order, so a lower level's estimate
         # above the threshold is reported first
@@ -361,9 +358,8 @@ class NewtonStructuredProjector:
             if self._certified(j):
                 conds.append(self.level_cond_bounds[j])
                 continue
-            m = monomial_count(self.nvars, j)
             # numpy's 2-norm condition number, without its division warning
-            s = np.linalg.svd(matrix[:m, :m] / self._scales[j, :m, None], compute_uv=False)
+            s = np.linalg.svd(self._equilibrated(j, self._real_view), compute_uv=False)
             estimate = float(s[0] / s[-1]) if s[-1] else np.inf
             conds.append(estimate)
             if self.cond_threshold is not None and not estimate < self.cond_threshold:
@@ -392,6 +388,11 @@ class NewtonStructuredProjector:
 
     # -- linear algebra ------------------------------------------------------
 
+    def _equilibrated(self, k: int, matrix: np.ndarray) -> np.ndarray:
+        """Level k's leading block of ``matrix`` (or of ``_real_view``), rows over their scales."""
+        m = monomial_count(self.nvars, k)
+        return matrix[:m, :m] / self._scales[k, :m, None]
+
     def _padded_blocks(self) -> np.ndarray:
         """The ``(degree + 1, n, n)`` stack of row-equilibrated leading blocks.
 
@@ -407,63 +408,58 @@ class NewtonStructuredProjector:
                                    np.eye(self.matrix.shape[0]))
         return self._stack
 
-    def _solve_levels(self, top: int, values: np.ndarray) -> np.ndarray:
-        """Coefficients of the solves at levels 0..top, one row each.
+    def _padded_solve(self, levels: range, values: np.ndarray) -> np.ndarray:
+        """The solves at ``levels`` on their padded blocks, in one batched call."""
+        lo, hi, size = levels.start, levels.stop, values.shape[0]
+        scaled = np.zeros((hi - lo, self.matrix.shape[0], 1), dtype=np.complex128)
+        np.divide(values, self._scales[lo:hi, :size], out=scaled[:, :size, 0],
+                  where=_level_rows(self.nvars, self.degree)[lo:hi, :size])
+        return np.linalg.solve(self._padded_blocks()[lo:hi], scaled)[:, :size, 0]
 
-        ``values`` are the right-hand sides of levels 0..top; row k of the
-        ``(top + 1, monomial_count(nvars, top))`` result is the degree-k
-        solution, 0 past its own monomials.  A small projector solves its
-        padded blocks (``_padded_blocks``) in one batched ``np.linalg.solve``;
-        a larger one, and a small one whose batch fails or whose right-hand
-        side is not finite, solves level by level (``_solve_level``), which
-        raises naming the level.
-        """
-        size = values.shape[0]
-        if self._stacked and np.isfinite(values).all():
-            inside = _level_rows(self.nvars, self.degree)[:top + 1]
-            padded = np.zeros(self.matrix.shape[0], dtype=np.complex128)
-            padded[:size] = values
-            scaled = np.where(inside, padded / self._scales[:top + 1], 0.0)
-            try:
-                out = np.linalg.solve(self._padded_blocks()[:top + 1], scaled[..., None])
-                return out[:, :size, 0]
-            except np.linalg.LinAlgError:
-                pass  # the loop below names the singular level
-        out = np.zeros((top + 1, size), dtype=np.complex128)
-        for k in range(top + 1):
-            m = monomial_count(self.nvars, k)
-            out[k, :m] = self._solve_level(k, values[:m])
-        return out
+    def _solve_range(self, levels: range, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the solves at ``levels``, one row each.
 
-    def _solve_level(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Degree-k solve of the row-equilibrated leading block.
-
-        ``np.linalg.solve`` is LAPACK's ``gesv``, the LU factorization and
-        the triangular solves; the block is factored on each call.  A small
-        projector reads its padded block ``stack[k]`` in the same batched
-        form as ``_solve_levels``, so a single truncation and a sweep agree
-        bit for bit.  LAPACK checks no finiteness, so the right-hand side is
-        checked here; a non-finite block never gets this far, since the
-        nesting gate's SVD of it fails.  An exactly zero pivot raises
+        ``values`` are the right-hand sides of levels 0..levels[-1]; row i of
+        the ``(len(levels), len(values))`` result is the degree-levels[i]
+        solution, 0 past its own monomials.  Each solve is LAPACK's ``gesv``
+        (``np.linalg.solve``: the LU factorization and the triangular
+        solves) on the row-equilibrated leading block, factored on each
+        call.  A small projector solves its padded blocks as one batch
+        (``_padded_solve``), so a single level and a sweep agree bit for
+        bit; a larger one, and a small one whose batch fails or whose
+        right-hand side is not finite, solves level by level.  LAPACK
+        checks no finiteness, so each level's right-hand side is checked
+        here; a non-finite block never gets this far, since the nesting
+        gate's SVD of it fails.  An exactly zero pivot raises
         ``LinAlgError`` naming the level.
         """
-        if not np.isfinite(values).all():
-            raise ValueError(f"degree-{k} right-hand side is not finite")
-        m = values.shape[0]
-        scale = self._scales[k, :m]
-        try:
-            if self._stacked:
-                padded = np.zeros((1, self.matrix.shape[0], 1), dtype=np.complex128)
-                padded[0, :m, 0] = values / scale
-                return np.linalg.solve(self._padded_blocks()[k:k + 1], padded)[0, :m, 0]
-            return np.linalg.solve(self.matrix[:m, :m] / scale[:, None], values / scale)
-        except np.linalg.LinAlgError as err:
-            raise np.linalg.LinAlgError(
-                f"{self._level_name(k)}: leading block is singular") from err
+        if self._stacked and np.isfinite(values).all():
+            try:
+                return self._padded_solve(levels, values)
+            except np.linalg.LinAlgError:
+                pass  # the loop below names the singular level
+        out = np.zeros((len(levels), values.shape[0]), dtype=np.complex128)
+        for row, k in enumerate(levels):
+            m = monomial_count(self.nvars, k)
+            if not np.isfinite(values[:m]).all():
+                raise ValueError(f"degree-{k} right-hand side is not finite")
+            try:
+                out[row, :m] = (self._padded_solve(range(k, k + 1), values[:m])[0]
+                                if self._stacked else
+                                np.linalg.solve(self._equilibrated(k, self.matrix),
+                                                values[:m] / self._scales[k, :m]))
+            except np.linalg.LinAlgError as err:
+                raise np.linalg.LinAlgError(
+                    f"{self._level_name(k)}: leading block is singular") from err
+        return out
+
+    def _solve_levels(self, top: int, values: np.ndarray) -> np.ndarray:
+        """The truncation table of levels 0..top: ``_solve_range`` over all of them."""
+        return self._solve_range(range(top + 1), values)
 
     def _solve(self, k: int, values: np.ndarray) -> Polynomial:
         """The degree-k projection from the values of levels 0..k."""
-        return Polynomial._owning(self.nvars, k, self._solve_level(k, values))
+        return Polynomial._owning(self.nvars, k, self._solve_range(range(k, k + 1), values)[0])
 
     # -- projector actions ----------------------------------------------------
 
@@ -474,35 +470,33 @@ class NewtonStructuredProjector:
             return min(2 * self.degree + 5, DEFAULT_EXACTNESS)
         return check_exactness(exactness)
 
-    def _check_input(self, f):
+    def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
+        """Values of f under the conditions of levels 0..k (default: all).
+
+        They are read from the memo entry (``_memo``) when it has f's key
+        and at least levels 0..k: a test function's ``key()`` and the
+        exactness, or a polynomial's variable count, degree and coefficient
+        bytes.  Otherwise they are evaluated, kept read-only, and replace
+        the entry; a failed evaluation leaves it as it was.  A polynomial's
+        values are its product with every collocation row, cut to levels
+        0..k.
+        """
         if not isinstance(f, (Polynomial, TestFunction)):
             raise TypeError(f"cannot project a {type(f).__name__}")
         if f.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-
-    def _rhs(self, f, exactness: int | None, k: int | None = None) -> np.ndarray:
-        """Values of f under the conditions of levels 0..k (default: all).
-
-        A test function's values are kept, read-only, for the last one
-        evaluated; a function with the same key at the same exactness and a
-        degree up to theirs reads them.  A failed evaluation keeps nothing.
-        A polynomial's values are its product with every collocation row,
-        cut to levels 0..k.
-        """
-        self._check_input(f)
         exactness = self._exactness(exactness)
         k = self.degree if k is None else k
         n = monomial_count(self.nvars, k)
-        if isinstance(f, Polynomial):
-            return self._polynomial_rhs(f, n)
-        key = f.key()
-        last = self._last_rhs
-        if last is not None and last[0] == key and last[1] == exactness and n <= len(last[2]):
-            return last[2][:n]
-        values = self._function_rhs(f, exactness, k)
-        values.setflags(write=False)
-        self._last_rhs = (key, exactness, values)
-        return values
+        polynomial = isinstance(f, Polynomial)
+        key = (f.nvars, f.degree, f.coeffs.tobytes()) if polynomial else (f.key(), exactness)
+        memo = self._memo
+        if memo is None or not (memo[0] == key and n <= len(memo[1])):
+            values = (self._polynomial_rhs(f, n) if polynomial
+                      else self._function_rhs(f, exactness, k))
+            values.setflags(write=False)
+            self._memo = memo = (key, values, None)
+        return memo[1][:n]
 
     def _polynomial_rhs(self, p: Polynomial, n: int) -> np.ndarray:
         """Values of the polynomial p under the first n conditions."""
@@ -527,38 +521,27 @@ class NewtonStructuredProjector:
 
     def truncations(self, f, exactness: int | None = None) -> list[Polynomial]:
         """truncate(k, f) for k = 0..degree, from one evaluation of f."""
-        return self._truncations(f, exactness, self.degree)
-
-    def _truncations(self, f, exactness: int | None, top: int) -> list[Polynomial]:
-        """truncate(k, f) for k = 0..top, from the conditions of levels 0..top."""
-        table = self._truncation_table(f, exactness, top)
+        table = self._truncation_table(f, exactness, self.degree)
         return [Polynomial._owning(self.nvars, k, table[k, :monomial_count(self.nvars, k)])
-                for k in range(top + 1)]
+                for k in range(self.degree + 1)]
 
     def _truncation_table(self, f, exactness: int | None, top: int) -> np.ndarray:
         """Coefficients of truncate(k, f), k = 0..top, as rows, 0 past each degree.
 
-        The last table is kept, read-only: a test function with the same key
-        at the same exactness, or a polynomial with the same variable count,
-        degree and coefficient bytes, reads the leading rows of a table of
-        at least ``top + 1`` levels.  Level k's solution depends on the
-        values of levels 0..k alone, so those rows are what solving levels
-        0..top of the same values gives.  Any other call solves levels
-        0..top and takes the entry's place.
+        The table lives, read-only, in f's memo entry (``_rhs``), beside the
+        values it was solved from; one of at least ``top + 1`` levels serves
+        by its leading rows.  Level k's solution depends on the values of
+        levels 0..k alone, so those rows are what solving levels 0..top of
+        the same values gives.  Otherwise levels 0..top are solved and their
+        table takes the entry's place.
         """
-        self._check_input(f)
-        exactness = self._exactness(exactness)
-        if isinstance(f, Polynomial):
-            key = (f.nvars, f.degree, f.coeffs.tobytes())
-        else:
-            key = (f.key(), exactness)
-        last = self._last_table
-        if last is not None and last[0] == key and top < last[1].shape[0]:
-            return last[1][:top + 1, :monomial_count(self.nvars, top)]
-        table = self._solve_levels(top, self._rhs(f, exactness, top))
-        table.setflags(write=False)
-        self._last_table = (key, table)
-        return table
+        values = self._rhs(f, exactness, top)
+        key, kept, table = self._memo
+        if table is None or table.shape[0] <= top:
+            table = self._solve_levels(top, values)
+            table.setflags(write=False)
+            self._memo = (key, kept, table)
+        return table[:top + 1, :monomial_count(self.nvars, top)]
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
@@ -594,9 +577,10 @@ class NewtonProduct(NewtonStructuredProjector):
                  cond_threshold: float | None = 1e12):
         if right is left:
             # one object in both slots would keep one memo entry for two
-            # parts; the copy shares the conditions, matrix and gate results
+            # parts; the copy shares everything else, the conditions, matrix,
+            # gate results and padded blocks
             right = copy.copy(left)
-            right._last_rhs = right._last_table = right._stack = None
+            right._memo = None
         self.left = left
         self.right = right
         degree = min(left.degree, right.degree)

@@ -270,15 +270,46 @@ def test_pooled_sweep_raises_the_lowest_failing_pole_error(monkeypatch):
         monkeypatch, cfg, lambda d: projector_from_spec(spec, d).apply(f), PoleOnSupportError)
 
 
+def _numpy_blas(monkeypatch, name):
+    """Make numpy report a BLAS of this name; None: a numpy without ``mode``."""
+    def show_config(mode):
+        return {"Build Dependencies": {"blas": {"name": name}}}
+
+    monkeypatch.setattr(np, "show_config", show_config if name else lambda: None)
+
+
 def test_sweep_forks_only_where_it_pays_and_is_safe(monkeypatch):
     big = list(range(2, 29, 2))  # top degree 28: 435 conditions in two variables
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    for name in experiments._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
+    for names in experiments._BLAS_THREAD_VARS.values():
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+    _numpy_blas(monkeypatch, "scipy-openblas")
     assert experiments._sweep_workers(big, 2) == 1  # unpinned: a BLAS thread per core
+    # OpenBLAS never reads MKL_NUM_THREADS, and reads GOTO_NUM_THREADS after
+    # OPENBLAS_NUM_THREADS and before OMP_NUM_THREADS
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert experiments._sweep_workers(big, 2) == 1
     monkeypatch.setenv("OMP_NUM_THREADS", "4")
     assert experiments._sweep_workers(big, 2) == 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP_NUM_THREADS
+    monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+    assert experiments._sweep_workers(big, 2) == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert experiments._sweep_workers(big, 2) == 8
+    # MKL reads MKL_NUM_THREADS, then OMP_NUM_THREADS, and never the others
+    _numpy_blas(monkeypatch, "mkl-sdl")
+    assert experiments._sweep_workers(big, 2) == 8
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    assert experiments._sweep_workers(big, 2) == 2
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert experiments._sweep_workers(big, 2) == 1
+    # another BLAS, or a numpy that cannot name its own, stays in process
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    for name in ("accelerate", None):
+        _numpy_blas(monkeypatch, name)
+        assert experiments._sweep_workers(big, 2) == 1
+    _numpy_blas(monkeypatch, "openblas")
     assert experiments._sweep_workers(big, 2) == 8
     assert experiments._sweep_workers([26, 28], 2) == 2
     assert experiments._sweep_workers([28], 2) == 1

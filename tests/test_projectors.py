@@ -170,6 +170,69 @@ def test_overflowing_function_raises_from_the_solve():
             P.truncate(2, f)
 
 
+
+def test_unpadded_solves_name_the_level_that_fails():
+    # 17 conditions: every solve takes an unpadded block, level by level
+    nodes = nodes_by_name("real_leja", 16)
+    P = lagrange_projector(nodes)
+    assert not P._stacked
+    # exp(-800 x) overflows at the level-1 node -1 only
+    f = Exp(Affine([-800.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^degree-16 right-hand side is not finite"):
+            P.apply(f)
+        with pytest.raises(ValueError, match="^degree-3 right-hand side is not finite"):
+            P.truncate(3, f)
+        with pytest.raises(ValueError, match="^degree-1 right-hand side is not finite"):
+            P.truncations(f)
+        assert np.isfinite(P.truncate(0, f).coeffs).all()
+    # the level-2 node repeats the level-0 node: levels 2..16 are singular,
+    # and the gate is off so the build succeeds
+    Q = lagrange_projector(np.concatenate([nodes[:2], nodes[:1], nodes[2:16]]),
+                           cond_threshold=None)
+    assert not Q._stacked
+    g = Exp(Affine([1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="^level 16: leading block is singular"):
+        Q.apply(g)
+    with pytest.raises(np.linalg.LinAlgError, match="^level 2: leading block is singular"):
+        Q.truncate(2, g)
+    with pytest.raises(np.linalg.LinAlgError, match="^level 2: leading block is singular"):
+        Q.truncations(g)
+    assert np.isfinite(Q.truncate(1, g).coeffs).all()
+
+
+@pytest.mark.parametrize("case", ["stacked", "unpadded", "product_above_degree"])
+def test_a_polynomial_is_evaluated_once_for_apply_truncate_and_truncations(case, monkeypatch):
+    rng = np.random.default_rng(29)
+    make, p = {
+        "stacked": (lambda: lagrange_projector(nodes_by_name("real_leja", 6)),
+                    random_poly(rng, 1, 6)),
+        # above the degree: rows are assembled past the matrix
+        "unpadded": (lambda: lagrange_projector(nodes_by_name("real_leja", 16)),
+                     random_poly(rng, 1, 19, cplx=True)),
+        # above the product degree: the factor form (L C R^T)[a, b]
+        "product_above_degree": (lambda: lagrange_projector(nodes_by_name("real_leja", 4))
+                                 .newton_product(taylor_projector(1, 5, center=[0.2])),
+                                 random_poly(rng, 2, 7)),
+    }[case]
+    P = make()
+    calls = []
+    evaluate = P._polynomial_rhs
+
+    def spy(q, n):
+        calls.append(n)
+        return evaluate(q, n)
+
+    monkeypatch.setattr(P, "_polynomial_rhs", spy)
+    k = P.degree - 2
+    got = [P.apply(p), P.truncate(k, p), *P.truncations(p)]
+    assert calls == [len(P.conditions)]
+    # each bit for bit what a projector without a memo entry reads
+    want = [make().apply(p), make().truncate(k, p), *make().truncations(p)]
+    for a, b in zip(got, want, strict=True):
+        assert a.degree == b.degree and np.array_equal(a.coeffs, b.coeffs)
+
+
 def stack_zoo():
     """Every stock family and product with at most 16 conditions, gate off."""
     for d in (2, 3, 4, 8, 15):
