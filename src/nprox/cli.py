@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import read_config, read_points
-from .experiments import (RATE_HEADER, ExperimentConfig, TableReport, convergence_run,
+from .experiments import (RATE_HEADER, ExperimentConfig, TableReport, _row, convergence_run,
                           cylinder_run, polya_bisect, polya_run, report_write)
 from .extremal import above_floor, parse_compact, rho_estimate
 from .growth import gelfond_constant, omega_density, parse_norm
@@ -229,10 +229,7 @@ def run_rho(cfg):
     measure = parse_measure(cfg["measure"])
     dmax = cfg["dmax"]
     est = rho_estimate(f, model, dmax, measure, grid=cfg["grid"])
-    rows = []
-    for d, e in zip(est.degrees, est.errors):
-        root = e ** (1.0 / max(d, 1)) if e > 0 else 0.0
-        rows.append((d, float(e), float(root), 0.0))
+    rows = [tuple(_row(d, e, 0.0).values()) for d, e in zip(est.degrees, est.errors)]
     report = TableReport(cfg["name"], [("", RATE_HEADER, rows)], {
         "rho": None if math.isinf(est.rho) else est.rho,
         "slope_stderr": est.slope_stderr,

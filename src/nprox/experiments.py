@@ -53,11 +53,12 @@ _OMEGA_GRID = 4097
 # (**) that product times Chebyshev-Leja, 262,144 samples.  The certified
 # product gate made the two- and three-variable builds cheaper, so the
 # pool's fixed cost now breaks even between 276 and 325 conditions in two
-# variables (near 153 before) and between 286 and 364 in three (220-286).
-# The host is shared: a sweep on workers waits for its slowest one, so the
-# workers' side moves with the other CPU's load, and the figures above
-# hold for a second CPU with little else to run.
-_POOL_CONDITIONS = 250
+# variables (near 153 before) and between 286 and 364 in three (220-286),
+# and this threshold lies in both ranges.  The host is shared: a sweep on
+# workers waits for its slowest one, so the workers' side moves with the
+# other CPU's load, and the figures above hold for a second CPU with little
+# else to run.
+_POOL_CONDITIONS = 300
 
 # Each BLAS's thread-count variables, first to last, keyed by a substring of
 # the BLAS name numpy reports (``np.show_config``).  A BLAS takes its thread

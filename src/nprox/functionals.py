@@ -39,13 +39,15 @@ On a test function, ``rhs`` applies a whole list of functionals at once and
 ``apply_to_function`` is its one-functional case.  Conditions that share
 an evaluation are applied together, as in ``rows``
 (``Functional._rhs_group``): every point and derivative condition of the
-list through one ``deriv_table`` call per ``_RHS_CHUNK`` distinct points,
-each reading its own entry, and the inner products on one measure from
-one evaluation of f at its nodes, each taking its own dot product.  A
-product projector hands it tensor pairs only for a test function that
-does not separate (``TestFunction.split``): on f = f1 (x) f2 a pair's value
-is mu(f1) * nu(f2), so the product applies each factor's conditions to its
-part and gathers the products of the values (``NewtonProduct``).
+list from one table of f at their distinct points and orders, each
+reading its own entry, and the inner products on one measure from one
+evaluation of f at its nodes, each taking its own dot product.  Such a
+table is read in calls of at most ``_RHS_CHUNK`` points
+(``_chunked_table``), as are the line rules below.  A product projector
+hands it tensor pairs only for a test function that does not separate
+(``TestFunction.split``): on f = f1 (x) f2 a pair's value is mu(f1) *
+nu(f2), so the product applies each factor's conditions to its part and
+gathers the products of the values (``NewtonProduct``).
 
 ``rhs`` takes a sum term by term.  On a ridge term f(z) = g(a . z)
 (constants, affine forms, and exponentials and reciprocals of affine
@@ -53,8 +55,11 @@ forms), a Kergin condition of order 1 or more, alone or as a factor of a
 tensor pair, integrates along one dimension (``ridge``): j * ceil((E + j)
 / 2) points with positive weights at exactness E, where Grundmann-Moller
 takes C(j + 1 + E // 2, j + 1).  That needs real nodes and a real
-direction in every such Kergin factor.  Kergin conditions on complex nodes
-or along a complex direction, on products and polynomial leaves, and every
+direction in every such Kergin factor.  A pair's point, derivative and
+inner-product factors project their discretizations onto the direction
+(``Functional._line_rule``), and the rules of one order read one table of
+g (``_line_rule_rhs``).  Kergin conditions on complex nodes or along a
+complex direction, on products and polynomial leaves, and every
 collocation row (``rows``) keep Grundmann-Moller; point, derivative and
 inner-product conditions are evaluated as they stand.  Neither rule sees
 a pole of f between its points, so before it routes any condition ``rhs``
@@ -78,7 +83,7 @@ passed to the test function once for all the orders they ask of it.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -87,7 +92,7 @@ from .indexing import DESK_LIMIT, derivative_gather, monomial_count, monomial_va
 from .measures import QuadratureMeasure
 from .points import as_rows, cartesian
 from .polynomials import Polynomial
-from .ridge import LineRule, apply_line_rules, line_rule, sum_terms
+from .ridge import LineRule, line_rule, sum_terms
 from .simplex import bspline_rule, grundmann_moller_rule, rule_order_for_exactness
 from .testfunctions import PoleOnSupportError, Sum, TestFunction
 
@@ -102,12 +107,22 @@ from .testfunctions import PoleOnSupportError, Sum, TestFunction
 DEFAULT_EXACTNESS = 21
 
 
-# Distinct points per deriv_table call of ``rhs``: small batches merge up to
-# it and larger tensor batches are cut into row pieces of about this size.
-# A pending piece counts as at least _PIECE_POINTS points, about what its
-# Python objects weigh, so one-point pieces do not pile up by the thousand.
+# Distinct points per deriv_table call of ``rhs``: the tables of point
+# conditions, inner products and line rules are read in calls of at most
+# this many (``_chunked_table``), and tensor batches are cut into row pieces
+# of about this size that merge up to it (``_PendingPieces``).  A pending
+# piece counts as at least _PIECE_POINTS points, about what its Python
+# objects weigh, so one-point pieces do not pile up by the thousand.
 _RHS_CHUNK = 4096
 _PIECE_POINTS = 64
+
+
+def _chunked_table(f: TestFunction, alphas, points: np.ndarray) -> np.ndarray:
+    """``f.deriv_table(alphas, points)``, at most ``_RHS_CHUNK`` points per call."""
+    if points.shape[0] <= _RHS_CHUNK:
+        return f.deriv_table(alphas, points)
+    return np.concatenate([f.deriv_table(alphas, points[lo:lo + _RHS_CHUNK])
+                           for lo in range(0, points.shape[0], _RHS_CHUNK)], axis=1)
 
 
 def _point_array(point):
@@ -162,19 +177,23 @@ class Functional:
     def _support(self):
         """Point sets whose convex hulls hold every point the functional reads.
 
-        An array of shape ``(pieces, points, nvars)``: a Kergin condition's
-        nodes, a single point, or one piece per measure node.
+        An array of shape ``(pieces, points, nvars)``.  By default one piece
+        per point of the one-batch discretization: a point, derivative or
+        inner-product condition reads the same points at every exactness.
         """
-        raise NotImplementedError
+        (_, points, _), = self.discretize(0)
+        return points[:, None, :]
 
     def _line_rule(self, direction, exactness: int, memo: dict):
         """This functional on f(z) = g(a . z), as a ``ridge.LineRule`` for g.
 
         ``direction`` is a; the value on f is ``a^alpha`` times the rule
-        applied to ``g^(|alpha|)``.  None means the functional has no such
-        rule there, and the caller takes ``discretize`` instead.
+        applied to ``g^(|alpha|)``.  By default the one-batch discretization
+        projected onto a.  None means the functional has no such rule there,
+        and the caller takes ``discretize`` instead.
         """
-        return None
+        (weights, points, _), = self.discretize(exactness)
+        return LineRule(weights, points @ direction)
 
     def _rhs_group(self):
         """``(apply, key)``: conditions with equal pairs share one ``apply`` call.
@@ -224,12 +243,6 @@ class DerivativeEval(Functional):
 
     def _rhs_group(self):
         return _point_rhs, None
-
-    def _support(self):
-        return self.point[None, None, :]
-
-    def _line_rule(self, direction, exactness, memo):
-        return LineRule.point(self.point, direction)
 
     def __repr__(self):
         return f"DerivativeEval(alpha={self.alpha}, point={self.point})"
@@ -304,7 +317,7 @@ class KerginCondition(Functional):
 
     def _line_rule(self, direction, exactness, memo):
         if self.order == 0:
-            return LineRule.point(self.nodes[0], direction)
+            return super()._line_rule(direction, exactness, memo)
         if direction.imag.any() or self.nodes.imag.any():
             return None  # complex knots: no B-spline, Grundmann-Moller instead
         knots = self.nodes.real @ direction.real
@@ -342,14 +355,8 @@ class InnerProduct(Functional):
     def _rhs_group(self):
         return _inner_product_rhs, id(self.measure)
 
-    def _support(self):
-        return self.measure.nodes[:, None, :]
-
     def discretize(self, exactness):
         return [(self._weighted_conj(), self.measure.nodes, self.alpha)]
-
-    def _line_rule(self, direction, exactness, memo):
-        return LineRule(self._weighted_conj(), self.measure.nodes @ direction)
 
     def __repr__(self):
         return f"InnerProduct(basis_degree={self.basis.degree}, domain={self.measure.domain})"
@@ -489,12 +496,11 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
     (``ridge.LineRule``) when it has one: the B-spline rule of real nodes
     along a real direction, convolved with the other factors' rules in a
     tensor pair.  The other conditions go in groups
-    (``Functional._rhs_group``): the point and derivative conditions
-    together, one ``deriv_table`` call per ``_RHS_CHUNK`` distinct points
-    (``_point_rhs``); the inner products on one measure from one evaluation
-    of f at its nodes (``_inner_product_rhs``); and the Kergin conditions
-    and tensor pairs through ``discretize`` (``_discretized_rhs``).
-    ``exactness`` defaults to
+    (``Functional._rhs_group``): the point and derivative conditions from
+    one table of f (``_point_rhs``); the inner products on one measure from
+    one evaluation of f at its nodes (``_inner_product_rhs``); and the
+    Kergin conditions and tensor pairs through ``discretize``
+    (``_discretized_rhs``).  ``exactness`` defaults to
     ``DEFAULT_EXACTNESS``; one that is not a nonnegative integer, or a
     Kergin condition whose Grundmann-Moller rule at it would pass the desk
     scale, raises ``ValueError`` before any rule is built.  So does a pole
@@ -518,7 +524,7 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
                          default=0), exactness)
     out = np.zeros(len(conditions), dtype=np.complex128)
     for k, users in along.items():
-        apply_line_rules(users, ridges[k], out, _RHS_CHUNK)
+        _line_rule_rhs(users, ridges[k], out)
     for left, indices in rest.items():
         part = f if left == whole else (
             terms[left[0]] if len(left) == 1 else Sum([terms[k] for k in left]))
@@ -531,48 +537,65 @@ def rhs(conditions, f: TestFunction, exactness: int | None = None) -> np.ndarray
 
 
 def _point_rhs(conditions, f: TestFunction, exactness: int, out: np.ndarray):
-    """Point and derivative values, one ``deriv_table`` call per ``_RHS_CHUNK`` points.
+    """Point and derivative values from one table of f (``_chunked_table``).
 
-    The distinct points are taken in the order of their first condition.
-    A call asks for the distinct orders of its points' conditions, and each
-    condition reads its own entry of the table, bit for bit its value
-    alone wherever the test function computes each point on its own.
-    Affine forms of several variables and polynomial leaves are BLAS
-    products over the points, which can round a row apart with the row
-    count; at one point, as in a Taylor level, that cannot happen.
+    The table holds every distinct order at every distinct point, the
+    points in the order of their first condition, and each condition reads
+    its own entry: an entry depends on its own order only, so the value is
+    bit for bit the condition's own wherever the test function computes
+    each point on its own.  Affine forms of several variables and
+    polynomial leaves are BLAS products over the points, which can round a
+    row apart with the row count; at one point, as in a Taylor level, that
+    cannot happen.
     """
     columns: dict = {}  # point bytes -> column
-    points, index, alphas, cols = [], [], [], []
+    orders: dict = {}  # alpha -> table row
+    points, index, rows, cols = [], [], [], []
     for i, mu in conditions:
         column = columns.setdefault(mu.point.tobytes(), len(points))
         if column == len(points):
             points.append(mu.point)
         index.append(i)
-        alphas.append(mu.alpha)
+        rows.append(orders.setdefault(mu.alpha, len(orders)))
         cols.append(column)
-    points, index, cols = np.array(points), np.array(index), np.array(cols)
-    for lo in range(0, len(points), _RHS_CHUNK):
-        take = np.flatnonzero((cols >= lo) & (cols < lo + _RHS_CHUNK)).tolist()
-        orders: dict = {}  # alpha -> table row
-        rows = [orders.setdefault(alphas[t], len(orders)) for t in take]
-        table = f.deriv_table(list(orders), points[lo:lo + _RHS_CHUNK])
-        out[index[take]] += table[rows, cols[take] - lo]
+    out[index] += _chunked_table(f, list(orders), np.array(points))[rows, cols]
 
 
 def _inner_product_rhs(conditions, f: TestFunction, exactness: int, out: np.ndarray):
     """Inner products on one measure, from one evaluation of f at its nodes.
 
-    f is evaluated in pieces of at most ``_RHS_CHUNK`` nodes, and each
-    condition takes its own dot product with those values, so its value
+    Each condition takes its own dot product with the values, so its value
     does not depend on which others share the call.
     """
     nodes = conditions[0][1].measure.nodes
-    zero = (0,) * f.nvars
-    pieces = [f.deriv_table([zero], nodes[lo:lo + _RHS_CHUNK])[0]
-              for lo in range(0, nodes.shape[0], _RHS_CHUNK)]
-    values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    values = _chunked_table(f, [(0,) * f.nvars], nodes)[0]
     for i, mu in conditions:
         out[i] += np.dot(mu._weighted_conj(), values)
+
+
+def _line_rule_rhs(users, ridge, out: np.ndarray):
+    """Add each ``(index, alpha, rule)`` value on g(a . z) into ``out[index]``.
+
+    ``ridge`` is ``(a, g)``.  Conditions of one rule and order share its
+    weighted sum, and the rules of one order share one table of g
+    (``_chunked_table``).
+    """
+    direction, g = ridge
+    a = direction.tolist()
+    by_order: dict = {}  # order -> rule id -> (rule, [(index, a^alpha)])
+    for i, alpha, rule in users:
+        scale = prod(a[v] ** k for v, k in enumerate(alpha) if k)
+        sums = by_order.setdefault(sum(alpha), {})
+        sums.setdefault(id(rule), (rule, []))[1].append((i, scale))
+    for order, sums in by_order.items():
+        points = np.concatenate([rule.points for rule, _ in sums.values()])
+        values = _chunked_table(g, [(order,)], points[:, None])[0]
+        row = 0
+        for rule, targets in sums.values():
+            total = rule.weights @ values[row:row + rule.points.size]
+            row += rule.points.size
+            for i, scale in targets:
+                out[i] += scale * total
 
 
 def _check_hull_poles(conditions, f: TestFunction):

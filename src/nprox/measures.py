@@ -11,8 +11,6 @@ keeps the bases built on it, one per degree, with read-only arrays.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .config import read_points, read_spec

@@ -426,12 +426,14 @@ class NewtonStructuredProjector:
         solves) on the row-equilibrated leading block, factored on each
         call.  A small projector solves its padded blocks as one batch
         (``_padded_solve``), so a single level and a sweep agree bit for
-        bit; a larger one, and a small one whose batch fails or whose
-        right-hand side is not finite, solves level by level.  LAPACK
-        checks no finiteness, so each level's right-hand side is checked
-        here; a non-finite block never gets this far, since the nesting
-        gate's SVD of it fails.  An exactly zero pivot raises
-        ``LinAlgError`` naming the level.
+        bit; a larger one solves its unpadded blocks level by level.  So
+        does a small one whose batch fails or whose right-hand side is not
+        finite, only to name the level that fails: a padded block is
+        singular exactly when its leading block is.  LAPACK checks no
+        finiteness, so each level's right-hand side is checked here; a
+        non-finite block never gets this far, since the nesting gate's SVD
+        of it fails.  An exactly zero pivot raises ``LinAlgError`` naming
+        the level.
         """
         if self._stacked and np.isfinite(values).all():
             try:
@@ -444,10 +446,8 @@ class NewtonStructuredProjector:
             if not np.isfinite(values[:m]).all():
                 raise ValueError(f"degree-{k} right-hand side is not finite")
             try:
-                out[row, :m] = (self._padded_solve(range(k, k + 1), values[:m])[0]
-                                if self._stacked else
-                                np.linalg.solve(self._equilibrated(k, self.matrix),
-                                                values[:m] / self._scales[k, :m]))
+                out[row, :m] = np.linalg.solve(self._equilibrated(k, self.matrix),
+                                               values[:m] / self._scales[k, :m])
             except np.linalg.LinAlgError as err:
                 raise np.linalg.LinAlgError(
                     f"{self._level_name(k)}: leading block is singular") from err

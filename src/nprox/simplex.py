@@ -134,8 +134,9 @@ def bspline_rule(knots, exactness: int):
     for i in range(1, len(t)):
         if t[i] - t[i - 1] <= close:
             t[i] = t[i - 1]
-    # the n-point rule solves an n x n eigenproblem, and the recurrence holds
-    # j splines at each of up to j * n points
+    # each Newton step of the n-point rule runs the n-term Legendre
+    # recurrence at its n points, and the Cox-de Boor recurrence holds j
+    # splines at each of up to j * n points
     j, n = len(t) - 1, (int(exactness) + len(t)) // 2
     if max(n, j * j) * n > DESK_LIMIT:
         raise ValueError(

@@ -314,6 +314,8 @@ def test_sweep_forks_only_where_it_pays_and_is_safe(monkeypatch):
     assert experiments._sweep_workers([26, 28], 2) == 2
     assert experiments._sweep_workers([28], 2) == 1
     assert experiments._sweep_workers(list(range(2, 21, 2)), 2) == 1  # 231 conditions
+    assert experiments._sweep_workers(list(range(2, 23, 2)), 2) == 1  # 276 conditions
+    assert experiments._sweep_workers(list(range(2, 25, 2)), 2) == 8  # 325 conditions
     with multiprocessing.get_context("fork").Pool(1) as pool:  # a daemonic process
         assert pool.apply(experiments._sweep_workers, (big, 2)) == 1
     stop = threading.Event()

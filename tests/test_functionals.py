@@ -937,7 +937,7 @@ class CountingFunction(TestFunction):
 
 
 @pytest.mark.parametrize("npoints", [4095, 4096, 4097])
-def test_rhs_matches_oracle_around_the_point_budget(npoints):
+def test_rhs_matches_oracle_around_the_point_budget(npoints, monkeypatch):
     f = Exp(Affine([0.9, -0.4], 0.1))
 
     def evaluated_sizes(conditions, f):
@@ -973,6 +973,19 @@ def test_rhs_matches_oracle_around_the_point_budget(npoints):
     pts = rng.uniform(-1, 1, (npoints, 2))
     single = [PointEval(p) if i % 3 else DerivativeEval((1, 0), p) for i, p in enumerate(pts)]
     assert_matches_oracle(single, f, 7)
+    assert len(evaluated_sizes(single, f)) == (1 if npoints <= 4096 else 2)
+    # npoints line-rule points of one order: at exactness 1 an order-1
+    # Kergin condition on two distinct real knots is one midpoint
+    g = Exp(Affine([0.9], 0.1))
+    lines = [KerginCondition((1,), knots) for knots in rng.uniform(-1, 1, (npoints, 2, 1))]
+    sizes = []
+    got = rhs(lines, RidgeCounting(g, sizes), 1)
+    assert sizes == ([npoints] if npoints <= 4096 else [4096, 1])
+    # bit for bit the values of one uncut call
+    monkeypatch.setattr(nprox.functionals, "_RHS_CHUNK", npoints)
+    sizes.clear()
+    assert np.array_equal(rhs(lines, RidgeCounting(g, sizes), 1), got)
+    assert sizes == [npoints]
 
 
 def test_a_truncation_evaluates_its_own_factor_levels_only():
