@@ -300,7 +300,9 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     build, right-hand side and solve, the other rows' read 0, and the
     batch's time is the metadata's ``eval_s``.  The extras carry the
     product node set (a_i, b_j) with i + j <= d for the largest degree and
-    the residual there.
+    the residual there.  The metadata's ``solve_residual`` is the product's
+    relative residual at its conditions over every truncation, where it
+    solves through its factors (``NewtonProduct.solve_residual``), else null.
     """
     if config.projector is not None or config.compact is not None:
         raise ValueError("cylinder_run fixes its projector and compact; pass None")
@@ -324,7 +326,8 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     node_pts = np.array(nodes, dtype=np.complex128)
     resid = float(np.max(np.abs(f.values(node_pts) - parts[dmax].eval_many(node_pts))))
     return _score(config, t0, [parts[d] for d in config.degrees], seconds, blocks, target,
-                  {"node_residual": resid, "node_count": len(nodes)}, {"nodes": nodes})
+                  {"node_residual": resid, "node_count": len(nodes),
+                   "solve_residual": prod.solve_residual}, {"nodes": nodes})
 
 
 # -- integer-node threshold experiment ---------------------------------------------

@@ -26,28 +26,46 @@ of the left summands' and the right truncations' coefficients, gathered
 along the factor ranks.
 
 The nesting gate takes one SVD per leading block, at O(n^3).  A product
-of at least ``_BOUND_CONDITIONS`` conditions first bounds every level from
-its factors: the inverse of its level-k block is the sum over i of the
-Kronecker products of the left factor's level-i summand map and the right
-factor's level-(k - i) block inverse.  Its Frobenius norm under the
-factors' row scales is therefore exact from the factors' Gram tensors,
-Frobenius inner products of those maps, and ``||D^-1 A_k||_F`` times it
-bounds the block's condition estimate (``NewtonProduct._factor_bounds``).
-A level whose bound is ``_BOUND_MARGIN`` times under the threshold passes
-without its SVD and reports the bound in ``level_conds``; every other
-level takes its SVD, which decides as before, so the gate fails at the
-same level with the same message.  ``level_cond_bounds`` keeps every bound
-(None where the gate took SVDs only), and ``svd_levels()`` says which
-entries an SVD read.
+of at least ``_BOUND_CONDITIONS`` conditions, whose factors are no products
+and pass their own gates below ``_BOUND_FACTOR_COND``, first bounds every
+level from its factors (``NewtonProduct._bounded``): the inverse of its
+level-k block is the sum over i of the Kronecker products of the left
+factor's level-i summand map and the right factor's level-(k - i) block
+inverse.  Its Frobenius norm under the factors' row scales is therefore
+exact from the factors' Gram tensors, Frobenius inner products of those
+maps, and ``||D^-1 A_k||_F`` times it bounds the block's condition estimate
+(``NewtonProduct._factor_bounds``).  A level whose bound is
+``_BOUND_MARGIN`` times under the threshold passes without its SVD and
+reports the bound in ``level_conds``; every other level takes its SVD, which
+decides as before, so the gate fails at the same level with the same
+message.  ``level_cond_bounds`` keeps every bound (None where the gate took
+SVDs only), and ``svd_levels()`` says which entries an SVD read.
+
+Such a product reads no product matrix (``NewtonProduct._factorwise``).
+The gate's row scales D_k are products of the factor rows' largest entries
+per monomial degree, the maximum over j1 + j2 <= k, and ``||D^-1 A_k||_F``
+is summed from the factor rows' sums of squares per degree.  Its
+truncations are solved through the factors: with the tensor-condition
+values arranged as a matrix F, the degree-k truncation is sum over
+i + j = k of B1_i F Delta2_j^T, B the factors' leading-block solves and
+Delta2_j = B2_j - B2_{j-1} (``NewtonProduct._factor_solve``), which is
+2(k + 1) solves with blocks of the factors' sizes rather than one with the
+product's.  A guard reads the relative residual at the conditions of every
+level solved, factor-wise (``solve_residual``), and above
+``_SOLVE_TOLERANCE`` the dense solve runs instead.  ``matrix`` is assembled
+at its first read: the SVD of a level the bounds leave to it, that
+fallback, or a caller such as ``project --check``.  Products below the
+bound size and products of products keep the dense path.
 
 Each solve is numpy's LAPACK ``gesv`` (an LU factorization, then the two
-triangular solves) on the row-equilibrated leading block, factored on each
-call.  Every block's row scales come from one running maximum of the matrix
-taken at build time, which the nesting gate and the solves share.  A
-projector of at most ``_STACK_CONDITIONS`` conditions keeps, from its first
-solve on, the stack of its row-equilibrated leading blocks, each padded
-with an identity to the full size: every solve reads its level's block
-there, and a sweep of truncations is one batched ``np.linalg.solve``
+triangular solves) on a row-equilibrated leading block, factored on each
+call, never an explicit inverse.  Every block's row scales come from one
+running maximum of the matrix taken at build time (of the factors' rows
+on a factor-wise product), which the nesting gate and the dense solves
+share.  A projector of at most ``_STACK_CONDITIONS`` conditions keeps, from
+its first solve on, the stack of its row-equilibrated leading blocks, each
+padded with an identity to the full size: every solve reads its level's
+block there, and a sweep of truncations is one batched ``np.linalg.solve``
 instead of one call per level, whose Python overhead dominates at these
 sizes.  A single truncation solves its padded block in the same batched
 form, so it reads the same bits as the sweep.  A larger projector solves
@@ -69,11 +87,13 @@ factors' own memos, so ``apply(f)`` followed by
 ``apply_product_formula(*f.split(k))`` evaluates each factor's part once.
 Polynomials take their exact product with the collocation rows, over every
 row, so the values of levels 0..k do not depend on k and a kept slice is
-bit for bit a fresh one.  A product given a polynomial above its degree
-takes the factor form of that product, ``(L C R^T)[a, b]`` with p's
-coefficients arranged by factor ranks in C and the factors' rows in L and
-R, as ``polynomials.evaluate_grid`` does on grids: no product row is
-assembled, and a factor assembles rows only past its own degree.
+bit for bit a fresh one.  A product given a polynomial above its degree,
+and a factor-wise product given any polynomial, takes the factor form of
+that product, ``(L C R^T)[a, b]`` with p's coefficients arranged by factor
+ranks in C and the factors' rows in L and R, as ``polynomials.evaluate_grid``
+does on grids: no product row is assembled, and a factor assembles rows
+only past its own degree.  So no value depends on whether ``matrix`` has
+been assembled.
 """
 from __future__ import annotations
 
@@ -114,25 +134,28 @@ _STACK_CONDITIONS = 16
 # A product of at least this many conditions first bounds every leading
 # block's condition estimate from factor quantities (``NewtonProduct.
 # _cond_bounds``), and a level whose bound is ``_BOUND_MARGIN`` times under
-# the threshold takes no SVD.  The whole gate (``_check_nesting``), one BLAS
-# thread, 2-core Xeon, numpy 2.4, medians of 41 calls, every level certified:
+# the threshold takes no SVD; such a product reads no product matrix for its
+# row scales, its bounds or its solves (``NewtonProduct._factorwise``).  The
+# product's build from built factors, one BLAS thread, 2-core Xeon, numpy
+# 2.4, medians of 41 builds, every level certified, with an SVD per level
+# (the matrix assembled) against the bounds (no matrix):
 #
 #     product, conditions                    SVD per level   bounds
-#     Chebyshev-Leja^2 d=4, 15                    0.13 ms    0.30 ms
-#     Chebyshev-Leja^2 d=6, 28                    0.27 ms    0.41 ms
-#     Chebyshev-Leja^2 d=8, 45                    0.54 ms    0.52-0.57 ms
-#     Chebyshev-Leja^2 d=10, 66                   1.1 ms     0.7 ms
-#     Chebyshev-Leja^2 d=12, 91                 2.1-2.3 ms   0.9 ms
-#     Chebyshev-Leja^2 d=14, 120                  4.3 ms     1.2-1.3 ms
-#     disk Kergin x Taylor d=14, 120 (complex)    8.5 ms     1.6 ms
-#     cylinder d=8, 165                           5.0 ms     1.1-1.2 ms
-#     Chebyshev-Leja^2 d=16, 153                  7.9 ms     1.6-1.7 ms
-#     Chebyshev-Leja^2 d=20, 231                 23-24 ms    2.6-2.8 ms
-#     cylinder d=10, 286                          19 ms      2.3-2.4 ms
+#     Chebyshev-Leja^2 d=4, 15                    0.16 ms    0.35 ms
+#     Chebyshev-Leja^2 d=6, 28                    0.26 ms    0.46 ms
+#     Chebyshev-Leja^2 d=8, 45                    0.50 ms    0.60 ms
+#     Chebyshev-Leja^2 d=10, 66                   0.99 ms    0.76 ms
+#     Chebyshev-Leja^2 d=12, 91                   1.8 ms     0.91 ms
+#     Chebyshev-Leja^2 d=14, 120                  3.6 ms     1.1 ms
+#     disk Kergin x Taylor d=14, 120 (complex)    6.1 ms     1.3 ms
+#     cylinder d=8, 165                           4.5 ms     1.0 ms
+#     Chebyshev-Leja^2 d=16, 153                  5.9 ms     1.3 ms
+#     Chebyshev-Leja^2 d=20, 231                  17 ms      2.2 ms
+#     cylinder d=10, 286                          15 ms      1.8 ms
 #
-# They cross near 45 conditions.  The benchmark's zoo builds products of 6
-# to 55 conditions, which stay on exact SVD values below 150, and the
-# sweeps' large products take bounds.
+# They cross between 45 and 66 conditions.  The benchmark's zoo builds
+# products of 6 to 55 conditions, which stay on exact SVD values and dense
+# solves below 150, and the sweeps' large products take bounds.
 _BOUND_CONDITIONS = 150
 # A certified level's bound, times this margin, is below the threshold.  The
 # bound is exact arithmetic on quantities that carry rounding: the factor
@@ -147,6 +170,17 @@ _BOUND_MARGIN = 10.0
 # a bound reads factor inverses only where every factor estimate up to the
 # product degree is below this (and below the threshold)
 _BOUND_FACTOR_COND = 1e12
+# A factor-wise product solve (``NewtonProduct._factor_solve``) stands when its
+# relative residual at the conditions is below this; else the dense solve runs.
+# Over every ordered pair of the gate zoo's gated factors (Taylor, orthogonal,
+# Lagrange and Kergin at six node families, two-variable Taylor and planar
+# Kergin) at d=3, 5, 8 and 14, on exp, 1/affine and a random polynomial, the
+# factor-wise truncation tables read a median of 2-8e-16; every pair without
+# sorted Chebyshev, equiangular or integer nodes reads at most 4.1e-15, and so
+# do the cylinder d=8..24 and Chebyshev-Leja^2 d=16..28 (at most 1.4e-15).
+# Products whose left factor is ill-ordered read up to 1.0e-12 at d=8 and
+# 4e-9 at d=14, where the dense solve reads at most 2.4e-14 and 4.9e-12.
+_SOLVE_TOLERANCE = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -220,6 +254,67 @@ def _scaled_inverse_grams(P: "NewtonStructuredProjector", degree: int,
     return np.einsum("ijc,kc->kij", columns, P._scales[:degree + 1, :n] ** 2, optimize=True)
 
 
+def _degree_rows(P: "NewtonStructuredProjector", degree: int, squares: bool) -> np.ndarray:
+    """Per exact monomial degree, each row's largest |entry|, or its sum of squares.
+
+    Over the first ``monomial_count(P.nvars, degree)`` conditions of P: entry
+    (a, j) of the ``(n, degree + 1)`` result reduces row a's |entries| (their
+    squares under ``squares``) over the monomials of exact degree j.
+    """
+    n = monomial_count(P.nvars, degree)
+    x = np.abs(P.matrix[:n, :n])
+    starts = degree_starts(P.nvars, degree)[:-1]
+    if squares:
+        return np.add.reduceat(x * x, starts, axis=1)
+    return np.maximum.reduceat(x, starts, axis=1)
+
+
+def _level_outer(ufunc: np.ufunc, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Entry (k, a, b): ``ufunc`` over j1 + j2 <= k of x1[a, j1] x2[b, j2].
+
+    For nonnegative ``_degree_rows`` of two factors and ``np.maximum`` (or
+    ``np.add``), that is a product row's largest entry (sum of squares) on
+    the monomials of degree <= k: a product monomial of degree <= k is a pair
+    of factor monomials whose degrees sum to at most k, and a maximum of
+    products of nonnegative numbers is the product of the maxima.  x2 is
+    first reduced over j2 <= k - j1, so each j1 takes one outer product.
+    """
+    d = x1.shape[1] - 1
+    x2 = ufunc.accumulate(x2, axis=1)
+    out = np.zeros((d + 1, x1.shape[0], x2.shape[0]))
+    for j in range(d + 1):
+        ufunc(out[j:], x1[None, :, j, None] * x2[:, :d + 1 - j].T[:, None, :], out=out[j:])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _factor_scatter(nvars: tuple[int, int], degree: int):
+    """Where the left factor's solves land in the ``(degree + 1, m1, m2)`` table.
+
+    The right-hand side of the left solve at level i holds the blocks j =
+    0..degree - i side by side, block j being ``monomial_count(n2, j)``
+    columns wide; returns the blocks' column offsets and, per i, the flat
+    table position of every entry of that solve's result: entry (r1, block
+    j column r2) goes to (i + j, r1, r2), with m1, m2 the factors' monomial
+    counts at ``degree``.
+    """
+    n1, n2 = nvars
+    m1, m2 = monomial_count(n1, degree), monomial_count(n2, degree)
+    widths = np.array(degree_starts(n2, degree)[1:])
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    block = np.repeat(np.arange(degree + 1), widths)
+    column = np.arange(offsets[-1]) - offsets[block]
+    scatter = []
+    for i in range(degree + 1):
+        w = offsets[degree + 1 - i]
+        rows = np.arange(monomial_count(n1, i))[:, None]
+        index = ((i + block[None, :w]) * m1 + rows) * m2 + column[None, :w]
+        index = index.ravel()
+        index.setflags(write=False)
+        scatter.append(index)
+    return tuple(int(c) for c in offsets), tuple(scatter)
+
+
 class NestedUnisolvenceFailure(ValueError):
     """A leading block of the collocation matrix is numerically singular."""
 
@@ -269,6 +364,10 @@ class NewtonStructuredProjector:
         relax it explicitly.
     """
 
+    # whether row scales, solves and polynomial values read the factors
+    # instead of ``matrix``; only a product sets it (``NewtonProduct._bounded``)
+    _factorwise = False
+
     def __init__(self, conditions, cond_threshold: float | None = 1e12):
         self.conditions: list[Functional] = list(conditions)
         if not self.conditions:
@@ -287,16 +386,9 @@ class NewtonStructuredProjector:
         starts = degree_starts(self.nvars, self.degree)
         self.levels = [self.conditions[lo:hi] for lo, hi in zip(starts, starts[1:])]
         self.cond_threshold = cond_threshold
-        self.matrix = self._assemble(self.degree)
-        # A real matrix (real nodes, real centers) takes real SVDs and
-        # inverses in the nesting gate, about twice as fast.  The real and
-        # complex estimates of one block differ by about cond x 1e-17
-        # relative (3e-14 at cond 3e3, 5.6e-6 at the Chebyshev-Leja product's
-        # level-30 block, 1.28e12); neither is the more exact one, so only a
-        # block that close to the threshold could be decided differently.
-        # The solves keep the complex matrix: its blocks, divided by the row
-        # scales in complex arithmetic, round apart from the real view's.
-        self._real_view = self.matrix.real if not np.any(self.matrix.imag) else self.matrix
+        # ``matrix`` and ``_real_view``, once read
+        self._matrix: np.ndarray | None = None
+        self._real: np.ndarray | None = None
         self._scales = self._row_scales()
         self.level_conds = self._check_nesting()
         # (key, values of levels 0..top, truncation table or None) of the
@@ -307,6 +399,38 @@ class NewtonStructuredProjector:
         self._stack: np.ndarray | None = None
 
     # -- collocation rows ----------------------------------------------------
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Every condition's values on the monomials up to the degree, assembled at first read.
+
+        A projector reads it at build, for its row scales; a product that
+        takes its row scales and solves from its factors reads it only where
+        something asks for it (``NewtonProduct._factorwise``).  A plain
+        attribute keeps it rather than ``functools.cached_property``, which
+        reads the instance ``__dict__`` and so, from Python 3.11 on, slows
+        every later attribute access of the projector.
+        """
+        if self._matrix is None:
+            self._matrix = self._assemble(self.degree)
+        return self._matrix
+
+    @property
+    def _real_view(self) -> np.ndarray:
+        """``matrix``, as a real array where it has no imaginary part.
+
+        A real matrix (real nodes, real centers) takes real SVDs and
+        inverses in the nesting gate, about twice as fast.  The real and
+        complex estimates of one block differ by about cond x 1e-17 relative
+        (3e-14 at cond 3e3, 5.6e-6 at the Chebyshev-Leja product's level-30
+        block, 1.28e12); neither is the more exact one, so only a block that
+        close to the threshold could be decided differently.  The solves keep
+        the complex matrix: its blocks, divided by the row scales in complex
+        arithmetic, round apart from the real view's.
+        """
+        if self._real is None:
+            self._real = self.matrix.real if not np.any(self.matrix.imag) else self.matrix
+        return self._real
 
     def _assemble(self, degree: int) -> np.ndarray:
         """Every condition's values on the monomials of degree <= ``degree``."""
@@ -433,8 +557,16 @@ class NewtonStructuredProjector:
         finiteness, so each level's right-hand side is checked here; a
         non-finite block never gets this far, since the nesting gate's SVD
         of it fails.  An exactly zero pivot raises ``LinAlgError`` naming
-        the level.
+        the level.  A factor-wise product first solves through its factors
+        (``NewtonProduct._factor_solve``) and keeps that result where its
+        relative residual at the conditions of ``levels`` is below
+        ``_SOLVE_TOLERANCE``; otherwise the dense solves below run, on the
+        matrix they assemble.
         """
+        if self._factorwise:
+            table = self._factor_solve(levels, values)
+            if self.solve_residual < _SOLVE_TOLERANCE:
+                return table
         if self._stacked and np.isfinite(values).all():
             try:
                 return self._padded_solve(levels, values)
@@ -569,7 +701,10 @@ class NewtonProduct(NewtonStructuredProjector):
     the product's exactness and through their own memos (``_rhs``), and
     each tensor condition takes the product of its two factor values.  A
     test function that does not split goes through ``functionals.rhs`` as a
-    list of tensor conditions.
+    list of tensor conditions.  Where the gate takes bounds from the
+    factors (``_bounded`` at build), the product is factor-wise: row scales,
+    bounds, polynomial values and solves read the factors' rows and blocks,
+    and ``matrix`` is assembled only when read.
     """
 
     def __init__(self, left: NewtonStructuredProjector,
@@ -589,8 +724,15 @@ class NewtonProduct(NewtonStructuredProjector):
         pairs = [(a, b) for i in range(degree + 1) for i1, i2 in self._level_pairs(i)
                  for a in range(s1[i1], s1[i1 + 1]) for b in range(s2[i2], s2[i2 + 1])]
         self._pairs = np.array(pairs, dtype=np.intp).T
+        self._factorwise = self._bounded(cond_threshold)
         super().__init__([Tensor(left.conditions[a], right.conditions[b]) for a, b in pairs],
                          cond_threshold=cond_threshold)
+        # the relative residual at the conditions of the last factor-wise
+        # solve (``_factor_solve``); None before one
+        self.solve_residual: float | None = None
+        # each factor's row-equilibrated leading blocks of levels 0..degree,
+        # from the first factor-wise solve on
+        self._blocks: tuple | None = None
 
     def _assemble(self, degree: int) -> np.ndarray:
         r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), degree)
@@ -601,14 +743,16 @@ class NewtonProduct(NewtonStructuredProjector):
     def _polynomial_rhs(self, p, n):
         """Values of p under the first n tensor conditions.
 
-        Within the product degree, the product rows' matrix slice.  Above
-        it, each condition is ``(L C R^T)[a, b]``: p's coefficients scatter
+        Within the product degree, the product rows' matrix slice, except
+        on a product that solves through its factors (``_factorwise``), which
+        reads no product matrix.  Otherwise each condition is
+        ``(L C R^T)[a, b]``: p's coefficients scatter
         into C by factor ranks, and L and R are the factors' rows of every
         condition up to the product degree, at the block degrees d1 and d2
         that p's nonzero terms reach.  So no product row is assembled, and a
         factor assembles rows only where its block degree passes its own.
         """
-        if p.degree <= self.degree:
+        if p.degree <= self.degree and not self._factorwise:
             return super()._polynomial_rhs(p, n)
         nonzero = np.flatnonzero(p.coeffs)
         if not nonzero.size:
@@ -642,25 +786,48 @@ class NewtonProduct(NewtonStructuredProjector):
         a, b = self._pairs[:, :monomial_count(self.nvars, k)]
         return values[0][a] * values[1][b]
 
-    def _cond_bounds(self):
-        """``_factor_bounds``, or None where the gate takes every SVD.
+    def _bounded(self, threshold: float | None) -> bool:
+        """Whether the gate at ``threshold`` may bound levels from factor quantities.
 
-        None with the gate off (``level_conds`` stay exact), below
-        ``_BOUND_CONDITIONS``, on a vanishing row, when a factor is itself a
-        product (its inverses are no small blocks), or when a factor's own
-        gate did not run or read ``_BOUND_FACTOR_COND`` or the threshold at a
-        level up to the product degree, since the rounding argument behind
-        ``_BOUND_MARGIN`` needs accurate factor inverses.
+        Not with the gate off (``level_conds`` stay exact), below
+        ``_BOUND_CONDITIONS``, when a factor is itself a product (its
+        inverses are no small blocks), or when a factor's own gate did not
+        run or read ``_BOUND_FACTOR_COND`` or the threshold at a level up to
+        the product degree, since the rounding argument behind
+        ``_BOUND_MARGIN`` needs accurate factor inverses.  At build this also
+        decides ``_factorwise``.
         """
-        if (self.cond_threshold is None or len(self.conditions) < _BOUND_CONDITIONS
-                or not self._scales.all()):
+        if threshold is None or self._pairs.shape[1] < _BOUND_CONDITIONS:
+            return False
+        limit = min(threshold, _BOUND_FACTOR_COND)
+        degree = min(self.left.degree, self.right.degree)
+        return all(not isinstance(factor, NewtonProduct) and factor.cond_threshold is not None
+                   and max(factor.level_conds[:degree + 1]) < limit
+                   for factor in (self.left, self.right))
+
+    def _cond_bounds(self):
+        """``_factor_bounds`` where ``_bounded`` holds and no row vanishes, else None."""
+        if not self._bounded(self.cond_threshold) or not self._scales.all():
             return None
-        limit = min(self.cond_threshold, _BOUND_FACTOR_COND)
-        for factor in (self.left, self.right):
-            if (isinstance(factor, NewtonProduct) or factor.cond_threshold is None
-                    or not max(factor.level_conds[:self.degree + 1]) < limit):
-                return None
         return self._factor_bounds()
+
+    def _row_scales(self):
+        """The gate's row scales; on a factor-wise product, from the factors' rows.
+
+        Level k's scale of the tensor condition (a, b) is the largest of
+        m1[a, j1] m2[b, j2] over j1 + j2 <= k, m holding the factor rows'
+        maxima over the monomials of each exact degree (``_level_outer``).
+        On a real matrix that is the product row's own maximum bit for bit,
+        since rounding is monotone; on a complex one |z1||z2| and |z1 z2|
+        round apart.
+        """
+        if not self._factorwise:
+            return super()._row_scales()
+        d = self.degree
+        maxima = _level_outer(np.maximum, _degree_rows(self.left, d, False),
+                              _degree_rows(self.right, d, False))
+        a, b = self._pairs
+        return np.where(_level_rows(self.nvars, d), maxima[:, a, b], 1.0)
 
     def _factor_bounds(self) -> list[float]:
         """Upper bounds on every level's condition estimate, from factor quantities.
@@ -685,22 +852,110 @@ class NewtonProduct(NewtonStructuredProjector):
 
         with G1, G2 the factors' ``_scaled_inverse_grams`` (of Delta1 and
         of B2), which must not be products themselves.  The first norm reads
-        the product matrix once, at O(n^2).  Every row scale must be
-        positive.
+        no product row either: a tensor row's sum of squares on block k is
+        the sum over j1 + j2 <= k of the factor rows' sums of squares over
+        the monomials of degree j1 and j2 (``_level_outer``).  Every row
+        scale must be positive.
         """
         d = self.degree
         left = _scaled_inverse_grams(self.left, d, summands=True)
         right = _scaled_inverse_grams(self.right, d, summands=False)
-        squares = np.abs(self.matrix)
-        squares *= squares
-        # row sums over each level's new columns, then over the levels up to k
-        sums = np.cumsum(np.add.reduceat(squares, degree_starts(self.nvars, d)[:-1], axis=1),
-                         axis=1).T
+        sums = _level_outer(np.add, _degree_rows(self.left, d, True),
+                            _degree_rows(self.right, d, True))
+        a, b = self._pairs
         inside = _level_rows(self.nvars, d)
-        frobenius = np.sqrt(np.sum(np.where(inside, sums / self._scales ** 2, 0.0), axis=1))
+        frobenius = np.sqrt(np.sum(np.where(inside, sums[:, a, b] / self._scales ** 2, 0.0),
+                                   axis=1))
         return [float(frobenius[k] * np.sqrt(np.sum(left[k, :k + 1, :k + 1]
                                                     * right[k, k::-1, k::-1]).real))
                 for k in range(d + 1)]
+
+    # -- factor-wise solves ------------------------------------------------------
+
+    def _factor_solve(self, levels: range, values: np.ndarray) -> np.ndarray:
+        """The solves at ``levels`` through the factors' leading blocks.
+
+        With F[a, b] the value of the tensor condition (a, b) (0 where it is
+        past levels[-1]), the degree-k truncation's coefficients at factor
+        ranks (r1, r2) are entry (r1, r2) of
+
+            C_k = sum over i + j = k of B1_i F Delta2_j^T,
+
+        the paper's sum over i + j <= k of Delta1_i (x) Delta2_j summed by
+        parts, B the factors' leading-block inverses and Delta2_j = B2_j -
+        B2_{j-1}.  Each B is applied as ``np.linalg.solve`` on the factor's
+        row-equilibrated block, never as an explicit inverse: one right solve
+        per level j, on every left condition, and one left solve per level i
+        on the blocks F Delta2_j^T of j = 0..degree - i side by side, whose
+        result lands on the table rows i + j (``_factor_scatter``).  So a
+        table costs 2(top + 1) small solves.  Every solve's shape depends on
+        its level and the product degree alone, and a column of a solve's
+        result on its own column of the right-hand side alone, so the row of
+        level k reads the same bits whichever levels above it are solved:
+        ``truncate(k, f)`` and ``truncations(f)[k]`` agree bit for bit.  A
+        single level k therefore takes the table's 2(k + 1) solves at their
+        full width, not only the blocks of its anti-diagonal i + j = k,
+        which would change the number of right-hand sides and, with it, how
+        LAPACK may round.
+
+        Sets ``solve_residual``: the largest |(L C_k R^T)[a, b] - F[a, b]|
+        over the conditions of each level k in ``levels``, over the largest
+        |F[a, b]| there, L and R the factors' rows.  A non-finite value
+        raises as the dense solve does, naming the lowest level of
+        ``levels`` it reaches.
+        """
+        lo, top = levels.start, levels.stop - 1
+        n = monomial_count(self.nvars, top)
+        values = values[:n]
+        if not np.isfinite(values).all():
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            k = max(lo, bisect_right(degree_starts(self.nvars, top), bad) - 1)
+            raise ValueError(f"degree-{k} right-hand side is not finite")
+        d, nvars = self.degree, (self.left.nvars, self.right.nvars)
+        m1, m2 = monomial_count(nvars[0], d), monomial_count(nvars[1], d)
+        if self._blocks is None:
+            self._blocks = tuple([factor._equilibrated(i, factor.matrix) for i in range(d + 1)]
+                                 for factor in (self.left, self.right))
+        left_blocks, right_blocks = self._blocks
+        s1, s2 = self.left._scales, self.right._scales
+        offsets, scatter = _factor_scatter(nvars, d)
+        a, b = self._pairs[:, :n]
+        # F^T, one row per right condition
+        values_t = np.zeros((m2, m1), dtype=np.complex128)
+        values_t[b, a] = values
+        # F Delta2_j^T, transposed, block j in rows offsets[j]:offsets[j + 1]
+        steps = np.zeros((offsets[-1], m1), dtype=np.complex128)
+        previous = None
+        for j in range(top + 1):
+            w = monomial_count(nvars[1], j)
+            solved = np.linalg.solve(right_blocks[j], values_t[:w] / s2[j, :w, None])
+            block = steps[offsets[j]:offsets[j] + w]
+            block[:] = solved
+            if previous is not None:
+                block[:previous.shape[0]] -= previous
+            previous = solved
+        table = np.zeros((d + 1, m1, m2), dtype=np.complex128)
+        flat = table.reshape(-1)
+        steps = steps.T
+        for i in range(top + 1):
+            w = monomial_count(nvars[0], i)
+            rhs = steps[:w, :offsets[d + 1 - i]] / s1[i, :w, None]
+            flat[scatter[i]] += np.linalg.solve(left_blocks[i], rhs).reshape(-1)
+        table = table[:top + 1]
+        self.solve_residual = self._table_residual(table[lo:], levels, values)
+        r1, r2 = factor_ranks(nvars, top)
+        return table[lo:, r1, r2]
+
+    def _table_residual(self, tables: np.ndarray, levels: range, values: np.ndarray) -> float:
+        """``solve_residual`` of the coefficient matrices C_k of ``levels``, stacked."""
+        m1, m2 = tables.shape[1:]
+        top = levels.stop - 1
+        a, b = self._pairs[:, :len(values)]
+        fitted = (self.left.matrix[:m1, :m1] @ tables @ self.right.matrix[:m2, :m2].T)[:, a, b]
+        inside = _level_rows(self.nvars, top)[levels.start:]
+        gap = float(np.max(np.where(inside, np.abs(fitted - values), 0.0)))
+        scale = float(np.max(np.abs(values)))
+        return gap / scale if scale else gap
 
     @staticmethod
     def _level_pairs(i: int) -> list[tuple[int, int]]:

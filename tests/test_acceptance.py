@@ -77,9 +77,9 @@ def test_criterion_01_projector_laws():
 # -- criteria 2 and 3: product formula and residual expansion ---------------------
 
 
-def _factor_menu(rng):
-    d1 = int(rng.integers(2, 6))
-    d2 = int(rng.integers(2, 6))
+def _factor_menu(rng, low=2, high=6):
+    d1 = int(rng.integers(low, high))
+    d2 = int(rng.integers(low, high))
     menu1 = [
         taylor_projector(1, d1),
         lagrange_projector(nodes_by_name("real_leja", d1).reshape(-1, 1)),
@@ -103,6 +103,25 @@ def test_criterion_02_product_formula():
         f1 = random_poly(rng, 1, left.degree)
         f2 = random_poly(rng, 1, right.degree)
         via_engine = prod.apply(tensor_product(f1, f2))
+        via_formula = prod.apply_product_formula(f1, f2)
+        assert rel_gap(via_engine.coeffs, via_formula.coeffs) < 1e-8
+
+
+def test_criterion_02_product_formula_past_the_bound_size(monkeypatch):
+    # a product of at least 150 conditions solves through its factors' blocks,
+    # as the formula does; the engine side here takes the dense solve on the
+    # product matrix, so the two sides stay independent
+    rng = np.random.default_rng(212)
+    for _ in range(6):
+        left, right = _factor_menu(rng, 16, 20)
+        prod = left.newton_product(right)
+        assert len(prod.conditions) >= 150 and prod._factorwise
+        f1 = random_poly(rng, 1, left.degree)
+        f2 = random_poly(rng, 1, right.degree)
+        with monkeypatch.context() as m:
+            m.setattr(prod, "_factorwise", False)
+            via_engine = prod.apply(tensor_product(f1, f2))
+        assert prod._matrix is not None
         via_formula = prod.apply_product_formula(f1, f2)
         assert rel_gap(via_engine.coeffs, via_formula.coeffs) < 1e-8
 

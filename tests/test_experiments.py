@@ -387,6 +387,8 @@ def test_cylinder_run_small_degrees():
     # nodes (a_i, b_j) with i + j <= 4: 5 + 4 + 3 + 2 + 1 pairs
     assert report.metadata["node_count"] == 15
     assert report.metadata["node_residual"] < 1e-8
+    # 35 conditions: the product takes the dense solves and has no guard
+    assert report.metadata["solve_residual"] is None
     assert len(report.extras["nodes"]) == 15
     # the one build is on the first row; evaluation is timed apart
     assert [r["seconds"] > 0 for r in report.rows] == [True, False, False]
@@ -403,6 +405,10 @@ def test_cylinder_run_at_the_degree_cap():
     assert report.metadata["node_residual"] < 1e-8
     # below the degree-10 sup error of the same sweep (5.14e-6)
     assert report.rows[0]["sup_error"] < 5.2e-6
+    # 455 conditions solved through the factors' blocks; it reads 2.7e-16
+    assert 0.0 < report.metadata["solve_residual"] < 1e-14
+    assert json.loads(json.dumps(report.to_json()))["metadata"]["solve_residual"] == \
+        report.metadata["solve_residual"]
 
 
 def test_cylinder_run_with_a_pole_function_holds_its_nodes():

@@ -186,6 +186,19 @@ def test_unpadded_solves_name_the_level_that_fails():
         with pytest.raises(ValueError, match="^degree-1 right-hand side is not finite"):
             P.truncations(f)
         assert np.isfinite(P.truncate(0, f).coeffs).all()
+    # a product that solves through its factors names the same levels: the
+    # line's level-1 node enters the product at level 1
+    prod = cylinder_product(8)
+    assert prod._factorwise
+    f = Exp(Affine([0.0, 0.0, -800.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^degree-8 right-hand side is not finite"):
+            prod.apply(f)
+        with pytest.raises(ValueError, match="^degree-3 right-hand side is not finite"):
+            prod.truncate(3, f)
+        with pytest.raises(ValueError, match="^degree-1 right-hand side is not finite"):
+            prod.truncations(f)
+        assert np.isfinite(prod.truncate(0, f).coeffs).all()
     # the level-2 node repeats the level-0 node: levels 2..16 are singular,
     # and the gate is off so the build succeeds
     Q = lagrange_projector(np.concatenate([nodes[:2], nodes[:1], nodes[2:16]]),
@@ -324,15 +337,27 @@ def test_threshold_is_adjustable():
     assert np.max(np.abs(P.apply(f).eval_many(grid) - f.values(grid))) < 1e-13
 
 
-def test_product_nesting_failure_names_the_factor_level_pairs():
+def test_product_nesting_failure_names_the_factor_level_pairs(monkeypatch):
     # the bivariate Chebyshev-Leja product stays under 1e12 through level 29
     cheb = [lagrange_projector(nodes_by_name("chebyshev_leja", d)) for d in (29, 30)]
     assert max(cheb[0].newton_product(cheb[0]).level_conds) < 1e12
     pairs = ", ".join(f"({i1}, {30 - i1})" for i1 in range(31))
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
     with pytest.raises(NestedUnisolvenceFailure) as info:
         cheb[1].newton_product(cheb[1])
     assert str(info.value).startswith(f"level 30 (factor level pairs {pairs}): ")
-    assert "exceeds threshold" in str(info.value)
+    assert "1.284e+12 exceeds threshold" in str(info.value)
+    # the estimate is the SVD of the level-30 block, which a product that
+    # takes bounds from its factors assembles for the levels its bounds miss
+    assert shapes[-1] == (496, 496)
+    monkeypatch.undo()
     # its level-30 block (about 1.2838e12) is read by a real SVD: the two
     # estimates differ by about cond x 1e-17, far from the threshold
     prod = cheb[1].newton_product(cheb[1], cond_threshold=None)
@@ -573,6 +598,165 @@ def test_certified_levels_take_no_svd(monkeypatch):
     nested = small.newton_product(small).newton_product(small)  # 165 conditions
     assert len(nested.conditions) >= nprox.projectors._BOUND_CONDITIONS
     assert nested.level_cond_bounds is None
+
+
+# -- factor-wise product solves ----------------------------------------------------
+
+
+def factorwise_zoo(d):
+    """Gated factors of degree d: Taylor, orthogonal (real and circle), Lagrange
+    at complex disk-Leja and Chebyshev-Leja nodes, real Kergin, and two in two
+    variables (Taylor and planar Kergin)."""
+    return [taylor_projector(1, d, center=[0.3]),
+            orthogonal_projector(chebyshev_measure(2 * d + 1), d),
+            orthogonal_projector(circle_measure(2 * d + 1), d),
+            lagrange_projector(nodes_by_name("leja_disk", d)),
+            lagrange_projector(nodes_by_name("chebyshev_leja", d)),
+            kergin_projector(nodes_by_name("real_leja", d)),
+            taylor_projector(2, d, center=[0.3, -0.2]),
+            kergin_projector(cylinder_nodes(d)[0])]
+
+
+def factorwise_products(monkeypatch, d):
+    """Every ordered pair of ``factorwise_zoo(d)``, solving through its factors."""
+    monkeypatch.setattr(nprox.projectors, "_BOUND_CONDITIONS", 1)
+    singles = factorwise_zoo(d)
+    for left in singles:
+        for right in singles:
+            prod = left.newton_product(right)
+            assert prod._factorwise
+            yield prod
+
+
+def dense_truncations(P, values):
+    """Oracle: ``np.linalg.solve`` on each leading block of the assembled matrix."""
+    out = []
+    for k in range(P.degree + 1):
+        m = monomial_count(P.nvars, k)
+        out.append(np.linalg.solve(P.matrix[:m, :m], values[:m]))
+    return out
+
+
+def factorwise_inputs(P, rng):
+    """A separable and a non-separable test function, and polynomials within
+    and above the degree."""
+    split = Exp(Affine(rng.uniform(-1.0, 1.0, P.nvars)))
+    joint = Exp(Affine(rng.uniform(-0.5, 0.5, P.nvars))) * Recip(Affine(
+        rng.uniform(-0.3, 0.3, P.nvars), 4.0))
+    return [split, joint, random_poly(rng, P.nvars, P.degree, cplx=True),
+            random_poly(rng, P.nvars, P.degree + 2, cplx=True)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_factorwise_solves_match_a_dense_solve(monkeypatch, d):
+    # the forward errors of either solve are about cond x eps relative; the
+    # worst level here reads 0.06 of the certified bound times eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(53 + d)
+    checked = 0
+    for P in factorwise_products(monkeypatch, d):
+        inputs = factorwise_inputs(P, rng)
+        results = []
+        for f in inputs:
+            P._memo = None
+            results.append(([P.apply(f), *P.truncations(f), *P.newton_summands(f)],
+                            [P.truncate(k, f) for k in range(d + 1)], P._rhs(f, None)))
+            assert P.solve_residual < nprox.projectors._SOLVE_TOLERANCE
+        assert P._matrix is None
+        # the gate's row scales, from the factor rows: each product row's
+        # own maxima, bit for bit on a real matrix
+        dense_scales = NewtonStructuredProjector._row_scales(P)
+        if np.any(P.matrix.imag):
+            assert np.allclose(P._scales, dense_scales, rtol=4 * eps, atol=0.0)
+        else:
+            assert np.array_equal(P._scales, dense_scales)
+        for f, (parts, singles, values) in zip(inputs, results):
+            if isinstance(f, Polynomial):
+                rows = (P.matrix[:, :monomial_count(P.nvars, f.degree)] if f.degree <= d
+                        else np.array([mu.on_monomials(f.degree) for mu in P.conditions]))
+                want = rows @ f.coeffs
+                assert np.max(np.abs(values - want)) <= 1e-14 * np.max(np.abs(want))
+            want = dense_truncations(P, values)
+            for k, (got, single) in enumerate(zip(parts[1:d + 2], singles)):
+                gap = np.linalg.norm(got.coeffs - want[k]) / np.linalg.norm(want[k])
+                assert gap <= P.level_conds[k] * eps
+                assert np.array_equal(single.coeffs, got.coeffs)
+            assert np.array_equal(parts[0].coeffs, parts[d + 1].coeffs)
+            for got, step in zip(parts[d + 2:], _summands_from(want), strict=True):
+                assert np.linalg.norm(got.coeffs - step) <= P.level_conds[-1] * eps * \
+                    np.linalg.norm(want[-1])
+            # with the matrix assembled the solves still read the factors:
+            # the same bits as before
+            P._memo = None
+            fresh = [P.apply(f), *P.truncations(f)]
+            assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(fresh, parts))
+            checked += 1
+    assert checked == 4 * 64
+
+
+def test_the_certified_cylinder_assembles_no_product_matrix(monkeypatch):
+    assembled, inverses = [], []
+    assemble, inv = NewtonProduct._assemble, np.linalg.inv
+
+    def spy(self, degree):
+        assembled.append(degree)
+        return assemble(self, degree)
+
+    def counting(x):
+        inverses.append(x.shape)
+        return inv(x)
+
+    monkeypatch.setattr(NewtonProduct, "_assemble", spy)
+    P = cylinder_product(8)
+    assert len(P.conditions) == 165 and P._factorwise and not any(P.svd_levels())
+    assert P.solve_residual is None
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    f = Exp(Affine([1.0, 1.0, 1.0]))
+    P.truncations(f)
+    assert P.solve_residual < nprox.projectors._SOLVE_TOLERANCE
+    P.apply(f)
+    P.truncate(3, f)
+    P.newton_summands(f)
+    rng = np.random.default_rng(59)
+    for degree in (6, 8, 10):
+        P.apply(random_poly(rng, 3, degree, cplx=True))
+    # no product row and no explicit inverse on the factor-wise path
+    assert assembled == [] and inverses == []
+    assert P._matrix is None
+    # whatever reads the matrix assembles it once
+    assert P.matrix.shape == (165, 165) and P.matrix is P.matrix
+    assert assembled == [8]
+
+
+def test_a_failed_guard_falls_back_to_the_dense_bits(monkeypatch):
+    # the gate off keeps the dense path: its solves are the ones every
+    # product took before the factor-wise path
+    f = Recip(Affine([0.5, 0.5, 0.3], -1.6))
+    dense = cylinder_product(8, None)
+    assert not dense._factorwise
+    want = [dense.apply(f), *dense.truncations(f), dense.truncate(5, f)]
+    P = cylinder_product(8)
+    got = [P.apply(f), *P.truncations(f), P.truncate(5, f)]
+    assert not all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got, want))
+    assert P._matrix is None
+    monkeypatch.setattr(nprox.projectors, "_SOLVE_TOLERANCE", 0.0)
+    P = cylinder_product(8)
+    got = [P.apply(f), *P.truncations(f), P.truncate(5, f)]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    # the residual the guard read stays reported
+    assert 0.0 < P.solve_residual < 1e-14
+    assert P._matrix is not None
+
+
+def _summands_from(truncations):
+    """Consecutive differences of truncation coefficient vectors, each at its own length."""
+    out = [truncations[0]]
+    for lower, upper in zip(truncations, truncations[1:]):
+        step = upper.copy()
+        step[:len(lower)] -= lower
+        out.append(step)
+    return out
 
 
 def test_polynomial_rhs_reads_the_collocation_rows():
