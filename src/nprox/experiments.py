@@ -23,7 +23,7 @@ from .config import REQUIRED, SCHEMA, read_config
 from .extremal import fit_decay_rate, parse_compact
 from .indexing import monomial_count
 from .points import cartesian
-from .polynomials import evaluate_grid
+from .polynomials import _real_or_self, evaluate_grid
 from .testfunctions import parse_function
 from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_from_spec
 
@@ -140,13 +140,16 @@ def _score(config, t0, approxs, seconds, blocks, target, metadata, extras=None):
     All of them are evaluated on the Cartesian grid of ``blocks`` in one
     batch (``evaluate_grid``), timed as the metadata's ``eval_s``; each
     degree's row holds its sup error against ``target`` there and its
-    ``seconds``, and the rate is fitted to the sup errors.  The metadata
-    also gains ``config_hash``, ``fit_stderr`` and ``wall_time_s`` (since
-    ``t0``) ahead of the sweep's own ``metadata``.
+    ``seconds``, and the rate is fitted to the sup errors.  Where the target
+    and the values have no imaginary part, the errors are taken on their
+    real views (``_real_or_self``): the same bits, without complex ``abs``.
+    The metadata also gains ``config_hash``, ``fit_stderr`` and
+    ``wall_time_s`` (since ``t0``) ahead of the sweep's own ``metadata``.
     """
     tick = time.perf_counter()
     values = evaluate_grid(approxs, blocks)
     eval_s = time.perf_counter() - tick
+    target, values = _real_or_self(target), _real_or_self(values)
     rows = [_row(d, float(np.max(np.abs(target - col))), s)
             for d, col, s in zip(config.degrees, values.T, seconds)]
     rate, stderr, _ = fit_decay_rate(config.degrees, [r["sup_error"] for r in rows])

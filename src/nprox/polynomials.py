@@ -29,6 +29,21 @@ from .points import as_rows
 _EVAL_CHUNK = 4096
 
 
+def _real_or_self(x: np.ndarray) -> np.ndarray:
+    """``x.real`` where ``x`` has no nonzero imaginary part, else ``x``.
+
+    Real nodes, real functionals and real test functions on real points give
+    complex128 arrays whose imaginary parts are 0; their real views do the
+    same products and sums in float64, at about a quarter of the arithmetic.
+    A product of zero imaginary parts adds 0, so an elementwise real product
+    is the complex one's real part exactly, and complex ``abs`` is
+    ``hypot(x, 0) = |x|`` there.  The real matrix products read the complex
+    ones' real parts bit for bit on every sweep report compared (OpenBLAS,
+    numpy 2.4, one BLAS thread).
+    """
+    return x.real if not np.any(x.imag) else x
+
+
 class Polynomial:
     __slots__ = ("nvars", "degree", "coeffs")
 
@@ -310,6 +325,12 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
     contracted with each block's monomial table, ``V1 @ C @ V2.T`` for two
     blocks.  Rows come in ``cartesian``'s left-major order; the result has
     shape ``(m, len(polys))``.
+
+    Where the coefficients and every table are real (``_real_or_self``),
+    the contractions run in float64, and the last one writes straight into
+    the real parts of the complex128 result, so no full-size real copy is
+    made.  Flat ``evaluate`` stays complex: a real path there moved the
+    degree-12 cylinder's node residual from 1.6e-14 to 3.7e-14.
     """
     nvars, degree, coeffs = _coefficient_matrix(polys)
     blocks = [as_rows(b) for b in blocks]
@@ -318,16 +339,29 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
         raise ValueError("blocks have the wrong number of coordinates")
     count = coeffs.shape[1]
     m = int(np.prod([b.shape[0] for b in blocks]))
+    out = np.zeros((count, m), dtype=np.complex128)
     if degree < 0:
-        return np.zeros((m, count), dtype=np.complex128)
+        return out.T
     tables = [monomial_vandermonde(b, degree) for b in blocks]
-    grid = np.zeros((count,) + tuple(t.shape[1] for t in tables), dtype=np.complex128)
+    views = [_real_or_self(x) for x in [coeffs] + tables]
+    real = all(x.dtype == np.float64 for x in views)
+    if real:
+        coeffs, tables = views[0], views[1:]
+    target = out.real if real else out
+    grid = np.zeros((count,) + tuple(t.shape[1] for t in tables), dtype=coeffs.dtype)
     grid[(slice(None),) + factor_ranks(sizes, degree)] = coeffs.T
     # contract the last block first: the axes still in monomials lead and
     # the ones already in points trail, so each step is a matrix product
-    grid = grid.reshape(-1, tables[-1].shape[1]) @ tables[-1].T
+    grid = grid.reshape(-1, tables[-1].shape[1])
+    if len(tables) == 1:
+        np.matmul(grid, tables[0].T, out=target)
+        return out.T
+    grid = grid @ tables[-1].T
     done = tables[-1].shape[0]
-    for table in reversed(tables[:-1]):
+    for table in reversed(tables[1:-1]):
         grid = table @ grid.reshape(-1, table.shape[1], done)
         done *= table.shape[0]
-    return grid.reshape(count, m).T
+    first = tables[0]
+    np.matmul(first, grid.reshape(count, first.shape[1], done),
+              out=target.reshape(count, first.shape[0], done))
+    return out.T

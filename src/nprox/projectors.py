@@ -53,9 +53,22 @@ Delta2_j = B2_j - B2_{j-1} (``NewtonProduct._factor_solve``), which is
 product's.  A guard reads the relative residual at the conditions of every
 level solved, factor-wise (``solve_residual``), and above
 ``_SOLVE_TOLERANCE`` the dense solve runs instead.  ``matrix`` is assembled
-at its first read: the SVD of a level the bounds leave to it, that
-fallback, or a caller such as ``project --check``.  Products below the
-bound size and products of products keep the dense path.
+at its first read: the SVD of a level the bounds leave to it when a factor
+is complex, that fallback, or a caller such as ``project --check``.
+Products below the bound size and products of products keep the dense
+path.
+
+Real conditions (real nodes, real centers, real measures) give a matrix
+with no imaginary part, and the layers that feed no solve read its real
+view (``_real_view``, through ``polynomials._real_or_self``): the gate's
+SVDs and the factor inverses of its bounds, and a factor-wise product's
+solve guard, which multiplies its factors' real rows with the real
+truncation table of a real input.  A factor-wise product of real factors
+gathers the blocks of the levels its bounds leave to an SVD from the
+factors' real rows, so it assembles no ``matrix`` for them.  A product of
+zero imaginary parts adds 0, so an elementwise real product is the complex
+one's real part exactly, and the sweeps' reports read the bits complex
+arithmetic gave them.  Every solve stays complex.
 
 Each solve is numpy's LAPACK ``gesv`` (an LU factorization, then the two
 triangular solves) on a row-equilibrated leading block, factored on each
@@ -107,7 +120,7 @@ from .config import check_exactness, read_index
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs, rows
 from .indexing import degree_starts, factor_ranks, monomial_count
 # tensor_product is re-exported: code that imports or patches it here finds it
-from .polynomials import Polynomial, tensor_product  # noqa: F401
+from .polynomials import Polynomial, _real_or_self, tensor_product  # noqa: F401
 from .testfunctions import PoleOnSupportError, TestFunction
 
 
@@ -136,27 +149,32 @@ _STACK_CONDITIONS = 16
 # _cond_bounds``), and a level whose bound is ``_BOUND_MARGIN`` times under
 # the threshold takes no SVD; such a product reads no product matrix for its
 # row scales, its bounds or its solves (``NewtonProduct._factorwise``).  The
-# product's build from built factors, one BLAS thread, 2-core Xeon, numpy
-# 2.4, medians of 41 builds, every level certified, with an SVD per level
-# (the matrix assembled) against the bounds (no matrix):
+# product's build from built factors plus one ``apply`` of a function that
+# splits along them (the factors' memos cleared), one BLAS thread, 2-core
+# Xeon, numpy 2.4, medians of 61 alternating runs, every level certified,
+# dense (an SVD per level and the product's own solve) against factor-wise:
 #
-#     product, conditions                    SVD per level   bounds
-#     Chebyshev-Leja^2 d=4, 15                    0.16 ms    0.35 ms
-#     Chebyshev-Leja^2 d=6, 28                    0.26 ms    0.46 ms
-#     Chebyshev-Leja^2 d=8, 45                    0.50 ms    0.60 ms
-#     Chebyshev-Leja^2 d=10, 66                   0.99 ms    0.76 ms
-#     Chebyshev-Leja^2 d=12, 91                   1.8 ms     0.91 ms
-#     Chebyshev-Leja^2 d=14, 120                  3.6 ms     1.1 ms
-#     disk Kergin x Taylor d=14, 120 (complex)    6.1 ms     1.3 ms
-#     cylinder d=8, 165                           4.5 ms     1.0 ms
-#     Chebyshev-Leja^2 d=16, 153                  5.9 ms     1.3 ms
-#     Chebyshev-Leja^2 d=20, 231                  17 ms      2.2 ms
-#     cylinder d=10, 286                          15 ms      1.8 ms
+#     product, conditions                           dense   factor-wise
+#     Chebyshev-Leja^2 d=8, 45                    0.86 ms     1.11 ms
+#     Chebyshev-Leja^2 d=9, 55                    1.08 ms     1.21 ms
+#     Chebyshev-Leja^2 d=10, 66                   1.42 ms     1.40 ms
+#     Chebyshev-Leja^2 d=11, 78                   1.79 ms     1.50 ms
+#     Chebyshev-Leja^2 d=12, 91                   2.32 ms     1.67 ms
+#     Chebyshev-Leja^2 d=14, 120                  3.94 ms     1.97 ms
+#     Chebyshev-Leja^2 d=20, 231                  19.2 ms     3.65 ms
+#     cylinder d=5, 56                            1.01 ms     1.10 ms
+#     cylinder d=6, 84                            1.62 ms     1.34 ms
+#     cylinder d=8, 165                           5.46 ms     2.14 ms
+#     disk Lagrange x Taylor d=8, 45 (complex)    1.00 ms     1.09 ms
+#     disk Lagrange x Taylor d=9, 55 (complex)    1.30 ms     1.20 ms
+#     disk Lagrange x Taylor d=10, 66 (complex)   1.77 ms     1.33 ms
+#     disk Lagrange x Taylor d=14, 120 (complex)  6.34 ms     2.11 ms
 #
-# They cross between 45 and 66 conditions.  The benchmark's zoo builds
-# products of 6 to 55 conditions, which stay on exact SVD values and dense
-# solves below 150, and the sweeps' large products take bounds.
-_BOUND_CONDITIONS = 150
+# Real two-variable products break even at 66 conditions, three-variable
+# ones between 56 and 84, and complex ones near 50.  The benchmark's zoo
+# builds products of 6 to 55 conditions, which stay on exact SVD values and
+# dense solves, and the sweeps' products from 66 conditions take bounds.
+_BOUND_CONDITIONS = 66
 # A certified level's bound, times this margin, is below the threshold.  The
 # bound is exact arithmetic on quantities that carry rounding: the factor
 # inverses are accurate to about cond x eps <= 1e-4 relative
@@ -241,17 +259,19 @@ def _scaled_inverse_grams(P: "NewtonStructuredProjector", degree: int,
     product <X_i S_k, X_j S_k>_F = trace((X_i S_k)^H X_j S_k), with X =
     Delta under ``summands``, else B.  Only i, j <= k are meaningful: there
     X_i and X_j vanish past the level-k block, where S_k reads 1.  One
-    inverse per level, of the row-equilibrated block, then two ``einsum``
-    contractions: over rows per column pair, then against the squared scales.
+    inverse per level, of the row-equilibrated block (of ``_real_view``, so
+    a real factor's maps are real), then two matrix products: per column c,
+    the Gram matrix of the maps' c-th columns, then the squared scales
+    against those matrices.
     """
-    n = monomial_count(P.nvars, degree)
-    x = np.zeros((degree + 1, n, n), dtype=P._real_view.dtype)
+    n, levels = monomial_count(P.nvars, degree), degree + 1
+    x = np.zeros((levels, n, n), dtype=P._real_view.dtype)
     for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
         x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
     if summands:
         x = _summand_rows(x)
-    columns = np.einsum("irc,jrc->ijc", x.conj(), x, optimize=True)
-    return np.einsum("ijc,kc->kij", columns, P._scales[:degree + 1, :n] ** 2, optimize=True)
+    columns = x.transpose(2, 0, 1).conj() @ x.transpose(2, 1, 0)
+    return (P._scales[:levels, :n] ** 2 @ columns.reshape(n, -1)).reshape((levels,) * 3)
 
 
 def _degree_rows(P: "NewtonStructuredProjector", degree: int, squares: bool) -> np.ndarray:
@@ -417,19 +437,22 @@ class NewtonStructuredProjector:
 
     @property
     def _real_view(self) -> np.ndarray:
-        """``matrix``, as a real array where it has no imaginary part.
+        """``matrix``, as a real array where it has no imaginary part (``_real_or_self``).
 
         A real matrix (real nodes, real centers) takes real SVDs and
-        inverses in the nesting gate, about twice as fast.  The real and
-        complex estimates of one block differ by about cond x 1e-17 relative
-        (3e-14 at cond 3e3, 5.6e-6 at the Chebyshev-Leja product's level-30
-        block, 1.28e12); neither is the more exact one, so only a block that
-        close to the threshold could be decided differently.  The solves keep
-        the complex matrix: its blocks, divided by the row scales in complex
-        arithmetic, round apart from the real view's.
+        inverses in the nesting gate, about twice as fast, and a factor-wise
+        product's solve guard multiplies its factors' real views.  The real
+        and complex estimates of one block differ by about cond x 1e-17
+        relative (3e-14 at cond 3e3, 5.6e-6 at the Chebyshev-Leja product's
+        level-30 block, 1.28e12); neither is the more exact one, so only a
+        block that close to the threshold could be decided differently.  The
+        solves keep the complex matrix: its blocks, divided by the row
+        scales in complex arithmetic, round apart from the real view's.  A
+        factor-wise product of real factors gathers it from their real views
+        (``NewtonProduct._real_view``) and assembles no ``matrix``.
         """
         if self._real is None:
-            self._real = self.matrix.real if not np.any(self.matrix.imag) else self.matrix
+            self._real = _real_or_self(self.matrix)
         return self._real
 
     def _assemble(self, degree: int) -> np.ndarray:
@@ -735,10 +758,31 @@ class NewtonProduct(NewtonStructuredProjector):
         self._blocks: tuple | None = None
 
     def _assemble(self, degree: int) -> np.ndarray:
+        return self._gather(degree, self.left._rows(degree), self.right._rows(degree))
+
+    def _gather(self, degree: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The tensor conditions' rows on the monomials up to ``degree``, from factor rows.
+
+        Each factor's columns are gathered first, on its own few rows, then
+        the rows: half the time of one two-axis gather at 435 conditions.
+        """
         r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), degree)
         a, b = self._pairs
-        return (self.left._rows(degree)[np.ix_(a, r1)]
-                * self.right._rows(degree)[np.ix_(b, r2)])
+        return left[:, r1][a] * right[:, r2][b]
+
+    @property
+    def _real_view(self) -> np.ndarray:
+        """``matrix``'s real view; a factor-wise product of real factors gathers it.
+
+        There the uncertified levels' SVDs read the product of the factors'
+        real rows, which is the real part of the complex product bit for
+        bit, (x + 0i)(y + 0i) = xy, and ``matrix`` stays unassembled.
+        """
+        if self._real is None and self._factorwise:
+            left, right = self.left._real_view, self.right._real_view
+            if left.dtype == right.dtype == np.float64:
+                self._real = self._gather(self.degree, left, right)
+        return super()._real_view
 
     def _polynomial_rhs(self, p, n):
         """Values of p under the first n tensor conditions.
@@ -947,13 +991,19 @@ class NewtonProduct(NewtonStructuredProjector):
         return table[lo:, r1, r2]
 
     def _table_residual(self, tables: np.ndarray, levels: range, values: np.ndarray) -> float:
-        """``solve_residual`` of the coefficient matrices C_k of ``levels``, stacked."""
+        """``solve_residual`` of the coefficient matrices C_k of ``levels``, stacked.
+
+        The factors' rows, the tables and the values are taken in their real
+        views where they have no imaginary part (``_real_or_self``): real
+        factors and a real input give the complex products' real parts.
+        """
         m1, m2 = tables.shape[1:]
         top = levels.stop - 1
         a, b = self._pairs[:, :len(values)]
-        fitted = (self.left.matrix[:m1, :m1] @ tables @ self.right.matrix[:m2, :m2].T)[:, a, b]
+        left, right = self.left._real_view[:m1, :m1], self.right._real_view[:m2, :m2]
+        fitted = (left @ _real_or_self(tables) @ right.T)[:, a, b]
         inside = _level_rows(self.nvars, top)[levels.start:]
-        gap = float(np.max(np.where(inside, np.abs(fitted - values), 0.0)))
+        gap = float(np.max(np.where(inside, np.abs(fitted - _real_or_self(values)), 0.0)))
         scale = float(np.max(np.abs(values)))
         return gap / scale if scale else gap
 

@@ -18,9 +18,11 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
+import nprox.polynomials
 from nprox.indexing import (
     degree_starts,
     exponents,
+    factor_ranks,
     monomial_count,
     monomial_vandermonde,
     rank_of,
@@ -238,6 +240,80 @@ def test_evaluate_grid_matches_flat_evaluate(case):
     # a list of zero polynomials needs no table at all
     zeros = evaluate_grid([Polynomial.zero(nvars, 2)], blocks)
     assert zeros.shape == (joined.shape[0], 1) and not np.any(zeros)
+
+
+def complex_contraction(polys, blocks):
+    """Oracle: ``evaluate_grid``'s contractions, every array in complex128."""
+    _, degree, coeffs = nprox.polynomials._coefficient_matrix(polys)
+    blocks = [np.asarray(b, dtype=complex).reshape(len(b), -1) for b in blocks]
+    tables = [monomial_vandermonde(b, degree) for b in blocks]
+    grid = np.zeros((len(polys),) + tuple(t.shape[1] for t in tables), dtype=complex)
+    grid[(slice(None),) + factor_ranks(tuple(b.shape[1] for b in blocks), degree)] = coeffs.T
+    grid = grid.reshape(-1, tables[-1].shape[1]) @ tables[-1].T
+    done = tables[-1].shape[0]
+    for table in reversed(tables[:-1]):
+        grid = table @ grid.reshape(-1, table.shape[1], done)
+        done *= table.shape[0]
+    return grid.reshape(len(polys), -1).T
+
+
+def _real_grid_cases():
+    rng = np.random.default_rng(6)
+    yield "one_block", [rng.uniform(-1, 1, (40, 2))], 9
+    yield "two_blocks", [rng.uniform(-1, 1, 17), rng.uniform(-1, 1, 13)], 9
+    yield "three_blocks", [rng.uniform(-1, 1, 6), rng.uniform(-1, 1, (5, 2)),
+                           rng.uniform(-1, 1, 7)], 7
+    yield "cylinder", list(cylinder_blocks(64)), 12
+
+
+def real_poly(rng, nvars, degree):
+    return Polynomial(nvars, degree, rng.standard_normal(monomial_count(nvars, degree)))
+
+
+@pytest.mark.parametrize("case", list(_real_grid_cases()), ids=lambda case: case[0])
+def test_evaluate_grid_contracts_real_inputs_in_real_tables(monkeypatch, case):
+    _, blocks, top = case
+    views = []
+    real_or_self = nprox.polynomials._real_or_self
+
+    def recording(x):
+        views.append(real_or_self(x).dtype)
+        return real_or_self(x)
+
+    monkeypatch.setattr(nprox.polynomials, "_real_or_self", recording)
+    nvars = sum(np.asarray(b).reshape(len(b), -1).shape[1] for b in blocks)
+    rng = np.random.default_rng(top)
+    polys = [real_poly(rng, nvars, d) for d in (0, top // 2, top)]
+    polys.append(real_poly(rng, nvars, 3).embedded(top + 2))
+    got = evaluate_grid(polys, blocks)
+    # the coefficients and every block's table, all real
+    assert views == [np.dtype(np.float64)] * (1 + len(blocks))
+    assert got.dtype == np.complex128 and not np.any(got.imag)
+    joined = cartesian(*(np.asarray(b, dtype=complex).reshape(len(b), -1) for b in blocks))
+    want = evaluate(polys, joined)
+    for j in range(len(polys)):
+        assert np.max(np.abs(got[:, j] - want[:, j])) <= 1e-14 * np.max(np.abs(want[:, j]))
+
+
+@pytest.mark.parametrize("where", ["coefficient", "point"])
+def test_evaluate_grid_keeps_the_complex_path_for_one_complex_entry(where):
+    rng = np.random.default_rng(7)
+    blocks = [rng.uniform(-1, 1, 9), rng.uniform(-1, 1, (8, 2))]
+    polys = [real_poly(rng, 3, 6), real_poly(rng, 3, 4)]
+    if where == "coefficient":
+        coeffs = polys[1].coeffs.copy()
+        coeffs[5] += 0.5j
+        polys[1] = Polynomial(3, 4, coeffs)
+    else:
+        blocks[1] = blocks[1].astype(complex)
+        blocks[1][3, 1] += 0.25j
+    got = evaluate_grid(polys, blocks)
+    # the complex contractions, bit for bit, imaginary parts kept
+    assert np.array_equal(got, complex_contraction(polys, blocks))
+    assert np.any(got.imag)
+    joined = cartesian(*(np.asarray(b, dtype=complex).reshape(len(b), -1) for b in blocks))
+    want = evaluate(polys, joined)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_evaluate_grid_rejects_blocks_of_the_wrong_width():

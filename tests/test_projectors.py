@@ -600,6 +600,51 @@ def test_certified_levels_take_no_svd(monkeypatch):
     assert nested.level_cond_bounds is None
 
 
+def test_uncertified_levels_read_the_factors_real_rows(monkeypatch):
+    handed = []
+    svd = np.linalg.svd
+
+    def recording(x, *args, **kwargs):
+        handed.append(x)
+        return svd(x, *args, **kwargs)
+
+    cheb = lagrange_projector(nodes_by_name("chebyshev_leja", 28))
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    prod = cheb.newton_product(cheb)
+    # levels 26-28 take their SVDs, of blocks gathered from the factors'
+    # real views: no product matrix is assembled for them
+    assert prod._factorwise and prod._matrix is None
+    levels = [j for j, svd_level in enumerate(prod.svd_levels()) if svd_level]
+    assert levels == [26, 27, 28] and len(handed) == 3
+    for j, block in zip(levels, handed):
+        assert block.dtype == np.float64
+        assert np.array_equal(block, prod._equilibrated(j, prod.matrix.real))
+
+
+def einsum_grams(P, degree, summands):
+    """Oracle: the same scaled inverses' Gram tensor, one ``einsum`` per level k."""
+    n = monomial_count(P.nvars, degree)
+    x = np.zeros((degree + 1, n, n), dtype=P._real_view.dtype)
+    for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
+        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
+    if summands:
+        x[1:] = x[1:] - x[:-1]
+    return np.stack([np.einsum("irc,jrc->ij", (x * s).conj(), x * s)
+                     for s in P._scales[:degree + 1, :n]])
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_scaled_inverse_grams_match_an_einsum_oracle(d):
+    # real and complex nodes, Taylor, orthogonal and Kergin factors, one and
+    # two variables
+    for P in factorwise_zoo(d):
+        for summands in (False, True):
+            got = nprox.projectors._scaled_inverse_grams(P, d, summands)
+            want = einsum_grams(P, d, summands)
+            assert got.dtype == (np.complex128 if np.any(P.matrix.imag) else np.float64)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # -- factor-wise product solves ----------------------------------------------------
 
 
