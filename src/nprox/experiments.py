@@ -22,7 +22,6 @@ import numpy as np
 from .config import REQUIRED, SCHEMA, read_config
 from .extremal import fit_decay_rate, parse_compact
 from .indexing import monomial_count
-from .points import cartesian
 from .polynomials import _real_or_self, evaluate_grid
 from .testfunctions import parse_function
 from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_from_spec
@@ -228,6 +227,9 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     largest degree first, while this process evaluates the target on the
     samples; the results are read back in degree order, so a failing sweep
     raises the lowest failing degree's error, as the in-process loop does.
+    On either path the target is taken on the samples' blocks
+    (``TestFunction.grid_values``): one evaluation per leaf of the compact
+    where the function splits along them, the joined points otherwise.
     All degrees are then evaluated on the samples in one batch, from one
     monomial table per leaf of the compact (``evaluate_grid``), whose time
     is the metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the
@@ -241,7 +243,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     blocks = model.sample_blocks(config.grid ** model.nvars)
     workers = _sweep_workers(config.degrees, model.nvars)
     if workers == 1:
-        target = f.values(cartesian(*blocks))  # raises if a pole sits on the compact
+        target = f.grid_values(blocks)  # raises if a pole sits on the compact
         steps = [_degree_step(config.projector, d, f, config.exactness)
                  for d in config.degrees]
     else:
@@ -252,7 +254,7 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
         try:
             futures = {d: pool.submit(_degree_step, config.projector, d, f, config.exactness)
                        for d in reversed(config.degrees)}
-            target = f.values(cartesian(*blocks))  # while the workers build
+            target = f.grid_values(blocks)  # while the workers build
             steps = [futures[d].result() for d in config.degrees]
         finally:
             pool.shutdown(cancel_futures=True)
@@ -299,7 +301,11 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     the degree-d product: every row is read off one right-hand side (at the
     top degree's exactness) and all rows are evaluated on the cylinder grid
     in one batch, from one monomial table for the disk factor and one for
-    the segment (``evaluate_grid``).  The first row's seconds cover the one
+    the segment (``evaluate_grid``).  The target is taken the same way where
+    the function splits between the disk and the segment, as exp(x + y + z)
+    does: its disk part on the disk points times its segment part on the
+    segment points (``TestFunction.grid_values``); any other function is
+    evaluated on the joined grid.  The first row's seconds cover the one
     build, right-hand side and solve, the other rows' read 0, and the
     batch's time is the metadata's ``eval_s``.  The extras carry the
     product node set (a_i, b_j) with i + j <= d for the largest degree and
@@ -315,7 +321,7 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     f = parse_function(config.function, 3)
     blocks = cylinder_blocks(config.grid)
-    target = f.values(cartesian(*blocks))
+    target = f.grid_values(blocks)
     tick = time.perf_counter()
     planar, line = cylinder_nodes(dmax)
     prod = kergin_projector(planar).newton_product(lagrange_projector(line))

@@ -232,13 +232,15 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256) ->
 
     The degree-d orthogonal projections of f are the truncations of one
     degree-dmax orthogonal projector (one Gram-Schmidt pass, one right-hand
-    side).  Their sup errors on the sampled compact are fit as log error
-    against degree over the tail half.  Errors at or below the roundoff
-    floor (``above_floor``) are excluded; with fewer than five degrees above
-    it (f is a polynomial, say) the estimate is infinity.
+    side).  Their sup errors on the sampled compact are taken on its blocks,
+    f by ``TestFunction.grid_values`` and the projections by
+    ``evaluate_grid``, and fit as log error against degree over the tail
+    half.  Errors at or below the roundoff floor (``above_floor``) are
+    excluded; with fewer than five degrees above it (f is a polynomial, say)
+    the estimate is infinity.
     """
     blocks = model.sample_blocks(grid)
-    target = f.values(cartesian(*blocks))
+    target = f.grid_values(blocks)
     values = evaluate_grid(orthogonal_projector(measure, dmax).truncations(f), blocks)
     errors = [float(np.max(np.abs(target - col))) for col in values.T]
     degrees = list(range(dmax + 1))

@@ -4,8 +4,9 @@
 one variable unless a width is given, and checks the width it is given;
 test functions and polynomial evaluation read their points through it.
 ``cartesian`` joins the rows of point sets, which is how product
-measures, tensor conditions, product compacts and the cylinder build
-their points.
+measures, tensor conditions and product compacts build their points, and
+how a sweep's target function that does not split along the grid's blocks
+is evaluated (``TestFunction.grid_values``).
 
 Point sequences are plain 1-D numpy arrays (complex for the disk, real-valued
 complex for intervals); prefixes are slices.  The Leja sequence on the unit
@@ -120,13 +121,21 @@ def as_rows(points, nvars: int | None = None) -> np.ndarray:
 def cartesian(*blocks) -> np.ndarray:
     """Rows (a, b, ...) for every row a of the first block, b of the next, ...
 
-    Left-major: the first block varies slowest.
+    Left-major: the first block varies slowest.  Each block is broadcast
+    into its own columns of one array, viewed with an axis per block, in the
+    dtype ``np.hstack`` would give them; so no block is repeated or tiled
+    into a full-size copy first.
     """
-    out = blocks[0]
-    for block in blocks[1:]:
-        out = np.hstack([np.repeat(out, block.shape[0], axis=0),
-                         np.tile(block, (out.shape[0], 1))])
-    return out
+    counts = tuple(b.shape[0] for b in blocks)
+    out = np.empty(counts + (sum(b.shape[1] for b in blocks),),
+                   dtype=np.result_type(*blocks))
+    col = 0
+    for axis, block in enumerate(blocks):
+        shape = [1] * len(blocks) + [block.shape[1]]
+        shape[axis] = counts[axis]
+        out[..., col:col + block.shape[1]] = block.reshape(shape)
+        col += block.shape[1]
+    return out.reshape(-1, col)
 
 
 def chebyshev_nodes(degree: int) -> np.ndarray:

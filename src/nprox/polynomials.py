@@ -314,6 +314,20 @@ def evaluate(polys, points) -> np.ndarray:
     return out
 
 
+def _first_block_first(tables) -> bool:
+    """Whether two blocks' tables contract with fewer multiply-adds first block first.
+
+    For tables of shapes (m1, n1) and (m2, n2), points by monomials, each
+    polynomial takes m1 n2 (n1 + m2) multiply-adds with the first block
+    first and n1 m2 (n2 + m1) with the last block first.  One block, three
+    or more, and a tie keep the last block first.
+    """
+    if len(tables) != 2:
+        return False
+    (m1, n1), (m2, n2) = (t.shape for t in tables)
+    return m1 * n2 * (n1 + m2) < n1 * m2 * (n2 + m1)
+
+
 def evaluate_grid(polys, blocks) -> np.ndarray:
     """``evaluate(polys, cartesian(*blocks))`` from one table per block.
 
@@ -325,6 +339,14 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
     contracted with each block's monomial table, ``V1 @ C @ V2.T`` for two
     blocks.  Rows come in ``cartesian``'s left-major order; the result has
     shape ``(m, len(polys))``.
+
+    The last block is contracted first, except that two blocks contract
+    the first one first where that takes fewer multiply-adds
+    (``_first_block_first``): on the cylinder grid, 256 disk points of 45
+    monomials by 64 segment points of 9 at degree 8, that is 1.76 M rather
+    than 5.34 M for the seven degrees of a sweep.  The two orders group each
+    value's sum of products apart, and agree to 1e-14 relative on the grids
+    tested.
 
     Where the coefficients and every table are real (``_real_or_self``),
     the contractions run in float64, and the last one writes straight into
@@ -350,6 +372,11 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
     target = out.real if real else out
     grid = np.zeros((count,) + tuple(t.shape[1] for t in tables), dtype=coeffs.dtype)
     grid[(slice(None),) + factor_ranks(sizes, degree)] = coeffs.T
+    if _first_block_first(tables):
+        first, last = tables
+        grid = (first @ grid).reshape(-1, last.shape[1])
+        np.matmul(grid, last.T, out=target.reshape(-1, last.shape[0]))
+        return out.T
     # contract the last block first: the axes still in monomials lead and
     # the ones already in points trail, so each step is a matrix product
     grid = grid.reshape(-1, tables[-1].shape[1])

@@ -248,26 +248,35 @@ def _residual_gather(nvars: tuple[int, int], degree: int, a1: int, a2: int):
     return (tuple(slices), size) + gather
 
 
-def _scaled_inverse_grams(P: "NewtonStructuredProjector", degree: int,
+def _scaled_inverses(P: "NewtonStructuredProjector", degree: int) -> np.ndarray:
+    """A factor's leading-block inverses B_i of levels i = 0..degree, stacked.
+
+    B_i is the inverse of the level-i block, padded with zeros to
+    ``monomial_count(P.nvars, degree)`` rows and columns: the inverse of the
+    row-equilibrated block (of ``_real_view``, so a real factor's maps are
+    real), its columns over the row scales.
+    """
+    n = monomial_count(P.nvars, degree)
+    x = np.zeros((degree + 1, n, n), dtype=P._real_view.dtype)
+    for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
+        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
+    return x
+
+
+def _scaled_inverse_grams(P: "NewtonStructuredProjector", x: np.ndarray,
                           summands: bool) -> np.ndarray:
     """Gram tensor of a factor's leading-block inverses under its row scales.
 
-    B_i is the inverse of the level-i block, padded with zeros to
-    ``monomial_count(P.nvars, degree)`` rows and columns, Delta_i =
+    ``x`` is P's ``_scaled_inverses`` B of levels 0..degree, Delta_i =
     B_i - B_{i-1} (B_0 for i = 0), and S_k = diag(``P._scales[k]``).  Entry
     (k, i, j) of the ``(degree + 1,) * 3`` result is the Frobenius inner
     product <X_i S_k, X_j S_k>_F = trace((X_i S_k)^H X_j S_k), with X =
     Delta under ``summands``, else B.  Only i, j <= k are meaningful: there
-    X_i and X_j vanish past the level-k block, where S_k reads 1.  One
-    inverse per level, of the row-equilibrated block (of ``_real_view``, so
-    a real factor's maps are real), then two matrix products: per column c,
-    the Gram matrix of the maps' c-th columns, then the squared scales
-    against those matrices.
+    X_i and X_j vanish past the level-k block, where S_k reads 1.  Two
+    matrix products: per column c, the Gram matrix of the maps' c-th
+    columns, then the squared scales against those matrices.
     """
-    n, levels = monomial_count(P.nvars, degree), degree + 1
-    x = np.zeros((levels, n, n), dtype=P._real_view.dtype)
-    for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
-        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
+    levels, n = x.shape[:2]
     if summands:
         x = _summand_rows(x)
     columns = x.transpose(2, 0, 1).conj() @ x.transpose(2, 1, 0)
@@ -733,7 +742,10 @@ class NewtonProduct(NewtonStructuredProjector):
     def __init__(self, left: NewtonStructuredProjector,
                  right: NewtonStructuredProjector,
                  cond_threshold: float | None = 1e12):
-        if right is left:
+        # a factor passed twice: its leading blocks and their inverses serve
+        # both slots of the factor-wise bounds and solves
+        self._twin = right is left
+        if self._twin:
             # one object in both slots would keep one memo entry for two
             # parts; the copy shares everything else, the conditions, matrix,
             # gate results and padded blocks
@@ -895,15 +907,18 @@ class NewtonProduct(NewtonStructuredProjector):
                 = sum over i, j <= k of G1[k, i, j] G2[k, k - i, k - j]
 
         with G1, G2 the factors' ``_scaled_inverse_grams`` (of Delta1 and
-        of B2), which must not be products themselves.  The first norm reads
+        of B2), which must not be products themselves; a factor passed twice
+        (``_twin``) inverts its blocks once for both.  The first norm reads
         no product row either: a tensor row's sum of squares on block k is
         the sum over j1 + j2 <= k of the factor rows' sums of squares over
         the monomials of degree j1 and j2 (``_level_outer``).  Every row
         scale must be positive.
         """
         d = self.degree
-        left = _scaled_inverse_grams(self.left, d, summands=True)
-        right = _scaled_inverse_grams(self.right, d, summands=False)
+        factors = (self.left,) if self._twin else (self.left, self.right)
+        inverses = [_scaled_inverses(f, d) for f in factors]
+        left = _scaled_inverse_grams(self.left, inverses[0], summands=True)
+        right = _scaled_inverse_grams(self.right, inverses[-1], summands=False)
         sums = _level_outer(np.add, _degree_rows(self.left, d, True),
                             _degree_rows(self.right, d, True))
         a, b = self._pairs
@@ -958,8 +973,9 @@ class NewtonProduct(NewtonStructuredProjector):
         d, nvars = self.degree, (self.left.nvars, self.right.nvars)
         m1, m2 = monomial_count(nvars[0], d), monomial_count(nvars[1], d)
         if self._blocks is None:
-            self._blocks = tuple([factor._equilibrated(i, factor.matrix) for i in range(d + 1)]
-                                 for factor in (self.left, self.right))
+            factors = (self.left,) if self._twin else (self.left, self.right)
+            blocks = [[f._equilibrated(i, f.matrix) for i in range(d + 1)] for f in factors]
+            self._blocks = (blocks[0], blocks[-1])
         left_blocks, right_blocks = self._blocks
         s1, s2 = self.left._scales, self.right._scales
         offsets, scatter = _factor_scatter(nvars, d)

@@ -13,7 +13,9 @@ evaluations are the one-order case, defined once in the base class.
 Constants, exponentials, and affine forms and their reciprocals that
 involve one variable block, and products of these, ``split`` into a
 tensor product of two functions on the leading and trailing variables; a
-product projector uses that to apply its factors' conditions to the parts.
+product projector uses that to apply its factors' conditions to the parts,
+and ``grid_values`` to evaluate a function on a Cartesian grid one block
+at a time.
 Constants, affine forms, and exponentials and reciprocals of affine forms
 are ridge functions, f(z) = g(a . z) for a one-variable g (``ridge``); the
 Kergin conditions integrate those along one dimension.
@@ -41,7 +43,7 @@ from math import comb, factorial
 import numpy as np
 
 from .config import Key, read_scalar, read_value
-from .points import as_rows
+from .points import as_rows, cartesian
 from .polynomials import Polynomial
 
 
@@ -84,6 +86,33 @@ class TestFunction:
 
     def values(self, pts) -> np.ndarray:
         return self.deriv_values((0,) * self.nvars, pts)
+
+    def grid_values(self, blocks) -> np.ndarray:
+        """``values(cartesian(*blocks))``, from one evaluation per block where f splits.
+
+        Each block is a point set on consecutive variables (a 1-D sequence
+        is one variable).  A function that ``split``s after the first
+        block's variables takes its left part's values there times its right
+        part's ``grid_values`` on the other blocks, as an outer product in
+        ``cartesian``'s left-major row order; so a product of one-block
+        factors never builds the joined points.  Anything else is evaluated
+        on ``cartesian(*blocks)``.  The parts' values round apart from the
+        joined function's (exp(x) exp(y) against exp(x + y)) by a few ulps;
+        a product of reciprocals of one-variable affine forms, as on the
+        bivariate rate sweep, reads the same bits.  A pole on a block raises
+        as the joined evaluation does: the same error, point and message,
+        from that evaluation.
+        """
+        blocks = [as_rows(b) for b in blocks]
+        k = blocks[0].shape[1]
+        parts = self.split(k) if len(blocks) > 1 and 0 < k < self.nvars else None
+        if parts is not None:
+            try:
+                return np.multiply.outer(parts[0].values(blocks[0]),
+                                         parts[1].grid_values(blocks[1:])).reshape(-1)
+            except PoleOnSupportError:
+                pass  # the joined evaluation below raises its own error
+        return self.values(cartesian(*blocks))
 
     def key(self):
         """A hashable value; functions with equal keys evaluate alike, bit for bit.

@@ -9,6 +9,8 @@ across degrees.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .config import read_points, read_spec
@@ -115,9 +117,11 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
       {"kind": "newton_product", "factors": [spec, spec]}
 
     A product's two factors are specs themselves, products included, built
-    at the same degree.  A 1-D menu name with "planar": true lifts the
-    points to rows (re, im), which is how a disk node set feeds a
-    two-variable Kergin build.  Explicit node lists fix their own degree;
+    at the same degree; two equal factor specs (as canonical JSON,
+    ``_spec_text``) are built once, and the product takes that factor
+    twice.  A 1-D menu name with "planar": true lifts the points to rows
+    (re, im), which is how a disk node set feeds a two-variable Kergin
+    build.  Explicit node lists fix their own degree;
     every other kind needs one.  An optional "cond_threshold" (null to
     disable) is passed to the engine.  Any other key is refused.
     """
@@ -126,7 +130,11 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
     if kind == "newton_product":
         if len(cfg["factors"]) != 2:
             raise ValueError("a newton_product takes exactly two factors")
-        left, right = (projector_from_spec(f, degree) for f in cfg["factors"])
+        first, second = cfg["factors"]
+        left = projector_from_spec(first, degree)
+        twin = _spec_text(first)
+        right = (left if twin is not None and twin == _spec_text(second)
+                 else projector_from_spec(second, degree))
         return left.newton_product(right, cond_threshold=threshold)
     if degree is not None:
         cfg = read_spec("projector", {**spec, "degree": degree})
@@ -153,3 +161,16 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
     # orthogonal
     return orthogonal_projector(parse_measure(cfg["measure"]), degree,
                                 cond_threshold=threshold)
+
+
+def _spec_text(spec) -> str | None:
+    """A spec as canonical JSON text, or None where it holds a value JSON does not.
+
+    Equal texts build equal projectors: JSON tells true from 1 and -0.0 from
+    0.0, which Python's ``==`` does not, and a spec holding an array (None
+    here) is never taken for another.
+    """
+    try:
+        return json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError):
+        return None

@@ -23,6 +23,7 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 import nprox.functionals
+from nprox.extremal import CompactModel
 from nprox.functionals import (
     DerivativeEval,
     InnerProduct,
@@ -43,7 +44,7 @@ from nprox.indexing import (
     monomial_vandermonde,
 )
 from nprox.measures import chebyshev_measure, circle_measure, product_measure
-from nprox.points import leja_disk, real_leja
+from nprox.points import cartesian, leja_disk, real_leja
 from nprox.polynomials import Polynomial, coeff_distance, multiply
 from nprox.projectors import NewtonStructuredProjector
 from nprox.simplex import (
@@ -589,6 +590,82 @@ def test_split_drops_unit_constants_and_refuses_mixed_blocks():
     ]
     for f in mixed:
         assert f.split(1) is None
+
+
+def _grid_value_cases():
+    rng = np.random.default_rng(43)
+    disk = rng.uniform(0, 1, (9, 2)) * np.exp(2j * np.pi * rng.uniform(size=(9, 2)))
+    seg = rng.uniform(-1, 1, (7, 1)).astype(complex)
+    nested = CompactModel("product", ["interval", CompactModel("product", ["interval", "disk"])])
+    three = nested.sample_blocks(6 ** 3)
+    yield "exp_two", Exp(Affine([0.7, -0.4j, 0.3], 0.2)), [disk, seg]
+    yield "recip_two", Recip(Affine([0.0, 0.0, 0.5], -3.0)), [disk, seg]
+    yield "const_three", Const(3, 2.5 - 1j), three
+    yield "exp_nested", Exp(Affine([0.5, -0.3, 0.9j], 0.1)), three
+    yield "product_nested", Product([
+        Exp(Affine([0.3, 0.2, -0.5])), Recip(Affine([0.5, 0.0, 0.0], 3.0)),
+        Recip(Affine([0.0, 0.0, -0.25], 2.0)), Const(3, 2.0)]), three
+
+
+@pytest.mark.parametrize("case", list(_grid_value_cases()), ids=lambda case: case[0])
+def test_grid_values_match_the_joined_points(monkeypatch, case):
+    _, f, blocks = case
+    calls = []
+    flat_values = TestFunction.values
+
+    def spy(self, pts):
+        calls.append(len(pts))
+        return flat_values(self, pts)
+
+    monkeypatch.setattr(TestFunction, "values", spy)
+    got = f.grid_values(blocks)
+    # one evaluation per block, none on the joined points
+    assert calls == [len(b) for b in blocks]
+    calls.clear()
+    want = f.values(cartesian(*blocks))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+def test_grid_values_of_reciprocals_of_one_variable_are_the_joined_bits():
+    # the bivariate rate sweep's function on its sample grid
+    f = parse_function(["product", ["recip", ["affine", [1.0, 0.0], -2.0]],
+                        ["recip", ["affine", [0.0, 1.0], -5.0]]], 2)
+    blocks = CompactModel("product", ["interval", "interval"]).sample_blocks(64 ** 2)
+    assert np.array_equal(f.grid_values(blocks), f.values(cartesian(*blocks)))
+
+
+def test_grid_values_of_a_function_that_does_not_split_take_the_joined_points(monkeypatch):
+    f = Sum([Exp(Affine([0.5, 0.0])), Recip(Affine([0.0, 1.0], -3.0))])
+    blocks = [np.linspace(-1, 1, 5), np.linspace(-1, 1, 4)]
+    calls = []
+    flat_values = TestFunction.values
+
+    def spy(self, pts):
+        calls.append(np.asarray(pts).shape)
+        return flat_values(self, pts)
+
+    monkeypatch.setattr(TestFunction, "values", spy)
+    got = f.grid_values(blocks)
+    assert calls == [(20, 2)]
+    joined = cartesian(*(np.asarray(b, dtype=complex).reshape(-1, 1) for b in blocks))
+    assert np.array_equal(got, flat_values(f, joined))
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_grid_values_raise_the_joined_pole_error(where):
+    blocks = [np.linspace(-1, 1, 5).reshape(-1, 1), np.linspace(-1, 1, 7).reshape(-1, 1),
+              np.linspace(-1, 1, 3).reshape(-1, 1)]
+    coeffs = [1.0, 0.0, 0.0] if where == "first" else [0.0, 0.0, 1.0]
+    f = Product([Exp(Affine([0.3, 0.2, 0.1])), Recip(Affine(coeffs, -1.0))])
+    with pytest.raises(PoleOnSupportError) as flat:
+        f.values(cartesian(*blocks))
+    with pytest.raises(PoleOnSupportError) as grid:
+        f.grid_values(blocks)
+    assert np.array_equal(grid.value.coeffs, flat.value.coeffs)
+    assert grid.value.const == flat.value.const
+    assert np.array_equal(grid.value.point, flat.value.point)
+    assert str(grid.value) == str(flat.value)
 
 
 def test_prefix_grammar_round_trip():

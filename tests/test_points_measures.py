@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nprox.experiments import cylinder_blocks
 from nprox.measures import (
     DegenerateMeasure,
     InsufficientExactness,
@@ -16,6 +17,7 @@ from nprox.measures import (
     product_measure,
 )
 from nprox.points import (
+    cartesian,
     chebyshev_nodes,
     equiangular_nodes,
     integer_nodes,
@@ -135,6 +137,37 @@ def test_classical_grids():
     assert np.allclose(chebyshev_nodes(0), [math.cos(math.pi / 2)])
     assert np.array_equal(integer_nodes(3), [0.0, 1.0, 2.0, 3.0])
     assert np.allclose(equiangular_nodes(3), [1, 1j, -1, -1j])
+
+
+def repeat_tile_cartesian(*blocks):
+    """Oracle: the joined rows by repeating the rows so far and tiling each next block."""
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = np.hstack([np.repeat(out, block.shape[0], axis=0),
+                         np.tile(block, (out.shape[0], 1))])
+    return out
+
+
+def _cartesian_cases():
+    rng = np.random.default_rng(8)
+    disk, seg = cylinder_blocks(64)
+    yield "cylinder", [disk, seg]
+    yield "one_block", [rng.standard_normal((5, 2))]
+    yield "three_mixed", [rng.standard_normal((3, 2)), np.arange(4.0).reshape(4, 1) + 1j,
+                          np.arange(5).reshape(5, 1)]
+    yield "float32_float64", [np.arange(3, dtype=np.float32).reshape(3, 1),
+                              rng.standard_normal((2, 1))]
+    yield "empty_last", [rng.standard_normal((3, 1)), np.zeros((0, 2))]
+    yield "empty_first", [np.zeros((0, 1)), np.ones((4, 2), dtype=complex)]
+
+
+@pytest.mark.parametrize("case", list(_cartesian_cases()), ids=lambda case: case[0])
+def test_cartesian_matches_repeat_and_tile_byte_for_byte(case):
+    _, blocks = case
+    want = repeat_tile_cartesian(*blocks)
+    got = cartesian(*blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # -- quadrature measures --------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import nprox.projectors
+import nprox.zoo
 from nprox.experiments import cylinder_nodes
 from nprox.functionals import KerginCondition, PointEval, rhs
 from nprox.indexing import degree_starts, exponents, monomial_count
@@ -639,7 +640,8 @@ def test_scaled_inverse_grams_match_an_einsum_oracle(d):
     # two variables
     for P in factorwise_zoo(d):
         for summands in (False, True):
-            got = nprox.projectors._scaled_inverse_grams(P, d, summands)
+            inverses = nprox.projectors._scaled_inverses(P, d)
+            got = nprox.projectors._scaled_inverse_grams(P, inverses, summands)
             want = einsum_grams(P, d, summands)
             assert got.dtype == (np.complex128 if np.any(P.matrix.imag) else np.float64)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -883,6 +885,49 @@ def test_tensor_polynomials_within_the_factor_degrees_assemble_no_rows(monkeypat
     prod = products[0]  # Lagrange at degree 5 x Taylor at degree 4
     prod.apply(tensor_product(random_poly(rng, 1, 5), random_poly(rng, 1, 5)))
     assert calls == [5]
+
+
+CHEBYSHEV_LEJA = {"kind": "lagrange", "nodes": "chebyshev_leja"}
+
+
+@pytest.mark.parametrize("d", [8, 12, 28])
+def test_a_spec_built_self_product_equals_two_builds_bit_for_bit(monkeypatch, d):
+    # the bivariate rate sweep's family: below the factor-wise size at d=8,
+    # certified at d=12, and with three levels read by SVDs at d=28
+    f = Exp(Affine([0.4, -0.7], 0.1)) * Recip(Affine([0.0, 1.0], -5.0))
+    builds = []
+    build = nprox.zoo.lagrange_projector
+
+    def counting(*args, **kwargs):
+        builds.append(d)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(nprox.zoo, "lagrange_projector", counting)
+    once = projector_from_spec({"kind": "newton_product",
+                                "factors": [CHEBYSHEV_LEJA, dict(CHEBYSHEV_LEJA)]}, d)
+    assert builds == [d] and once._twin
+    assert once.right is not once.left and once.right.matrix is once.left.matrix
+    twice = NewtonProduct(projector_from_spec(CHEBYSHEV_LEJA, d),
+                          projector_from_spec(CHEBYSHEV_LEJA, d))
+    assert len(builds) == 3 and not twice._twin
+    assert once._factorwise == twice._factorwise == (d > 8)
+    assert once.level_conds == twice.level_conds
+    for a, b in zip(once.truncations(f), twice.truncations(f)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert once.solve_residual == twice.solve_residual
+    assert (once.solve_residual is None) == (d == 8)
+
+
+def test_factor_specs_equal_only_to_python_are_built_apart():
+    # True == 1 in Python, but not in JSON: the second spec is read, and refused
+    kergin = {"kind": "kergin", "nodes": "leja_disk", "planar": True}
+    spec = {"kind": "newton_product", "factors": [kergin, {**kergin, "planar": 1}]}
+    with pytest.raises(ValueError, match="planar must be true or false"):
+        projector_from_spec(spec, 3)
+    # a product spec of a product factor twice builds that factor once too
+    inner = {"kind": "newton_product", "factors": [CHEBYSHEV_LEJA, CHEBYSHEV_LEJA]}
+    outer = projector_from_spec({"kind": "newton_product", "factors": [inner, inner]}, 4)
+    assert outer._twin and outer.left._twin
 
 
 # -- product rows gathered from the factors' rows ----------------------------------
