@@ -22,7 +22,7 @@ import numpy as np
 from .config import REQUIRED, SCHEMA, read_config
 from .extremal import fit_decay_rate, parse_compact
 from .indexing import monomial_count
-from .polynomials import _real_or_self, evaluate_grid
+from .polynomials import _grid_sup_errors
 from .testfunctions import parse_function
 from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_from_spec
 
@@ -136,22 +136,19 @@ def _row(d, sup, seconds):
 def _score(config, t0, approxs, seconds, blocks, target, metadata, extras=None):
     """The report of a sweep whose degree-d approximations are ``approxs``.
 
-    All of them are evaluated on the Cartesian grid of ``blocks`` in one
-    batch (``evaluate_grid``), timed as the metadata's ``eval_s``; each
-    degree's row holds its sup error against ``target`` there and its
-    ``seconds``, and the rate is fitted to the sup errors.  Where the target
-    and the values have no imaginary part, the errors are taken on their
-    real views (``_real_or_self``): the same bits, without complex ``abs``.
-    The metadata also gains ``config_hash``, ``fit_stderr`` and
+    Their sup errors against ``target`` on the Cartesian grid of ``blocks``
+    come from one batch evaluation (``polynomials._grid_sup_errors``: on a
+    real sweep, contiguous float64 rows against the target's real view),
+    timed with the errors as the metadata's ``eval_s``.  Each degree's row
+    holds its sup error and its ``seconds``, and the rate is fitted to the
+    sup errors.  The metadata also gains ``config_hash``, ``fit_stderr`` and
     ``wall_time_s`` (since ``t0``) ahead of the sweep's own ``metadata``.
     """
     tick = time.perf_counter()
-    values = evaluate_grid(approxs, blocks)
+    errors = _grid_sup_errors(approxs, blocks, target)
     eval_s = time.perf_counter() - tick
-    target, values = _real_or_self(target), _real_or_self(values)
-    rows = [_row(d, float(np.max(np.abs(target - col))), s)
-            for d, col, s in zip(config.degrees, values.T, seconds)]
-    rate, stderr, _ = fit_decay_rate(config.degrees, [r["sup_error"] for r in rows])
+    rows = [_row(d, sup, s) for d, sup, s in zip(config.degrees, errors, seconds)]
+    rate, stderr, _ = fit_decay_rate(config.degrees, errors)
     head = {"config_hash": config.config_hash(), "wall_time_s": time.perf_counter() - t0,
             "eval_s": eval_s, "fit_stderr": stderr}
     return ExperimentReport(config.to_json(), rows, rate, {**head, **metadata}, extras)
@@ -231,11 +228,12 @@ def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     (``TestFunction.grid_values``): one evaluation per leaf of the compact
     where the function splits along them, the joined points otherwise.
     All degrees are then evaluated on the samples in one batch, from one
-    monomial table per leaf of the compact (``evaluate_grid``), whose time
-    is the metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the
-    largest leading-block condition estimate of the projectors applied, and
-    ``level_cond_max_exact`` says whether an SVD read it (true) or it is a
-    certified bound that stood in for one (``NewtonProduct._cond_bounds``).
+    monomial table per leaf of the compact, and scored against the target
+    (``_score``), whose time is the metadata's ``eval_s``.  The metadata's
+    ``level_cond_max`` is the largest leading-block condition estimate of
+    the projectors applied, and ``level_cond_max_exact`` says whether an SVD
+    read it (true) or it is a certified bound that stood in for one
+    (``NewtonProduct._cond_bounds``).
     """
     t0 = time.perf_counter()
     model = parse_compact(config.compact)
@@ -301,17 +299,20 @@ def cylinder_run(config: ExperimentConfig) -> ExperimentReport:
     the degree-d product: every row is read off one right-hand side (at the
     top degree's exactness) and all rows are evaluated on the cylinder grid
     in one batch, from one monomial table for the disk factor and one for
-    the segment (``evaluate_grid``).  The target is taken the same way where
-    the function splits between the disk and the segment, as exp(x + y + z)
-    does: its disk part on the disk points times its segment part on the
-    segment points (``TestFunction.grid_values``); any other function is
-    evaluated on the joined grid.  The first row's seconds cover the one
-    build, right-hand side and solve, the other rows' read 0, and the
-    batch's time is the metadata's ``eval_s``.  The extras carry the
-    product node set (a_i, b_j) with i + j <= d for the largest degree and
-    the residual there.  The metadata's ``solve_residual`` is the product's
-    relative residual at its conditions over every truncation, where it
-    solves through its factors (``NewtonProduct.solve_residual``), else null.
+    the segment, as float64 rows on this real grid (``_score``).  The target
+    is taken the same way where the function splits between the disk and
+    the segment, as exp(x + y + z) does: its disk part on the disk points
+    times its segment part on the segment points
+    (``TestFunction.grid_values``); any other function is evaluated on the
+    joined grid.  The first row's seconds cover the one build, right-hand
+    side and solve, the other rows' read 0, and the batch's time, with its
+    sup errors, is the metadata's ``eval_s``.  The product keeps its tensor
+    conditions as an index table and builds no ``Tensor`` object for a
+    function that splits.  The extras carry the product node set (a_i, b_j)
+    with i + j <= d for the largest degree and the residual there.  The
+    metadata's ``solve_residual`` is the product's relative residual at its
+    conditions over every truncation, where it solves through its factors
+    (``NewtonProduct.solve_residual``), else null.
     """
     if config.projector is not None or config.compact is not None:
         raise ValueError("cylinder_run fixes its projector and compact; pass None")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import read_spec
 from .points import as_rows, cartesian
-from .polynomials import Polynomial, evaluate_grid
+from .polynomials import Polynomial, _grid_sup_errors
 from .zoo import orthogonal_projector
 
 # errors at most this fraction of the largest are taken as converged to roundoff
@@ -234,15 +234,16 @@ def rho_estimate(f, model: CompactModel, dmax: int, measure, grid: int = 256) ->
     degree-dmax orthogonal projector (one Gram-Schmidt pass, one right-hand
     side).  Their sup errors on the sampled compact are taken on its blocks,
     f by ``TestFunction.grid_values`` and the projections by
-    ``evaluate_grid``, and fit as log error against degree over the tail
+    ``polynomials._grid_sup_errors`` (float64 rows where both are real, as
+    in a sweep's report), and fit as log error against degree over the tail
     half.  Errors at or below the roundoff floor (``above_floor``) are
     excluded; with fewer than five degrees above it (f is a polynomial, say)
     the estimate is infinity.
     """
     blocks = model.sample_blocks(grid)
     target = f.grid_values(blocks)
-    values = evaluate_grid(orthogonal_projector(measure, dmax).truncations(f), blocks)
-    errors = [float(np.max(np.abs(target - col))) for col in values.T]
+    truncations = orthogonal_projector(measure, dmax).truncations(f)
+    errors = _grid_sup_errors(truncations, blocks, target)
     degrees = list(range(dmax + 1))
 
     clean = above_floor(errors).size

@@ -39,8 +39,10 @@ def _real_or_self(x: np.ndarray) -> np.ndarray:
     is the complex one's real part exactly, and complex ``abs`` is
     ``hypot(x, 0) = |x|`` there.  The real matrix products read the complex
     ones' real parts bit for bit on every sweep report compared (OpenBLAS,
-    numpy 2.4, one BLAS thread).
+    numpy 2.4, one BLAS thread).  A real ``x`` is returned as it is.
     """
+    if not np.iscomplexobj(x):
+        return x
     return x.real if not np.any(x.imag) else x
 
 
@@ -338,7 +340,7 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
     (``indexing.factor_ranks``), and its values on the grid are that array
     contracted with each block's monomial table, ``V1 @ C @ V2.T`` for two
     blocks.  Rows come in ``cartesian``'s left-major order; the result has
-    shape ``(m, len(polys))``.
+    shape ``(m, len(polys))`` and is complex128.
 
     The last block is contracted first, except that two blocks contract
     the first one first where that takes fewer multiply-adds
@@ -349,10 +351,20 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
     tested.
 
     Where the coefficients and every table are real (``_real_or_self``),
-    the contractions run in float64, and the last one writes straight into
-    the real parts of the complex128 result, so no full-size real copy is
-    made.  Flat ``evaluate`` stays complex: a real path there moved the
-    degree-12 cylinder's node residual from 1.6e-14 to 3.7e-14.
+    the contractions run in float64 (``_grid_rows``) and the result is their
+    complex copy, the real products' bits with zero imaginary parts.  Flat
+    ``evaluate`` stays complex: a real path there moved the degree-12
+    cylinder's node residual from 1.6e-14 to 3.7e-14.
+    """
+    return _grid_rows(polys, blocks).astype(np.complex128, copy=False).T
+
+
+def _grid_rows(polys, blocks) -> np.ndarray:
+    """``evaluate_grid(polys, blocks).T``, float64 where the inputs are real.
+
+    One contiguous row of values per polynomial, shape ``(len(polys), m)``:
+    float64 where the coefficients and every block's monomial table have no
+    imaginary part (``_real_or_self``), complex128 otherwise.
     """
     nvars, degree, coeffs = _coefficient_matrix(polys)
     blocks = [as_rows(b) for b in blocks]
@@ -361,28 +373,26 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
         raise ValueError("blocks have the wrong number of coordinates")
     count = coeffs.shape[1]
     m = int(np.prod([b.shape[0] for b in blocks]))
-    out = np.zeros((count, m), dtype=np.complex128)
     if degree < 0:
-        return out.T
+        return np.zeros((count, m))
     tables = [monomial_vandermonde(b, degree) for b in blocks]
     views = [_real_or_self(x) for x in [coeffs] + tables]
-    real = all(x.dtype == np.float64 for x in views)
-    if real:
+    if all(x.dtype == np.float64 for x in views):
         coeffs, tables = views[0], views[1:]
-    target = out.real if real else out
+    out = np.empty((count, m), dtype=coeffs.dtype)
     grid = np.zeros((count,) + tuple(t.shape[1] for t in tables), dtype=coeffs.dtype)
     grid[(slice(None),) + factor_ranks(sizes, degree)] = coeffs.T
     if _first_block_first(tables):
         first, last = tables
         grid = (first @ grid).reshape(-1, last.shape[1])
-        np.matmul(grid, last.T, out=target.reshape(-1, last.shape[0]))
-        return out.T
+        np.matmul(grid, last.T, out=out.reshape(-1, last.shape[0]))
+        return out
     # contract the last block first: the axes still in monomials lead and
     # the ones already in points trail, so each step is a matrix product
     grid = grid.reshape(-1, tables[-1].shape[1])
     if len(tables) == 1:
-        np.matmul(grid, tables[0].T, out=target)
-        return out.T
+        np.matmul(grid, tables[0].T, out=out)
+        return out
     grid = grid @ tables[-1].T
     done = tables[-1].shape[0]
     for table in reversed(tables[1:-1]):
@@ -390,5 +400,20 @@ def evaluate_grid(polys, blocks) -> np.ndarray:
         done *= table.shape[0]
     first = tables[0]
     np.matmul(first, grid.reshape(count, first.shape[1], done),
-              out=target.reshape(count, first.shape[0], done))
-    return out.T
+              out=out.reshape(count, first.shape[0], done))
+    return out
+
+
+def _grid_sup_errors(polys, blocks, target) -> list[float]:
+    """Per polynomial, the largest |target - value| over the grid of ``blocks``.
+
+    ``target`` holds a function's values at ``cartesian(*blocks)``.  The
+    values are ``_grid_rows``: on real inputs contiguous float64 rows, on
+    which a real target (``_real_or_self``) takes its differences in float64
+    without complex ``abs``.  Real and complex arithmetic give these the same
+    bits, so every error is the one ``evaluate_grid``'s complex columns give.
+    A non-finite value gives a non-finite error.
+    """
+    rows = _real_or_self(_grid_rows(polys, blocks))
+    target = _real_or_self(target)
+    return [float(np.max(np.abs(target - row))) for row in rows]

@@ -14,12 +14,16 @@ truncations.
 
 Products: given projectors on n1 and n2 variables, the product projector on
 n1 + n2 variables has levels J_i = union over i1 + i2 = i of tensor pairs
-J1_{i1} x J2_{i2}.  Every row of its collocation matrix is therefore a
-left-factor row times a right-factor row, split along the factor ranks, and
-is gathered from the factors' rows.  Its Newton summands factor through the
-factors' summands, which yields both an evaluation formula for separable
-functions and a finite expansion of the approximation residual for
-polynomial inputs.  In the evaluation formula the right summands telescope
+J1_{i1} x J2_{i2}, so a tensor condition is an index pair (a, b) of two
+factor conditions: a product keeps its conditions as one cached, read-only
+table of those pairs per factor variable counts and degree
+(``_tensor_pairs``), and builds their ``Tensor`` objects only when
+``conditions`` or ``levels`` is read.  Every row of its collocation matrix
+is a left-factor row times a right-factor row, split along the factor
+ranks, and is gathered from the factors' rows.  Its Newton summands factor
+through the factors' summands, which yields both an evaluation formula for
+separable functions and a finite expansion of the approximation residual
+for polynomial inputs.  In the evaluation formula the right summands telescope
 into truncations: sum over i1 + i2 <= d of Delta1_i1 (x) Delta2_i2 equals
 sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, which is one matrix product
 of the left summands' and the right truncations' coefficients, gathered
@@ -317,6 +321,27 @@ def _level_outer(ufunc: np.ufunc, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _tensor_pairs(nvars: tuple[int, int], degree: int) -> np.ndarray:
+    """The tensor conditions of a degree-``degree`` product as factor condition indices.
+
+    Column c of the read-only ``(2, monomial_count(n1 + n2, degree))``
+    table is the pair (a, b) of condition c.  Level i holds the pairs of a
+    left condition of level i1 and a right one of level i - i1, for i1 =
+    0..i in turn (``NewtonProduct._level_pairs``), a before b; as a factor's
+    levels are consecutive runs of its conditions, that is every pair of
+    levels summing to at most ``degree``, sorted by that sum, then a, then b.
+    """
+    starts = [degree_starts(n, degree) for n in nvars]
+    l1, l2 = (np.repeat(np.arange(degree + 1), np.diff(s)) for s in starts)
+    level = l1[:, None] + l2[None, :]
+    a, b = np.nonzero(level <= degree)
+    order = np.argsort(level[a, b], kind="stable")
+    pairs = np.stack([a[order], b[order]]).astype(np.intp)
+    pairs.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=None)
 def _factor_scatter(nvars: tuple[int, int], degree: int):
     """Where the left factor's solves land in the ``(degree + 1, m1, m2)`` table.
 
@@ -398,22 +423,7 @@ class NewtonStructuredProjector:
     _factorwise = False
 
     def __init__(self, conditions, cond_threshold: float | None = 1e12):
-        self.conditions: list[Functional] = list(conditions)
-        if not self.conditions:
-            raise ValueError("need at least the level-0 condition")
-        self.nvars = self.conditions[0].nvars
-        if any(mu.nvars != self.nvars for mu in self.conditions):
-            raise ValueError("conditions mix variable counts")
-        count = len(self.conditions)
-        self.degree = 0
-        while monomial_count(self.nvars, self.degree) < count:
-            self.degree += 1
-        if monomial_count(self.nvars, self.degree) != count:
-            raise ValueError(
-                f"{count} conditions do not fill a graded space in {self.nvars} variables"
-            )
-        starts = degree_starts(self.nvars, self.degree)
-        self.levels = [self.conditions[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        self.nvars, self.degree = self._graded(conditions)
         self.cond_threshold = cond_threshold
         # ``matrix`` and ``_real_view``, once read
         self._matrix: np.ndarray | None = None
@@ -424,8 +434,32 @@ class NewtonStructuredProjector:
         # last input evaluated; see _rhs
         self._memo: tuple | None = None
         # the padded leading blocks of a small projector, built at its first solve
-        self._stacked = count <= _STACK_CONDITIONS
+        self._stacked = monomial_count(self.nvars, self.degree) <= _STACK_CONDITIONS
         self._stack: np.ndarray | None = None
+
+    def _graded(self, conditions) -> tuple[int, int]:
+        """Keep ``conditions``; return their variable count and the degree their number fills."""
+        self.conditions: list[Functional] = list(conditions)
+        if not self.conditions:
+            raise ValueError("need at least the level-0 condition")
+        nvars = self.conditions[0].nvars
+        if any(mu.nvars != nvars for mu in self.conditions):
+            raise ValueError("conditions mix variable counts")
+        count = len(self.conditions)
+        degree = 0
+        while monomial_count(nvars, degree) < count:
+            degree += 1
+        if monomial_count(nvars, degree) != count:
+            raise ValueError(
+                f"{count} conditions do not fill a graded space in {nvars} variables"
+            )
+        return nvars, degree
+
+    @property
+    def levels(self) -> list[list[Functional]]:
+        """Per level j, the slice of ``conditions`` that makes it up."""
+        starts = degree_starts(self.nvars, self.degree)
+        return [self.conditions[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
     # -- collocation rows ----------------------------------------------------
 
@@ -725,18 +759,21 @@ class NewtonProduct(NewtonStructuredProjector):
 
     Level i collects the tensor conditions mu1 (x) mu2 with mu1 from the left
     factor's level i1 and mu2 from the right factor's level i - i1, for
-    i1 = 0..i.  The product degree is the smaller factor degree.  The factor
-    condition indices of each tensor condition are kept, and its collocation
-    row is gathered from the two factor rows.  So is its value on a test
-    function that splits into f1 (x) f2 along the factor variables: the
-    factors apply their conditions of the levels asked for to f1 and f2, at
-    the product's exactness and through their own memos (``_rhs``), and
-    each tensor condition takes the product of its two factor values.  A
-    test function that does not split goes through ``functionals.rhs`` as a
-    list of tensor conditions.  Where the gate takes bounds from the
-    factors (``_bounded`` at build), the product is factor-wise: row scales,
-    bounds, polynomial values and solves read the factors' rows and blocks,
-    and ``matrix`` is assembled only when read.
+    i1 = 0..i.  The product degree is the smaller factor degree.  The tensor
+    conditions are the columns (a, b) of the index table ``_pairs``
+    (``_tensor_pairs``), which also gives the variable count and degree, and
+    each collocation row is gathered from the two factor rows.  So is its
+    value on a test function that splits into f1 (x) f2 along the factor
+    variables: the factors apply their conditions of the levels asked for to
+    f1 and f2, at the product's exactness and through their own memos
+    (``_rhs``), and each tensor condition takes the product of its two
+    factor values.  A test function that does not split goes through
+    ``functionals.rhs`` as a list of tensor conditions, the ``Tensor``
+    objects that the first read of ``conditions`` builds from the table and
+    keeps; nothing else in the product reads them.  Where the gate takes
+    bounds from the factors (``_bounded`` at build), the product is
+    factor-wise: row scales, bounds, polynomial values and solves read the
+    factors' rows and blocks, and ``matrix`` is assembled only when read.
     """
 
     def __init__(self, left: NewtonStructuredProjector,
@@ -753,21 +790,39 @@ class NewtonProduct(NewtonStructuredProjector):
             right._memo = None
         self.left = left
         self.right = right
-        degree = min(left.degree, right.degree)
-        s1 = degree_starts(left.nvars, degree)
-        s2 = degree_starts(right.nvars, degree)
-        pairs = [(a, b) for i in range(degree + 1) for i1, i2 in self._level_pairs(i)
-                 for a in range(s1[i1], s1[i1 + 1]) for b in range(s2[i2], s2[i2 + 1])]
-        self._pairs = np.array(pairs, dtype=np.intp).T
+        self._pairs = _tensor_pairs((left.nvars, right.nvars), min(left.degree, right.degree))
+        # the tensor conditions' objects, from the first read of ``conditions`` on
+        self._conditions: list[Tensor] | None = None
         self._factorwise = self._bounded(cond_threshold)
-        super().__init__([Tensor(left.conditions[a], right.conditions[b]) for a, b in pairs],
-                         cond_threshold=cond_threshold)
+        super().__init__(self._pairs, cond_threshold=cond_threshold)
         # the relative residual at the conditions of the last factor-wise
         # solve (``_factor_solve``); None before one
         self.solve_residual: float | None = None
         # each factor's row-equilibrated leading blocks of levels 0..degree,
         # from the first factor-wise solve on
         self._blocks: tuple | None = None
+
+    def _graded(self, pairs):
+        """The variable count and degree of the index table ``pairs`` (``_tensor_pairs``).
+
+        The table stands for a product's conditions at build: their objects
+        wait for a read of ``conditions``.
+        """
+        return self.left.nvars + self.right.nvars, min(self.left.degree, self.right.degree)
+
+    @property
+    def conditions(self) -> list[Tensor]:
+        """The tensor conditions ``Tensor(left.conditions[a], right.conditions[b])``.
+
+        Built from the index table ``_pairs`` at the first read and kept, so
+        a second read returns the same list.  Nothing a product computes
+        from its factors reads them: only a right-hand side that does not
+        split along the factors (``_function_rhs``) and outside callers do.
+        """
+        if self._conditions is None:
+            left, right = self.left.conditions, self.right.conditions
+            self._conditions = [Tensor(left[a], right[b]) for a, b in self._pairs.T.tolist()]
+        return self._conditions
 
     def _assemble(self, degree: int) -> np.ndarray:
         return self._gather(degree, self.left._rows(degree), self.right._rows(degree))

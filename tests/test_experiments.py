@@ -9,8 +9,9 @@ import threading
 import numpy as np
 import pytest
 
+import nprox.polynomials
 from nprox import experiments
-from nprox.cli import main
+from nprox.cli import check_converge, main
 from nprox.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -22,12 +23,14 @@ from nprox.experiments import (
     polya_run,
     report_write,
 )
-from nprox.extremal import parse_compact
+from nprox.extremal import parse_compact, rho_estimate
 from nprox.functionals import KerginCondition
+from nprox.measures import parse_measure
 from nprox.points import cartesian
+from nprox.polynomials import evaluate_grid
 from nprox.projectors import NestedUnisolvenceFailure
 from nprox.testfunctions import Affine, Exp, PoleOnSupportError, parse_function
-from nprox.zoo import nodes_by_name, projector_from_spec
+from nprox.zoo import nodes_by_name, orthogonal_projector, projector_from_spec
 
 
 def small_config(**overrides):
@@ -508,3 +511,102 @@ def test_polya_bisection_validates_endpoints():
         polya_bisect(40, lo=0.9, hi=1.0)
     with pytest.raises(ValueError):
         polya_bisect(40, lo=0.3, hi=0.5)
+
+
+# -- sup errors from float64 grid rows -----------------------------------------------
+
+
+def complex_sup_errors(approxs, blocks, target):
+    """Oracle: the grid values and the target in complex128, errors by complex abs."""
+    values = evaluate_grid(approxs, blocks)
+    target = np.asarray(target, dtype=np.complex128)
+    return [float(np.max(np.abs(target - col))) for col in values.T]
+
+
+def scored_sweeps(monkeypatch):
+    """Every ``_score`` call's approximations, blocks, target and report; and the
+    dtype of every grid-rows evaluation made by the scoring."""
+    scores, dtypes = [], []
+    score, rows = experiments._score, nprox.polynomials._grid_rows
+
+    def spy_score(config, t0, approxs, seconds, blocks, target, metadata, extras=None):
+        report = score(config, t0, approxs, seconds, blocks, target, metadata, extras)
+        scores.append((approxs, blocks, target, report))
+        return report
+
+    def spy_rows(polys, blocks):
+        out = rows(polys, blocks)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(experiments, "_score", spy_score)
+    monkeypatch.setattr(nprox.polynomials, "_grid_rows", spy_rows)
+    return scores, dtypes
+
+
+RATE_BIV = dict(
+    name="rate_biv",
+    projector={"kind": "newton_product",
+               "factors": [{"kind": "lagrange", "nodes": "chebyshev_leja"}] * 2},
+    function=["product", ["recip", ["affine", [1.0, 0.0], -2.0]],
+              ["recip", ["affine", [0.0, 1.0], -5.0]]],
+    compact={"kind": "product", "factors": ["interval", "interval"]},
+    degrees=list(range(2, 29, 2)), grid=64, expected_rho=2.0 + math.sqrt(3.0),
+)
+
+
+@pytest.mark.parametrize("case", ["cylinder", "rate_biv"])
+def test_real_sweeps_score_float64_rows_with_the_complex_bits(monkeypatch, case):
+    scores, dtypes = scored_sweeps(monkeypatch)
+    if case == "cylinder":
+        cylinder_run(ExperimentConfig(name="cyl", projector=None, compact=None,
+                                      function=["exp", ["affine", [1.0, 1.0, 1.0], 0.0]],
+                                      degrees=list(range(2, 9)), grid=64))
+    else:
+        convergence_run(ExperimentConfig(**RATE_BIV))
+    assert dtypes == [np.float64]
+    (approxs, blocks, target, report), = scores
+    want = complex_sup_errors(approxs, blocks, target)
+    assert [r["sup_error"] for r in report.rows] == want
+    assert all(math.isfinite(e) for e in want)
+
+
+def test_rho_estimate_scores_float64_rows_with_the_complex_bits(monkeypatch):
+    _, dtypes = scored_sweeps(monkeypatch)
+    compact = parse_compact({"kind": "product", "factors": ["interval", "interval"]})
+    f = parse_function(RATE_BIV["function"], 2)
+    measure = parse_measure({"kind": "product",
+                             "factors": [{"kind": "chebyshev", "mnodes": 32}] * 2})
+    est = rho_estimate(f, compact, 16, measure, grid=1024)
+    assert dtypes == [np.float64]
+    blocks = compact.sample_blocks(1024)
+    approxs = orthogonal_projector(measure, 16).truncations(f)
+    assert est.errors == complex_sup_errors(approxs, blocks, f.grid_values(blocks))
+
+
+@pytest.mark.parametrize("case", ["complex_nodes", "complex_values"])
+def test_complex_sweeps_keep_the_complex_path(monkeypatch, case):
+    scores, dtypes = scored_sweeps(monkeypatch)
+    if case == "complex_nodes":
+        cfg = small_config(projector={"kind": "lagrange", "nodes": "leja_disk"},
+                           function=["recip", ["affine", [1.0], -2.0]], compact="disk")
+    else:
+        cfg = small_config(function=["exp", ["affine", [[0.0, 1.5]], 0.0]])
+    convergence_run(cfg)
+    assert dtypes == [np.complex128]
+    (approxs, blocks, target, report), = scores
+    assert [r["sup_error"] for r in report.rows] == complex_sup_errors(approxs, blocks, target)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("imag", [0.0, 0.5])
+def test_a_non_finite_target_value_fails_the_check(bad, imag):
+    cfg = small_config()
+    f = parse_function(cfg.function, 1)
+    blocks = parse_compact(cfg.compact).sample_blocks(cfg.grid)
+    target = f.grid_values(blocks) + 1j * imag
+    target[7] = complex(bad, imag)
+    approxs = [projector_from_spec(cfg.projector, d).apply(f) for d in cfg.degrees]
+    report = experiments._score(cfg, 0.0, approxs, [0.0] * 3, blocks, target, {})
+    assert not any(math.isfinite(r["sup_error"]) for r in report.rows)
+    assert check_converge(report) == f"sup error {report.rows[0]['sup_error']} at degree 2"

@@ -318,6 +318,67 @@ def real_poly(rng, nvars, degree):
     return Polynomial(nvars, degree, rng.standard_normal(monomial_count(nvars, degree)))
 
 
+def strided_evaluate_grid(polys, blocks):
+    """Oracle: ``evaluate_grid`` as it wrote a real path into the real parts of its result.
+
+    The contractions as ``_grid_rows`` orders them, the last one into
+    ``out.real`` of the complex128 result where every input is real.
+    """
+    _, degree, coeffs = nprox.polynomials._coefficient_matrix(polys)
+    blocks = [np.asarray(b, dtype=complex).reshape(len(b), -1) for b in blocks]
+    sizes = tuple(b.shape[1] for b in blocks)
+    m = int(np.prod([b.shape[0] for b in blocks]))
+    out = np.zeros((coeffs.shape[1], m), dtype=complex)
+    if degree < 0:
+        return out.T
+    tables = [monomial_vandermonde(b, degree) for b in blocks]
+    views = [x.real if not np.any(x.imag) else x for x in [coeffs] + tables]
+    real = all(x.dtype == np.float64 for x in views)
+    if real:
+        coeffs, tables = views[0], views[1:]
+    target = out.real if real else out
+    grid = np.zeros((coeffs.shape[1],) + tuple(t.shape[1] for t in tables), dtype=coeffs.dtype)
+    grid[(slice(None),) + factor_ranks(sizes, degree)] = coeffs.T
+    if nprox.polynomials._first_block_first(tables):
+        first, last = tables
+        grid = (first @ grid).reshape(-1, last.shape[1])
+        np.matmul(grid, last.T, out=target.reshape(-1, last.shape[0]))
+        return out.T
+    grid = grid.reshape(-1, tables[-1].shape[1])
+    if len(tables) == 1:
+        np.matmul(grid, tables[0].T, out=target)
+        return out.T
+    grid = grid @ tables[-1].T
+    done = tables[-1].shape[0]
+    for table in reversed(tables[1:-1]):
+        grid = table @ grid.reshape(-1, table.shape[1], done)
+        done *= table.shape[0]
+    first = tables[0]
+    np.matmul(first, grid.reshape(len(polys), first.shape[1], done),
+              out=target.reshape(len(polys), first.shape[0], done))
+    return out.T
+
+
+@pytest.mark.parametrize("case", list(_grid_cases()) + list(_real_grid_cases()),
+                         ids=lambda case: case[0])
+def test_evaluate_grid_keeps_its_result_from_float64_rows(case):
+    _, blocks, top = case
+    nvars = sum(np.asarray(b).reshape(len(b), -1).shape[1] for b in blocks)
+    rng = np.random.default_rng(top + 1)
+    for make in (random_poly, real_poly):
+        polys = [make(rng, nvars, d) for d in (0, top // 2, top)]
+        polys += [make(rng, nvars, 3).embedded(top + 2), Polynomial.zero(nvars, 4)]
+        got = evaluate_grid(polys, blocks)
+        want = strided_evaluate_grid(polys, blocks)
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        rows = nprox.polynomials._grid_rows(polys, blocks)
+        assert rows.flags.c_contiguous and rows.shape == (len(polys), got.shape[0])
+        assert np.array_equal(rows, got.T)
+        points_real = all(not np.any(np.asarray(b).imag) for b in blocks)
+        assert rows.dtype == (np.float64 if make is real_poly and points_real else np.complex128)
+
+
 @pytest.mark.parametrize("case", list(_real_grid_cases()), ids=lambda case: case[0])
 def test_evaluate_grid_contracts_real_inputs_in_real_tables(monkeypatch, case):
     _, blocks, top = case

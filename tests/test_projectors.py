@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import nprox.functionals
 import nprox.projectors
 import nprox.zoo
 from nprox.experiments import cylinder_nodes
@@ -1490,3 +1491,129 @@ def test_product_on_nonseparable_function():
     f = Exp(Affine([0.5, 0.5], 0.0)) * Recip(Affine([0.25, -0.5], 2.0))
     once = prod.apply(f)
     assert coeff_distance(prod.apply(once), once) < 1e-10
+
+
+# -- tensor conditions as an index table -------------------------------------------
+
+
+def comprehension_pairs(n1, n2, d):
+    """Oracle: the product's (a, b) pairs, level by level, as a list comprehension."""
+    s1, s2 = degree_starts(n1, d), degree_starts(n2, d)
+    return [(a, b) for i in range(d + 1) for i1 in range(i + 1)
+            for a in range(s1[i1], s1[i1 + 1]) for b in range(s2[i - i1], s2[i - i1 + 1])]
+
+
+def test_the_pair_table_lists_the_tensor_conditions_level_by_level():
+    for n1 in (1, 2, 3):
+        for n2 in (1, 2, 3):
+            for d in range(11):
+                pairs = nprox.projectors._tensor_pairs((n1, n2), d)
+                want = np.array(comprehension_pairs(n1, n2, d), dtype=np.intp).T
+                assert pairs.dtype == np.intp and np.array_equal(pairs, want)
+                assert not pairs.flags.writeable
+                assert nprox.projectors._tensor_pairs((n1, n2), d) is pairs
+
+
+def counting_tensors(monkeypatch):
+    built = []
+    init = nprox.functionals.Tensor.__init__
+
+    def spy(self, left, right):
+        built.append(1)
+        init(self, left, right)
+
+    monkeypatch.setattr(nprox.functionals.Tensor, "__init__", spy)
+    return built
+
+
+def test_a_split_function_builds_no_tensor_condition(monkeypatch):
+    built = counting_tensors(monkeypatch)
+    # the factor-wise cylinder at degree 8, as the cylinder sweep runs it
+    prod = cylinder_product(8)
+    prod.truncations(Exp(Affine([1.0, 1.0, 1.0])))
+    assert prod._factorwise and monomial_count(3, 8) == 165 and not built
+    # a dense product of the zoo's size
+    left, right = lagrange_projector(nodes_by_name("real_leja", 5)), taylor_projector(1, 4)
+    prod = left.newton_product(right)
+    f = Exp(Affine([0.4, -0.7]))
+    prod.apply(f)
+    for k in range(prod.degree + 1):
+        prod.truncate(k, f)
+    prod.apply_product_formula(*f.split(1))
+    assert not prod._factorwise and not built
+    # a function that does not split reads the tensor conditions, once
+    prod.apply(Exp(Affine([0.5, 0.5])) * Recip(Affine([0.25, -0.5], 2.0)))
+    assert len(built) == 15
+
+
+def test_tensor_conditions_are_built_at_their_first_read():
+    planar, line = cylinder_nodes(4)
+    left, right = kergin_projector(planar), lagrange_projector(line)
+    prod = left.newton_product(right)
+    conditions = prod.conditions
+    pairs = comprehension_pairs(2, 1, 4)
+    assert len(conditions) == len(pairs) == 35
+    for mu, (a, b) in zip(conditions, pairs):
+        assert mu.left is left.conditions[a] and mu.right is right.conditions[b]
+        assert mu.nvars == 3
+    assert prod.conditions is conditions
+    starts = degree_starts(3, 4)
+    assert [len(level) for level in prod.levels] == [1, 3, 6, 10, 15]
+    for level, lo, hi in zip(prod.levels, starts, starts[1:]):
+        assert all(mu is nu for mu, nu in zip(level, conditions[lo:hi]))
+
+
+@pytest.mark.parametrize("case", ["twin", "nested"])
+def test_lazy_tensor_conditions_change_no_bit(case):
+    def build():
+        if case == "twin":
+            P = lagrange_projector(nodes_by_name("chebyshev_leja", 12))
+            return P.newton_product(P)
+        inner = kergin_projector(nodes_by_name("leja_disk", 6)).newton_product(
+            lagrange_projector(nodes_by_name("real_leja", 6)))
+        return inner.newton_product(kergin_projector(nodes_by_name("real_leja", 6)))
+
+    eager, lazy = build(), build()
+    eager.conditions
+    assert lazy._conditions is None
+    assert eager._factorwise == lazy._factorwise == (case == "twin")
+    assert eager.level_conds == lazy.level_conds
+    split = Exp(Affine(np.linspace(0.3, -0.4, lazy.nvars)))
+    joint = split * Recip(Affine(np.full(lazy.nvars, 0.25), -3.0))
+    for f in (split, joint):
+        assert np.array_equal(eager.apply(f).coeffs, lazy.apply(f).coeffs)
+        assert eager.solve_residual == lazy.solve_residual
+    assert np.array_equal(eager.matrix, lazy.matrix)
+
+
+def scalar_level_outer(ufunc, x1, x2):
+    """Oracle: entry (k, a, b) reduced in scalars, j = 0..k in turn, from 0.
+
+    x2 is reduced over j2 <= t first, so each term is x1[a, j] times that
+    reduction at t = k - j, as in a loop over j.
+    """
+    d = x1.shape[1] - 1
+    out = np.zeros((d + 1, x1.shape[0], x2.shape[0]))
+    for b in range(x2.shape[0]):
+        acc = [x2[b, 0]]
+        for t in range(1, d + 1):
+            acc.append(float(ufunc(acc[-1], x2[b, t])))
+        for a in range(x1.shape[0]):
+            for k in range(d + 1):
+                value = 0.0
+                for j in range(k + 1):
+                    value = float(ufunc(value, x1[a, j] * acc[k - j]))
+                out[k, a, b] = value
+    return out
+
+
+def test_level_outer_reduces_each_level_in_order():
+    rng = np.random.default_rng(41)
+    for d in range(13):
+        for n1, n2 in ((1, 1), (d + 2, 3), (2, d + 3)):
+            # nonnegative, spread over decades, so the order of a sum shows
+            x1 = rng.random((n1, d + 1)) * 10.0 ** rng.integers(-6, 6, (n1, d + 1))
+            x2 = rng.random((n2, d + 1)) * 10.0 ** rng.integers(-6, 6, (n2, d + 1))
+            for ufunc in (np.maximum, np.add):
+                got = nprox.projectors._level_outer(ufunc, x1, x2)
+                assert np.array_equal(got, scalar_level_outer(ufunc, x1, x2))
