@@ -2,115 +2,38 @@
 
 A projector of degree d in n variables is specified by dim P_d conditions
 (linear functionals) in graded-lex level order: level j is the next
-dim P_j - dim P_{j-1} of them, so the count fixes the degree.  The
-collocation matrix on the graded-lex monomial basis is assembled exactly
-from the functionals' monomial values, in one ``functionals.rows`` call.
-Nested unisolvence means every leading block (conditions up to level j
-against monomials up to degree j) is invertible; it is checked at build time
-through condition-number estimates, and it is what makes degree truncation
-and Newton summands well defined: the degree-k truncation solves the leading
-k-block, and the k-th Newton summand is the difference of consecutive
-truncations.
+dim P_j - dim P_{j-1} of them, so the count fixes the degree.  Nested
+unisolvence means every leading block (conditions up to level j against
+monomials up to degree j) is invertible: the degree-k truncation solves the
+leading k-block, and the k-th Newton summand is the difference of
+consecutive truncations.
 
-Products: given projectors on n1 and n2 variables, the product projector on
-n1 + n2 variables has levels J_i = union over i1 + i2 = i of tensor pairs
-J1_{i1} x J2_{i2}, so a tensor condition is an index pair (a, b) of two
-factor conditions: a product keeps its conditions as one cached, read-only
-table of those pairs per factor variable counts and degree
-(``_tensor_pairs``), and builds their ``Tensor`` objects only when
-``conditions`` or ``levels`` is read.  Every row of its collocation matrix
-is a left-factor row times a right-factor row, split along the factor
-ranks, and is gathered from the factors' rows.  Its Newton summands factor
-through the factors' summands, which yields both an evaluation formula for
-separable functions and a finite expansion of the approximation residual
-for polynomial inputs.  In the evaluation formula the right summands telescope
-into truncations: sum over i1 + i2 <= d of Delta1_i1 (x) Delta2_i2 equals
-sum over i1 = 0..d of Delta1_i1 (x) P2_{d-i1}, which is one matrix product
-of the left summands' and the right truncations' coefficients, gathered
-along the factor ranks.
+Where each mechanism lives, on ``NewtonStructuredProjector``:
 
-The nesting gate takes one SVD per leading block, at O(n^3).  A product
-of at least ``_BOUND_CONDITIONS`` conditions, whose factors are no products
-and pass their own gates below ``_BOUND_FACTOR_COND``, first bounds every
-level from its factors (``NewtonProduct._bounded``): the inverse of its
-level-k block is the sum over i of the Kronecker products of the left
-factor's level-i summand map and the right factor's level-(k - i) block
-inverse.  Its Frobenius norm under the factors' row scales is therefore
-exact from the factors' Gram tensors, Frobenius inner products of those
-maps, and ``||D^-1 A_k||_F`` times it bounds the block's condition estimate
-(``NewtonProduct._factor_bounds``).  A level whose bound is
-``_BOUND_MARGIN`` times under the threshold passes without its SVD and
-reports the bound in ``level_conds``; every other level takes its SVD, which
-decides as before, so the gate fails at the same level with the same
-message.  ``level_cond_bounds`` keeps every bound (None where the gate took
-SVDs only), and ``svd_levels()`` says which entries an SVD read.
+- the collocation rows: ``matrix``, assembled at its first read in one
+  ``functionals.rows`` call, and its real view ``_real_view``, which the
+  layers that feed no solve read;
+- the nesting gate: ``_check_nesting``, an SVD per row-equilibrated
+  leading block, or a certified bound in its place (``_cond_bounds``);
+- the solves: ``_solve_range``, after ``_check_finite``, through one
+  batched ``_padded_solve`` on a projector of at most ``_STACK_CONDITIONS``
+  conditions, else ``_level_solve`` per level, the one solve of a level's
+  row-equilibrated leading block;
+- the memo: ``_rhs`` keeps the last input's values and
+  ``_truncation_table`` the table solved from them, so ``apply``,
+  ``truncate``, ``truncations`` and ``newton_summands`` evaluate an input
+  once.
 
-Such a product reads no product matrix (``NewtonProduct._factorwise``).
-The gate's row scales D_k are products of the factor rows' largest entries
-per monomial degree, the maximum over j1 + j2 <= k, and ``||D^-1 A_k||_F``
-is summed from the factor rows' sums of squares per degree.  Its
-truncations are solved through the factors: with the tensor-condition
-values arranged as a matrix F, the degree-k truncation is sum over
-i + j = k of B1_i F Delta2_j^T, B the factors' leading-block solves and
-Delta2_j = B2_j - B2_{j-1} (``NewtonProduct._factor_solve``), which is
-2(k + 1) solves with blocks of the factors' sizes rather than one with the
-product's.  A guard reads the relative residual at the conditions of every
-level solved, factor-wise (``solve_residual``), and above
-``_SOLVE_TOLERANCE`` the dense solve runs instead.  ``matrix`` is assembled
-at its first read: the SVD of a level the bounds leave to it when a factor
-is complex, that fallback, or a caller such as ``project --check``.
-Products below the bound size and products of products keep the dense
-path.
-
-Real conditions (real nodes, real centers, real measures) give a matrix
-with no imaginary part, and the layers that feed no solve read its real
-view (``_real_view``, through ``polynomials._real_or_self``): the gate's
-SVDs and the factor inverses of its bounds, and a factor-wise product's
-solve guard, which multiplies its factors' real rows with the real
-truncation table of a real input.  A factor-wise product of real factors
-gathers the blocks of the levels its bounds leave to an SVD from the
-factors' real rows, so it assembles no ``matrix`` for them.  A product of
-zero imaginary parts adds 0, so an elementwise real product is the complex
-one's real part exactly, and the sweeps' reports read the bits complex
-arithmetic gave them.  Every solve stays complex.
-
-Each solve is numpy's LAPACK ``gesv`` (an LU factorization, then the two
-triangular solves) on a row-equilibrated leading block, factored on each
-call, never an explicit inverse.  Every block's row scales come from one
-running maximum of the matrix taken at build time (of the factors' rows
-on a factor-wise product), which the nesting gate and the dense solves
-share.  A projector of at most ``_STACK_CONDITIONS`` conditions keeps, from
-its first solve on, the stack of its row-equilibrated leading blocks, each
-padded with an identity to the full size: every solve reads its level's
-block there, and a sweep of truncations is one batched ``np.linalg.solve``
-instead of one call per level, whose Python overhead dominates at these
-sizes.  A single truncation solves its padded block in the same batched
-form, so it reads the same bits as the sweep.  A larger projector solves
-each level's unpadded block, as padding costs O(n^3) per level.
-
-A projector keeps one memo entry (``_memo``): the last input it evaluated,
-its values under the conditions of levels 0..top, and the truncation table
-a sweep solved from them, if one did.  A test function is keyed by value
-(``TestFunction.key``: class, coefficient bytes, constants and children;
-test functions are immutable) and the exactness, a polynomial by its
-variable count, degree and coefficient bytes.  A later call with the same
-key and a degree k <= top slices the values, and a table of at least k + 1
-levels serves by its leading rows, so ``apply(f)`` followed by
-``truncate(k, f)`` at every k evaluates f once, and truncation sweeps,
-Newton summands, the product formula and the residual expansion read one
-solve per factor.  Any other call evaluates the levels it needs and
-replaces the entry.  A product applies its factors' conditions through the
-factors' own memos, so ``apply(f)`` followed by
-``apply_product_formula(*f.split(k))`` evaluates each factor's part once.
-Polynomials take their exact product with the collocation rows, over every
-row, so the values of levels 0..k do not depend on k and a kept slice is
-bit for bit a fresh one.  A product given a polynomial above its degree,
-and a factor-wise product given any polynomial, takes the factor form of
-that product, ``(L C R^T)[a, b]`` with p's coefficients arranged by factor
-ranks in C and the factors' rows in L and R, as ``polynomials.evaluate_grid``
-does on grids: no product row is assembled, and a factor assembles rows
-only past its own degree.  So no value depends on whether ``matrix`` has
-been assembled.
+On ``NewtonProduct``: the tensor conditions as one index table of factor
+condition pairs (``_tensor_pairs``), rows gathered from the factors' rows
+(``_gather``), a split function's values from the factors' memos
+(``_function_rhs``) and a polynomial's in factor form (``_polynomial_rhs``).
+From ``_BOUND_CONDITIONS`` conditions a product of gated factors is
+factor-wise (``_bounded``): it bounds its levels' condition estimates from
+factor quantities (``_factor_bounds``), takes its row scales from the
+factors' rows (``_row_scales``), and solves through its factors' level
+solves (``_factor_solve``) behind a residual guard (``_solve_range``), so
+it assembles ``matrix`` only where something reads it.
 """
 from __future__ import annotations
 
@@ -327,7 +250,7 @@ def _tensor_pairs(nvars: tuple[int, int], degree: int) -> np.ndarray:
     Column c of the read-only ``(2, monomial_count(n1 + n2, degree))``
     table is the pair (a, b) of condition c.  Level i holds the pairs of a
     left condition of level i1 and a right one of level i - i1, for i1 =
-    0..i in turn (``NewtonProduct._level_pairs``), a before b; as a factor's
+    0..i in turn (``NewtonProduct._level_name``), a before b; as a factor's
     levels are consecutive runs of its conditions, that is every pair of
     levels summing to at most ``degree``, sorted by that sum, then a, then b.
     """
@@ -418,10 +341,6 @@ class NewtonStructuredProjector:
         relax it explicitly.
     """
 
-    # whether row scales, solves and polynomial values read the factors
-    # instead of ``matrix``; only a product sets it (``NewtonProduct._bounded``)
-    _factorwise = False
-
     def __init__(self, conditions, cond_threshold: float | None = 1e12):
         self.nvars, self.degree = self._graded(conditions)
         self.cond_threshold = cond_threshold
@@ -467,12 +386,12 @@ class NewtonStructuredProjector:
     def matrix(self) -> np.ndarray:
         """Every condition's values on the monomials up to the degree, assembled at first read.
 
-        A projector reads it at build, for its row scales; a product that
-        takes its row scales and solves from its factors reads it only where
-        something asks for it (``NewtonProduct._factorwise``).  A plain
-        attribute keeps it rather than ``functools.cached_property``, which
-        reads the instance ``__dict__`` and so, from Python 3.11 on, slows
-        every later attribute access of the projector.
+        A projector reads it at build, for its row scales; a factor-wise
+        product (``NewtonProduct``) reads it only where something asks for
+        it.  A plain attribute keeps it rather than
+        ``functools.cached_property``, which reads the instance ``__dict__``
+        and so, from Python 3.11 on, slows every later attribute access of
+        the projector.
         """
         if self._matrix is None:
             self._matrix = self._assemble(self.degree)
@@ -606,34 +525,51 @@ class NewtonStructuredProjector:
                   where=_level_rows(self.nvars, self.degree)[lo:hi, :size])
         return np.linalg.solve(self._padded_blocks()[lo:hi], scaled)[:, :size, 0]
 
+    def _level_solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
+        """Level k's solve of ``rhs``, one right-hand side or a column of them each.
+
+        LAPACK's ``gesv`` (``np.linalg.solve``: the LU factorization and the
+        triangular solves) on the row-equilibrated level-k block, factored
+        on each call, with ``rhs`` over the same row scales.  A non-finite
+        block never gets here, since the nesting gate's SVD of it fails; an
+        exactly zero pivot raises ``LinAlgError`` naming the level.
+        """
+        m = monomial_count(self.nvars, k)
+        scales = self._scales[k, :m].reshape((m,) + (1,) * (rhs.ndim - 1))
+        try:
+            return np.linalg.solve(self._equilibrated(k, self.matrix), rhs / scales)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(
+                f"{self._level_name(k)}: leading block is singular") from err
+
+    def _check_finite(self, levels: range, values: np.ndarray) -> None:
+        """Raise ``ValueError`` where the right-hand sides of ``levels`` are not finite.
+
+        LAPACK checks no finiteness.  The error names the first level of
+        ``levels`` whose solve reads a non-finite value: the larger of
+        ``levels.start`` and the level of the first such value.
+        """
+        top = levels.stop - 1
+        values = values[:monomial_count(self.nvars, top)]
+        if not np.isfinite(values).all():
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            k = max(levels.start, bisect_right(degree_starts(self.nvars, top), bad) - 1)
+            raise ValueError(f"degree-{k} right-hand side is not finite")
+
     def _solve_range(self, levels: range, values: np.ndarray) -> np.ndarray:
         """Coefficients of the solves at ``levels``, one row each.
 
         ``values`` are the right-hand sides of levels 0..levels[-1]; row i of
         the ``(len(levels), len(values))`` result is the degree-levels[i]
-        solution, 0 past its own monomials.  Each solve is LAPACK's ``gesv``
-        (``np.linalg.solve``: the LU factorization and the triangular
-        solves) on the row-equilibrated leading block, factored on each
-        call.  A small projector solves its padded blocks as one batch
-        (``_padded_solve``), so a single level and a sweep agree bit for
-        bit; a larger one solves its unpadded blocks level by level.  So
-        does a small one whose batch fails or whose right-hand side is not
-        finite, only to name the level that fails: a padded block is
-        singular exactly when its leading block is.  LAPACK checks no
-        finiteness, so each level's right-hand side is checked here; a
-        non-finite block never gets this far, since the nesting gate's SVD
-        of it fails.  An exactly zero pivot raises ``LinAlgError`` naming
-        the level.  A factor-wise product first solves through its factors
-        (``NewtonProduct._factor_solve``) and keeps that result where its
-        relative residual at the conditions of ``levels`` is below
-        ``_SOLVE_TOLERANCE``; otherwise the dense solves below run, on the
-        matrix they assemble.
+        solution, 0 past its own monomials.  They are checked first
+        (``_check_finite``).  A small projector solves its padded blocks as
+        one batch (``_padded_solve``), so a single level and a sweep agree
+        bit for bit; a larger one solves level by level (``_level_solve``).
+        So does a small one whose batch fails, only to name the level that
+        fails: a padded block is singular exactly when its leading block is.
         """
-        if self._factorwise:
-            table = self._factor_solve(levels, values)
-            if self.solve_residual < _SOLVE_TOLERANCE:
-                return table
-        if self._stacked and np.isfinite(values).all():
+        self._check_finite(levels, values)
+        if self._stacked:
             try:
                 return self._padded_solve(levels, values)
             except np.linalg.LinAlgError:
@@ -641,14 +577,7 @@ class NewtonStructuredProjector:
         out = np.zeros((len(levels), values.shape[0]), dtype=np.complex128)
         for row, k in enumerate(levels):
             m = monomial_count(self.nvars, k)
-            if not np.isfinite(values[:m]).all():
-                raise ValueError(f"degree-{k} right-hand side is not finite")
-            try:
-                out[row, :m] = np.linalg.solve(self._equilibrated(k, self.matrix),
-                                               values[:m] / self._scales[k, :m])
-            except np.linalg.LinAlgError as err:
-                raise np.linalg.LinAlgError(
-                    f"{self._level_name(k)}: leading block is singular") from err
+            out[row, :m] = self._level_solve(k, values[:m])
         return out
 
     def _solve_levels(self, top: int, values: np.ndarray) -> np.ndarray:
@@ -719,9 +648,12 @@ class NewtonStructuredProjector:
 
     def truncations(self, f, exactness: int | None = None) -> list[Polynomial]:
         """truncate(k, f) for k = 0..degree, from one evaluation of f."""
-        table = self._truncation_table(f, exactness, self.degree)
+        return self._polynomials(self._truncation_table(f, exactness, self.degree))
+
+    def _polynomials(self, table: np.ndarray) -> list[Polynomial]:
+        """Row k of a table of coefficient rows as a degree-k polynomial, for every row."""
         return [Polynomial._owning(self.nvars, k, table[k, :monomial_count(self.nvars, k)])
-                for k in range(self.degree + 1)]
+                for k in range(table.shape[0])]
 
     def _truncation_table(self, f, exactness: int | None, top: int) -> np.ndarray:
         """Coefficients of truncate(k, f), k = 0..top, as rows, 0 past each degree.
@@ -743,9 +675,8 @@ class NewtonStructuredProjector:
 
     def newton_summands(self, f, exactness: int | None = None) -> list[Polynomial]:
         """Differences of consecutive truncations; they sum to apply(f)."""
-        steps = _summand_rows(self._truncation_table(f, exactness, self.degree))
-        return [Polynomial._owning(self.nvars, k, steps[k, :monomial_count(self.nvars, k)])
-                for k in range(self.degree + 1)]
+        return self._polynomials(_summand_rows(self._truncation_table(f, exactness,
+                                                                      self.degree)))
 
     # -- products ---------------------------------------------------------------
 
@@ -772,15 +703,16 @@ class NewtonProduct(NewtonStructuredProjector):
     objects that the first read of ``conditions`` builds from the table and
     keeps; nothing else in the product reads them.  Where the gate takes
     bounds from the factors (``_bounded`` at build), the product is
-    factor-wise: row scales, bounds, polynomial values and solves read the
-    factors' rows and blocks, and ``matrix`` is assembled only when read.
+    factor-wise: row scales, bounds and polynomial values read the factors'
+    rows, solves go through the factors' level solves, and ``matrix`` is
+    assembled only when read.
     """
 
     def __init__(self, left: NewtonStructuredProjector,
                  right: NewtonStructuredProjector,
                  cond_threshold: float | None = 1e12):
-        # a factor passed twice: its leading blocks and their inverses serve
-        # both slots of the factor-wise bounds and solves
+        # a factor passed twice: its block inverses serve both slots of the
+        # factor-wise bounds
         self._twin = right is left
         if self._twin:
             # one object in both slots would keep one memo entry for two
@@ -798,9 +730,6 @@ class NewtonProduct(NewtonStructuredProjector):
         # the relative residual at the conditions of the last factor-wise
         # solve (``_factor_solve``); None before one
         self.solve_residual: float | None = None
-        # each factor's row-equilibrated leading blocks of levels 0..degree,
-        # from the first factor-wise solve on
-        self._blocks: tuple | None = None
 
     def _graded(self, pairs):
         """The variable count and degree of the index table ``pairs`` (``_tensor_pairs``).
@@ -986,6 +915,20 @@ class NewtonProduct(NewtonStructuredProjector):
 
     # -- factor-wise solves ------------------------------------------------------
 
+    def _solve_range(self, levels, values):
+        """The base class's solves; a factor-wise product's go through its factors first.
+
+        A factor-wise product solves through its factors (``_factor_solve``)
+        and keeps that result where its relative residual at the conditions
+        of ``levels`` (``solve_residual``) is below ``_SOLVE_TOLERANCE``;
+        otherwise the dense solves run, on the ``matrix`` they assemble.
+        """
+        if self._factorwise:
+            table = self._factor_solve(levels, values)
+            if self.solve_residual < _SOLVE_TOLERANCE:
+                return table
+        return super()._solve_range(levels, values)
+
     def _factor_solve(self, levels: range, values: np.ndarray) -> np.ndarray:
         """The solves at ``levels`` through the factors' leading blocks.
 
@@ -997,11 +940,11 @@ class NewtonProduct(NewtonStructuredProjector):
 
         the paper's sum over i + j <= k of Delta1_i (x) Delta2_j summed by
         parts, B the factors' leading-block inverses and Delta2_j = B2_j -
-        B2_{j-1}.  Each B is applied as ``np.linalg.solve`` on the factor's
-        row-equilibrated block, never as an explicit inverse: one right solve
-        per level j, on every left condition, and one left solve per level i
-        on the blocks F Delta2_j^T of j = 0..degree - i side by side, whose
-        result lands on the table rows i + j (``_factor_scatter``).  So a
+        B2_{j-1}.  Each B is applied as the factor's ``_level_solve``, never
+        as an explicit inverse: one right solve per level j, on every left
+        condition, and one left solve per level i on the blocks F Delta2_j^T
+        of j = 0..degree - i side by side, whose result lands on the table
+        rows i + j (``_factor_scatter``).  So a
         table costs 2(top + 1) small solves.  Every solve's shape depends on
         its level and the product degree alone, and a column of a solve's
         result on its own column of the right-hand side alone, so the row of
@@ -1015,24 +958,14 @@ class NewtonProduct(NewtonStructuredProjector):
         Sets ``solve_residual``: the largest |(L C_k R^T)[a, b] - F[a, b]|
         over the conditions of each level k in ``levels``, over the largest
         |F[a, b]| there, L and R the factors' rows.  A non-finite value
-        raises as the dense solve does, naming the lowest level of
-        ``levels`` it reaches.
+        raises before any solve, as the dense solve does (``_check_finite``).
         """
+        self._check_finite(levels, values)
         lo, top = levels.start, levels.stop - 1
         n = monomial_count(self.nvars, top)
         values = values[:n]
-        if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            k = max(lo, bisect_right(degree_starts(self.nvars, top), bad) - 1)
-            raise ValueError(f"degree-{k} right-hand side is not finite")
         d, nvars = self.degree, (self.left.nvars, self.right.nvars)
         m1, m2 = monomial_count(nvars[0], d), monomial_count(nvars[1], d)
-        if self._blocks is None:
-            factors = (self.left,) if self._twin else (self.left, self.right)
-            blocks = [[f._equilibrated(i, f.matrix) for i in range(d + 1)] for f in factors]
-            self._blocks = (blocks[0], blocks[-1])
-        left_blocks, right_blocks = self._blocks
-        s1, s2 = self.left._scales, self.right._scales
         offsets, scatter = _factor_scatter(nvars, d)
         a, b = self._pairs[:, :n]
         # F^T, one row per right condition
@@ -1043,7 +976,7 @@ class NewtonProduct(NewtonStructuredProjector):
         previous = None
         for j in range(top + 1):
             w = monomial_count(nvars[1], j)
-            solved = np.linalg.solve(right_blocks[j], values_t[:w] / s2[j, :w, None])
+            solved = self.right._level_solve(j, values_t[:w])
             block = steps[offsets[j]:offsets[j] + w]
             block[:] = solved
             if previous is not None:
@@ -1054,8 +987,8 @@ class NewtonProduct(NewtonStructuredProjector):
         steps = steps.T
         for i in range(top + 1):
             w = monomial_count(nvars[0], i)
-            rhs = steps[:w, :offsets[d + 1 - i]] / s1[i, :w, None]
-            flat[scatter[i]] += np.linalg.solve(left_blocks[i], rhs).reshape(-1)
+            solved = self.left._level_solve(i, steps[:w, :offsets[d + 1 - i]])
+            flat[scatter[i]] += solved.reshape(-1)
         table = table[:top + 1]
         self.solve_residual = self._table_residual(table[lo:], levels, values)
         r1, r2 = factor_ranks(nvars, top)
@@ -1078,13 +1011,9 @@ class NewtonProduct(NewtonStructuredProjector):
         scale = float(np.max(np.abs(values)))
         return gap / scale if scale else gap
 
-    @staticmethod
-    def _level_pairs(i: int) -> list[tuple[int, int]]:
-        """Factor level pairs (i1, i2) whose tensor conditions make up level i."""
-        return [(i1, i - i1) for i1 in range(i + 1)]
-
     def _level_name(self, j: int) -> str:
-        pairs = ", ".join(f"({i1}, {i2})" for i1, i2 in self._level_pairs(j))
+        """Level j with the factor level pairs (i1, j - i1) whose tensor conditions make it up."""
+        pairs = ", ".join(f"({i1}, {j - i1})" for i1 in range(j + 1))
         return f"level {j} (factor level pairs {pairs})"
 
     def apply_product_formula(self, f1, f2, exactness: int | None = None) -> Polynomial:

@@ -222,10 +222,14 @@ class Affine(TestFunction):
         orders = alphas.sum(axis=1)
         out = np.zeros((len(alphas), pts.shape[0]), dtype=np.complex128)
         if np.any(orders == 0):
-            out[orders == 0] = pts @ self.coeffs + self.const
+            out[orders == 0] = self.values(pts)
         first = orders == 1
         out[first] = self.coeffs[np.argmax(alphas[first], axis=1)][:, None]
         return out
+
+    def values(self, pts):
+        """``coeffs . z + const`` at each row z of ``pts``; Exp and Recip read their base here."""
+        return as_rows(pts, self.nvars) @ self.coeffs + self.const
 
     def key(self):
         return (type(self), self.coeffs.tobytes(), _scalar_bytes(self.const))
@@ -262,7 +266,7 @@ class Exp(TestFunction):
         alphas = _alpha_rows(alphas, self.nvars)
         pts = as_rows(pts, self.nvars)
         scales = np.prod(self.arg.coeffs ** alphas, axis=1)
-        return scales[:, None] * np.exp(pts @ self.arg.coeffs + self.arg.const)
+        return scales[:, None] * np.exp(self.arg.values(pts))
 
     def key(self):
         return (type(self), self.arg.key())
@@ -289,7 +293,7 @@ class Recip(TestFunction):
         # one base u and one pole test for all orders, one power per order
         alphas = _alpha_rows(alphas, self.nvars)
         pts = as_rows(pts, self.nvars)
-        u = pts @ self.arg.coeffs + self.arg.const
+        u = self.arg.values(pts)
         bad = np.abs(u) < 1e-12 * self._scale
         if np.any(bad):
             idx = int(np.argmax(bad))

@@ -189,17 +189,21 @@ def test_unpadded_solves_name_the_level_that_fails():
             P.truncations(f)
         assert np.isfinite(P.truncate(0, f).coeffs).all()
     # a product that solves through its factors names the same levels: the
-    # line's level-1 node enters the product at level 1
+    # line's level-1 node enters the product at level 1.  The check comes
+    # before any solve, so no path assembles the product matrix
     prod = cylinder_product(8)
     assert prod._factorwise
     f = Exp(Affine([0.0, 0.0, -800.0]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^degree-8 right-hand side is not finite"):
             prod.apply(f)
+        assert prod._matrix is None
         with pytest.raises(ValueError, match="^degree-3 right-hand side is not finite"):
             prod.truncate(3, f)
+        assert prod._matrix is None
         with pytest.raises(ValueError, match="^degree-1 right-hand side is not finite"):
             prod.truncations(f)
+        assert prod._matrix is None
         assert np.isfinite(prod.truncate(0, f).coeffs).all()
     # the level-2 node repeats the level-0 node: levels 2..16 are singular,
     # and the gate is off so the build succeeds
@@ -1563,27 +1567,40 @@ def test_tensor_conditions_are_built_at_their_first_read():
         assert all(mu is nu for mu, nu in zip(level, conditions[lo:hi]))
 
 
-@pytest.mark.parametrize("case", ["twin", "nested"])
+@pytest.mark.parametrize("case", ["twin", "nested", "shared"])
 def test_lazy_tensor_conditions_change_no_bit(case):
     def build():
         if case == "twin":
             P = lagrange_projector(nodes_by_name("chebyshev_leja", 12))
-            return P.newton_product(P)
-        inner = kergin_projector(nodes_by_name("leja_disk", 6)).newton_product(
-            lagrange_projector(nodes_by_name("real_leja", 6)))
-        return inner.newton_product(kergin_projector(nodes_by_name("real_leja", 6)))
+            return [P.newton_product(P)]
+        if case == "nested":
+            inner = kergin_projector(nodes_by_name("leja_disk", 6)).newton_product(
+                lagrange_projector(nodes_by_name("real_leja", 6)))
+            return [inner.newton_product(kergin_projector(nodes_by_name("real_leja", 6)))]
+        # one factor object in two products, neither of them a twin
+        shared = lagrange_projector(nodes_by_name("chebyshev_leja", 12))
+        return [shared.newton_product(lagrange_projector(nodes_by_name("real_leja", 12))),
+                lagrange_projector(nodes_by_name("real_leja", 12)).newton_product(shared)]
 
-    eager, lazy = build(), build()
-    eager.conditions
-    assert lazy._conditions is None
-    assert eager._factorwise == lazy._factorwise == (case == "twin")
-    assert eager.level_conds == lazy.level_conds
-    split = Exp(Affine(np.linspace(0.3, -0.4, lazy.nvars)))
-    joint = split * Recip(Affine(np.full(lazy.nvars, 0.25), -3.0))
+    eager = build()
+    # each lazy product from a build of its own: on factors it shares with no
+    # other product in use
+    lazy = [build()[i] for i in range(len(eager))]
+    for P in eager:
+        P.conditions
+    split = Exp(Affine(np.linspace(0.3, -0.4, lazy[0].nvars)))
+    joint = split * Recip(Affine(np.full(lazy[0].nvars, 0.25), -3.0))
+    for P, Q in zip(eager, lazy):
+        assert Q._conditions is None
+        assert P._factorwise == Q._factorwise == (case != "nested")
+        assert P.level_conds == Q.level_conds
+    # the eager products' solves interleave on the shared factor
     for f in (split, joint):
-        assert np.array_equal(eager.apply(f).coeffs, lazy.apply(f).coeffs)
-        assert eager.solve_residual == lazy.solve_residual
-    assert np.array_equal(eager.matrix, lazy.matrix)
+        for P, Q in zip(eager, lazy):
+            assert np.array_equal(P.apply(f).coeffs, Q.apply(f).coeffs)
+            assert P.solve_residual == Q.solve_residual
+    for P, Q in zip(eager, lazy):
+        assert np.array_equal(P.matrix, Q.matrix)
 
 
 def scalar_level_outer(ufunc, x1, x2):
