@@ -28,12 +28,12 @@ On ``NewtonProduct``: the tensor conditions as one index table of factor
 condition pairs (``_tensor_pairs``), rows gathered from the factors' rows
 (``_gather``), a split function's values from the factors' memos
 (``_function_rhs``) and a polynomial's in factor form (``_polynomial_rhs``).
-From ``_BOUND_CONDITIONS`` conditions a product of gated factors is
-factor-wise (``_bounded``): it bounds its levels' condition estimates from
-factor quantities (``_factor_bounds``), takes its row scales from the
-factors' rows (``_row_scales``), and solves through its factors' level
-solves (``_factor_solve``) behind a residual guard (``_solve_range``), so
-it assembles ``matrix`` only where something reads it.
+From ``_BOUND_CONDITIONS`` conditions a product of gated factors, products
+among them, is factor-wise (``_bounded``): it bounds its levels' condition
+estimates from factor quantities (``_factor_bounds``), takes its row scales
+from the factors' rows (``_row_scales``), and solves through its factors'
+level solves (``_factor_solve``) behind a residual guard (``_solve_range``),
+so it assembles ``matrix`` only where something reads it.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from .config import check_exactness, read_index
 from .functionals import DEFAULT_EXACTNESS, Functional, Tensor, rhs, rows
-from .indexing import degree_starts, factor_ranks, monomial_count
+from .indexing import DESK_LIMIT, degree_starts, factor_ranks, monomial_count
 # tensor_product is re-exported: code that imports or patches it here finds it
 from .polynomials import Polynomial, _real_or_self, tensor_product  # noqa: F401
 from .testfunctions import PoleOnSupportError, TestFunction
@@ -116,7 +116,8 @@ _BOUND_MARGIN = 10.0
 # product degree is below this (and below the threshold)
 _BOUND_FACTOR_COND = 1e12
 # A factor-wise product solve (``NewtonProduct._factor_solve``) stands when its
-# relative residual at the conditions is below this; else the dense solve runs.
+# relative residual at the conditions is below this; else the dense solve runs
+# (or refuses, where the product matrix would pass ``DESK_LIMIT`` entries).
 # Over every ordered pair of the gate zoo's gated factors (Taylor, orthogonal,
 # Lagrange and Kergin at six node families, two-variable Taylor and planar
 # Kergin) at d=3, 5, 8 and 14, on exp, 1/affine and a random polynomial, the
@@ -830,24 +831,27 @@ class NewtonProduct(NewtonStructuredProjector):
         """Whether the gate at ``threshold`` may bound levels from factor quantities.
 
         Not with the gate off (``level_conds`` stay exact), below
-        ``_BOUND_CONDITIONS``, when a factor is itself a product (its
-        inverses are no small blocks), or when a factor's own gate did not
-        run or read ``_BOUND_FACTOR_COND`` or the threshold at a level up to
-        the product degree, since the rounding argument behind
-        ``_BOUND_MARGIN`` needs accurate factor inverses.  At build this also
-        decides ``_factorwise``.
+        ``_BOUND_CONDITIONS``, or when a factor's own gate did not run or
+        read ``_BOUND_FACTOR_COND`` or the threshold at a level up to the
+        product degree, since the rounding argument behind ``_BOUND_MARGIN``
+        needs accurate factor inverses.  A factor that is itself a product
+        counts like any other: its ``level_conds`` are SVD values or
+        certified upper bounds on them, so every one below
+        ``_BOUND_FACTOR_COND`` still keeps the inverses ``_scaled_inverses``
+        takes of its blocks accurate to cond x eps <= 1e-4.  Called once,
+        at build, where it decides ``_factorwise``.
         """
         if threshold is None or self._pairs.shape[1] < _BOUND_CONDITIONS:
             return False
         limit = min(threshold, _BOUND_FACTOR_COND)
         degree = min(self.left.degree, self.right.degree)
-        return all(not isinstance(factor, NewtonProduct) and factor.cond_threshold is not None
+        return all(factor.cond_threshold is not None
                    and max(factor.level_conds[:degree + 1]) < limit
                    for factor in (self.left, self.right))
 
     def _cond_bounds(self):
-        """``_factor_bounds`` where ``_bounded`` holds and no row vanishes, else None."""
-        if not self._bounded(self.cond_threshold) or not self._scales.all():
+        """``_factor_bounds`` on a factor-wise product whose rows all have a scale, else None."""
+        if not self._factorwise or not self._scales.all():
             return None
         return self._factor_bounds()
 
@@ -891,8 +895,11 @@ class NewtonProduct(NewtonStructuredProjector):
                 = sum over i, j <= k of G1[k, i, j] G2[k, k - i, k - j]
 
         with G1, G2 the factors' ``_scaled_inverse_grams`` (of Delta1 and
-        of B2), which must not be products themselves; a factor passed twice
-        (``_twin``) inverts its blocks once for both.  The first norm reads
+        of B2); a factor passed twice (``_twin``) inverts its blocks once for
+        both.  A product factor's blocks are inverted from its rows like any
+        factor's: its ``level_conds`` bound their conditions from above
+        (``_bounded``), so those inverses carry the same cond x eps rounding
+        the margin allows for.  The first norm reads
         no product row either: a tensor row's sum of squares on block k is
         the sum over j1 + j2 <= k of the factor rows' sums of squares over
         the monomials of degree j1 and j2 (``_level_outer``).  Every row
@@ -921,12 +928,20 @@ class NewtonProduct(NewtonStructuredProjector):
         A factor-wise product solves through its factors (``_factor_solve``)
         and keeps that result where its relative residual at the conditions
         of ``levels`` (``solve_residual``) is below ``_SOLVE_TOLERANCE``;
-        otherwise the dense solves run, on the ``matrix`` they assemble.
+        otherwise the dense solves run, on the ``matrix`` they assemble.  A
+        matrix not yet assembled whose n x n entries would pass
+        ``indexing.DESK_LIMIT`` is refused instead: ``ValueError``.
         """
         if self._factorwise:
             table = self._factor_solve(levels, values)
             if self.solve_residual < _SOLVE_TOLERANCE:
                 return table
+            n = self._pairs.shape[1]
+            if self._matrix is None and n * n > DESK_LIMIT:
+                raise ValueError(
+                    f"factor-wise solve_residual {self.solve_residual:.3e} is not below "
+                    f"_SOLVE_TOLERANCE {_SOLVE_TOLERANCE:.0e}, and the dense fallback would "
+                    f"assemble the {n} x {n} product matrix")
         return super()._solve_range(levels, values)
 
     def _factor_solve(self, levels: range, values: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from nprox import cli
 from nprox.cli import main
+from nprox.config import read_config
 from nprox.experiments import ExperimentReport
 from nprox.extremal import RhoEstimate, fit_decay_rate
 from nprox.zoo import projector_from_spec
@@ -36,7 +37,7 @@ SUBCOMMAND_CASES = [
                  "degree": 4, "function": ["exp", ["affine", [1.0], 0.0]]}, 0,
      {"project.csv": "rank,re,im",
       "project.json": {"coeff_count", "degree", "level_cond_bounds", "level_conds",
-                       "nvars"}}),
+                       "nvars", "solve_residual"}}),
     ("converge", {"name": "conv",
                   "projector": {"kind": "lagrange", "nodes": "real_leja"},
                   "function": ["exp", ["affine", [1.0], 0.0]],
@@ -332,6 +333,46 @@ def test_project_check_passes_a_nested_product_spec(tmp_path):
     assert run(tmp_path, "project", NESTED_PRODUCT, "--check") == 0
 
 
+CHEBYSHEV_LEJA_SQUARED = {"kind": "newton_product", "factors": [
+    {"kind": "lagrange", "nodes": "chebyshev_leja"},
+    {"kind": "lagrange", "nodes": "chebyshev_leja"}]}
+# (CL x CL) x (CL x CL) on a pole function that does not split along the factors
+FOUR_VARIABLE_POLE = {
+    "projector": {"kind": "newton_product",
+                  "factors": [CHEBYSHEV_LEJA_SQUARED, CHEBYSHEV_LEJA_SQUARED]},
+    "degree": 12,
+    "function": ["recip", ["affine", [0.5, 0.25, -0.3, 0.2], -3.0]],
+}
+
+
+def test_project_check_assembles_no_product_matrix():
+    # the check reads the condition values as apply does: in factor form on a
+    # product that solves through its factors, whose matrix (325 x 325 and
+    # 1,820 x 1,820 here) stays unassembled
+    for cfg in (CHEB_LEJA_24, FOUR_VARIABLE_POLE):
+        facts = cli.run_project(read_config("project", cfg))[1]
+        proj = facts[0]
+        assert proj._factorwise and proj._matrix is None
+        assert cli.check_project(facts) is None
+        assert proj._matrix is None
+
+
+def test_project_reports_the_solve_residual(tmp_path):
+    # null where the projector does not solve through its factors
+    small = {**FOUR_VARIABLE_POLE, "projector": CHEBYSHEV_LEJA_SQUARED, "degree": 4,
+             "function": ["exp", ["affine", [1.0, 0.5], 0.0]]}
+    single = {"projector": {"kind": "lagrange", "nodes": "real_leja"}, "degree": 6,
+              "function": ["exp", ["affine", [1.0], 0.0]]}
+    for cfg, factorwise in ((FOUR_VARIABLE_POLE, True), (NESTED_PRODUCT, True),
+                            (CHEB_LEJA_24, True), (small, False), (single, False)):
+        assert run(tmp_path, "project", cfg, "--check") == 0
+        residual = json.loads((tmp_path / "out" / "project.json").read_text())["solve_residual"]
+        if factorwise:
+            assert 0.0 < residual < 1e-12
+        else:
+            assert residual is None
+
+
 def test_project_check_fails_an_operator_that_is_not_a_projector(
         tmp_path, monkeypatch, capsys):
     def scaled(spec, degree):
@@ -540,6 +581,7 @@ def test_nprox_runs_without_scipy(tmp_path):
 import sys
 sys.modules["scipy"] = None
 from nprox.cli import main
+from nprox.config import read_config
 from nprox.testfunctions import Affine, Exp
 from nprox.zoo import kergin_projector, lagrange_projector, nodes_by_name
 

@@ -11,7 +11,7 @@ import nprox.projectors
 import nprox.zoo
 from nprox.experiments import cylinder_nodes
 from nprox.functionals import KerginCondition, PointEval, rhs
-from nprox.indexing import degree_starts, exponents, monomial_count
+from nprox.indexing import DESK_LIMIT, degree_starts, exponents, monomial_count
 from nprox.measures import chebyshev_measure, circle_measure
 from nprox.points import chebyshev_nodes, leja_disk, real_leja
 from nprox.polynomials import Polynomial, coeff_distance, tensor_product
@@ -459,17 +459,21 @@ def cylinder_product(d, cond_threshold=1e12):
 def ungated_products(case):
     """Products with the gate off, so ``level_conds`` are every level's SVD value."""
     if case.startswith("zoo"):
-        return [P for P in gate_zoo(int(case[3:])) if isinstance(P, NewtonProduct)
-                and not isinstance(P.left, NewtonProduct)]
+        return [P for P in gate_zoo(int(case[3:])) if isinstance(P, NewtonProduct)]
+    if case.startswith("nested"):
+        return list(nested_zoo(int(case[6:]), None))
     if case == "chebyshev_leja":
         return [cheb_leja_product(d, None) for d in range(2, 31)]
     return [cylinder_product(d, None) for d in range(2, 13)]
 
 
-@pytest.mark.parametrize("case", ["zoo3", "zoo8", "zoo14", "chebyshev_leja", "cylinder"])
+@pytest.mark.parametrize("case", ["zoo3", "zoo8", "zoo14", "chebyshev_leja", "cylinder",
+                                  "nested6", "nested8", "nested10"])
 def test_factor_bounds_hold_the_svd_estimates(case):
     # complex nodes, Taylor, orthogonal and Kergin factors, ungated factors up
-    # to cond 1e17 in the zoo, and blocks past 1e12 in the d=30 product
+    # to cond 1e17 in the zoo, blocks past 1e12 in the d=30 product, and
+    # product factors; the smallest bound/SVD ratio of the nested products
+    # reads 1.0, at level 0
     products = ungated_products(case)
     assert len(products) >= 11
     for P in products:
@@ -553,9 +557,10 @@ def test_certified_gate_decides_as_the_svd_gate(monkeypatch, build, d, lowest):
     # thresholds just above and below each level's SVD value: the certified
     # gate passes or fails where the SVD gate does, with its message.  At
     # d=28 the sweep starts at level 23, below 25, the last level certified
-    # at 1e12
-    P = build(d, None)
-    exact = list(P.level_conds)
+    # at 1e12.  The SVD values come from an ungated build, and the sweep
+    # runs on a gated one, whose factor-wise decision is made at build
+    exact = list(build(d, None).level_conds)
+    P = build(d)
     certified = 0
     for j in range(lowest, d + 1):
         for factor in (1 - 1e-3, 1 + 1e-3):
@@ -596,14 +601,19 @@ def test_certified_levels_take_no_svd(monkeypatch):
     for k in range(26):
         assert prod.level_conds[k] == prod.level_cond_bounds[k]
     assert max(prod.level_conds) == prod.level_conds[-1] > 1e11
-    # the SVD path keeps no bounds: gate off, too small, or a nested product
+    # the SVD path keeps no bounds: gate off or too small
     assert cheb.newton_product(cheb, cond_threshold=None).level_cond_bounds is None
     small = lagrange_projector(nodes_by_name("chebyshev_leja", 8))
     assert small.newton_product(small).level_cond_bounds is None
     assert all(small.newton_product(small).svd_levels())
-    nested = small.newton_product(small).newton_product(small)  # 165 conditions
+    # a product factor counts like any other: the nested product certifies
+    # every level from its factors and takes no SVD of its own
+    inner = small.newton_product(small)
+    calls.clear()
+    nested = inner.newton_product(small)  # 165 conditions
     assert len(nested.conditions) >= nprox.projectors._BOUND_CONDITIONS
-    assert nested.level_cond_bounds is None
+    assert nested._factorwise and nested.level_cond_bounds is not None
+    assert not any(nested.svd_levels()) and calls == []
 
 
 def test_uncertified_levels_read_the_factors_real_rows(monkeypatch):
@@ -933,6 +943,86 @@ def test_factor_specs_equal_only_to_python_are_built_apart():
     inner = {"kind": "newton_product", "factors": [CHEBYSHEV_LEJA, CHEBYSHEV_LEJA]}
     outer = projector_from_spec({"kind": "newton_product", "factors": [inner, inner]}, 4)
     assert outer._twin and outer.left._twin
+
+
+# -- products of products ----------------------------------------------------------
+
+
+def nested_zoo(d, cond_threshold=1e12):
+    """Products of a two-factor product and one more factor, in both orders:
+    Lagrange at complex disk-Leja nodes, real and planar Kergin, Taylor and
+    orthogonal factors, gated factor-wise unless ``cond_threshold`` is None.
+    The four-variable ones (1,001 conditions at d=10, where an SVD of every
+    level costs about a second) stop at d=8."""
+    build = {"disk": lambda: lagrange_projector(nodes_by_name("leja_disk", d)),
+             "kergin": lambda: kergin_projector(nodes_by_name("real_leja", d)),
+             "planar": lambda: kergin_projector(cylinder_nodes(d)[0]),
+             "taylor": lambda: taylor_projector(1, d, center=[0.3]),
+             "ortho": lambda: orthogonal_projector(chebyshev_measure(2 * d + 1), d)}
+    triples = [("disk", "kergin", "taylor"), ("disk", "kergin", "ortho"),
+               ("taylor", "ortho", "disk"), ("taylor", "ortho", "kergin"),
+               ("kergin", "disk", "ortho"), ("ortho", "taylor", "kergin")]
+    if d <= 8:
+        triples += [("planar", "taylor", "disk"), ("disk", "planar", "taylor")]
+    for first, second, third in triples:
+        inner = build[first]().newton_product(build[second]())
+        other = build[third]()
+        for left, right in ((inner, other), (other, inner)):
+            P = left.newton_product(right, cond_threshold=cond_threshold)
+            assert P._factorwise == (cond_threshold is not None)
+            yield P
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_nested_product_tables_match_the_dense_solves(d):
+    # the factor-wise table against the base class's solves on the assembled
+    # product matrix; the worst level reads 0.22 of level_conds[k] x eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(61 + d)
+    for P in nested_zoo(d):
+        values = P._rhs(Exp(Affine(rng.uniform(-1.0, 1.0, P.nvars))), None)
+        got = P._solve_levels(d, values)
+        assert P.solve_residual < nprox.projectors._SOLVE_TOLERANCE and P._matrix is None
+        want = NewtonStructuredProjector._solve_range(P, range(d + 1), values)
+        for k in range(d + 1):
+            gap = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
+            assert gap <= P.level_conds[k] * eps
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_nested_product_formula_matches_apply(d):
+    # on split functions; the worst relative gap reads 1.1e-15
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(67 + d)
+    for P in nested_zoo(d):
+        f = Exp(Affine(rng.uniform(-1.0, 1.0, P.nvars)))
+        want = P.apply(f).coeffs
+        got = P.apply_product_formula(*f.split(P.left.nvars)).coeffs
+        assert np.linalg.norm(got - want) <= max(P.level_conds) * eps * np.linalg.norm(want)
+
+
+NESTED_CHEBYSHEV_LEJA = {"kind": "newton_product", "factors": [
+    {"kind": "newton_product", "factors": [CHEBYSHEV_LEJA, CHEBYSHEV_LEJA]},
+    {"kind": "newton_product", "factors": [CHEBYSHEV_LEJA, CHEBYSHEV_LEJA]}]}
+
+
+def test_a_failed_guard_refuses_a_product_matrix_past_the_desk_limit(monkeypatch):
+    # (CL x CL) x (CL x CL): at d=20 the 10,626 x 10,626 product matrix
+    # passes DESK_LIMIT entries, so the fallback raises rather than assemble
+    # it; at d=8 its 495 x 495 still falls back densely
+    f = Exp(Affine([0.4, -0.3, 0.2, 0.5]))
+    monkeypatch.setattr(nprox.projectors, "_SOLVE_TOLERANCE", 0.0)
+    P = projector_from_spec(NESTED_CHEBYSHEV_LEJA, 20)
+    assert P._factorwise and monomial_count(4, 20) ** 2 > DESK_LIMIT
+    with pytest.raises(ValueError, match=r"solve_residual .* _SOLVE_TOLERANCE .* 10626 x 10626"):
+        P.apply(f)
+    assert P._matrix is None
+    P = projector_from_spec(NESTED_CHEBYSHEV_LEJA, 8)
+    assert P._factorwise and monomial_count(4, 8) == 495
+    got = P.apply(f)
+    assert P._matrix is not None
+    dense = NewtonProduct(P.left, P.right, cond_threshold=None)
+    assert np.array_equal(got.coeffs, dense.apply(f).coeffs)
 
 
 # -- product rows gathered from the factors' rows ----------------------------------
@@ -1592,7 +1682,7 @@ def test_lazy_tensor_conditions_change_no_bit(case):
     joint = split * Recip(Affine(np.full(lazy[0].nvars, 0.25), -3.0))
     for P, Q in zip(eager, lazy):
         assert Q._conditions is None
-        assert P._factorwise == Q._factorwise == (case != "nested")
+        assert P._factorwise and Q._factorwise
         assert P.level_conds == Q.level_conds
     # the eager products' solves interleave on the shared factor
     for f in (split, joint):
