@@ -21,7 +21,6 @@ import numpy as np
 
 from .config import REQUIRED, SCHEMA, read_config
 from .extremal import fit_decay_rate, parse_compact
-from .indexing import monomial_count
 from .polynomials import _grid_sup_errors
 from .testfunctions import parse_function
 from .zoo import kergin_projector, lagrange_projector, nodes_by_name, projector_from_spec
@@ -31,48 +30,6 @@ RATE_HEADER = "d,sup_error,root_error,seconds"
 
 # samples of [0, 1] on which polya_run takes the node products' maxima
 _OMEGA_GRID = 4097
-
-# Conditions of a sweep's top-degree projector from which its degrees run on
-# forked workers.  A two-worker pool costs 14-22 ms to start, run four
-# trivial jobs and shut down, and its workers share the CPUs with the target's
-# evaluation.  Median sweep times (9 alternating pairs) on a 2-core Xeon, one
-# BLAS thread, grid 64, in process against two workers:
-#
-#     sweep, top conditions                      in process   two workers
-#     Chebyshev-Leja d=2..40 step 2, 41 (*)         43 ms         68 ms
-#     Chebyshev-Leja d=2..60 step 2, 61 (*)        114 ms        106 ms
-#     Chebyshev-Leja^2 d=2..20 step 2, 231          59 ms         70 ms
-#     Chebyshev-Leja^2 d=2..22 step 2, 276          74 ms         79 ms
-#     Chebyshev-Leja^2 d=2..24 step 2, 325          94 ms         82 ms
-#     Chebyshev-Leja^2 d=2..28 step 2, 435         224 ms        162 ms
-#     Chebyshev-Leja^3 d=2..10, 286 (**)           144 ms        149 ms
-#     Chebyshev-Leja^3 d=2..11, 364 (**)           214 ms        177 ms
-#
-# (*) gate off, as the one-variable monomial blocks pass 1e12 at level 32;
-# (**) that product times Chebyshev-Leja, 262,144 samples.  The certified
-# product gate made the two- and three-variable builds cheaper, so the
-# pool's fixed cost now breaks even between 276 and 325 conditions in two
-# variables (near 153 before) and between 286 and 364 in three (220-286),
-# and this threshold lies in both ranges.  The host is shared: a sweep on
-# workers waits for its slowest one, so the workers' side moves with the
-# other CPU's load, and the figures above hold for a second CPU with little
-# else to run.
-_POOL_CONDITIONS = 300
-
-# Each BLAS's thread-count variables, first to last, keyed by a substring of
-# the BLAS name numpy reports (``np.show_config``).  A BLAS takes its thread
-# count from the first of its variables that is set, and starts one thread
-# per core when none is; OpenBLAS never reads MKL_NUM_THREADS, nor MKL
-# GOTO_NUM_THREADS.  Each forked worker starts that many threads, and
-# oversubscribed cores cost more than the pool saves: with BLAS unpinned on
-# a 2-core host, the rate_biv sweep (the Chebyshev-Leja product at
-# d = 2..28) took 1.1-3.9 s on two workers against 0.46-0.55 s in process
-# (medians of 5 sweeps).
-_BLAS_THREAD_VARS = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
-
 
 class ExperimentConfig:
     """Validated bundle of everything a sweep needs.
@@ -166,96 +123,29 @@ def _degree_step(spec: dict, degree: int, f, exactness) -> tuple:
     return approx, time.perf_counter() - tick, list(zip(proj.level_conds, proj.svd_levels()))
 
 
-def _blas_thread_vars() -> tuple[str, ...]:
-    """The thread-count variables numpy's BLAS reads, in its order.
-
-    Empty for a BLAS not in ``_BLAS_THREAD_VARS`` and for a numpy that
-    cannot name its BLAS (``show_config`` takes ``mode`` from numpy 1.26).
-    """
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return ()
-    name = str(blas.get("name")).lower()
-    return next((names for vendor, names in _BLAS_THREAD_VARS.items() if vendor in name), ())
-
-
-def _sweep_workers(degrees, nvars: int) -> int:
-    """Worker processes for a sweep's degrees; 1 runs them in this process.
-
-    A sweep forks as many workers as the usable CPUs (``taskset`` limits
-    them) hold at the BLAS thread count that numpy's BLAS reads from the
-    environment (``_blas_thread_vars``), but no more than it has degrees;
-    so a sweep with BLAS unpinned, or with a BLAS whose variables are
-    unknown, stays in process.  So does a sweep of one degree, one whose top
-    degree has fewer conditions than ``_POOL_CONDITIONS``, one without a
-    ``fork`` start method, one in a daemonic process (which may not have
-    children) and one while other threads run (a forked child copies only
-    the calling thread, so a lock another thread holds stays held in it).
-    The cheap tests come first, so a small sweep never imports
-    ``multiprocessing``.
-    """
-    if len(degrees) < 2 or monomial_count(nvars, degrees[-1]) < _POOL_CONDITIONS:
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else 1
-    blas = next((int(v) for v in map(os.environ.get, _blas_thread_vars())
-                 if (v or "").isdigit() and int(v) > 0), cpus)
-    workers = min(cpus // blas, len(degrees))
-    if workers < 2:
-        return 1
-    import multiprocessing
-    import threading
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return 1
-    return workers
-
-
 def convergence_run(config: ExperimentConfig) -> ExperimentReport:
     """Build the projector family across degrees and track sup errors.
 
-    Each degree's build, nesting gate, right-hand side and solve is one
-    independent step (``_degree_step``); a row's seconds cover that step,
-    measured where it ran.  Large sweeps run the steps on forked worker
-    processes, one per usable CPU at one BLAS thread (``_sweep_workers``),
-    largest degree first, while this process evaluates the target on the
-    samples; the results are read back in degree order, so a failing sweep
-    raises the lowest failing degree's error, as the in-process loop does.
-    On either path the target is taken on the samples' blocks
+    The target is taken first on the samples' blocks
     (``TestFunction.grid_values``): one evaluation per leaf of the compact
-    where the function splits along them, the joined points otherwise.
-    All degrees are then evaluated on the samples in one batch, from one
-    monomial table per leaf of the compact, and scored against the target
-    (``_score``), whose time is the metadata's ``eval_s``.  The metadata's
-    ``level_cond_max`` is the largest leading-block condition estimate of
-    the projectors applied, and ``level_cond_max_exact`` says whether an SVD
-    read it (true) or it is a certified bound that stood in for one
-    (``NewtonProduct._cond_bounds``).
+    where the function splits along them, the joined points otherwise; a
+    pole on the compact raises there.  Each degree's build, nesting gate,
+    right-hand side and solve is then one step (``_degree_step``), in
+    degree order, so a failing sweep raises its lowest failing degree's
+    error; a row's seconds cover that step.  All degrees are evaluated on
+    the samples in one batch, from one monomial table per leaf of the
+    compact, and scored against the target (``_score``), whose time is the
+    metadata's ``eval_s``.  The metadata's ``level_cond_max`` is the largest
+    leading-block condition estimate of the projectors applied, and
+    ``level_cond_max_exact`` says whether an SVD read it (true) or it is a
+    certified bound that stood in for one (``NewtonProduct._cond_bounds``).
     """
     t0 = time.perf_counter()
     model = parse_compact(config.compact)
     f = parse_function(config.function, model.nvars)
     blocks = model.sample_blocks(config.grid ** model.nvars)
-    workers = _sweep_workers(config.degrees, model.nvars)
-    if workers == 1:
-        target = f.grid_values(blocks)  # raises if a pole sits on the compact
-        steps = [_degree_step(config.projector, d, f, config.exactness)
-                 for d in config.degrees]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            futures = {d: pool.submit(_degree_step, config.projector, d, f, config.exactness)
-                       for d in reversed(config.degrees)}
-            target = f.grid_values(blocks)  # while the workers build
-            steps = [futures[d].result() for d in config.degrees]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    target = f.grid_values(blocks)
+    steps = [_degree_step(config.projector, d, f, config.exactness) for d in config.degrees]
     approxs, seconds, conds = zip(*steps)
     cond_max, cond_exact = max(pair for levels in conds for pair in levels)
     metadata = {"grid": config.grid, "level_cond_max": cond_max,

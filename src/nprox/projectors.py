@@ -37,7 +37,6 @@ so it assembles ``matrix`` only where something reads it.
 """
 from __future__ import annotations
 
-import copy
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -410,9 +409,11 @@ class NewtonStructuredProjector:
         level-30 block, 1.28e12); neither is the more exact one, so only a
         block that close to the threshold could be decided differently.  The
         solves keep the complex matrix: its blocks, divided by the row
-        scales in complex arithmetic, round apart from the real view's.  A
-        factor-wise product of real factors gathers it from their real views
-        (``NewtonProduct._real_view``) and assembles no ``matrix``.
+        scales in complex arithmetic, round apart from the real view's.  The
+        gate of a factor-wise product of real factors reads no whole view:
+        it gathers each uncertified block from the factors' real views
+        (``NewtonProduct._gate_block``), so ``matrix`` stays unassembled
+        unless the product is an outer product's factor.
         """
         if self._real is None:
             self._real = _real_or_self(self.matrix)
@@ -469,7 +470,7 @@ class NewtonStructuredProjector:
                 conds.append(self.level_cond_bounds[j])
                 continue
             # numpy's 2-norm condition number, without its division warning
-            s = np.linalg.svd(self._equilibrated(j, self._real_view), compute_uv=False)
+            s = np.linalg.svd(self._gate_block(j), compute_uv=False)
             estimate = float(s[0] / s[-1]) if s[-1] else np.inf
             conds.append(estimate)
             if self.cond_threshold is not None and not estimate < self.cond_threshold:
@@ -487,6 +488,10 @@ class NewtonStructuredProjector:
         """Whether level j passed on its bound, ``_BOUND_MARGIN`` times under the threshold."""
         bounds = self.level_cond_bounds
         return bounds is not None and bounds[j] * _BOUND_MARGIN < self.cond_threshold
+
+    def _gate_block(self, j: int) -> np.ndarray:
+        """The block whose SVD decides an uncertified level j: ``_equilibrated`` of ``_real_view``."""
+        return self._equilibrated(j, self._real_view)
 
     def svd_levels(self) -> list[bool]:
         """Per level, whether ``level_conds`` holds its SVD value, not a certified bound."""
@@ -712,15 +717,10 @@ class NewtonProduct(NewtonStructuredProjector):
     def __init__(self, left: NewtonStructuredProjector,
                  right: NewtonStructuredProjector,
                  cond_threshold: float | None = 1e12):
-        # a factor passed twice: its block inverses serve both slots of the
-        # factor-wise bounds
+        # a factor passed twice sits in both slots, one object: its rows,
+        # block inverses and memo serve both.  Sharing the memo is safe, as
+        # each reader takes one slot's values before it asks the other's
         self._twin = right is left
-        if self._twin:
-            # one object in both slots would keep one memo entry for two
-            # parts; the copy shares everything else, the conditions, matrix,
-            # gate results and padded blocks
-            right = copy.copy(left)
-            right._memo = None
         self.left = left
         self.right = right
         self._pairs = _tensor_pairs((left.nvars, right.nvars), min(left.degree, right.degree))
@@ -767,19 +767,27 @@ class NewtonProduct(NewtonStructuredProjector):
         a, b = self._pairs
         return left[:, r1][a] * right[:, r2][b]
 
-    @property
-    def _real_view(self) -> np.ndarray:
-        """``matrix``'s real view; a factor-wise product of real factors gathers it.
+    def _gate_block(self, j: int) -> np.ndarray:
+        """The base class's gate block; a factor-wise product of real factors gathers it.
 
-        There the uncertified levels' SVDs read the product of the factors'
-        real rows, which is the real part of the complex product bit for
-        bit, (x + 0i)(y + 0i) = xy, and ``matrix`` stays unassembled.
+        There the block is gathered from the factors' real rows at level j's
+        size, rows (a, b) and columns (r1, r2) of its leading block only,
+        and divided by its row scales in place: the same elementwise
+        products and quotients as the block of the assembled matrix's real
+        view, (x + 0i)(y + 0i) = xy, so the SVD reads the same bits, and
+        nothing is kept.
         """
-        if self._real is None and self._factorwise:
+        if self._factorwise:
             left, right = self.left._real_view, self.right._real_view
             if left.dtype == right.dtype == np.float64:
-                self._real = self._gather(self.degree, left, right)
-        return super()._real_view
+                m = monomial_count(self.nvars, j)
+                r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), self.degree)
+                a, b = self._pairs[:, :m]
+                block = left[:, r1[:m]][a]
+                block *= right[:, r2[:m]][b]
+                block /= self._scales[j, :m, None]
+                return block
+        return super()._gate_block(j)
 
     def _polynomial_rhs(self, p, n):
         """Values of p under the first n tensor conditions.

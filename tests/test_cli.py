@@ -558,8 +558,8 @@ def test_module_entry_point(tmp_path):
 
 def test_import_loads_no_scipy():
     # nprox runs on numpy alone; scipy serves the tests and the benchmark only.
-    # A large sweep loads the process pool's modules when it forks workers;
-    # importing them with nprox would cost every run about 27 ms and 1.3 MB
+    # Sweeps run in process: loading the process pool's modules with nprox
+    # would cost every run about 27 ms and 1.3 MB for nothing
     pool = ("multiprocessing", "concurrent.futures.process")
     for module in ("nprox", "nprox.cli"):
         proc = subprocess.run(

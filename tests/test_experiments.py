@@ -2,16 +2,13 @@
 import json
 import pathlib
 import math
-import multiprocessing
-import os
-import threading
 
 import numpy as np
 import pytest
 
 import nprox.polynomials
 from nprox import experiments
-from nprox.cli import check_converge, main
+from nprox.cli import check_converge
 from nprox.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -219,23 +216,13 @@ def test_convergence_refuses_pole_on_the_compact():
         convergence_run(cfg)
 
 
-# -- sweeps on worker processes ----------------------------------------------------
+# -- a failing sweep ---------------------------------------------------------------
+# (the two tests' names date from when large sweeps ran on a fork pool; they
+# now check the one in-process loop)
 
 
-def _sweep_mode(monkeypatch, cfg, pooled: bool):
-    """Run cfg's degrees on two forked workers or in process, whatever its size.
-
-    The patches reach the workers: fork copies the patched module.
-    """
-    monkeypatch.setattr(experiments, "_POOL_CONDITIONS", 0 if pooled else math.inf)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    nvars = parse_compact(cfg.compact).nvars
-    assert experiments._sweep_workers(cfg.degrees, nvars) == (2 if pooled else 1)
-
-
-def _assert_lowest_failing_degree_raises(monkeypatch, cfg, build, expected):
-    """Both paths raise what the lowest failing degree raises alone."""
+def _assert_lowest_failing_degree_raises(cfg, build, expected):
+    """The sweep raises what its lowest failing degree raises alone."""
     errors = []
     for d in cfg.degrees:
         try:
@@ -244,24 +231,22 @@ def _assert_lowest_failing_degree_raises(monkeypatch, cfg, build, expected):
             errors.append(err)
     # the failing degrees raise different messages, so the order shows
     assert len(errors) >= 2 and str(errors[0]) != str(errors[-1])
-    for pooled in (False, True):
-        _sweep_mode(monkeypatch, cfg, pooled)
-        with pytest.raises(expected) as info:
-            convergence_run(cfg)
-        assert type(info.value) is expected and str(info.value) == str(errors[0])
+    with pytest.raises(expected) as info:
+        convergence_run(cfg)
+    assert type(info.value) is expected and str(info.value) == str(errors[0])
 
 
-def test_pooled_sweep_raises_the_lowest_failing_nesting_error(monkeypatch):
+def test_pooled_sweep_raises_the_lowest_failing_nesting_error():
     # sorted Chebyshev nodes fail the default gate from d=28 on, at a level
     # and estimate that differ by degree
     spec = {"kind": "lagrange", "nodes": "chebyshev"}
     cfg = small_config(projector=spec, function=["recip", ["affine", [1.0], -2.0]],
                        degrees=[20, 24, 28, 32, 36])
     _assert_lowest_failing_degree_raises(
-        monkeypatch, cfg, lambda d: projector_from_spec(spec, d), NestedUnisolvenceFailure)
+        cfg, lambda d: projector_from_spec(spec, d), NestedUnisolvenceFailure)
 
 
-def test_pooled_sweep_raises_the_lowest_failing_pole_error(monkeypatch):
+def test_pooled_sweep_raises_the_lowest_failing_pole_error():
     # one pole at a Chebyshev node of degree 2, one at a node of degree 4;
     # the samples miss both, so only a degree's right-hand side meets them
     spec = {"kind": "lagrange", "nodes": "chebyshev"}
@@ -270,95 +255,7 @@ def test_pooled_sweep_raises_the_lowest_failing_pole_error(monkeypatch):
     cfg = small_config(projector=spec, function=function, degrees=[1, 2, 3, 4])
     f = parse_function(function, 1)
     _assert_lowest_failing_degree_raises(
-        monkeypatch, cfg, lambda d: projector_from_spec(spec, d).apply(f), PoleOnSupportError)
-
-
-def _numpy_blas(monkeypatch, name):
-    """Make numpy report a BLAS of this name; None: a numpy without ``mode``."""
-    def show_config(mode):
-        return {"Build Dependencies": {"blas": {"name": name}}}
-
-    monkeypatch.setattr(np, "show_config", show_config if name else lambda: None)
-
-
-def test_sweep_forks_only_where_it_pays_and_is_safe(monkeypatch):
-    big = list(range(2, 29, 2))  # top degree 28: 435 conditions in two variables
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    for names in experiments._BLAS_THREAD_VARS.values():
-        for name in names:
-            monkeypatch.delenv(name, raising=False)
-    _numpy_blas(monkeypatch, "scipy-openblas")
-    assert experiments._sweep_workers(big, 2) == 1  # unpinned: a BLAS thread per core
-    # OpenBLAS never reads MKL_NUM_THREADS, and reads GOTO_NUM_THREADS after
-    # OPENBLAS_NUM_THREADS and before OMP_NUM_THREADS
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")
-    assert experiments._sweep_workers(big, 2) == 1
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    assert experiments._sweep_workers(big, 2) == 2
-    monkeypatch.setenv("GOTO_NUM_THREADS", "2")
-    assert experiments._sweep_workers(big, 2) == 4
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert experiments._sweep_workers(big, 2) == 8
-    # MKL reads MKL_NUM_THREADS, then OMP_NUM_THREADS, and never the others
-    _numpy_blas(monkeypatch, "mkl-sdl")
-    assert experiments._sweep_workers(big, 2) == 8
-    monkeypatch.delenv("MKL_NUM_THREADS")
-    assert experiments._sweep_workers(big, 2) == 2
-    monkeypatch.delenv("OMP_NUM_THREADS")
-    assert experiments._sweep_workers(big, 2) == 1
-    # another BLAS, or a numpy that cannot name its own, stays in process
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    for name in ("accelerate", None):
-        _numpy_blas(monkeypatch, name)
-        assert experiments._sweep_workers(big, 2) == 1
-    _numpy_blas(monkeypatch, "openblas")
-    assert experiments._sweep_workers(big, 2) == 8
-    assert experiments._sweep_workers([26, 28], 2) == 2
-    assert experiments._sweep_workers([28], 2) == 1
-    assert experiments._sweep_workers(list(range(2, 21, 2)), 2) == 1  # 231 conditions
-    assert experiments._sweep_workers(list(range(2, 23, 2)), 2) == 1  # 276 conditions
-    assert experiments._sweep_workers(list(range(2, 25, 2)), 2) == 8  # 325 conditions
-    with multiprocessing.get_context("fork").Pool(1) as pool:  # a daemonic process
-        assert pool.apply(experiments._sweep_workers, (big, 2)) == 1
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert experiments._sweep_workers(big, 2) == 1
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    with monkeypatch.context() as patch:
-        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert experiments._sweep_workers(big, 2) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert experiments._sweep_workers(big, 2) == 1
-
-
-def test_pooled_and_in_process_sweeps_write_identical_csvs(monkeypatch, tmp_path):
-    cfg = small_config(
-        name="biv",
-        projector={"kind": "newton_product",
-                   "factors": [{"kind": "lagrange", "nodes": "chebyshev_leja"},
-                               {"kind": "lagrange", "nodes": "chebyshev_leja"}]},
-        function=["product", ["recip", ["affine", [1.0, 0.0], -2.0]],
-                  ["recip", ["affine", [0.0, 1.0], -5.0]]],
-        compact={"kind": "product", "factors": ["interval", "interval"]},
-        degrees=list(range(2, 17, 2)))
-    cfg_path = tmp_path / "biv.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
-    outs = []
-    for pooled in (False, True):
-        _sweep_mode(monkeypatch, cfg, pooled)
-        out = tmp_path / ("pooled" if pooled else "in_process")
-        assert main(["converge", "--config", str(cfg_path), "--out", str(out),
-                     "--check"]) == 0
-        report = json.loads((out / "biv.json").read_text())
-        outs.append(((out / "biv.csv").read_bytes(), report["rate"],
-                     report["metadata"]["level_cond_max"]))
-    assert outs[0] == outs[1]
+        cfg, lambda d: projector_from_spec(spec, d).apply(f), PoleOnSupportError)
 
 
 # -- cylinder --------------------------------------------------------------------

@@ -473,7 +473,7 @@ def test_pole_detection_reports_locus():
 
 
 def test_pole_error_pickle_round_trip():
-    # a sweep's worker process raises it back to the parent by pickle
+    # pickle (and copy) rebuild it through __reduce__, not from its message alone
     err = PoleOnSupportError([1.0, -0.5], 0.25 - 1j, [0.5, 1.5])
     again = pickle.loads(pickle.dumps(err))
     assert type(again) is PoleOnSupportError and str(again) == str(err)

@@ -495,7 +495,7 @@ def test_addition_promotes_degree_bounds():
 
 
 def test_pickle_round_trip_keeps_the_coefficients_read_only():
-    # sweeps send projections back from worker processes by pickle
+    # pickle (and copy) rebuild through __reduce__, as __setattr__ refuses
     p = Polynomial(2, 3, np.arange(10) + 1j)
     q = pickle.loads(pickle.dumps(p))
     assert type(q) is Polynomial and (q.nvars, q.degree) == (2, 3)

@@ -628,13 +628,20 @@ def test_uncertified_levels_read_the_factors_real_rows(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     prod = cheb.newton_product(cheb)
     # levels 26-28 take their SVDs, of blocks gathered from the factors'
-    # real views: no product matrix is assembled for them
-    assert prod._factorwise and prod._matrix is None
+    # real views at their own size: the build keeps no product matrix,
+    # complex or real
+    assert prod._factorwise and prod._matrix is None and prod._real is None
     levels = [j for j, svd_level in enumerate(prod.svd_levels()) if svd_level]
     assert levels == [26, 27, 28] and len(handed) == 3
+    # a dense build assembles the matrix and takes an SVD of every level
+    monkeypatch.setattr(nprox.projectors, "_BOUND_CONDITIONS", math.inf)
+    dense = cheb.newton_product(cheb)
+    assert not dense._factorwise and dense.level_cond_bounds is None
     for j, block in zip(levels, handed):
         assert block.dtype == np.float64
         assert np.array_equal(block, prod._equilibrated(j, prod.matrix.real))
+        assert np.array_equal(block, dense._equilibrated(j, dense._real_view))
+        assert prod.level_conds[j] == dense.level_conds[j]
 
 
 def einsum_grams(P, degree, summands):
@@ -920,8 +927,7 @@ def test_a_spec_built_self_product_equals_two_builds_bit_for_bit(monkeypatch, d)
     monkeypatch.setattr(nprox.zoo, "lagrange_projector", counting)
     once = projector_from_spec({"kind": "newton_product",
                                 "factors": [CHEBYSHEV_LEJA, dict(CHEBYSHEV_LEJA)]}, d)
-    assert builds == [d] and once._twin
-    assert once.right is not once.left and once.right.matrix is once.left.matrix
+    assert builds == [d] and once._twin and once.right is once.left
     twice = NewtonProduct(projector_from_spec(CHEBYSHEV_LEJA, d),
                           projector_from_spec(CHEBYSHEV_LEJA, d))
     assert len(builds) == 3 and not twice._twin
@@ -943,6 +949,32 @@ def test_factor_specs_equal_only_to_python_are_built_apart():
     inner = {"kind": "newton_product", "factors": [CHEBYSHEV_LEJA, CHEBYSHEV_LEJA]}
     outer = projector_from_spec({"kind": "newton_product", "factors": [inner, inner]}, 4)
     assert outer._twin and outer.left._twin
+
+
+def test_a_twin_product_factor_assembles_its_matrix_once(monkeypatch):
+    # (CL x CL) x (CL x CL) at d=12: the inner products (91 conditions) are
+    # factor-wise, so neither has a matrix at build; the outer one's bounds
+    # read the inner rows, which one object in both slots assembles once
+    assembled = []
+    assemble = NewtonProduct._assemble
+
+    def spy(self, degree):
+        assembled.append(len(self._pairs.T))
+        return assemble(self, degree)
+
+    monkeypatch.setattr(NewtonProduct, "_assemble", spy)
+    inner = {"kind": "newton_product", "factors": [CHEBYSHEV_LEJA, CHEBYSHEV_LEJA]}
+    outer = projector_from_spec({"kind": "newton_product", "factors": [inner, inner]}, 12)
+    assert outer._factorwise and outer.left._factorwise and outer._matrix is None
+    assert assembled == [91]
+    assert outer.left is outer.right and outer.left.matrix is outer.right.matrix
+    # one memo serves both slots: each reader takes its part before the other asks
+    g, h = Exp(Affine([0.4, -0.7], 0.1)), Recip(Affine([0.5, 0.25], -2.0))
+    split = Exp(Affine([0.4, -0.7, 0.0, 0.0], 0.1)) * Recip(Affine([0.0, 0.0, 0.5, 0.25], -2.0))
+    apart = NewtonProduct(projector_from_spec(inner, 12), projector_from_spec(inner, 12))
+    for got, want in ((outer.apply(split), apart.apply(split)),
+                      (outer.apply_product_formula(g, h), apart.apply_product_formula(g, h))):
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 # -- products of products ----------------------------------------------------------
@@ -1502,7 +1534,7 @@ def test_apply_then_the_product_formula_evaluates_each_factor_once(monkeypatch):
             assert coeff_distance(engine, formula) <= 1e-12 * np.max(np.abs(engine.coeffs))
 
 
-def test_one_projector_as_both_factors_keeps_a_memo_per_part(monkeypatch):
+def test_one_projector_as_both_factors_shares_its_memo(monkeypatch):
     calls = []
     table = Exp.deriv_table
 
@@ -1512,16 +1544,19 @@ def test_one_projector_as_both_factors_keeps_a_memo_per_part(monkeypatch):
 
     P = taylor_projector(1, 6, center=[0.1])
     prod = P.newton_product(P)
-    # the right slot holds a copy sharing the conditions and the gate's results
-    assert prod.left is P and prod.right is not P
-    assert prod.right.conditions is P.conditions and prod.right.matrix is P.matrix
-    assert prod.right.level_conds is P.level_conds
+    # one object sits in both slots, so one memo entry serves both parts
+    assert prod._twin and prod.left is P and prod.right is P
     monkeypatch.setattr(Exp, "deriv_table", spy)
     f = Exp(Affine([0.4, -0.7]))
     engine = prod.apply(f)
     formula = prod.apply_product_formula(*f.split(1))
-    assert calls == [1, 1]
+    # each reader takes one part's values before it asks for the other's, so
+    # a part is evaluated again only where the other replaced it
+    assert calls == [1, 1, 1, 1]
     assert coeff_distance(engine, formula) <= 1e-12 * np.max(np.abs(engine.coeffs))
+    again = NewtonProduct(P, taylor_projector(1, 6, center=[0.1]))
+    assert np.array_equal(engine.coeffs, again.apply(f).coeffs)
+    assert np.array_equal(formula.coeffs, again.apply_product_formula(*f.split(1)).coeffs)
 
 
 def test_truncations_summands_and_the_formula_share_one_table(monkeypatch):
