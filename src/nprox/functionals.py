@@ -91,7 +91,7 @@ from .config import check_exactness
 from .indexing import DESK_LIMIT, derivative_gather, monomial_count, monomial_vandermonde
 from .measures import QuadratureMeasure
 from .points import as_rows, cartesian
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _real_or_self
 from .ridge import LineRule, line_rule, sum_terms
 from .simplex import bspline_rule, grundmann_moller_rule, rule_order_for_exactness
 from .testfunctions import PoleOnSupportError, Sum, TestFunction
@@ -419,7 +419,9 @@ def rows(conditions, degree: int) -> np.ndarray:
     conditions on one node set from one rule (``_kergin_rows``), and the
     inner products on one measure in one product with its cached
     Vandermonde.  Groups are kept in the order of their first condition, so
-    nothing depends on hash order.
+    nothing depends on hash order.  The matrix is a contiguous float64 array
+    where no value has an imaginary part (real nodes, real centers, real
+    measures, real Kergin rules), else complex128.
     """
     conditions = list(conditions)
     if not conditions:
@@ -433,7 +435,7 @@ def rows(conditions, degree: int) -> np.ndarray:
     out = np.empty((len(conditions), monomial_count(nvars, degree)), dtype=np.complex128)
     for (build, _), indices in groups.items():
         out[indices] = build([conditions[i] for i in indices], degree)
-    return out
+    return np.ascontiguousarray(_real_or_self(out))
 
 
 def _point_rows(conditions, degree: int) -> np.ndarray:

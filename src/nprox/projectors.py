@@ -11,8 +11,8 @@ consecutive truncations.
 Where each mechanism lives, on ``NewtonStructuredProjector``:
 
 - the collocation rows: ``matrix``, assembled at its first read in one
-  ``functionals.rows`` call, and its real view ``_real_view``, which the
-  layers that feed no solve read;
+  ``functionals.rows`` call and kept once, float64 where no value has an
+  imaginary part, else complex128;
 - the nesting gate: ``_check_nesting``, an SVD per row-equilibrated
   leading block, or a certified bound in its place (``_cond_bounds``);
 - the solves: ``_solve_range``, after ``_check_finite``, through one
@@ -180,13 +180,13 @@ def _scaled_inverses(P: "NewtonStructuredProjector", degree: int) -> np.ndarray:
 
     B_i is the inverse of the level-i block, padded with zeros to
     ``monomial_count(P.nvars, degree)`` rows and columns: the inverse of the
-    row-equilibrated block (of ``_real_view``, so a real factor's maps are
-    real), its columns over the row scales.
+    row-equilibrated block (``_equilibrated``, in the matrix's dtype, so a
+    real factor's maps are real), its columns over the row scales.
     """
     n = monomial_count(P.nvars, degree)
-    x = np.zeros((degree + 1, n, n), dtype=P._real_view.dtype)
+    x = np.zeros((degree + 1, n, n), dtype=P.matrix.dtype)
     for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
-        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
+        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i)) / P._scales[i, :m]
     return x
 
 
@@ -344,9 +344,8 @@ class NewtonStructuredProjector:
     def __init__(self, conditions, cond_threshold: float | None = 1e12):
         self.nvars, self.degree = self._graded(conditions)
         self.cond_threshold = cond_threshold
-        # ``matrix`` and ``_real_view``, once read
+        # ``matrix``, once read
         self._matrix: np.ndarray | None = None
-        self._real: np.ndarray | None = None
         self._scales = self._row_scales()
         self.level_conds = self._check_nesting()
         # (key, values of levels 0..top, truncation table or None) of the
@@ -396,28 +395,6 @@ class NewtonStructuredProjector:
         if self._matrix is None:
             self._matrix = self._assemble(self.degree)
         return self._matrix
-
-    @property
-    def _real_view(self) -> np.ndarray:
-        """``matrix``, as a real array where it has no imaginary part (``_real_or_self``).
-
-        A real matrix (real nodes, real centers) takes real SVDs and
-        inverses in the nesting gate, about twice as fast, and a factor-wise
-        product's solve guard multiplies its factors' real views.  The real
-        and complex estimates of one block differ by about cond x 1e-17
-        relative (3e-14 at cond 3e3, 5.6e-6 at the Chebyshev-Leja product's
-        level-30 block, 1.28e12); neither is the more exact one, so only a
-        block that close to the threshold could be decided differently.  The
-        solves keep the complex matrix: its blocks, divided by the row
-        scales in complex arithmetic, round apart from the real view's.  The
-        gate of a factor-wise product of real factors reads no whole view:
-        it gathers each uncertified block from the factors' real views
-        (``NewtonProduct._gate_block``), so ``matrix`` stays unassembled
-        unless the product is an outer product's factor.
-        """
-        if self._real is None:
-            self._real = _real_or_self(self.matrix)
-        return self._real
 
     def _assemble(self, degree: int) -> np.ndarray:
         """Every condition's values on the monomials of degree <= ``degree``."""
@@ -490,8 +467,8 @@ class NewtonStructuredProjector:
         return bounds is not None and bounds[j] * _BOUND_MARGIN < self.cond_threshold
 
     def _gate_block(self, j: int) -> np.ndarray:
-        """The block whose SVD decides an uncertified level j: ``_equilibrated`` of ``_real_view``."""
-        return self._equilibrated(j, self._real_view)
+        """The block whose SVD decides an uncertified level j: ``_equilibrated(j)``."""
+        return self._equilibrated(j)
 
     def svd_levels(self) -> list[bool]:
         """Per level, whether ``level_conds`` holds its SVD value, not a certified bound."""
@@ -503,10 +480,15 @@ class NewtonStructuredProjector:
 
     # -- linear algebra ------------------------------------------------------
 
-    def _equilibrated(self, k: int, matrix: np.ndarray) -> np.ndarray:
-        """Level k's leading block of ``matrix`` (or of ``_real_view``), rows over their scales."""
+    def _equilibrated(self, k: int, dtype=None) -> np.ndarray:
+        """Level k's leading block of ``matrix``, rows over their scales, divided in ``dtype``.
+
+        The solves divide in complex128 (``_level_solve``, ``_padded_blocks``):
+        numpy's complex division by a real scale rounds apart from float64
+        division, and they keep the bits of a complex matrix.
+        """
         m = monomial_count(self.nvars, k)
-        return matrix[:m, :m] / self._scales[k, :m, None]
+        return np.divide(self.matrix[:m, :m], self._scales[k, :m, None], dtype=dtype)
 
     def _padded_blocks(self) -> np.ndarray:
         """The ``(degree + 1, n, n)`` stack of row-equilibrated leading blocks.
@@ -518,7 +500,8 @@ class NewtonStructuredProjector:
         """
         if self._stack is None:
             inside = _level_rows(self.nvars, self.degree)
-            scaled = self.matrix[None, :, :] / self._scales[:, :, None]
+            scaled = np.divide(self.matrix[None, :, :], self._scales[:, :, None],
+                               dtype=np.complex128)
             self._stack = np.where(inside[:, :, None] & inside[:, None, :], scaled,
                                    np.eye(self.matrix.shape[0]))
         return self._stack
@@ -535,15 +518,16 @@ class NewtonStructuredProjector:
         """Level k's solve of ``rhs``, one right-hand side or a column of them each.
 
         LAPACK's ``gesv`` (``np.linalg.solve``: the LU factorization and the
-        triangular solves) on the row-equilibrated level-k block, factored
-        on each call, with ``rhs`` over the same row scales.  A non-finite
-        block never gets here, since the nesting gate's SVD of it fails; an
-        exactly zero pivot raises ``LinAlgError`` naming the level.
+        triangular solves) on the row-equilibrated level-k block, divided
+        and factored in complex128 on each call, with ``rhs`` over the same
+        row scales.  A non-finite block never gets here, since the nesting
+        gate's SVD of it fails; an exactly zero pivot raises ``LinAlgError``
+        naming the level.
         """
         m = monomial_count(self.nvars, k)
         scales = self._scales[k, :m].reshape((m,) + (1,) * (rhs.ndim - 1))
         try:
-            return np.linalg.solve(self._equilibrated(k, self.matrix), rhs / scales)
+            return np.linalg.solve(self._equilibrated(k, np.complex128), rhs / scales)
         except np.linalg.LinAlgError as err:
             raise np.linalg.LinAlgError(
                 f"{self._level_name(k)}: leading block is singular") from err
@@ -757,37 +741,36 @@ class NewtonProduct(NewtonStructuredProjector):
     def _assemble(self, degree: int) -> np.ndarray:
         return self._gather(degree, self.left._rows(degree), self.right._rows(degree))
 
-    def _gather(self, degree: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The tensor conditions' rows on the monomials up to ``degree``, from factor rows.
+    def _gather(self, degree: int, left: np.ndarray, right: np.ndarray,
+                count: int | None = None) -> np.ndarray:
+        """The first ``count`` tensor conditions' rows (default: all) up to ``degree``.
 
-        Each factor's columns are gathered first, on its own few rows, then
-        the rows: half the time of one two-axis gather at 435 conditions.
+        From factor rows, in their common dtype: each factor's columns are
+        gathered first, on its own few rows, then the rows (half the time of
+        one two-axis gather at 435 conditions), and the product is taken in
+        place, a real factor's rows cast first where the other's are complex.
         """
         r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), degree)
-        a, b = self._pairs
-        return left[:, r1][a] * right[:, r2][b]
+        a, b = self._pairs[:, :count]
+        out = left[:, r1][a].astype(np.result_type(left, right), copy=False)
+        out *= right[:, r2][b]
+        return out
 
     def _gate_block(self, j: int) -> np.ndarray:
-        """The base class's gate block; a factor-wise product of real factors gathers it.
+        """The base class's gate block; a factor-wise product gathers it from its factors.
 
-        There the block is gathered from the factors' real rows at level j's
-        size, rows (a, b) and columns (r1, r2) of its leading block only,
-        and divided by its row scales in place: the same elementwise
-        products and quotients as the block of the assembled matrix's real
-        view, (x + 0i)(y + 0i) = xy, so the SVD reads the same bits, and
-        nothing is kept.
+        There level j's block is gathered from the factors' rows, rows (a, b)
+        and columns (r1, r2) of its leading block only (``_gather``), and
+        divided by its row scales in place: the same elementwise products
+        and quotients as the block of the assembled matrix, real or complex,
+        so the SVD reads the same bits and no product matrix is assembled.
         """
-        if self._factorwise:
-            left, right = self.left._real_view, self.right._real_view
-            if left.dtype == right.dtype == np.float64:
-                m = monomial_count(self.nvars, j)
-                r1, r2 = factor_ranks((self.left.nvars, self.right.nvars), self.degree)
-                a, b = self._pairs[:, :m]
-                block = left[:, r1[:m]][a]
-                block *= right[:, r2[:m]][b]
-                block /= self._scales[j, :m, None]
-                return block
-        return super()._gate_block(j)
+        if not self._factorwise:
+            return super()._gate_block(j)
+        m = monomial_count(self.nvars, j)
+        block = self._gather(j, self.left.matrix, self.right.matrix, m)
+        block /= self._scales[j, :m, None]
+        return block
 
     def _polynomial_rhs(self, p, n):
         """Values of p under the first n tensor conditions.
@@ -1020,14 +1003,15 @@ class NewtonProduct(NewtonStructuredProjector):
     def _table_residual(self, tables: np.ndarray, levels: range, values: np.ndarray) -> float:
         """``solve_residual`` of the coefficient matrices C_k of ``levels``, stacked.
 
-        The factors' rows, the tables and the values are taken in their real
-        views where they have no imaginary part (``_real_or_self``): real
-        factors and a real input give the complex products' real parts.
+        The tables and the values are taken in their real views where they
+        have no imaginary part (``_real_or_self``), so real factors, whose
+        rows are float64, and a real input give the complex products' real
+        parts.
         """
         m1, m2 = tables.shape[1:]
         top = levels.stop - 1
         a, b = self._pairs[:, :len(values)]
-        left, right = self.left._real_view[:m1, :m1], self.right._real_view[:m2, :m2]
+        left, right = self.left.matrix[:m1, :m1], self.right.matrix[:m2, :m2]
         fitted = (left @ _real_or_self(tables) @ right.T)[:, a, b]
         inside = _level_rows(self.nvars, top)[levels.start:]
         gap = float(np.max(np.where(inside, np.abs(fitted - _real_or_self(values)), 0.0)))

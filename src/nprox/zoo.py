@@ -110,7 +110,7 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
 
       {"kind": "taylor", "nvars": 1, "center": [0.0]}
       {"kind": "lagrange", "nodes": "chebyshev"}          (1-D menus)
-      {"kind": "lagrange", "nodes": [[re, im], ...]}      (explicit points)
+      {"kind": "lagrange", "nodes": [[[re, im]], ...]}    (explicit points)
       {"kind": "kergin", "nodes": "leja_disk"}            (1-D menus)
       {"kind": "kergin", "nodes": [[...], ...]}           (rows = nodes)
       {"kind": "orthogonal", "measure": {...}}
@@ -121,9 +121,12 @@ def projector_from_spec(spec: dict, degree: int | None = None) -> NewtonStructur
     ``_spec_text``) are built once, and the product takes that factor
     twice.  A 1-D menu name with "planar": true lifts the points to rows
     (re, im), which is how a disk node set feeds a two-variable Kergin
-    build.  Explicit node lists fix their own degree;
-    every other kind needs one.  An optional "cond_threshold" (null to
-    disable) is passed to the engine.  Any other key is refused.
+    build.  An explicit point is a list of coordinates, each a number or an
+    [re, im] pair (``config.read_points``): [[0.5, 0.1]] is one complex
+    node in one variable, [0.5, 0.1] a real point in two.  Explicit node
+    lists fix their own degree; every other kind needs one.  An optional
+    "cond_threshold" (null to disable) is passed to the engine.  Any other
+    key is refused.
     """
     cfg = read_spec("projector", spec)
     kind, threshold = cfg["kind"], cfg["cond_threshold"]

@@ -79,6 +79,19 @@ def test_projector_from_spec_needs_a_degree_unless_nodes_are_explicit():
     assert projector_from_spec({**LAGRANGE, "degree": 3}).degree == 3
 
 
+def test_explicit_nodes_read_one_list_per_point():
+    # a point is a list of coordinates, each a number or an [re, im] pair: a
+    # one-variable complex node is [[re, im]], and [re, im] alone is a real
+    # point in two variables
+    one = projector_from_spec({"kind": "lagrange", "nodes": [[[0.5, 0.1]], [[0.2, 0.3]]]})
+    assert one.nvars == 1
+    assert [complex(mu.point[0]) for mu in one.conditions] == [0.5 + 0.1j, 0.2 + 0.3j]
+    two = projector_from_spec({"kind": "lagrange",
+                               "nodes": [[0.5, 0.1], [0.2, 0.3], [0.1, -0.4]]})
+    assert two.nvars == 2
+    assert [mu.point.tolist() for mu in two.conditions] == [[0.5, 0.1], [0.2, 0.3], [0.1, -0.4]]
+
+
 @pytest.mark.parametrize("fields,key", [
     ({"degrees": [2.7, 4.2]}, "degrees"),
     ({"grid": 64.9}, "grid"),

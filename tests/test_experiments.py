@@ -236,7 +236,7 @@ def _assert_lowest_failing_degree_raises(cfg, build, expected):
     assert type(info.value) is expected and str(info.value) == str(errors[0])
 
 
-def test_pooled_sweep_raises_the_lowest_failing_nesting_error():
+def test_sweep_raises_the_lowest_failing_nesting_error():
     # sorted Chebyshev nodes fail the default gate from d=28 on, at a level
     # and estimate that differ by degree
     spec = {"kind": "lagrange", "nodes": "chebyshev"}
@@ -246,7 +246,7 @@ def test_pooled_sweep_raises_the_lowest_failing_nesting_error():
         cfg, lambda d: projector_from_spec(spec, d), NestedUnisolvenceFailure)
 
 
-def test_pooled_sweep_raises_the_lowest_failing_pole_error():
+def test_sweep_raises_the_lowest_failing_pole_error():
     # one pole at a Chebyshev node of degree 2, one at a node of degree 4;
     # the samples miss both, so only a degree's right-hand side meets them
     spec = {"kind": "lagrange", "nodes": "chebyshev"}

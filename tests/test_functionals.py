@@ -1717,6 +1717,23 @@ def test_rows_keep_the_order_of_mixed_conditions():
         rows([PointEval([0.0]), PointEval([0.0, 1.0])], 3)
 
 
+def test_rows_are_float64_where_no_value_has_an_imaginary_part():
+    # a projector keeps one collocation matrix, in the narrowest exact dtype:
+    # real nodes, centers, measures and Kergin rules give contiguous float64
+    real = [lagrange_projector(nodes_by_name("chebyshev_leja", 6)),
+            taylor_projector(2, 4, center=[0.3, -0.2]),
+            kergin_projector(nodes_by_name("real_leja", 6)),
+            orthogonal_projector(chebyshev_measure(13), 6)]
+    complex_ = [lagrange_projector(nodes_by_name("leja_disk", 6)),
+                orthogonal_projector(circle_measure(13), 6)]
+    for proj, dtype in [(P, np.float64) for P in real] + [(P, np.complex128) for P in complex_]:
+        for degree in (proj.degree, proj.degree + 3):
+            got = rows(proj.conditions, degree)
+            assert got.dtype == dtype and got.flags.c_contiguous
+        assert proj.matrix.dtype == dtype and proj.matrix.flags.c_contiguous
+        assert proj.conditions[-1].on_monomials(proj.degree).dtype == dtype
+
+
 # -- a pole inside a Grundmann-Moller simplex ---------------------------------------
 
 

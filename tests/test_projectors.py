@@ -628,9 +628,8 @@ def test_uncertified_levels_read_the_factors_real_rows(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     prod = cheb.newton_product(cheb)
     # levels 26-28 take their SVDs, of blocks gathered from the factors'
-    # real views at their own size: the build keeps no product matrix,
-    # complex or real
-    assert prod._factorwise and prod._matrix is None and prod._real is None
+    # float64 rows at their own size: the build keeps no product matrix
+    assert prod._factorwise and prod._matrix is None
     levels = [j for j, svd_level in enumerate(prod.svd_levels()) if svd_level]
     assert levels == [26, 27, 28] and len(handed) == 3
     # a dense build assembles the matrix and takes an SVD of every level
@@ -639,17 +638,67 @@ def test_uncertified_levels_read_the_factors_real_rows(monkeypatch):
     assert not dense._factorwise and dense.level_cond_bounds is None
     for j, block in zip(levels, handed):
         assert block.dtype == np.float64
-        assert np.array_equal(block, prod._equilibrated(j, prod.matrix.real))
-        assert np.array_equal(block, dense._equilibrated(j, dense._real_view))
+        assert np.array_equal(block, prod._equilibrated(j))
+        assert np.array_equal(block, dense._equilibrated(j))
         assert prod.level_conds[j] == dense.level_conds[j]
+
+
+def test_a_complex_factorwise_product_gathers_its_svd_blocks(monkeypatch):
+    handed = []
+    svd = np.linalg.svd
+
+    def recording(x, *args, **kwargs):
+        handed.append(x)
+        return svd(x, *args, **kwargs)
+
+    rotated = lagrange_projector(nodes_by_name("chebyshev_leja", 26) * np.exp(0.1j))
+    f = Exp(Affine([1.0, 0.5]))
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    prod = rotated.newton_product(rotated)
+    # level 26 takes its SVD, of a complex block gathered from the factors'
+    # rows at its own size: the build assembles no product matrix
+    assert prod._factorwise and prod._matrix is None
+    assert prod.svd_levels() == [False] * 26 + [True] and len(handed) == 1
+    # the same product whose gate reads the assembled matrix's block
+    monkeypatch.setattr(NewtonProduct, "_gate_block", NewtonStructuredProjector._gate_block)
+    assembled = rotated.newton_product(rotated)
+    assert assembled._matrix is not None and len(handed) == 2
+    assert np.array_equal(handed[0], handed[1])
+    assert prod.level_conds == assembled.level_conds
+    assert prod.apply(f).coeffs.tobytes() == assembled.apply(f).coeffs.tobytes()
+    # a dense build takes an SVD of every level; level 26's block and
+    # estimate are the gathered ones.  Its solve is one LU of the product
+    # matrix, so its apply agrees to rounding only
+    monkeypatch.setattr(nprox.projectors, "_BOUND_CONDITIONS", math.inf)
+    dense = rotated.newton_product(rotated)
+    assert not dense._factorwise and dense.level_cond_bounds is None
+    assert handed[0].dtype == np.complex128
+    assert np.array_equal(handed[0], dense._equilibrated(26))
+    assert prod.level_conds[26] == dense.level_conds[26]
+    assert coeff_distance(prod.apply(f), dense.apply(f)) < 1e-5
+
+
+@pytest.mark.parametrize("d", [8, 20], ids=["stacked", "level_by_level"])
+def test_real_rows_solve_as_their_complex_cast(d):
+    # the solves divide a float64 matrix by its row scales in complex128, so
+    # they read the bits of the same matrix kept as complex128: numpy's
+    # complex division by a real scale rounds apart from float64 division.
+    # The nodes lie on [-1.7, 1.7], so the row scales are not all 1
+    f = Exp(Affine([0.9]))
+    real = lagrange_projector(1.7 * nodes_by_name("chebyshev_leja", d))
+    cast = lagrange_projector(1.7 * nodes_by_name("chebyshev_leja", d))
+    cast._matrix = cast.matrix.astype(np.complex128)
+    assert real.matrix.dtype == np.float64 and real._stacked == (d == 8)
+    for p, q in zip(real.truncations(f), cast.truncations(f), strict=True):
+        assert p.coeffs.tobytes() == q.coeffs.tobytes()
 
 
 def einsum_grams(P, degree, summands):
     """Oracle: the same scaled inverses' Gram tensor, one ``einsum`` per level k."""
     n = monomial_count(P.nvars, degree)
-    x = np.zeros((degree + 1, n, n), dtype=P._real_view.dtype)
+    x = np.zeros((degree + 1, n, n), dtype=P.matrix.dtype)
     for i, m in enumerate(degree_starts(P.nvars, degree)[1:]):
-        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i, P._real_view)) / P._scales[i, :m]
+        x[i, :m, :m] = np.linalg.inv(P._equilibrated(i)) / P._scales[i, :m]
     if summands:
         x[1:] = x[1:] - x[:-1]
     return np.stack([np.einsum("irc,jrc->ij", (x * s).conj(), x * s)
